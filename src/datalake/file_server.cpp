@@ -1,5 +1,7 @@
 #include "datalake/file_server.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 
@@ -71,23 +73,21 @@ void FileServer::replyMeta(const ndn::Interest& interest, const ndn::Name& objec
 void FileServer::replySegment(const ndn::Interest& interest,
                               const ndn::Name& objectName,
                               std::uint64_t segmentIndex) {
-  const auto bytes = store_.get(objectName);
-  if (!bytes) {
+  const auto size = store_.sizeOf(objectName);
+  // Bound the index before multiplying, so a hostile seg= cannot wrap
+  // around to a valid offset. An empty object still has a segment 0.
+  const std::uint64_t segments =
+      size ? std::max<std::uint64_t>(1, (*size + segment_size_ - 1) / segment_size_)
+           : 0;
+  if (segmentIndex >= segments) {
     ++rejected_;
     face_->putNack(interest, ndn::NackReason::kNoRoute);
     return;
   }
-  const std::uint64_t begin = segmentIndex * segment_size_;
-  if (begin >= bytes->size() && !(bytes->empty() && segmentIndex == 0)) {
-    ++rejected_;
-    face_->putNack(interest, ndn::NackReason::kNoRoute);
-    return;
-  }
-  const std::uint64_t end =
-      std::min<std::uint64_t>(begin + segment_size_, bytes->size());
+  // Only the segment's range is copied out of the store.
+  auto bytes = store_.get(objectName, segmentIndex * segment_size_, segment_size_);
   ndn::Data data(interest.name());
-  data.setContent(std::vector<std::uint8_t>(bytes->begin() + static_cast<long>(begin),
-                                            bytes->begin() + static_cast<long>(end)));
+  data.setContent(std::move(*bytes));
   data.setFreshnessPeriod(freshness_);
   data.sign();
   ++served_;

@@ -39,6 +39,12 @@ std::optional<std::vector<std::uint8_t>> ObjectStore::get(const ndn::Name& name)
   return pvc_.read(pathFor(name));
 }
 
+std::optional<std::vector<std::uint8_t>> ObjectStore::get(const ndn::Name& name,
+                                                         std::uint64_t offset,
+                                                         std::uint64_t length) const {
+  return pvc_.read(pathFor(name), offset, length);
+}
+
 bool ObjectStore::contains(const ndn::Name& name) const {
   return pvc_.exists(pathFor(name));
 }

@@ -40,6 +40,10 @@ class ObjectStore {
 
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> get(
       const ndn::Name& name) const;
+  /// At most `length` bytes of the object from `offset` on, copying only
+  /// that range (what a segment reply needs).
+  [[nodiscard]] std::optional<std::vector<std::uint8_t>> get(
+      const ndn::Name& name, std::uint64_t offset, std::uint64_t length) const;
   [[nodiscard]] bool contains(const ndn::Name& name) const;
   [[nodiscard]] std::optional<std::uint64_t> sizeOf(const ndn::Name& name) const;
   Status remove(const ndn::Name& name);

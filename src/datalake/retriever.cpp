@@ -14,7 +14,10 @@ struct Retriever::Transfer {
   std::uint64_t segmentSize = 0;  // 0 = meta did not advertise one
   std::uint64_t nextToRequest = 0;
   std::size_t inFlight = 0;
-  std::map<std::uint64_t, std::vector<std::uint8_t>> segments;
+  /// Received payloads, shared with the Data that carried them (never
+  /// copied) until the one assembly copy at the end.
+  std::map<std::uint64_t, ndn::SharedBytes> segments;
+  std::uint64_t receivedBytes = 0;
   /// Per-segment verification-failure re-fetches already spent.
   std::map<std::uint64_t, int> integrityAttempts;
   int metaIntegrityAttempts = 0;
@@ -188,21 +191,27 @@ void Retriever::fetchSegment(std::shared_ptr<Transfer> transfer, std::uint64_t i
             return;
           }
         }
-        transfer->segments[index] = data.content();
+        ndn::SharedBytes& slot = transfer->segments[index];
+        transfer->receivedBytes += data.content().size() - slot.size();
+        slot = data.sharedContent();
         if (transfer->segments.size() == transfer->totalSegments) {
-          std::vector<std::uint8_t> assembled;
-          assembled.reserve(transfer->totalSize);
-          for (auto& [i, segment] : transfer->segments) {
-            assembled.insert(assembled.end(), segment.begin(), segment.end());
-          }
-          if (assembled.size() != transfer->totalSize) {
+          // Check the advertised size against the bytes actually held
+          // before allocating: legacy meta without segment_size skips the
+          // per-segment checks, and a hostile size= must not reach
+          // reserve().
+          if (transfer->receivedBytes != transfer->totalSize) {
             finish(transfer,
                    Status::Internal(
-                       "reassembled " + std::to_string(assembled.size()) +
+                       "reassembled " + std::to_string(transfer->receivedBytes) +
                        " bytes for " + transfer->objectName.toUri() +
                        " but meta advertised " +
                        std::to_string(transfer->totalSize)));
             return;
+          }
+          std::vector<std::uint8_t> assembled;
+          assembled.reserve(transfer->totalSize);
+          for (const auto& [i, segment] : transfer->segments) {
+            assembled.insert(assembled.end(), segment.get().begin(), segment.get().end());
           }
           finish(transfer, std::move(assembled));
           return;

@@ -1,5 +1,7 @@
 #include "k8s/pvc.hpp"
 
+#include <algorithm>
+
 #include "common/strings.hpp"
 
 namespace lidc::k8s {
@@ -32,6 +34,17 @@ std::optional<std::vector<std::uint8_t>> PersistentVolumeClaim::read(
   auto it = files_.find(path);
   if (it == files_.end()) return std::nullopt;
   return it->second;
+}
+
+std::optional<std::vector<std::uint8_t>> PersistentVolumeClaim::read(
+    const std::string& path, std::uint64_t offset, std::uint64_t length) const {
+  auto it = files_.find(path);
+  if (it == files_.end()) return std::nullopt;
+  const std::vector<std::uint8_t>& bytes = it->second;
+  const std::uint64_t begin = std::min<std::uint64_t>(offset, bytes.size());
+  const std::uint64_t end = begin + std::min<std::uint64_t>(length, bytes.size() - begin);
+  return std::vector<std::uint8_t>(bytes.begin() + static_cast<std::ptrdiff_t>(begin),
+                                   bytes.begin() + static_cast<std::ptrdiff_t>(end));
 }
 
 std::optional<std::uint64_t> PersistentVolumeClaim::sizeOf(

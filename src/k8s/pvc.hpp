@@ -31,6 +31,10 @@ class PersistentVolumeClaim {
 
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> read(
       const std::string& path) const;
+  /// Reads at most `length` bytes starting at `offset` (empty when the
+  /// offset is at or past the end), copying only that range.
+  [[nodiscard]] std::optional<std::vector<std::uint8_t>> read(
+      const std::string& path, std::uint64_t offset, std::uint64_t length) const;
   [[nodiscard]] bool exists(const std::string& path) const {
     return files_.count(path) > 0;
   }

@@ -34,7 +34,8 @@ class ContentStore {
   /// lexicographically smallest name under the prefix when CanBePrefix.
   /// MustBeFresh requires now < arrival + freshnessPeriod. Entries whose
   /// digest matches the Interest's excludeDigest hint are skipped;
-  /// poisoned entries are evicted rather than served.
+  /// poisoned entries are evicted rather than served. The returned copy
+  /// shares the cached payload and its memoized digest.
   [[nodiscard]] std::optional<Data> find(const Interest& interest, sim::Time now);
 
   void erase(const Name& name);

@@ -28,6 +28,20 @@ Result<Name> decodeName(std::span<const std::uint8_t> value) {
   return Name(std::move(components));
 }
 
+std::size_t nameBlockSize(const Name& name) {
+  std::size_t components = 0;
+  for (const auto& component : name) {
+    components += tlv::blockSize(tlv::kGenericNameComponent, component.size());
+  }
+  return tlv::blockSize(tlv::kName, components);
+}
+
+/// Durations travel as whole milliseconds, negatives clamped to 0.
+std::uint64_t wireMillis(sim::Duration duration) {
+  return static_cast<std::uint64_t>(
+      std::max<std::int64_t>(0, duration.toNanos() / 1'000'000));
+}
+
 }  // namespace
 
 tlv::Buffer Interest::wireEncode() const {
@@ -36,21 +50,34 @@ tlv::Buffer Interest::wireEncode() const {
   if (can_be_prefix_) inner.writeFlag(tlv::kCanBePrefix);
   if (must_be_fresh_) inner.writeFlag(tlv::kMustBeFresh);
   inner.writeNonNegativeInteger(tlv::kNonce, nonce_);
-  inner.writeNonNegativeInteger(
-      tlv::kInterestLifetime,
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, lifetime_.toNanos() / 1'000'000)));
+  inner.writeNonNegativeInteger(tlv::kInterestLifetime, wireMillis(lifetime_));
   inner.writeNonNegativeInteger(tlv::kHopLimit, hop_limit_);
   if (exclude_digest_) {
     inner.writeNonNegativeInteger(tlv::kExcludeDigest, *exclude_digest_);
   }
   if (!app_parameters_.empty()) {
-    inner.writeBlock(tlv::kApplicationParameters,
-                     std::span<const std::uint8_t>(app_parameters_.data(),
-                                                   app_parameters_.size()));
+    inner.writeBlock(tlv::kApplicationParameters, app_parameters_.get());
   }
   tlv::Encoder outer;
   outer.writeNested(tlv::kInterest, inner);
   return outer.takeBuffer();
+}
+
+std::size_t Interest::computeWireSize() const {
+  // Mirrors wireEncode() field by field.
+  std::size_t inner = nameBlockSize(name_);
+  if (can_be_prefix_) inner += tlv::blockSize(tlv::kCanBePrefix, 0);
+  if (must_be_fresh_) inner += tlv::blockSize(tlv::kMustBeFresh, 0);
+  inner += tlv::nonNegativeIntegerSize(tlv::kNonce, nonce_);
+  inner += tlv::nonNegativeIntegerSize(tlv::kInterestLifetime, wireMillis(lifetime_));
+  inner += tlv::nonNegativeIntegerSize(tlv::kHopLimit, hop_limit_);
+  if (exclude_digest_) {
+    inner += tlv::nonNegativeIntegerSize(tlv::kExcludeDigest, *exclude_digest_);
+  }
+  if (!app_parameters_.empty()) {
+    inner += tlv::blockSize(tlv::kApplicationParameters, app_parameters_.size());
+  }
+  return tlv::blockSize(tlv::kInterest, inner);
 }
 
 Result<Interest> Interest::wireDecode(std::span<const std::uint8_t> wire) {
@@ -97,7 +124,8 @@ Result<Interest> Interest::wireDecode(std::span<const std::uint8_t> wire) {
         break;
       }
       case tlv::kApplicationParameters:
-        interest.app_parameters_.assign(element->value.begin(), element->value.end());
+        interest.app_parameters_ = SharedBytes(
+            std::vector<std::uint8_t>(element->value.begin(), element->value.end()));
         break;
       case tlv::kExcludeDigest: {
         auto v = tlv::Decoder::readNonNegativeInteger(element->value);
@@ -130,17 +158,22 @@ std::uint64_t Data::computeDigest() const {
   for (int shift = 56; shift >= 0; shift -= 8) {
     mix(static_cast<std::uint8_t>(freshness >> shift));
   }
-  for (std::uint8_t byte : content_) mix(byte);
+  for (std::uint8_t byte : content()) mix(byte);
   return h;
 }
 
+std::uint64_t Data::contentDigest() const {
+  if (!digest_) digest_ = computeDigest();
+  return *digest_;
+}
+
 Data& Data::sign() {
-  signature_ = computeDigest();
+  signature_ = contentDigest();
   wire_size_cache_ = 0;  // the SignatureValue block changes the encoding
   return *this;
 }
 
-bool Data::verify() const { return signature_ && *signature_ == computeDigest(); }
+bool Data::verify() const { return signature_ && *signature_ == contentDigest(); }
 
 tlv::Buffer Data::wireEncode() const {
   tlv::Encoder inner;
@@ -149,13 +182,10 @@ tlv::Buffer Data::wireEncode() const {
   tlv::Encoder meta;
   meta.writeNonNegativeInteger(tlv::kContentType,
                                static_cast<std::uint64_t>(content_type_));
-  meta.writeNonNegativeInteger(
-      tlv::kFreshnessPeriod,
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, freshness_.toNanos() / 1'000'000)));
+  meta.writeNonNegativeInteger(tlv::kFreshnessPeriod, wireMillis(freshness_));
   inner.writeNested(tlv::kMetaInfo, meta);
 
-  inner.writeBlock(tlv::kContent,
-                   std::span<const std::uint8_t>(content_.data(), content_.size()));
+  inner.writeBlock(tlv::kContent, content());
 
   tlv::Encoder sigInfo;
   sigInfo.writeNonNegativeInteger(tlv::kSignatureType, 0);  // DigestSha256 stand-in
@@ -169,6 +199,24 @@ tlv::Buffer Data::wireEncode() const {
   tlv::Encoder outer;
   outer.writeNested(tlv::kData, inner);
   return outer.takeBuffer();
+}
+
+std::size_t Data::computeWireSize() const {
+  // Mirrors wireEncode() field by field.
+  const std::size_t meta =
+      tlv::nonNegativeIntegerSize(tlv::kContentType,
+                                  static_cast<std::uint64_t>(content_type_)) +
+      tlv::nonNegativeIntegerSize(tlv::kFreshnessPeriod, wireMillis(freshness_));
+  std::size_t inner = nameBlockSize(name_) + tlv::blockSize(tlv::kMetaInfo, meta) +
+                      tlv::blockSize(tlv::kContent, content_.size()) +
+                      tlv::blockSize(tlv::kSignatureInfo,
+                                     tlv::nonNegativeIntegerSize(tlv::kSignatureType, 0));
+  if (signature_) {
+    inner += tlv::blockSize(
+        tlv::kSignatureValue,
+        tlv::nonNegativeIntegerSize(tlv::kSignatureValue, *signature_));
+  }
+  return tlv::blockSize(tlv::kData, inner);
 }
 
 Result<Data> Data::wireDecode(std::span<const std::uint8_t> wire) {
@@ -206,7 +254,8 @@ Result<Data> Data::wireDecode(std::span<const std::uint8_t> wire) {
         break;
       }
       case tlv::kContent:
-        data.content_.assign(element->value.begin(), element->value.end());
+        data.content_ = SharedBytes(
+            std::vector<std::uint8_t>(element->value.begin(), element->value.end()));
         break;
       case tlv::kSignatureInfo:
         break;  // only one signature type supported

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -17,6 +18,30 @@
 #include "telemetry/trace_context.hpp"
 
 namespace lidc::ndn {
+
+/// Immutable, reference-counted packet bytes: Data content and Interest
+/// ApplicationParameters. Copies share one buffer, so a packet crossing
+/// faces, links, the PIT and the CS is never re-copied. Changing a
+/// packet's bytes always builds a new buffer; a shared one is never
+/// edited, so other holders keep seeing exactly what they were given.
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  explicit SharedBytes(std::vector<std::uint8_t> bytes)
+      : bytes_(bytes.empty() ? nullptr
+                             : std::make_shared<const std::vector<std::uint8_t>>(
+                                   std::move(bytes))) {}
+
+  [[nodiscard]] const std::vector<std::uint8_t>& get() const noexcept {
+    static const std::vector<std::uint8_t> kEmpty;
+    return bytes_ ? *bytes_ : kEmpty;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return bytes_ ? bytes_->size() : 0; }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+
+ private:
+  std::shared_ptr<const std::vector<std::uint8_t>> bytes_;  // null = empty
+};
 
 /// An Interest requests the Data identified (or prefixed) by its Name.
 class Interest {
@@ -59,9 +84,10 @@ class Interest {
   }
 
   [[nodiscard]] std::uint8_t hopLimit() const noexcept { return hop_limit_; }
+  /// The hop limit is a 1-byte field whatever its value, so the
+  /// forwarder's per-hop decrement keeps the cached wire size.
   Interest& setHopLimit(std::uint8_t limit) noexcept {
     hop_limit_ = limit;
-    wire_size_cache_ = 0;
     return *this;
   }
 
@@ -77,19 +103,20 @@ class Interest {
     return *this;
   }
 
+  /// Shared with every copy of this Interest; do not hold the reference
+  /// across a setter on the same packet.
   [[nodiscard]] const std::vector<std::uint8_t>& applicationParameters()
       const noexcept {
-    return app_parameters_;
+    return app_parameters_.get();
   }
   Interest& setApplicationParameters(std::vector<std::uint8_t> params) {
-    app_parameters_ = std::move(params);
+    app_parameters_ = SharedBytes(std::move(params));
     wire_size_cache_ = 0;
     return *this;
   }
   Interest& setApplicationParameters(std::string_view text) {
-    app_parameters_.assign(text.begin(), text.end());
-    wire_size_cache_ = 0;
-    return *this;
+    return setApplicationParameters(
+        std::vector<std::uint8_t>(text.begin(), text.end()));
   }
 
   /// Trace context carried alongside the packet (like an NDNLPv2
@@ -119,16 +146,19 @@ class Interest {
   static Result<Interest> wireDecode(std::span<const std::uint8_t> wire);
 
   /// Size of the wire encoding in bytes (used for link transmission
-  /// delay and per-link byte accounting). Encoding a packet just to
-  /// count it is the single hottest forwarder cost, so the size is
-  /// cached until a wire-visible setter dirties it (trace context and
-  /// flow label ride outside the encoding and never invalidate).
+  /// delay and per-link byte accounting). It is summed from the TLV
+  /// field lengths, never by encoding, and always equals
+  /// wireEncode().size(). It is cached until a wire-visible setter
+  /// dirties it; trace context and flow label ride outside the encoding
+  /// and never invalidate.
   [[nodiscard]] std::size_t wireSize() const {
-    if (wire_size_cache_ == 0) wire_size_cache_ = wireEncode().size();
+    if (wire_size_cache_ == 0) wire_size_cache_ = computeWireSize();
     return wire_size_cache_;
   }
 
  private:
+  [[nodiscard]] std::size_t computeWireSize() const;
+
   Name name_;
   bool can_be_prefix_ = false;
   bool must_be_fresh_ = false;
@@ -136,7 +166,7 @@ class Interest {
   sim::Duration lifetime_ = sim::Duration::millis(4000);
   std::uint8_t hop_limit_ = 64;
   std::optional<std::uint64_t> exclude_digest_;
-  std::vector<std::uint8_t> app_parameters_;
+  SharedBytes app_parameters_;
   telemetry::TraceContext trace_;
   telemetry::FlowLabel flow_label_;
   /// 0 = unknown (a TLV encoding is never empty).
@@ -160,30 +190,33 @@ class Data {
   [[nodiscard]] const Name& name() const noexcept { return name_; }
   void setName(Name name) {
     name_ = std::move(name);
-    wire_size_cache_ = 0;
+    fieldsChanged();
   }
 
+  /// Shared with every copy of this Data; do not hold the reference
+  /// across a setter on the same packet.
   [[nodiscard]] const std::vector<std::uint8_t>& content() const noexcept {
-    return content_;
+    return content_.get();
   }
+  /// The content buffer itself, for holders that keep the bytes beyond
+  /// this packet's lifetime without copying them.
+  [[nodiscard]] const SharedBytes& sharedContent() const noexcept { return content_; }
   Data& setContent(std::vector<std::uint8_t> content) {
-    content_ = std::move(content);
-    wire_size_cache_ = 0;
+    content_ = SharedBytes(std::move(content));
+    fieldsChanged();
     return *this;
   }
   Data& setContent(std::string_view text) {
-    content_.assign(text.begin(), text.end());
-    wire_size_cache_ = 0;
-    return *this;
+    return setContent(std::vector<std::uint8_t>(text.begin(), text.end()));
   }
   [[nodiscard]] std::string contentAsString() const {
-    return {content_.begin(), content_.end()};
+    return {content().begin(), content().end()};
   }
 
   [[nodiscard]] ContentType contentType() const noexcept { return content_type_; }
   Data& setContentType(ContentType type) noexcept {
     content_type_ = type;
-    wire_size_cache_ = 0;
+    fieldsChanged();
     return *this;
   }
 
@@ -191,7 +224,7 @@ class Data {
   [[nodiscard]] sim::Duration freshnessPeriod() const noexcept { return freshness_; }
   Data& setFreshnessPeriod(sim::Duration period) noexcept {
     freshness_ = period;
-    wire_size_cache_ = 0;
+    fieldsChanged();
     return *this;
   }
 
@@ -203,27 +236,39 @@ class Data {
   [[nodiscard]] bool hasSignature() const noexcept { return signature_.has_value(); }
   /// Digest of the packet as it stands now — the value a matching
   /// excludeDigest hint would carry for this exact copy.
-  [[nodiscard]] std::uint64_t contentDigest() const { return computeDigest(); }
+  [[nodiscard]] std::uint64_t contentDigest() const;
 
   [[nodiscard]] tlv::Buffer wireEncode() const;
   static Result<Data> wireDecode(std::span<const std::uint8_t> wire);
 
-  /// Cached like Interest::wireSize(): flow attribution and the face
-  /// byte counters ask for the size of every Data crossing a link, and
-  /// re-encoding a 32 KiB payload per query would dwarf the tap itself.
+  /// Computed and cached like Interest::wireSize(): flow attribution and
+  /// the face byte counters ask for the size of every Data crossing a
+  /// link.
   [[nodiscard]] std::size_t wireSize() const {
-    if (wire_size_cache_ == 0) wire_size_cache_ = wireEncode().size();
+    if (wire_size_cache_ == 0) wire_size_cache_ = computeWireSize();
     return wire_size_cache_;
   }
 
  private:
   [[nodiscard]] std::uint64_t computeDigest() const;
+  [[nodiscard]] std::size_t computeWireSize() const;
+  /// Every setter of a digested field calls this, so neither a stale
+  /// digest nor a stale size can outlive the fields they describe.
+  void fieldsChanged() noexcept {
+    digest_.reset();
+    wire_size_cache_ = 0;
+  }
 
   Name name_;
-  std::vector<std::uint8_t> content_;
+  SharedBytes content_;
   ContentType content_type_ = ContentType::kBlob;
   sim::Duration freshness_ = sim::Duration::millis(0);
   std::optional<std::uint64_t> signature_;
+  /// Memoized computeDigest(): each packet is hashed once however many
+  /// sites verify it (forwarder ingress, CS insert and hit, AppFace,
+  /// consumers), and copies carry the memo along. Same single-thread
+  /// contract as the wire-size cache.
+  mutable std::optional<std::uint64_t> digest_;
   /// 0 = unknown (a TLV encoding is never empty).
   mutable std::size_t wire_size_cache_ = 0;
 };

@@ -4,6 +4,7 @@
 // bytes so the network substrate carries honest packet sizes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -42,6 +43,29 @@ enum Type : std::uint32_t {
 };
 
 using Buffer = std::vector<std::uint8_t>;
+
+/// Encoded size of a TLV var-number (type or length): 1, 3, 5 or 9 bytes.
+constexpr std::size_t varNumberSize(std::uint64_t value) noexcept {
+  if (value < 253) return 1;
+  if (value <= 0xFFFF) return 3;
+  if (value <= 0xFFFFFFFF) return 5;
+  return 9;
+}
+
+/// Encoded size of a TLV block whose value is `valueLength` bytes.
+constexpr std::size_t blockSize(std::uint32_t type, std::size_t valueLength) noexcept {
+  return varNumberSize(type) + varNumberSize(valueLength) + valueLength;
+}
+
+/// Encoded size of Encoder::writeNonNegativeInteger(type, value).
+constexpr std::size_t nonNegativeIntegerSize(std::uint32_t type,
+                                             std::uint64_t value) noexcept {
+  const std::size_t width = value <= 0xFF         ? 1
+                            : value <= 0xFFFF     ? 2
+                            : value <= 0xFFFFFFFF ? 4
+                                                  : 8;
+  return blockSize(type, width);
+}
 
 /// Appends TLV blocks to a growing buffer.
 class Encoder {

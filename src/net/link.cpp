@@ -69,11 +69,14 @@ ndn::Data Link::maybeCorrupt(const ndn::Data& data) {
     return data;
   }
   ndn::Data damaged = data;
+  // The flip goes into a fresh buffer: the sender's copy (and every
+  // cache holding the shared original) keeps the intact bytes.
   std::vector<std::uint8_t> content = damaged.content();
   const std::size_t byte = corrupt_rng_.uniform(content.size());
   content[byte] ^= static_cast<std::uint8_t>(1u << corrupt_rng_.uniform(8));
-  // setContent leaves any existing signature untouched, so the stale
-  // digest travels with the damaged payload — exactly what a bit-flip
+  // setContent leaves any existing signature untouched but drops the
+  // memoized digest, so the stale signature travels with the damaged
+  // payload and the next verify() recomputes — exactly what a bit-flip
   // below the signature does on a real wire.
   damaged.setContent(std::move(content));
   ++corrupted_;
@@ -84,9 +87,11 @@ void LinkFace::sendData(const ndn::Data& data) {
   countOutData(data);
   LinkFace* remote = peer();
   if (remote == nullptr) return;
-  const ndn::Data delivered = link_->maybeCorrupt(data);
-  scheduleDelivery(delivered.wireSize(),
-                   [remote, delivered] { remote->receiveData(delivered); });
+  ndn::Data delivered = link_->maybeCorrupt(data);
+  const std::size_t bytes = delivered.wireSize();
+  scheduleDelivery(bytes, [remote, delivered = std::move(delivered)] {
+    remote->receiveData(delivered);
+  });
 }
 
 void LinkFace::sendNack(const ndn::Nack& nack) {

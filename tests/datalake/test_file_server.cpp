@@ -4,6 +4,7 @@
 // that would wedge consumers into timeouts), and overwrite visibility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -125,6 +126,26 @@ TEST_F(FileServerTest, MalformedNamesAreRejected) {
   EXPECT_TRUE(express(ndn::Name("/ndn/k8s/data/obj/seg=99")).nack);
   EXPECT_EQ(fileServer_->interestsRejected(), 3u);
   EXPECT_EQ(fileServer_->interestsServed(), 0u);
+}
+
+TEST_F(FileServerTest, WrappingSegmentIndexIsRejected) {
+  std::vector<std::uint8_t> bytes(2048, 'a');
+  std::fill(bytes.begin() + 1024, bytes.end(), 'b');
+  ASSERT_TRUE(store_.put(ndn::Name("/ndn/k8s/data/obj"), bytes).ok());
+
+  // (2^54 + 1) * 1024 wraps a 64-bit offset to 1024: unchecked, this
+  // name would be answered with segment 1's bytes, and caches would
+  // keep that copy.
+  const Reply wrapped = express(ndn::Name("/ndn/k8s/data/obj/seg=18014398509481985"));
+  EXPECT_TRUE(wrapped.nack);
+  EXPECT_FALSE(wrapped.data);
+  EXPECT_TRUE(express(ndn::Name("/ndn/k8s/data/obj/seg=2")).nack);
+  EXPECT_EQ(fileServer_->interestsRejected(), 2u);
+  EXPECT_EQ(fileServer_->interestsServed(), 0u);
+
+  const Reply last = express(ndn::Name("/ndn/k8s/data/obj/seg=1"));
+  ASSERT_TRUE(last.data);
+  EXPECT_EQ(last.content, std::string(1024, 'b'));
 }
 
 TEST_F(FileServerTest, OverwriteServesNewBytesToFreshConsumers) {

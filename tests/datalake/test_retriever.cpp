@@ -147,6 +147,17 @@ TEST_F(RetrieverHardeningTest, LegacyMetaSizeMismatchIsRejectedAtReassembly) {
   EXPECT_NE(result.status().message().find("advertised"), std::string::npos);
 }
 
+TEST_F(RetrieverHardeningTest, LegacyMetaHugeSizeIsRejectedBeforeAllocating) {
+  // Without segment_size no per-segment check runs, so only the total
+  // stands between a hostile size= and a 4 EiB reserve().
+  liar_->meta = "segments=1;size=4611686018427387904";
+  liar_->segments = {bytesOf(16)};
+  auto result = fetch();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("advertised"), std::string::npos);
+}
+
 TEST_F(RetrieverHardeningTest, ZeroSegmentsWithNonZeroSizeIsMalformed) {
   liar_->meta = "segments=0;size=100;segment_size=64";
   auto result = fetch();

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string_view>
+#include <vector>
+
 namespace lidc::ndn {
 namespace {
 
@@ -98,6 +103,91 @@ TEST(DataTest, WireSizeGrowsWithContent) {
   Data large(Name("/x"));
   large.setContent(std::string(10'000, 'a'));
   EXPECT_GT(large.wireSize(), small.wireSize() + 9'000);
+}
+
+/// A signed packet with every digest-covered field set.
+Data signedSegment() {
+  Data data(Name("/ndn/k8s/data/obj/seg=0"));
+  data.setContent("payload")
+      .setContentType(ContentType::kBlob)
+      .setFreshnessPeriod(sim::Duration::seconds(10));
+  data.sign();
+  return data;
+}
+
+TEST(DataTest, EveryDigestedSetterBreaksTheSignatureOfACopyOnly) {
+  const Data original = signedSegment();
+  ASSERT_TRUE(original.verify());
+  const std::vector<std::function<void(Data&)>> setters = {
+      [](Data& d) { d.setName(Name("/ndn/k8s/data/obj/seg=1")); },
+      [](Data& d) { d.setContent("payloaD"); },
+      [](Data& d) { d.setContent(std::vector<std::uint8_t>{'p', 'a', 'y'}); },
+      [](Data& d) { d.setContentType(ContentType::kKey); },
+      [](Data& d) { d.setFreshnessPeriod(sim::Duration::seconds(11)); },
+  };
+  for (std::size_t i = 0; i < setters.size(); ++i) {
+    Data copy = original;
+    ASSERT_TRUE(copy.verify()) << "setter " << i;
+    setters[i](copy);
+    EXPECT_FALSE(copy.verify()) << "setter " << i;
+    EXPECT_NE(copy.contentDigest(), original.contentDigest()) << "setter " << i;
+    EXPECT_TRUE(original.verify()) << "setter " << i;
+    EXPECT_EQ(original.contentAsString(), "payload") << "setter " << i;
+  }
+}
+
+TEST(DataTest, CopiesShareDigestAndPayload) {
+  const Data original = signedSegment();
+  const Data copy = original;
+  EXPECT_EQ(copy.contentDigest(), original.contentDigest());
+  EXPECT_TRUE(copy.verify());
+  // The payload is shared, not copied.
+  EXPECT_EQ(copy.content().data(), original.content().data());
+
+  // A copy taken before any digest exists computes the same one.
+  Data unsignedData(Name("/x"));
+  unsignedData.setContent("abc");
+  const Data early = unsignedData;
+  EXPECT_EQ(early.contentDigest(), unsignedData.contentDigest());
+  // Re-setting equal fields leaves the digest equal.
+  Data rebuilt = signedSegment();
+  rebuilt.setContent("payload");
+  EXPECT_EQ(rebuilt.contentDigest(), original.contentDigest());
+  EXPECT_TRUE(rebuilt.verify());
+}
+
+TEST(DataTest, DataDecodedFromTamperedWireFailsVerification) {
+  const Data original = signedSegment();
+  const auto wire = original.wireEncode();
+  // Every byte of the content and of the name's "obj" component.
+  std::vector<std::size_t> offsets;
+  for (std::string_view needle : {"payload", "obj"}) {
+    const auto at = std::search(wire.begin(), wire.end(), needle.begin(), needle.end());
+    ASSERT_NE(at, wire.end());
+    for (std::size_t i = 0; i < needle.size(); ++i) {
+      offsets.push_back(static_cast<std::size_t>(at - wire.begin()) + i);
+    }
+  }
+  for (const std::size_t offset : offsets) {
+    auto tampered = wire;
+    tampered[offset] ^= 0x01;
+    auto decoded = Data::wireDecode(std::span<const std::uint8_t>(tampered));
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_TRUE(decoded->hasSignature());
+    EXPECT_FALSE(decoded->verify()) << "offset " << offset;
+  }
+  auto intact = Data::wireDecode(std::span<const std::uint8_t>(wire));
+  ASSERT_TRUE(intact.ok());
+  EXPECT_TRUE(intact->verify());
+}
+
+TEST(InterestTest, ApplicationParametersAreSharedByCopies) {
+  Interest interest(Name("/ndn/k8s/publish/obj"));
+  interest.setApplicationParameters(std::vector<std::uint8_t>(4096, 7));
+  const Interest copy = interest;
+  EXPECT_EQ(copy.applicationParameters().data(), interest.applicationParameters().data());
+  interest.setApplicationParameters("other");
+  EXPECT_EQ(copy.applicationParameters(), std::vector<std::uint8_t>(4096, 7));
 }
 
 TEST(NackTest, CarriesInterestAndReason) {

@@ -4,6 +4,8 @@
 // never crash or over-read).
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "common/rng.hpp"
 #include "ndn/packet.hpp"
 
@@ -21,7 +23,89 @@ Name randomName(Rng& rng) {
   return name;
 }
 
+std::vector<std::uint8_t> randomBytes(Rng& rng, std::size_t size) {
+  std::vector<std::uint8_t> bytes(size);
+  for (auto& byte : bytes) byte = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+/// Lengths on both sides of every var-number width change (1/3/5 bytes).
+constexpr std::size_t kEdgeLengths[] = {0, 252, 253, 65'535, 65'536};
+/// Values on both sides of every NonNegativeInteger width change (1/2/4/8).
+constexpr std::uint64_t kEdgeValues[] = {0,           0xFF,          0x100,
+                                         0xFFFF,      0x10000,       0xFFFFFFFF,
+                                         0x100000000, ~std::uint64_t{0}};
+
+std::size_t edgeLength(Rng& rng) {
+  return kEdgeLengths[rng.uniform(std::size(kEdgeLengths))];
+}
+
+/// An edge value half of the time, else a random one of random width.
+std::uint64_t edgeOrRandom(Rng& rng) {
+  if (rng.bernoulli(0.5)) return kEdgeValues[rng.uniform(std::size(kEdgeValues))];
+  const std::uint64_t value = rng();
+  return value >> rng.uniform(64);
+}
+
+/// A random name, sometimes with one more component of an edge length.
+Name edgeName(Rng& rng) {
+  Name name = randomName(rng);
+  if (rng.bernoulli(0.5)) name.append(Component(randomBytes(rng, edgeLength(rng))));
+  return name;
+}
+
+/// Durations are whole milliseconds on the wire; kept under 2^43 ms so
+/// the value in nanoseconds still fits an int64.
+sim::Duration edgeMillis(Rng& rng) {
+  return sim::Duration::millis(
+      static_cast<std::int64_t>(edgeOrRandom(rng) % (std::uint64_t{1} << 43)));
+}
+
 class WireProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WireProperty, InterestWireSizeEqualsEncodedSize) {
+  Rng rng(GetParam() ^ 0x512E);
+  for (int trial = 0; trial < 60; ++trial) {
+    Interest interest(edgeName(rng));
+    interest.setCanBePrefix(rng.bernoulli(0.5));
+    interest.setMustBeFresh(rng.bernoulli(0.5));
+    interest.setNonce(static_cast<std::uint32_t>(edgeOrRandom(rng)));
+    interest.setLifetime(edgeMillis(rng));
+    if (rng.bernoulli(0.5)) interest.setExcludeDigest(edgeOrRandom(rng));
+    if (rng.bernoulli(0.5)) {
+      interest.setApplicationParameters(randomBytes(rng, edgeLength(rng)));
+    }
+    ASSERT_EQ(interest.wireSize(), interest.wireEncode().size()) << "trial " << trial;
+
+    // The forwarder's per-hop decrement keeps the cached size valid.
+    interest.setHopLimit(static_cast<std::uint8_t>(rng.uniform(256)));
+    ASSERT_EQ(interest.wireSize(), interest.wireEncode().size()) << "trial " << trial;
+
+    // A wire-visible setter after the size was cached re-derives it.
+    interest.setNonce(static_cast<std::uint32_t>(edgeOrRandom(rng)));
+    interest.setLifetime(edgeMillis(rng));
+    ASSERT_EQ(interest.wireSize(), interest.wireEncode().size()) << "trial " << trial;
+  }
+}
+
+TEST_P(WireProperty, DataWireSizeEqualsEncodedSize) {
+  Rng rng(GetParam() ^ 0xDA7A);
+  for (int trial = 0; trial < 60; ++trial) {
+    Data data(edgeName(rng));
+    data.setContent(randomBytes(rng, edgeLength(rng)));
+    data.setContentType(static_cast<ContentType>(edgeOrRandom(rng) & 0xFFFFFFFF));
+    data.setFreshnessPeriod(edgeMillis(rng));
+    ASSERT_EQ(data.wireSize(), data.wireEncode().size()) << "trial " << trial;
+
+    // Signing adds the SignatureValue block.
+    data.sign();
+    ASSERT_EQ(data.wireSize(), data.wireEncode().size()) << "trial " << trial;
+
+    data.setContent(randomBytes(rng, edgeLength(rng)));
+    data.setFreshnessPeriod(edgeMillis(rng));
+    ASSERT_EQ(data.wireSize(), data.wireEncode().size()) << "trial " << trial;
+  }
+}
 
 TEST_P(WireProperty, InterestRoundTrip) {
   Rng rng(GetParam());
