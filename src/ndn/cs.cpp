@@ -14,14 +14,15 @@ void ContentStore::insert(const Data& data, sim::Time now) {
     ++poisoned_rejects_;
     return;
   }
-  auto it = index_.find(data.name());
-  if (it != index_.end()) {
+  auto it = index_.lower_bound(data.name());
+  if (it != index_.end() && it->first == data.name()) {
     it->second.first = Entry{data, now};
     touch(it->second.second);
     return;
   }
-  lru_.push_front(data.name());
-  index_.emplace(data.name(), std::make_pair(Entry{data, now}, lru_.begin()));
+  it = index_.emplace_hint(it, data.name(), std::make_pair(Entry{data, now}, lru_.end()));
+  lru_.push_front(&it->first);
+  it->second.second = lru_.begin();
   evictIfNeeded();
 }
 
@@ -95,7 +96,7 @@ void ContentStore::touch(LruList::iterator it) {
 
 void ContentStore::evictIfNeeded() {
   while (index_.size() > capacity_ && !lru_.empty()) {
-    index_.erase(lru_.back());
+    index_.erase(index_.find(*lru_.back()));
     lru_.pop_back();
   }
 }

@@ -69,7 +69,8 @@ class ContentStore {
     Data data;
     sim::Time arrival;
   };
-  using LruList = std::list<Name>;
+  /// Points at the index's own keys, which std::map never moves.
+  using LruList = std::list<const Name*>;
 
   void touch(LruList::iterator it);
   void evictIfNeeded();

@@ -52,11 +52,13 @@ void Fib::removeFaceFromAll(FaceId face) {
 }
 
 const FibEntry* Fib::longestPrefixMatch(const Name& name) const {
-  for (std::size_t len = name.size() + 1; len-- > 0;) {
-    auto it = entries_.find(name.prefix(len));
-    if (it != entries_.end() && !it->second.empty()) return &it->second;
-  }
-  return nullptr;
+  // Prefixes come shortest first, so the last match is the longest.
+  const FibEntry* longest = nullptr;
+  name.forEachPrefix([&](const NamePrefix& prefix) {
+    auto it = entries_.find(prefix);
+    if (it != entries_.end() && !it->second.empty()) longest = &it->second;
+  });
+  return longest;
 }
 
 const FibEntry* Fib::findExact(const Name& prefix) const {

@@ -50,7 +50,8 @@ class Fib {
   /// Removes `face` from every entry (used when a face goes down).
   void removeFaceFromAll(FaceId face);
 
-  /// Longest-prefix-match lookup. nullptr when nothing matches.
+  /// Longest-prefix-match lookup. nullptr when nothing matches. Probes
+  /// every prefix by view and hash; no prefix is copied.
   [[nodiscard]] const FibEntry* longestPrefixMatch(const Name& name) const;
 
   /// Exact-prefix lookup.
@@ -59,7 +60,7 @@ class Fib {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
-  std::unordered_map<Name, FibEntry, NameHash> entries_;
+  std::unordered_map<Name, FibEntry, NameHash, NameEqual> entries_;
 };
 
 }  // namespace lidc::ndn

@@ -50,13 +50,14 @@ void Forwarder::setStrategy(const Name& prefix, std::unique_ptr<Strategy> strate
 }
 
 Strategy& Forwarder::findStrategy(const Name& name) {
-  // Longest-prefix match over the strategy-choice table.
-  for (std::size_t len = name.size() + 1; len-- > 0;) {
-    auto it = strategies_.find(name.prefix(len));
-    if (it != strategies_.end()) return *it->second;
-  }
-  // The root entry always exists.
-  return *strategies_.at(Name("/"));
+  // Longest-prefix match over the strategy-choice table; prefixes come
+  // shortest first, and the root entry always exists.
+  Strategy* longest = nullptr;
+  name.forEachPrefix([&](const NamePrefix& prefix) {
+    auto it = strategies_.find(prefix);
+    if (it != strategies_.end()) longest = it->second.get();
+  });
+  return *longest;
 }
 
 void Forwarder::attachTelemetry(telemetry::MetricsRegistry& registry,
@@ -138,7 +139,7 @@ void Forwarder::attributeData(Face& outFace, const Interest& interest,
   // a fixed stack buffer keeps this off the allocator.
   std::array<std::string_view, 16> comps;
   std::size_t count = 0;
-  for (const auto& c : data.name()) {
+  for (const ComponentView c : data.name()) {
     if (count == comps.size()) break;
     comps[count++] = std::string_view(
         reinterpret_cast<const char*>(c.value().data()), c.value().size());
@@ -184,10 +185,7 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
   // Dead Nonce List: a nonce that looped back after its PIT entry was
   // consumed is still a duplicate.
   if (dnl_.has(interest.name(), interest.nonce())) {
-    ++counters_.nDuplicateNonce;
-    if (telemetry_) telemetry_->duplicateNonce->inc();
-    hopInstant(interest, "nack-duplicate");
-    inFace.sendNack(Nack(interest, NackReason::kDuplicate));
+    nackDuplicate(inFace, interest);
     return;
   }
 
@@ -195,10 +193,7 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
 
   // Loop detection by nonce.
   if (!isNew && entry->isDuplicateNonce(interest.nonce(), inFace.id())) {
-    ++counters_.nDuplicateNonce;
-    if (telemetry_) telemetry_->duplicateNonce->inc();
-    hopInstant(interest, "nack-duplicate");
-    inFace.sendNack(Nack(interest, NackReason::kDuplicate));
+    nackDuplicate(inFace, interest);
     return;
   }
 
@@ -234,6 +229,13 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
     // Aggregated onto the in-flight Interest (no re-forwarding).
     hopInstant(interest, "pit-aggregate");
   }
+}
+
+void Forwarder::nackDuplicate(Face& inFace, const Interest& interest) {
+  ++counters_.nDuplicateNonce;
+  if (telemetry_) telemetry_->duplicateNonce->inc();
+  hopInstant(interest, "nack-duplicate");
+  inFace.sendNack(Nack(interest, NackReason::kDuplicate));
 }
 
 void Forwarder::onIncomingData(Face& inFace, const Data& data) {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -130,6 +129,8 @@ class Forwarder {
   void onIncomingData(Face& inFace, const Data& data);
   void onIncomingNack(Face& inFace, const Nack& nack);
   void onInterestExpiry(std::weak_ptr<PitEntry> weakEntry);
+  /// Counts a looping (duplicate-nonce) Interest and nacks it back.
+  void nackDuplicate(Face& inFace, const Interest& interest);
   /// Records the entry's nonces in the Dead Nonce List before removal.
   void recordDeadNonces(const PitEntry& entry);
 
@@ -177,8 +178,8 @@ class Forwarder {
   std::unique_ptr<TelemetryHooks> telemetry_;
   telemetry::FlightRecorder* recorder_ = nullptr;
   telemetry::FlowAccountant* flow_ = nullptr;
-  // Strategy-choice table: ordered by name for longest-prefix resolution.
-  std::map<Name, std::unique_ptr<Strategy>> strategies_;
+  // Strategy-choice table, resolved by longest-prefix match.
+  std::unordered_map<Name, std::unique_ptr<Strategy>, NameHash, NameEqual> strategies_;
 };
 
 }  // namespace lidc::ndn

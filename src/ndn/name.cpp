@@ -1,9 +1,8 @@
 #include "ndn/name.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstring>
 #include <ostream>
+#include <stdexcept>
 
 #include "common/strings.hpp"
 
@@ -27,27 +26,61 @@ int hexValue(char c) noexcept {
   return -1;
 }
 
+/// Byte length of a percent-escaped component once unescaped, or
+/// nullopt when an escape is malformed.
+std::optional<std::size_t> unescapedSize(std::string_view escaped) noexcept {
+  std::size_t size = escaped.size();
+  for (std::size_t i = escaped.find('%'); i != std::string_view::npos;
+       i = escaped.find('%', i + 3)) {
+    if (i + 2 >= escaped.size()) return std::nullopt;
+    if (hexValue(escaped[i + 1]) < 0 || hexValue(escaped[i + 2]) < 0) return std::nullopt;
+    size -= 2;
+  }
+  return size;
+}
+
+/// Appends the unescaped bytes of a component unescapedSize() accepted,
+/// copying each run between escapes in one piece.
+void appendUnescaped(std::string_view escaped, std::vector<std::uint8_t>& out) {
+  while (true) {
+    const std::size_t percent = std::min(escaped.find('%'), escaped.size());
+    out.insert(out.end(), escaped.begin(), escaped.begin() + static_cast<long>(percent));
+    if (percent == escaped.size()) return;
+    out.push_back(static_cast<std::uint8_t>(hexValue(escaped[percent + 1]) * 16 +
+                                            hexValue(escaped[percent + 2])));
+    escaped.remove_prefix(percent + 3);
+  }
+}
+
+/// Calls f(segment) for every non-empty '/'-separated segment of `uri`.
+template <typename F>
+void forEachSegment(std::string_view uri, F&& f) {
+  std::size_t start = 0;
+  while (start < uri.size()) {
+    std::size_t end = uri.find('/', start);
+    if (end == std::string_view::npos) end = uri.size();
+    if (end > start) f(uri.substr(start, end - start));
+    start = end + 1;
+  }
+}
+
+void appendHeader(std::vector<std::uint8_t>& wire, std::size_t valueSize) {
+  wire.push_back(static_cast<std::uint8_t>(tlv::kGenericNameComponent));
+  tlv::appendVarNumber(wire, valueSize);
+}
+
 }  // namespace
 
 std::optional<Component> Component::fromEscaped(std::string_view escaped) {
+  const auto size = unescapedSize(escaped);
+  if (!size) return std::nullopt;
   std::vector<std::uint8_t> bytes;
-  bytes.reserve(escaped.size());
-  for (std::size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] == '%') {
-      if (i + 2 >= escaped.size()) return std::nullopt;
-      const int hi = hexValue(escaped[i + 1]);
-      const int lo = hexValue(escaped[i + 2]);
-      if (hi < 0 || lo < 0) return std::nullopt;
-      bytes.push_back(static_cast<std::uint8_t>(hi * 16 + lo));
-      i += 2;
-    } else {
-      bytes.push_back(static_cast<std::uint8_t>(escaped[i]));
-    }
-  }
+  bytes.reserve(*size);
+  appendUnescaped(escaped, bytes);
   return Component(std::move(bytes));
 }
 
-std::string Component::toEscapedString() const {
+std::string ComponentView::toEscapedString() const {
   std::string out;
   out.reserve(value_.size());
   for (std::uint8_t byte : value_) {
@@ -62,7 +95,7 @@ std::string Component::toEscapedString() const {
   return out;
 }
 
-std::strong_ordering Component::compare(const Component& other) const noexcept {
+std::strong_ordering ComponentView::compare(ComponentView other) const noexcept {
   // NDN canonical order: shorter components sort first.
   if (value_.size() != other.value_.size()) {
     return value_.size() < other.value_.size() ? std::strong_ordering::less
@@ -79,77 +112,142 @@ std::strong_ordering Component::compare(const Component& other) const noexcept {
 Name::Name(std::string_view uri) {
   // Accept both "/a/b" and "ndn:/a/b".
   if (strings::startsWith(uri, "ndn:")) uri.remove_prefix(4);
-  for (auto segment : strings::splitSkipEmpty(uri, '/')) {
-    if (auto component = Component::fromEscaped(segment)) {
-      components_.push_back(std::move(*component));
+  // Size the buffer exactly, then unescape each segment straight into it.
+  // A malformed escape keeps the raw text so the name is still usable.
+  std::size_t total = 0;
+  forEachSegment(uri, [&total](std::string_view segment) {
+    total += tlv::blockSize(tlv::kGenericNameComponent,
+                            unescapedSize(segment).value_or(segment.size()));
+  });
+  wire_.reserve(total);
+  forEachSegment(uri, [this](std::string_view segment) {
+    if (const auto size = unescapedSize(segment)) {
+      appendHeader(wire_, *size);
+      appendUnescaped(segment, wire_);
     } else {
-      // Malformed escape: keep the raw text so the name is still usable.
-      components_.emplace_back(segment);
+      appendHeader(wire_, segment.size());
+      wire_.insert(wire_.end(), segment.begin(), segment.end());
     }
+    ++size_;
+  });
+}
+
+Result<Name> Name::fromWire(std::span<const std::uint8_t> value) {
+  // Validate every component; a header wider than the minimal one means
+  // a non-minimal type or length on the wire.
+  tlv::Decoder decoder(value);
+  const std::uint8_t* next = value.data();
+  std::size_t count = 0;
+  bool canonical = true;
+  while (!decoder.atEnd()) {
+    auto element = decoder.readElement(tlv::kGenericNameComponent);
+    if (!element) return element.status();
+    const std::size_t length = element->value.size();
+    const auto header = static_cast<std::size_t>(element->value.data() - next);
+    canonical = canonical &&
+                header == tlv::blockSize(tlv::kGenericNameComponent, length) - length;
+    next = element->value.data() + length;
+    ++count;
   }
+  Name name;
+  if (canonical) {
+    name.wire_.assign(value.begin(), value.end());
+    name.size_ = count;
+    return name;
+  }
+  // Re-encode minimally; the pass above validated every element. That
+  // never grows a component, so this is the only allocation.
+  name.wire_.reserve(value.size());
+  for (tlv::Decoder again(value); !again.atEnd();) {
+    name.append(ComponentView(again.readElement()->value));
+  }
+  return name;
+}
+
+ComponentView Name::at(std::size_t i) const {
+  if (i >= size_) throw std::out_of_range("Name::at: component index out of range");
+  return (*this)[i];
+}
+
+ComponentView Name::operator[](std::size_t i) const noexcept {
+  return *const_iterator(wire_.data() + offsetOf(i));
+}
+
+std::size_t Name::offsetOf(std::size_t i) const noexcept {
+  std::size_t offset = 0;
+  for (; i > 0; --i) {
+    const Header header = readHeader(wire_.data() + offset);
+    offset += header.size + header.valueSize;
+  }
+  return offset;
+}
+
+Name& Name::append(ComponentView component) {
+  appendHeader(wire_, component.size());
+  wire_.insert(wire_.end(), component.value().begin(), component.value().end());
+  ++size_;
+  hash_ = 0;
+  return *this;
 }
 
 Name& Name::append(const Name& suffix) {
-  components_.insert(components_.end(), suffix.components_.begin(),
-                     suffix.components_.end());
+  wire_.insert(wire_.end(), suffix.wire_.begin(), suffix.wire_.end());
+  size_ += suffix.size_;
+  hash_ = 0;
   return *this;
 }
 
 Name& Name::appendNumber(std::uint64_t number) {
-  return append(Component(std::string_view(std::to_string(number))));
+  return append(std::string_view(std::to_string(number)));
 }
 
 Name Name::subName(std::size_t start, std::size_t count) const {
-  if (start >= components_.size()) return {};
+  Name out;
+  if (start >= size_) return out;
   const std::size_t end = count == static_cast<std::size_t>(-1)
-                              ? components_.size()
-                              : std::min(components_.size(), start + count);
-  return Name(std::vector<Component>(components_.begin() + static_cast<long>(start),
-                                     components_.begin() + static_cast<long>(end)));
-}
-
-bool Name::isPrefixOf(const Name& other) const noexcept {
-  if (components_.size() > other.components_.size()) return false;
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (!(components_[i] == other.components_[i])) return false;
+                              ? size_
+                              : std::min(size_, start + count);
+  const std::size_t from = offsetOf(start);
+  std::size_t to = from;
+  for (std::size_t i = start; i < end; ++i) {
+    const Header header = readHeader(wire_.data() + to);
+    to += header.size + header.valueSize;
   }
-  return true;
+  out.wire_.assign(wire_.begin() + static_cast<long>(from),
+                   wire_.begin() + static_cast<long>(to));
+  out.size_ = end - start;
+  return out;
 }
 
 std::strong_ordering Name::compare(const Name& other) const noexcept {
-  const std::size_t n = std::min(components_.size(), other.components_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto cmp = components_[i].compare(other.components_[i]);
-    if (cmp != std::strong_ordering::equal) return cmp;
-  }
-  if (components_.size() < other.components_.size()) return std::strong_ordering::less;
-  if (components_.size() > other.components_.size())
-    return std::strong_ordering::greater;
-  return std::strong_ordering::equal;
+  // memcmp over the component TLVs is NDN canonical order. The names
+  // agree up to the first differing component; there the type bytes are
+  // equal, and minimal var-number lengths sort numerically (a 1-byte
+  // length is below 253, and the 253/254/255 markers of the 3/5/9-byte
+  // forms order by width, then big-endian by value), so a shorter
+  // component sorts first and equal lengths fall through to the value
+  // bytes. When one name is a prefix of the other, the shorter sorts
+  // first: that is the length tie-break.
+  const std::size_t common = std::min(wire_.size(), other.wire_.size());
+  const int cmp = common == 0 ? 0 : std::memcmp(wire_.data(), other.wire_.data(), common);
+  if (cmp != 0) return cmp < 0 ? std::strong_ordering::less : std::strong_ordering::greater;
+  return wire_.size() <=> other.wire_.size();
 }
 
 std::string Name::toUri() const {
-  if (components_.empty()) return "/";
+  if (empty()) return "/";
   std::string out;
-  for (const auto& component : components_) {
+  for (const ComponentView component : *this) {
     out += '/';
     out += component.toEscapedString();
   }
   return out;
 }
 
-std::size_t Name::hash() const noexcept {
-  // FNV-1a over (length, bytes) pairs so component boundaries matter.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint8_t byte) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  };
-  for (const auto& component : components_) {
-    const std::size_t len = component.size();
-    mix(static_cast<std::uint8_t>(len & 0xFF));
-    mix(static_cast<std::uint8_t>((len >> 8) & 0xFF));
-    for (std::uint8_t byte : component.value()) mix(byte);
+std::size_t Name::computeHash() const noexcept {
+  std::uint64_t h = kFnvOffset;
+  for (const ComponentView component : *this) {
+    h = mixComponent(h, component.value().data(), component.size());
   }
   return static_cast<std::size_t>(h);
 }

@@ -1,45 +1,38 @@
 #include "ndn/packet.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace lidc::ndn {
 
 namespace {
 
 void encodeName(tlv::Encoder& encoder, const Name& name) {
-  tlv::Encoder inner;
-  for (const auto& component : name) {
-    inner.writeBlock(tlv::kGenericNameComponent,
-                     std::span<const std::uint8_t>(component.value().data(),
-                                                   component.value().size()));
-  }
-  encoder.writeNested(tlv::kName, inner);
-}
-
-Result<Name> decodeName(std::span<const std::uint8_t> value) {
-  tlv::Decoder decoder(value);
-  std::vector<Component> components;
-  while (!decoder.atEnd()) {
-    auto element = decoder.readElement(tlv::kGenericNameComponent);
-    if (!element) return element.status();
-    components.emplace_back(
-        std::vector<std::uint8_t>(element->value.begin(), element->value.end()));
-  }
-  return Name(std::move(components));
+  encoder.writeBlock(tlv::kName, name.wire());
 }
 
 std::size_t nameBlockSize(const Name& name) {
-  std::size_t components = 0;
-  for (const auto& component : name) {
-    components += tlv::blockSize(tlv::kGenericNameComponent, component.size());
-  }
-  return tlv::blockSize(tlv::kName, components);
+  return tlv::blockSize(tlv::kName, name.wire().size());
 }
 
 /// Durations travel as whole milliseconds, negatives clamped to 0.
 std::uint64_t wireMillis(sim::Duration duration) {
   return static_cast<std::uint64_t>(
       std::max<std::int64_t>(0, duration.toNanos() / 1'000'000));
+}
+
+/// The most milliseconds a sim::Duration holds: 9,223,372,036,854.
+constexpr std::uint64_t kMaxWireMillis =
+    std::numeric_limits<std::int64_t>::max() / 1'000'000;
+
+/// Decodes a millisecond NonNegativeInteger (InterestLifetime,
+/// FreshnessPeriod), rejecting values a Duration cannot hold.
+Result<sim::Duration> decodeMillis(std::uint64_t millis) {
+  if (millis > kMaxWireMillis) {
+    return Status::InvalidArgument("duration of " + std::to_string(millis) +
+                                   " ms is out of range");
+  }
+  return sim::Duration::millis(static_cast<std::int64_t>(millis));
 }
 
 }  // namespace
@@ -93,7 +86,7 @@ Result<Interest> Interest::wireDecode(std::span<const std::uint8_t> wire) {
     if (!element) return element.status();
     switch (element->type) {
       case tlv::kName: {
-        auto name = decodeName(element->value);
+        auto name = Name::fromWire(element->value);
         if (!name) return name.status();
         interest.name_ = std::move(*name);
         saw_name = true;
@@ -114,7 +107,9 @@ Result<Interest> Interest::wireDecode(std::span<const std::uint8_t> wire) {
       case tlv::kInterestLifetime: {
         auto v = tlv::Decoder::readNonNegativeInteger(element->value);
         if (!v) return v.status();
-        interest.lifetime_ = sim::Duration::millis(static_cast<std::int64_t>(*v));
+        auto lifetime = decodeMillis(*v);
+        if (!lifetime) return lifetime.status();
+        interest.lifetime_ = *lifetime;
         break;
       }
       case tlv::kHopLimit: {
@@ -149,7 +144,7 @@ std::uint64_t Data::computeDigest() const {
     h ^= byte;
     h *= 0x100000001b3ULL;
   };
-  for (const auto& component : name_) {
+  for (const ComponentView component : name_) {
     for (std::uint8_t byte : component.value()) mix(byte);
     mix(0xFF);
   }
@@ -232,7 +227,7 @@ Result<Data> Data::wireDecode(std::span<const std::uint8_t> wire) {
     if (!element) return element.status();
     switch (element->type) {
       case tlv::kName: {
-        auto name = decodeName(element->value);
+        auto name = Name::fromWire(element->value);
         if (!name) return name.status();
         data.name_ = std::move(*name);
         saw_name = true;
@@ -248,7 +243,9 @@ Result<Data> Data::wireDecode(std::span<const std::uint8_t> wire) {
           if (field->type == tlv::kContentType) {
             data.content_type_ = static_cast<ContentType>(*v);
           } else if (field->type == tlv::kFreshnessPeriod) {
-            data.freshness_ = sim::Duration::millis(static_cast<std::int64_t>(*v));
+            auto freshness = decodeMillis(*v);
+            if (!freshness) return freshness.status();
+            data.freshness_ = *freshness;
           }
         }
         break;

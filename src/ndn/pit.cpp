@@ -55,11 +55,10 @@ bool PitEntry::allUpstreamsNacked() const noexcept {
 }
 
 Pit::InsertResult Pit::insert(const Interest& interest) {
-  const Key key = makeKey(interest);
-  auto it = entries_.find(key);
+  auto it = entries_.find(makeKey(interest));
   if (it != entries_.end()) return {it->second, false};
   auto entry = std::make_shared<PitEntry>(interest);
-  entries_.emplace(key, entry);
+  entries_.emplace(makeKey(entry->interest()), entry);
   return {entry, true};
 }
 
@@ -72,11 +71,10 @@ std::vector<std::shared_ptr<PitEntry>> Pit::findMatches(const Data& data) const 
   std::vector<std::shared_ptr<PitEntry>> matches;
   // Exact-name entries (CanBePrefix false or true), then every proper
   // prefix with CanBePrefix set. Probing prefixes keeps this O(name length)
-  // rather than O(table size).
-  const Name& dataName = data.name();
-  for (std::size_t len = 0; len <= dataName.size(); ++len) {
-    const Name probe = dataName.prefix(len);
-    const bool exact = len == dataName.size();
+  // rather than O(table size), and probing by view copies no prefix.
+  const std::size_t exactSize = data.name().size();
+  data.name().forEachPrefix([&](const NamePrefix& probe) {
+    const bool exact = probe.size() == exactSize;
     for (const bool mustBeFresh : {false, true}) {
       if (exact) {
         auto it = entries_.find(Key{probe, false, mustBeFresh});
@@ -85,13 +83,15 @@ std::vector<std::shared_ptr<PitEntry>> Pit::findMatches(const Data& data) const 
       auto it = entries_.find(Key{probe, true, mustBeFresh});
       if (it != entries_.end()) matches.push_back(it->second);
     }
-  }
+  });
   return matches;
 }
 
 void Pit::erase(const std::shared_ptr<PitEntry>& entry) {
   if (!entry) return;
-  entries_.erase(makeKey(entry->interest()));
+  // Erase by iterator: the stored key views the entry the node owns.
+  auto it = entries_.find(makeKey(entry->interest()));
+  if (it != entries_.end()) entries_.erase(it);
 }
 
 }  // namespace lidc::ndn

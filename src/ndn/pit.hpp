@@ -31,6 +31,8 @@ struct OutRecord {
 
 class PitEntry {
  public:
+  /// The Interest never changes after construction: the PIT's key for
+  /// this entry is a view into its name.
   explicit PitEntry(Interest interest) : interest_(std::move(interest)) {}
 
   [[nodiscard]] const Interest& interest() const noexcept { return interest_; }
@@ -86,7 +88,9 @@ class Pit {
   [[nodiscard]] std::shared_ptr<PitEntry> find(const Interest& interest) const;
 
   /// All entries that `data` satisfies (exact name, or prefix when the
-  /// Interest allows it).
+  /// Interest allows it): shorter prefixes first; within one prefix,
+  /// MustBeFresh false before true, and for the exact name the
+  /// CanBePrefix-false entry before the CanBePrefix one.
   [[nodiscard]] std::vector<std::shared_ptr<PitEntry>> findMatches(
       const Data& data) const;
 
@@ -95,8 +99,12 @@ class Pit {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
+  /// (name, canBePrefix, mustBeFresh), with the name held as a view:
+  /// a stored key points into its own entry's Interest name, which the
+  /// entry keeps alive and never changes; a probe points into the packet
+  /// being matched.
   struct Key {
-    Name name;
+    NamePrefix name;
     bool canBePrefix;
     bool mustBeFresh;
     friend bool operator==(const Key&, const Key&) = default;
@@ -108,7 +116,8 @@ class Pit {
     }
   };
   static Key makeKey(const Interest& interest) {
-    return Key{interest.name(), interest.canBePrefix(), interest.mustBeFresh()};
+    return Key{NamePrefix(interest.name()), interest.canBePrefix(),
+               interest.mustBeFresh()};
   }
 
   std::unordered_map<Key, std::shared_ptr<PitEntry>, KeyHash> entries_;

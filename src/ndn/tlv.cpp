@@ -2,22 +2,22 @@
 
 namespace lidc::ndn::tlv {
 
-void Encoder::writeVarNumber(std::uint64_t value) {
+void appendVarNumber(Buffer& out, std::uint64_t value) {
   if (value < 253) {
-    buffer_.push_back(static_cast<std::uint8_t>(value));
+    out.push_back(static_cast<std::uint8_t>(value));
   } else if (value <= 0xFFFF) {
-    buffer_.push_back(253);
-    buffer_.push_back(static_cast<std::uint8_t>(value >> 8));
-    buffer_.push_back(static_cast<std::uint8_t>(value));
+    out.push_back(253);
+    out.push_back(static_cast<std::uint8_t>(value >> 8));
+    out.push_back(static_cast<std::uint8_t>(value));
   } else if (value <= 0xFFFFFFFF) {
-    buffer_.push_back(254);
+    out.push_back(254);
     for (int shift = 24; shift >= 0; shift -= 8) {
-      buffer_.push_back(static_cast<std::uint8_t>(value >> shift));
+      out.push_back(static_cast<std::uint8_t>(value >> shift));
     }
   } else {
-    buffer_.push_back(255);
+    out.push_back(255);
     for (int shift = 56; shift >= 0; shift -= 8) {
-      buffer_.push_back(static_cast<std::uint8_t>(value >> shift));
+      out.push_back(static_cast<std::uint8_t>(value >> shift));
     }
   }
 }

@@ -67,11 +67,15 @@ constexpr std::size_t nonNegativeIntegerSize(std::uint32_t type,
   return blockSize(type, width);
 }
 
+/// Appends the var-number encoding of `value` (1, 3, 5 or 9 bytes) to
+/// `out`.
+void appendVarNumber(Buffer& out, std::uint64_t value);
+
 /// Appends TLV blocks to a growing buffer.
 class Encoder {
  public:
   /// Encodes a TLV var-number (type or length).
-  void writeVarNumber(std::uint64_t value);
+  void writeVarNumber(std::uint64_t value) { appendVarNumber(buffer_, value); }
 
   /// Writes a full TLV block with raw payload bytes.
   void writeBlock(std::uint32_t type, std::span<const std::uint8_t> payload);

@@ -181,6 +181,25 @@ TEST(DataTest, DataDecodedFromTamperedWireFailsVerification) {
   EXPECT_TRUE(intact->verify());
 }
 
+TEST(DataTest, DecodedNameIsReEncodedMinimally) {
+  // One component /a whose type (FD 00 08) and length (FD 00 01) both
+  // use a wider var-number form than needed.
+  const std::vector<std::uint8_t> wire{
+      0x06, 0x09,             // Data, 9 bytes
+      0x07, 0x07,             // Name, 7 bytes
+      0xFD, 0x00, 0x08,       // component type 8, 3-byte form
+      0xFD, 0x00, 0x01, 'a'};  // length 1, 3-byte form
+  auto decoded = Data::wireDecode(std::span<const std::uint8_t>(wire));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const Name built = Name().append("a");
+  EXPECT_EQ(decoded->name(), built);
+  EXPECT_EQ(decoded->name(), Name("/a"));
+  EXPECT_EQ(decoded->name().hash(), built.hash());
+  EXPECT_EQ(decoded->name().compare(built), std::strong_ordering::equal);
+  EXPECT_EQ(decoded->wireEncode(), Data(built).wireEncode());
+  EXPECT_EQ(decoded->wireSize(), decoded->wireEncode().size());
+}
+
 TEST(InterestTest, ApplicationParametersAreSharedByCopies) {
   Interest interest(Name("/ndn/k8s/publish/obj"));
   interest.setApplicationParameters(std::vector<std::uint8_t>(4096, 7));

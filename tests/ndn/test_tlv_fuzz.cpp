@@ -141,5 +141,45 @@ TEST(TlvFuzzTest, MultiByteVarNumberTruncationsFailCleanly) {
   }
 }
 
+/// An Interest for /a whose InterestLifetime is `millis`.
+tlv::Buffer interestWithLifetime(std::uint64_t millis) {
+  tlv::Encoder inner;
+  inner.writeBlock(tlv::kName, Name("/a").wire());
+  inner.writeNonNegativeInteger(tlv::kNonce, 1);
+  inner.writeNonNegativeInteger(tlv::kInterestLifetime, millis);
+  tlv::Encoder outer;
+  outer.writeNested(tlv::kInterest, inner);
+  return outer.takeBuffer();
+}
+
+/// A Data for /a whose FreshnessPeriod is `millis`.
+tlv::Buffer dataWithFreshness(std::uint64_t millis) {
+  tlv::Encoder meta;
+  meta.writeNonNegativeInteger(tlv::kFreshnessPeriod, millis);
+  tlv::Encoder inner;
+  inner.writeBlock(tlv::kName, Name("/a").wire());
+  inner.writeNested(tlv::kMetaInfo, meta);
+  tlv::Encoder outer;
+  outer.writeNested(tlv::kData, inner);
+  return outer.takeBuffer();
+}
+
+TEST(TlvFuzzTest, MillisecondFieldsBeyondADurationAreRejected) {
+  // Both fields are 8-byte NonNegativeIntegers of milliseconds; a
+  // sim::Duration holds at most INT64_MAX ns = 9,223,372,036,854 ms.
+  constexpr std::uint64_t kLargest = 9'223'372'036'854ULL;
+  for (const std::uint64_t millis :
+       {std::uint64_t{1} << 62, ~std::uint64_t{0}, kLargest + 1}) {
+    EXPECT_FALSE(Interest::wireDecode(interestWithLifetime(millis)).ok()) << millis;
+    EXPECT_FALSE(Data::wireDecode(dataWithFreshness(millis)).ok()) << millis;
+  }
+  auto interest = Interest::wireDecode(interestWithLifetime(kLargest));
+  ASSERT_TRUE(interest.ok()) << interest.status();
+  EXPECT_EQ(interest->lifetime(), sim::Duration::millis(kLargest));
+  auto data = Data::wireDecode(dataWithFreshness(kLargest));
+  ASSERT_TRUE(data.ok()) << data.status();
+  EXPECT_EQ(data->freshnessPeriod(), sim::Duration::millis(kLargest));
+}
+
 }  // namespace
 }  // namespace lidc::ndn

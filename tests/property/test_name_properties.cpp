@@ -3,6 +3,10 @@
 // random seeds via parameterized gtest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "ndn/name.hpp"
 
@@ -12,14 +16,14 @@ namespace {
 Name randomName(Rng& rng, std::size_t maxComponents = 6,
                 std::size_t maxComponentLength = 12) {
   const std::size_t count = rng.uniform(maxComponents + 1);
-  std::vector<Component> components;
+  Name name;
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t length = 1 + rng.uniform(maxComponentLength);
     std::vector<std::uint8_t> bytes(length);
     for (auto& byte : bytes) byte = static_cast<std::uint8_t>(rng());
-    components.emplace_back(std::move(bytes));
+    name.append(Component(std::move(bytes)));
   }
-  return Name(std::move(components));
+  return name;
 }
 
 class NameProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -82,6 +86,119 @@ TEST_P(NameProperty, SubNamePartitionReassembles) {
     Name front = name.prefix(cut);
     front.append(name.subName(cut));
     EXPECT_EQ(front, name);
+  }
+}
+
+// --- Laws at var-number boundaries ------------------------------------
+// A Name stores canonical component TLVs and orders, compares and hashes
+// those bytes. Component lengths straddling every var-number width (the
+// 1-byte form ends at 252, the 3-byte form spans 253..65535) check that
+// this agrees with component-by-component reference definitions.
+
+using Components = std::vector<std::vector<std::uint8_t>>;
+
+constexpr std::size_t kBoundaryLengths[] = {0, 1, 252, 253, 254, 65535, 65536};
+
+/// A name drawn from a small pool of boundary-length components, so
+/// equal names, shared prefixes and equal-length components are common.
+/// Returns the components beside the Name as the reference model.
+std::pair<Components, Name> boundaryName(Rng& rng, const Components& pool) {
+  Components components;
+  Name name;
+  const std::size_t count = rng.uniform(5);
+  for (std::size_t i = 0; i < count; ++i) {
+    components.push_back(pool[rng.uniform(pool.size())]);
+    name.append(Component(components.back()));
+  }
+  return {std::move(components), std::move(name)};
+}
+
+Components boundaryPool(Rng& rng) {
+  Components pool;
+  for (int i = 0; i < 12; ++i) {
+    const std::size_t length =
+        kBoundaryLengths[rng.uniform(std::size(kBoundaryLengths))];
+    std::vector<std::uint8_t> bytes(length, static_cast<std::uint8_t>(rng.uniform(2)));
+    if (length > 0) bytes[rng.uniform(length)] = static_cast<std::uint8_t>(rng.uniform(2));
+    pool.push_back(std::move(bytes));
+  }
+  return pool;
+}
+
+/// NDN canonical order, component by component: shorter component
+/// first, then bytes; a proper prefix sorts before the longer name.
+std::strong_ordering referenceCompare(const Components& a, const Components& b) {
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (a[i].size() != b[i].size()) return a[i].size() <=> b[i].size();
+    const auto order = std::lexicographical_compare_three_way(
+        a[i].begin(), a[i].end(), b[i].begin(), b[i].end());
+    if (order != 0) return order;
+  }
+  return a.size() <=> b.size();
+}
+
+bool referenceIsPrefix(const Components& a, const Components& b) {
+  return a.size() <= b.size() && std::equal(a.begin(), a.end(), b.begin());
+}
+
+/// Today's Name::hash(): FNV-1a over (length low byte, length high
+/// byte, bytes) per component.
+std::size_t referenceHash(const Components& components, std::size_t count) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint8_t byte) {
+    h ^= byte;
+    h *= 0x100000001b3ULL;
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    mix(static_cast<std::uint8_t>(components[i].size() & 0xFF));
+    mix(static_cast<std::uint8_t>((components[i].size() >> 8) & 0xFF));
+    for (std::uint8_t byte : components[i]) mix(byte);
+  }
+  return static_cast<std::size_t>(h);
+}
+
+TEST_P(NameProperty, BoundaryLengthsOrderAndPrefixLikeComponents) {
+  Rng rng(GetParam() ^ 0xB0B0);
+  const Components pool = boundaryPool(rng);
+  std::vector<std::pair<Components, Name>> names;
+  for (int i = 0; i < 40; ++i) names.push_back(boundaryName(rng, pool));
+  for (const auto& [ca, a] : names) {
+    for (const auto& [cb, b] : names) {
+      EXPECT_EQ(a.compare(b), referenceCompare(ca, cb));
+      EXPECT_EQ(a.isPrefixOf(b), referenceIsPrefix(ca, cb));
+      EXPECT_EQ(a == b, ca == cb);
+      if (a == b) {
+        EXPECT_EQ(a.hash(), b.hash());
+      }
+    }
+  }
+}
+
+TEST_P(NameProperty, BoundaryLengthsHashEveryPrefixInOnePass) {
+  Rng rng(GetParam() ^ 0xC0C0);
+  const Components pool = boundaryPool(rng);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto drawn = boundaryName(rng, pool);
+    const Components& components = drawn.first;
+    const Name& name = drawn.second;
+    std::size_t visited = 0;
+    name.forEachPrefix([&](const NamePrefix& prefix) {
+      ASSERT_EQ(prefix.size(), visited++);
+      const Name copy = name.prefix(prefix.size());
+      EXPECT_EQ(prefix.hash(), copy.hash());
+      EXPECT_EQ(prefix.hash(), referenceHash(components, prefix.size()));
+      EXPECT_TRUE(prefix.sameAs(copy.wire()));
+    });
+    EXPECT_EQ(visited, name.size() + 1);
+    EXPECT_EQ(name.hash(), referenceHash(components, components.size()));
+    // The TLV value round-trips, at every length-field width.
+    auto decoded = Name::fromWire(name.wire());
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(*decoded, name);
+    ASSERT_EQ(decoded->size(), components.size());
+    for (std::size_t i = 0; i < components.size(); ++i) {
+      EXPECT_TRUE(std::ranges::equal((*decoded)[i].value(), components[i]));
+    }
   }
 }
 
