@@ -3,22 +3,26 @@
 
     python3 scripts/check_alloc_budget.py
 
-Runs each workload once, traced, at seed 1 (`perfbench/run.py --seed 1
---seconds 0 --trace 1`, which builds the benchmark on first use, then
-about 5 s per workload) and fails when `alloc.count_per_op` exceeds the
-ceiling recorded below. The count is exact and repeats from run to run;
-it only moves with the code or the standard library. Each ceiling is the
-count measured with GCC 12.2 / libstdc++ plus 10%, which absorbs other
-library versions. A change that lowers a count lowers its ceiling; one
-that raises a count past its ceiling says why in CHANGES.md.
+Runs each workload that check_sim_digests.py pins once, traced, at the
+same seed (`perfbench/run.py --seed 1 --seconds 0 --trace 1`, which builds
+the benchmark on first use, then about 5 s per workload) and fails when
+`alloc.count_per_op` exceeds the ceiling recorded below. The run needs
+tracing for the count, so it cannot reuse the digest check's untraced
+run. The count is exact and repeats from run to run; it only moves with
+the code or the standard library.
+
+Each ceiling is the count measured with GCC 12.2 / libstdc++ plus 10%,
+meant to absorb other library versions. That margin has not been checked
+against any other compiler: the counts on a CI runner are unverified until
+its first run prints them. A change that lowers a count lowers its
+ceiling; one that raises a count past its ceiling says why in CHANGES.md.
 """
 import json
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SEED = 1
+from check_sim_digests import EXPECTED, ROOT, SEED
+
 METRIC = "alloc.count_per_op"
 CEILINGS = {
     "control_storm": 1519,  # measured 1,380.8
@@ -29,7 +33,8 @@ CEILINGS = {
 
 def main() -> int:
     failed = False
-    for workload, ceiling in CEILINGS.items():
+    for workload in EXPECTED:
+        ceiling = CEILINGS[workload]
         command = [sys.executable, str(ROOT / "perfbench" / "run.py"),
                    "--workload", workload, "--seed", str(SEED), "--seconds", "0",
                    "--trace", "1"]

@@ -1,6 +1,7 @@
 #include "ndn/name.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <ostream>
 #include <stdexcept>
 
@@ -133,33 +134,14 @@ Name::Name(std::string_view uri) {
 }
 
 Result<Name> Name::fromWire(std::span<const std::uint8_t> value) {
-  // Validate every component; a header wider than the minimal one means
-  // a non-minimal type or length on the wire.
-  tlv::Decoder decoder(value);
-  const std::uint8_t* next = value.data();
-  std::size_t count = 0;
-  bool canonical = true;
-  while (!decoder.atEnd()) {
+  // append() re-encodes each component minimally, which never makes it
+  // longer than on the wire, so the reserve is the only allocation.
+  Name name;
+  name.wire_.reserve(value.size());
+  for (tlv::Decoder decoder(value); !decoder.atEnd();) {
     auto element = decoder.readElement(tlv::kGenericNameComponent);
     if (!element) return element.status();
-    const std::size_t length = element->value.size();
-    const auto header = static_cast<std::size_t>(element->value.data() - next);
-    canonical = canonical &&
-                header == tlv::blockSize(tlv::kGenericNameComponent, length) - length;
-    next = element->value.data() + length;
-    ++count;
-  }
-  Name name;
-  if (canonical) {
-    name.wire_.assign(value.begin(), value.end());
-    name.size_ = count;
-    return name;
-  }
-  // Re-encode minimally; the pass above validated every element. That
-  // never grows a component, so this is the only allocation.
-  name.wire_.reserve(value.size());
-  for (tlv::Decoder again(value); !again.atEnd();) {
-    name.append(ComponentView(again.readElement()->value));
+    name.append(ComponentView(element->value));
   }
   return name;
 }
@@ -183,14 +165,23 @@ std::size_t Name::offsetOf(std::size_t i) const noexcept {
 }
 
 Name& Name::append(ComponentView component) {
-  appendHeader(wire_, component.size());
-  wire_.insert(wire_.end(), component.value().begin(), component.value().end());
+  const std::span<const std::uint8_t> value = component.value();
+  // A view of this very name (n.append(n[0])) dangles once the buffer
+  // grows, so append a copy of it instead.
+  if (!value.empty() && std::less_equal<>()(wire_.data(), value.data()) &&
+      std::less<>()(value.data(), wire_.data() + wire_.size())) {
+    return append(Component(std::vector<std::uint8_t>(value.begin(), value.end())));
+  }
+  appendHeader(wire_, value.size());
+  wire_.insert(wire_.end(), value.begin(), value.end());
   ++size_;
   hash_ = 0;
   return *this;
 }
 
 Name& Name::append(const Name& suffix) {
+  // vector::insert may not read from the vector it grows.
+  if (&suffix == this) return append(Name(suffix));
   wire_.insert(wire_.end(), suffix.wire_.begin(), suffix.wire_.end());
   size_ += suffix.size_;
   hash_ = 0;

@@ -139,6 +139,7 @@ class Name {
         size_(std::exchange(other.size_, 0)),
         hash_(std::exchange(other.hash_, 0)) {}
   Name& operator=(Name&& other) noexcept {
+    if (this == &other) return *this;
     wire_ = std::move(other.wire_);
     other.wire_.clear();
     size_ = std::exchange(other.size_, 0);
@@ -164,7 +165,7 @@ class Name {
     return const_iterator(wire_.data() + wire_.size());
   }
 
-  /// Appends one component (chainable).
+  /// Appends one component (chainable); it may be one of this name's own.
   Name& append(ComponentView component);
   Name& append(const Component& component) { return append(component.view()); }
   Name& append(std::string_view text) {
@@ -172,7 +173,7 @@ class Name {
         {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}));
   }
   Name& append(const char* text) { return append(std::string_view(text)); }
-  /// Appends all components of another name.
+  /// Appends all components of another name, or of this one.
   Name& append(const Name& suffix);
   /// Appends a decimal number as a text component.
   Name& appendNumber(std::uint64_t number);

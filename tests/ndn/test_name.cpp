@@ -52,6 +52,32 @@ TEST(NameTest, AppendName) {
   EXPECT_EQ(name, Name("/a/b/c/d"));
 }
 
+TEST(NameTest, AppendOwnComponentSurvivesGrowth) {
+  // A parsed name's buffer is exactly full, so this append reallocates
+  // it while the component view still points into it.
+  Name name("/first-component-long-enough-to-leave-any-small-buffer/b");
+  name.append(name[0]).append(name[1]);
+  EXPECT_EQ(name,
+            Name("/first-component-long-enough-to-leave-any-small-buffer/b"
+                 "/first-component-long-enough-to-leave-any-small-buffer/b"));
+}
+
+TEST(NameTest, AppendItself) {
+  Name name("/a/b");
+  name.append(name);
+  EXPECT_EQ(name, Name("/a/b/a/b"));
+  EXPECT_EQ(name.hash(), Name("/a/b/a/b").hash());
+}
+
+TEST(NameTest, SelfMoveKeepsTheName) {
+  Name name("/a/b");
+  Name& alias = name;
+  name = std::move(alias);
+  EXPECT_EQ(name.size(), 2u);
+  EXPECT_EQ(name, Name("/a/b"));
+  EXPECT_EQ(name[1].toString(), "b");
+}
+
 TEST(NameTest, SubNameAndPrefix) {
   const Name name("/a/b/c/d");
   EXPECT_EQ(name.subName(1, 2), Name("/b/c"));
