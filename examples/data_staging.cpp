@@ -8,7 +8,7 @@
 #include "common/strings.hpp"
 #include "core/client.hpp"
 #include "core/overlay.hpp"
-#include "core/replication.hpp"
+#include "replica/scheduler.hpp"
 
 int main() {
   using namespace lidc;
@@ -64,27 +64,28 @@ int main() {
   submitAndReport("dataless");
 
   std::printf("\n-- phase 3: stage the datasets over NDN -----------------\n");
-  // DataReplicator is now a thin wrapper over the replica plane's
-  // TransferScheduler: same one-shot API, but the fetches run through
-  // the priority-ordered staging queue with bounded concurrency.
-  core::DataReplicator replicator(fresh);
+  // The replica plane's staging queue pulls each object from whichever
+  // lake answers, with bounded concurrency, and publishes it locally.
+  replica::TransferScheduler stager(fresh.forwarder(), fresh.store(), fresh.name());
   const sim::Time stagingStart = sim.now();
-  replicator.replicateAll(
-      {ndn::Name("/ndn/k8s/data/human-ref"), ndn::Name("/ndn/k8s/data/SRR2931415"),
-       ndn::Name("/ndn/k8s/data/SRR5139395")},
-      [&](Status status) {
-        std::printf("staging %s: %llu objects, %s in %s\n",
-                    status.ok() ? "complete" : status.toString().c_str(),
-                    static_cast<unsigned long long>(replicator.objectsReplicated()),
-                    strings::formatBytes(replicator.bytesReplicated()).c_str(),
-                    (sim.now() - stagingStart).toString().c_str());
-        std::printf("transfer queue: %llu staged, %llu local hits\n",
-                    static_cast<unsigned long long>(
-                        replicator.scheduler().staged()),
-                    static_cast<unsigned long long>(
-                        replicator.scheduler().localHits()));
-      });
+  sim::Time stagingEnd = stagingStart;
+  for (const char* object : {"/ndn/k8s/data/human-ref", "/ndn/k8s/data/SRR2931415",
+                             "/ndn/k8s/data/SRR5139395"}) {
+    stager.enqueue(ndn::Name(object), {}, [&, object](Status status, std::uint64_t) {
+      if (!status.ok()) {
+        std::printf("staging %s failed: %s\n", object, status.toString().c_str());
+      }
+      stagingEnd = sim.now();
+    });
+  }
   sim.run();
+  std::printf("staging complete: %llu objects, %s in %s\n",
+              static_cast<unsigned long long>(stager.staged()),
+              strings::formatBytes(stager.bytesMoved()).c_str(),
+              (stagingEnd - stagingStart).toString().c_str());
+  std::printf("transfer queue: %llu staged, %llu local hits\n",
+              static_cast<unsigned long long>(stager.staged()),
+              static_cast<unsigned long long>(stager.localHits()));
 
   std::printf("\n-- phase 4: the nearby cluster now wins -----------------\n");
   submitAndReport("after");

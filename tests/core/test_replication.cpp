@@ -1,11 +1,11 @@
 // Data replication: a freshly joined cluster stages datasets over NDN
-// from whichever lake holds them, then serves compute on them locally.
-#include "core/replication.hpp"
-
+// from whichever lake holds them through the replica plane's
+// TransferScheduler, then serves compute on them locally.
 #include <gtest/gtest.h>
 
 #include "core/client.hpp"
 #include "core/overlay.hpp"
+#include "replica/scheduler.hpp"
 
 namespace lidc::core {
 namespace {
@@ -32,6 +32,25 @@ class ReplicationTest : public ::testing::Test {
         *overlay_->topology().node("client-host"), "user");
   }
 
+  /// A staging queue into the fresh cluster's lake.
+  std::unique_ptr<replica::TransferScheduler> stager() {
+    return std::make_unique<replica::TransferScheduler>(
+        fresh_->forwarder(), fresh_->store(), fresh_->name());
+  }
+
+  /// Stages `objects` into the fresh lake; returns each one's status.
+  std::vector<Status> stage(replica::TransferScheduler& scheduler,
+                            const std::vector<ndn::Name>& objects) {
+    std::vector<Status> statuses(objects.size(), Status::Internal("pending"));
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+      scheduler.enqueue(objects[i], {}, [&statuses, i](Status s, std::uint64_t) {
+        statuses[i] = s;
+      });
+    }
+    sim_.run();
+    return statuses;
+  }
+
   ComputeCluster& addCluster(const std::string& name, int linkMs) {
     ComputeClusterConfig config;
     config.name = name;
@@ -51,147 +70,67 @@ class ReplicationTest : public ::testing::Test {
 };
 
 TEST_F(ReplicationTest, ReplicatesObjectOverNdn) {
-  DataReplicator replicator(*fresh_);
+  auto scheduler = stager();
   const ndn::Name object("/ndn/k8s/data/human-ref");
   ASSERT_FALSE(fresh_->store().contains(object));
 
-  std::optional<Status> done;
-  replicator.replicate(object, [&](Status s) { done = s; });
-  sim_.run();
-  ASSERT_TRUE(done.has_value());
-  EXPECT_TRUE(done->ok()) << *done;
+  const auto statuses = stage(*scheduler, {object});
+  EXPECT_TRUE(statuses[0].ok()) << statuses[0];
   EXPECT_TRUE(fresh_->store().contains(object));
   // Byte-identical copies.
   EXPECT_EQ(*fresh_->store().get(object), *seeded_->store().get(object));
-  EXPECT_EQ(replicator.objectsReplicated(), 1u);
-  EXPECT_GT(replicator.bytesReplicated(), 0u);
+  EXPECT_EQ(scheduler->staged(), 1u);
+  EXPECT_GT(scheduler->bytesMoved(), 0u);
 }
 
-TEST_F(ReplicationTest, AlreadyPresentIsNoop) {
-  DataReplicator replicator(*fresh_);
+TEST_F(ReplicationTest, AlreadyPresentIsLocalHit) {
+  auto scheduler = stager();
   ASSERT_TRUE(fresh_->store().putText(ndn::Name("/ndn/k8s/data/x"), "v").ok());
-  std::optional<Status> done;
-  replicator.replicate(ndn::Name("/ndn/k8s/data/x"), [&](Status s) { done = s; });
-  sim_.run();
-  ASSERT_TRUE(done.has_value());
-  EXPECT_TRUE(done->ok());
-  EXPECT_EQ(replicator.objectsReplicated(), 0u);
+  const auto statuses = stage(*scheduler, {ndn::Name("/ndn/k8s/data/x")});
+  EXPECT_TRUE(statuses[0].ok()) << statuses[0];
+  EXPECT_EQ(scheduler->localHits(), 1u);
+  EXPECT_EQ(scheduler->staged(), 0u);
+  EXPECT_EQ(scheduler->bytesMoved(), 0u);
 }
 
 TEST_F(ReplicationTest, MissingObjectReportsError) {
-  DataReplicator replicator(*fresh_);
-  std::optional<Status> done;
-  replicator.replicate(ndn::Name("/ndn/k8s/data/ghost"),
-                       [&](Status s) { done = s; });
-  sim_.run();
-  ASSERT_TRUE(done.has_value());
-  EXPECT_FALSE(done->ok());
+  auto scheduler = stager();
+  const auto statuses = stage(*scheduler, {ndn::Name("/ndn/k8s/data/ghost")});
+  EXPECT_FALSE(statuses[0].ok());
+  EXPECT_EQ(scheduler->failures(), 1u);
 }
 
-TEST_F(ReplicationTest, BatchReplicationReportsOnce) {
-  DataReplicator replicator(*fresh_);
-  std::vector<ndn::Name> objects{
-      ndn::Name("/ndn/k8s/data/human-ref"),
-      ndn::Name("/ndn/k8s/data/SRR2931415"),
-      ndn::Name("/ndn/k8s/data/SRR5139395"),
-  };
-  int callbacks = 0;
-  Status final;
-  replicator.replicateAll(objects, [&](Status s) {
-    ++callbacks;
-    final = s;
-  });
-  sim_.run();
-  EXPECT_EQ(callbacks, 1);
-  EXPECT_TRUE(final.ok()) << final;
-  EXPECT_EQ(replicator.objectsReplicated(), 3u);
+TEST_F(ReplicationTest, BatchStagesEveryObject) {
+  auto scheduler = stager();
+  const auto statuses = stage(*scheduler, {ndn::Name("/ndn/k8s/data/human-ref"),
+                                           ndn::Name("/ndn/k8s/data/SRR2931415"),
+                                           ndn::Name("/ndn/k8s/data/SRR5139395")});
+  for (const Status& s : statuses) EXPECT_TRUE(s.ok()) << s;
+  EXPECT_EQ(scheduler->staged(), 3u);
 }
 
-TEST_F(ReplicationTest, MixedBatchFirstErrorWinsAndRestStillReplicate) {
-  DataReplicator replicator(*fresh_);
-  // One doomed object in the middle: the batch must still stage the
-  // other two, and the single callback must carry the first error.
-  std::vector<ndn::Name> objects{
-      ndn::Name("/ndn/k8s/data/human-ref"),
-      ndn::Name("/ndn/k8s/data/ghost"),
-      ndn::Name("/ndn/k8s/data/SRR2931415"),
-  };
-  int callbacks = 0;
-  Status final = Status::Ok();
-  replicator.replicateAll(objects, [&](Status s) {
-    ++callbacks;
-    final = s;
-  });
-  sim_.run();
-  EXPECT_EQ(callbacks, 1);
-  EXPECT_FALSE(final.ok());
-  // The failure did not abort the rest of the batch.
-  EXPECT_EQ(replicator.objectsReplicated(), 2u);
+TEST_F(ReplicationTest, UnreachableObjectDoesNotStopTheRest) {
+  auto scheduler = stager();
+  // One doomed object in the middle: the other two must still stage.
+  const auto statuses = stage(*scheduler, {ndn::Name("/ndn/k8s/data/human-ref"),
+                                           ndn::Name("/ndn/k8s/data/ghost"),
+                                           ndn::Name("/ndn/k8s/data/SRR2931415")});
+  EXPECT_TRUE(statuses[0].ok()) << statuses[0];
+  EXPECT_FALSE(statuses[1].ok());
+  EXPECT_TRUE(statuses[2].ok()) << statuses[2];
+  EXPECT_EQ(scheduler->failures(), 1u);
+  EXPECT_EQ(scheduler->staged(), 2u);
   EXPECT_TRUE(fresh_->store().contains(ndn::Name("/ndn/k8s/data/human-ref")));
   EXPECT_TRUE(fresh_->store().contains(ndn::Name("/ndn/k8s/data/SRR2931415")));
 }
 
-TEST_F(ReplicationTest, WrapperStaysInParityWithTransferScheduler) {
-  // DataReplicator is a thin wrapper over the replica plane's
-  // TransferScheduler; the legacy accessors and the scheduler's own
-  // accounting must agree exactly.
-  DataReplicator replicator(*fresh_);
-  ASSERT_TRUE(
-      fresh_->store().putText(ndn::Name("/ndn/k8s/data/local"), "here").ok());
-
-  std::optional<Status> done;
-  replicator.replicateAll({ndn::Name("/ndn/k8s/data/human-ref"),
-                           ndn::Name("/ndn/k8s/data/SRR2931415"),
-                           ndn::Name("/ndn/k8s/data/local")},
-                          [&](Status s) { done = s; });
-  sim_.run();
-  ASSERT_TRUE(done.has_value());
-  EXPECT_TRUE(done->ok()) << *done;
-
-  const replica::TransferScheduler& scheduler = replicator.scheduler();
-  EXPECT_EQ(replicator.objectsReplicated(), 2u);
-  EXPECT_EQ(replicator.objectsReplicated(), scheduler.staged());
-  EXPECT_EQ(replicator.bytesReplicated(), scheduler.bytesMoved());
-  EXPECT_GT(replicator.bytesReplicated(), 0u);
-  // The already-present object was a wrapper-level no-op, not a staging
-  // queue entry: the scheduler never saw it.
-  EXPECT_EQ(scheduler.localHits(), 0u);
-  EXPECT_EQ(scheduler.failures(), 0u);
-  // The staging queue's deterministic trace narrates both transfers.
-  EXPECT_NE(scheduler.eventLog().find("done /ndn/k8s/data/human-ref"),
-            std::string::npos);
-  EXPECT_NE(scheduler.eventLog().find("done /ndn/k8s/data/SRR2931415"),
-            std::string::npos);
-}
-
-TEST_F(ReplicationTest, TelemetryMirrorsLegacyCounters) {
-  DataReplicator replicator(*fresh_);
-  telemetry::MetricsRegistry registry;
-  replicator.attachTelemetry(registry);
-
-  replicator.replicateAll({ndn::Name("/ndn/k8s/data/human-ref"),
-                           ndn::Name("/ndn/k8s/data/SRR2931415")},
-                          [](Status s) { ASSERT_TRUE(s.ok()) << s; });
-  sim_.run();
-
-  // Parity: the registry view equals the legacy accessors, both after
-  // traffic and on a later idle snapshot.
-  const auto flat = registry.flatten("lidc_replicator");
-  ASSERT_EQ(flat.size(), 2u);
-  EXPECT_EQ(flat.at("lidc_replicator_objects_total{cluster=\"fresh\"}"),
-            static_cast<double>(replicator.objectsReplicated()));
-  EXPECT_EQ(flat.at("lidc_replicator_bytes_total{cluster=\"fresh\"}"),
-            static_cast<double>(replicator.bytesReplicated()));
-  EXPECT_EQ(replicator.objectsReplicated(), 2u);
-}
-
 TEST_F(ReplicationTest, FreshClusterRunsBlastAfterStaging) {
   // Stage the reference + rice sample into the fresh (nearest) cluster.
-  DataReplicator replicator(*fresh_);
-  replicator.replicateAll({ndn::Name("/ndn/k8s/data/human-ref"),
-                           ndn::Name("/ndn/k8s/data/SRR2931415")},
-                          [](Status s) { ASSERT_TRUE(s.ok()) << s; });
-  sim_.run();
+  auto scheduler = stager();
+  for (const Status& s : stage(*scheduler, {ndn::Name("/ndn/k8s/data/human-ref"),
+                                            ndn::Name("/ndn/k8s/data/SRR2931415")})) {
+    ASSERT_TRUE(s.ok()) << s;
+  }
 
   ComputeRequest request;
   request.app = "BLAST";

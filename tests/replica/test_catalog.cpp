@@ -207,7 +207,12 @@ TEST_F(ReplicaCatalogTest, MalformedNamesAreNacked) {
   junk.append("east").append("bogus");
   EXPECT_TRUE(fetch(junk, /*mustBeFresh=*/false).nack);
 
-  EXPECT_EQ(catalog_->interestsRejected(), 2u);
+  // Too deep: an empty component between the cluster and `_map`.
+  ndn::Name deep = kReplicaPrefix;
+  deep.append("east").append("").append("_map");
+  EXPECT_TRUE(fetch(deep, /*mustBeFresh=*/true).nack);
+
+  EXPECT_EQ(catalog_->interestsRejected(), 3u);
   EXPECT_EQ(catalog_->interestsServed(), 0u);
 }
 

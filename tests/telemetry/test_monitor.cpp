@@ -68,7 +68,7 @@ TEST(MonitorTest, CollectorScrapesPublishedSnapshot) {
 
   const auto* view = world.collector->view("east");
   ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->seq, 1u);
+  EXPECT_EQ(world.collector->progress("east")->seq, 1u);
   EXPECT_DOUBLE_EQ(
       world.collector->metric("east",
                               "lidc_forwarder_in_interests{node=\"east\"}"),
@@ -136,7 +136,7 @@ TEST(MonitorTest, NewSeqAfterIntervalCarriesUpdatedValues) {
 
   const auto* view = world.collector->view("east");
   ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->seq, 2u);
+  EXPECT_EQ(world.collector->progress("east")->seq, 2u);
   EXPECT_DOUBLE_EQ(
       world.collector->metric("east",
                               "lidc_forwarder_in_interests{node=\"east\"}"),
@@ -172,8 +172,8 @@ TEST(MonitorTest, BlackedOutClusterGoesStaleInsteadOfWedging) {
   // is a flag, not data loss.
   const auto* view = world.collector->view("east");
   ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->seq, 1u);
-  EXPECT_TRUE(view->everScraped);
+  EXPECT_EQ(world.collector->progress("east")->seq, 1u);
+  EXPECT_TRUE(world.collector->progress("east")->everScraped);
 }
 
 TEST(MonitorTest, UnknownClusterNacksAndScrapeFails) {
@@ -198,16 +198,20 @@ TEST(MonitorTest, PublisherRejectsMalformedTelemetryNames) {
 
   ndn::Name tooShort = kTelemetryPrefix;
   tooShort.append("east");  // missing <group>/<seq|_latest>
-  ndn::Interest interest(tooShort);
-  interest.setLifetime(sim::Duration::millis(500));
-  bool nacked = false;
-  face->expressInterest(
-      interest, [](const ndn::Interest&, const ndn::Data&) { FAIL(); },
-      [&nacked](const ndn::Interest&, const ndn::Nack&) { nacked = true; },
-      [](const ndn::Interest&) {});
-  world.sim.run();
-  EXPECT_TRUE(nacked);
-  EXPECT_GE(world.publisher->interestsRejected(), 1u);
+  ndn::Name noGroup = kTelemetryPrefix;
+  noGroup.append("east").append("_latest");  // a manifest with no <group>
+  for (const ndn::Name& name : {tooShort, noGroup}) {
+    ndn::Interest interest(name);
+    interest.setLifetime(sim::Duration::millis(500));
+    bool nacked = false;
+    face->expressInterest(
+        interest, [](const ndn::Interest&, const ndn::Data&) { FAIL(); },
+        [&nacked](const ndn::Interest&, const ndn::Nack&) { nacked = true; },
+        [](const ndn::Interest&) {});
+    world.sim.run();
+    EXPECT_TRUE(nacked) << name.toUri();
+  }
+  EXPECT_GE(world.publisher->interestsRejected(), 2u);
 }
 
 TEST(MonitorTest, CollectorTelemetryGaugesTrackStaleAndFailures) {
@@ -347,7 +351,7 @@ TEST(MonitorTest, ContentGroupServesCustomTextWithRevisionGatedSeq) {
   world.sim.run();
   const auto* view = alertScraper.view("east");
   ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->seq, 1u);
+  EXPECT_EQ(alertScraper.progress("east")->seq, 1u);
   EXPECT_EQ(view->rawText, content);
 
   // Unchanged revision past the snapshot interval: same seq (manifest
@@ -355,7 +359,7 @@ TEST(MonitorTest, ContentGroupServesCustomTextWithRevisionGatedSeq) {
   world.sim.scheduleAfter(sim::Duration::seconds(2),
                           [&alertScraper] { alertScraper.scrapeOnce(); });
   world.sim.run();
-  EXPECT_EQ(alertScraper.view("east")->seq, 1u);
+  EXPECT_EQ(alertScraper.progress("east")->seq, 1u);
   EXPECT_EQ(alertScraper.counters().manifestReuses, 1u);
 
   // A transition bumps the revision: next scrape sees a new seq + text.
@@ -364,7 +368,7 @@ TEST(MonitorTest, ContentGroupServesCustomTextWithRevisionGatedSeq) {
   world.sim.scheduleAfter(sim::Duration::seconds(2),
                           [&alertScraper] { alertScraper.scrapeOnce(); });
   world.sim.run();
-  EXPECT_EQ(alertScraper.view("east")->seq, 2u);
+  EXPECT_EQ(alertScraper.progress("east")->seq, 2u);
   EXPECT_EQ(alertScraper.view("east")->rawText, content);
 }
 
