@@ -157,14 +157,18 @@ int main() {
     constexpr std::uint64_t kEvalPasses = 20'000;
     sim::Simulator aeSim;
     telemetry::AlertEngine engine(aeSim);
-    std::map<std::string, double> values;
+    std::map<std::string, double, std::less<>> values;
     for (int r = 0; r < kRules; ++r) {
       const std::string series = "s" + std::to_string(r);
       values[series] = static_cast<double>(r);
       engine.addThresholdRule("rule-" + std::to_string(r), series,
                               telemetry::AlertComparison::kAbove, 1e9);
     }
-    engine.setValueSource([&values] { return values; });
+    engine.setValueSource([&values](std::string_view series) -> std::optional<double> {
+      const auto it = values.find(series);
+      if (it == values.end()) return std::nullopt;
+      return it->second;
+    });
     const double start = nowSeconds();
     int transitions = 0;
     for (std::uint64_t i = 0; i < kEvalPasses; ++i) transitions += engine.evaluate();

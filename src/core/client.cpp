@@ -120,9 +120,12 @@ CircuitBreaker* LidcClient::breakerFor(const std::string& cluster) {
         const double encoded = state == BreakerState::kClosed     ? 0.0
                                : state == BreakerState::kHalfOpen ? 1.0
                                                                   : 2.0;
-        telemetry_->registry
-            ->gauge("lidc_breaker_state", {{"client", name_}, {"cluster", cluster}})
-            .set(encoded);
+        telemetry::Gauge*& gauge = telemetry_->breakerStates[cluster];
+        if (gauge == nullptr) {
+          gauge = &telemetry_->registry->gauge(
+              "lidc_breaker_state", {{"client", name_}, {"cluster", cluster}});
+        }
+        gauge->set(encoded);
       }
       LIDC_FR_EVENT(recorder_, kWarn, "client",
                     name_ + " breaker " + cluster + " -> " +

@@ -315,6 +315,9 @@ class LidcClient {
     telemetry::Tracer* tracer = nullptr;
     /// Kept for the lazily created per-cluster lidc_breaker_state gauge.
     telemetry::MetricsRegistry* registry = nullptr;
+    /// cluster -> its lidc_breaker_state gauge, created at the breaker's
+    /// first transition.
+    std::unordered_map<std::string, telemetry::Gauge*> breakerStates;
   };
 
   ndn::Forwarder& forwarder_;

@@ -81,24 +81,26 @@ void ComputeCluster::attachTelemetry(telemetry::MetricsRegistry& registry,
   forwarder_.attachTelemetry(registry, tracer);
   gateway_->attachTelemetry(registry, tracer);
 
-  // K8s capacity gauges, synced at snapshot time (the k8s layer itself
+  // K8s capacity gauges, read at snapshot time (the k8s layer itself
   // stays telemetry-free).
   const telemetry::Labels labels{{"cluster", config_.name}};
-  registry.registerCollector([this, &registry, labels] {
-    const auto free = cluster_->totalFree();
-    const auto total = cluster_->totalAllocatable();
-    registry.gauge("lidc_cluster_free_cpu_m", labels)
-        .set(static_cast<double>(free.cpu.millicores()));
-    registry.gauge("lidc_cluster_free_mem_bytes", labels)
-        .set(static_cast<double>(free.memory.bytes()));
-    registry.gauge("lidc_cluster_total_cpu_m", labels)
-        .set(static_cast<double>(total.cpu.millicores()));
-    registry.gauge("lidc_cluster_running_jobs", labels)
-        .set(static_cast<double>(cluster_->runningJobCount()));
-    registry.gauge("lidc_cluster_nodes_ready", labels)
-        .set(static_cast<double>(cluster_->readyNodeCount()));
-    registry.gauge("lidc_cluster_nodes_total", labels)
-        .set(static_cast<double>(cluster_->nodeCount()));
+  registry.bindGauge("lidc_cluster_free_cpu_m", labels, [this] {
+    return static_cast<double>(cluster_->totalFree().cpu.millicores());
+  });
+  registry.bindGauge("lidc_cluster_free_mem_bytes", labels, [this] {
+    return static_cast<double>(cluster_->totalFree().memory.bytes());
+  });
+  registry.bindGauge("lidc_cluster_total_cpu_m", labels, [this] {
+    return static_cast<double>(cluster_->totalAllocatable().cpu.millicores());
+  });
+  registry.bindGauge("lidc_cluster_running_jobs", labels, [this] {
+    return static_cast<double>(cluster_->runningJobCount());
+  });
+  registry.bindGauge("lidc_cluster_nodes_ready", labels, [this] {
+    return static_cast<double>(cluster_->readyNodeCount());
+  });
+  registry.bindGauge("lidc_cluster_nodes_total", labels, [this] {
+    return static_cast<double>(cluster_->nodeCount());
   });
 
   publisher_ = std::make_unique<telemetry::TelemetryPublisher>(

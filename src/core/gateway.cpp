@@ -725,36 +725,36 @@ void Gateway::attachTelemetry(telemetry::MetricsRegistry& registry,
   metrics_registry_ = &registry;
   if (admission_) admission_->attachTelemetry(registry);
   const telemetry::Labels labels{{"cluster", cluster_name_}};
-  registry.registerCollector([this, &registry, labels] {
-    auto sync = [&](const char* name, std::uint64_t value) {
-      registry.counter(name, labels).set(value);
-    };
-    sync("lidc_gateway_compute_received", counters_.computeReceived);
-    sync("lidc_gateway_compute_rejected", counters_.computeRejected);
-    sync("lidc_gateway_jobs_launched", counters_.jobsLaunched);
-    sync("lidc_gateway_cache_hits", counters_.cacheHits);
-    sync("lidc_gateway_inflight_dedup", counters_.inflightDedup);
-    sync("lidc_gateway_status_received", counters_.statusReceived);
-    sync("lidc_gateway_capacity_rejected", counters_.capacityRejected);
-    sync("lidc_gateway_info_received", counters_.infoReceived);
-    sync("lidc_gateway_publishes_accepted", counters_.publishesAccepted);
-    sync("lidc_gateway_publishes_rejected", counters_.publishesRejected);
-    sync("lidc_gateway_health_rejected", counters_.healthRejected);
-    sync("lidc_gateway_orphans_reaped", counters_.orphansReaped);
-    sync("lidc_gateway_vanished_evicted", counters_.vanishedEvicted);
-    sync("lidc_gateway_blackout_dropped", counters_.blackoutDropped);
-    sync("lidc_gateway_gray_admitted", counters_.grayAdmitted);
-    sync("lidc_ckpt_restores_total", counters_.ckptRestores);
-    sync("lidc_ckpt_restore_failures_total", counters_.ckptRestoreFailures);
-    sync("lidc_status_evicted_total", counters_.statusEvicted);
-    sync("lidc_status_alias_served_total", counters_.aliasServed);
-    sync("lidc_result_cache_hits", cache_.hits());
-    sync("lidc_result_cache_misses", cache_.misses());
-    registry.gauge("lidc_result_cache_size", labels)
-        .set(static_cast<double>(cache_.size()));
-    registry.gauge("lidc_gateway_healthy_node_fraction", labels)
-        .set(healthyNodeFraction());
-  });
+  const auto bind = [&](const char* name, const std::uint64_t& cell) {
+    registry.bindCounter(name, labels, cell);
+  };
+  bind("lidc_gateway_compute_received", counters_.computeReceived);
+  bind("lidc_gateway_compute_rejected", counters_.computeRejected);
+  bind("lidc_gateway_jobs_launched", counters_.jobsLaunched);
+  bind("lidc_gateway_cache_hits", counters_.cacheHits);
+  bind("lidc_gateway_inflight_dedup", counters_.inflightDedup);
+  bind("lidc_gateway_status_received", counters_.statusReceived);
+  bind("lidc_gateway_capacity_rejected", counters_.capacityRejected);
+  bind("lidc_gateway_info_received", counters_.infoReceived);
+  bind("lidc_gateway_publishes_accepted", counters_.publishesAccepted);
+  bind("lidc_gateway_publishes_rejected", counters_.publishesRejected);
+  bind("lidc_gateway_health_rejected", counters_.healthRejected);
+  bind("lidc_gateway_orphans_reaped", counters_.orphansReaped);
+  bind("lidc_gateway_vanished_evicted", counters_.vanishedEvicted);
+  bind("lidc_gateway_blackout_dropped", counters_.blackoutDropped);
+  bind("lidc_gateway_gray_admitted", counters_.grayAdmitted);
+  bind("lidc_ckpt_restores_total", counters_.ckptRestores);
+  bind("lidc_ckpt_restore_failures_total", counters_.ckptRestoreFailures);
+  bind("lidc_status_evicted_total", counters_.statusEvicted);
+  bind("lidc_status_alias_served_total", counters_.aliasServed);
+  registry.bindCounter("lidc_result_cache_hits", labels,
+                       [this] { return cache_.hits(); });
+  registry.bindCounter("lidc_result_cache_misses", labels,
+                       [this] { return cache_.misses(); });
+  registry.bindGauge("lidc_result_cache_size", labels,
+                     [this] { return static_cast<double>(cache_.size()); });
+  registry.bindGauge("lidc_gateway_healthy_node_fraction", labels,
+                     [this] { return healthyNodeFraction(); });
 }
 
 double Gateway::healthyNodeFraction() const {

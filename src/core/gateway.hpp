@@ -160,8 +160,8 @@ class Gateway {
   /// Fraction of this cluster's nodes currently Ready, in [0, 1].
   [[nodiscard]] double healthyNodeFraction() const;
 
-  /// Syncs GatewayCounters, result-cache stats, and the health gauge
-  /// into `registry` at snapshot time (lidc_gateway_*{cluster=...}).
+  /// Binds GatewayCounters, result-cache stats, and the health gauge
+  /// into `registry`, read at snapshot time (lidc_gateway_*{cluster=...}).
   /// With a tracer, traced compute Interests get a "gateway-admission"
   /// span, status serves get instants, and finished jobs get
   /// retroactive "k8s-schedule" / "k8s-exec" spans from the recorded

@@ -144,12 +144,10 @@ void CheckpointManager::trace(const std::string& line) {
 
 void CheckpointManager::attachTelemetry(telemetry::MetricsRegistry& registry) {
   const telemetry::Labels labels{{"cluster", cluster_.name()}};
-  registry.registerCollector([this, &registry, labels] {
-    registry.counter("lidc_ckpt_written_total", labels).set(counters_.written);
-    registry.counter("lidc_ckpt_bytes_total", labels).set(counters_.bytes);
-    registry.counter("lidc_ckpt_skipped_endgame_total", labels)
-        .set(counters_.skippedEndgame);
-  });
+  registry.bindCounter("lidc_ckpt_written_total", labels, counters_.written);
+  registry.bindCounter("lidc_ckpt_bytes_total", labels, counters_.bytes);
+  registry.bindCounter("lidc_ckpt_skipped_endgame_total", labels,
+                       counters_.skippedEndgame);
 }
 
 }  // namespace lidc::migrate

@@ -83,9 +83,9 @@ class CheckpointManager {
   /// across same-seed runs.
   [[nodiscard]] const std::string& epochLog() const noexcept { return log_; }
 
-  /// Syncs lidc_ckpt_written_total / lidc_ckpt_bytes_total /
+  /// Binds lidc_ckpt_written_total / lidc_ckpt_bytes_total /
   /// lidc_ckpt_skipped_endgame_total (labeled by cluster) into
-  /// `registry` at snapshot time.
+  /// `registry`, read at snapshot time.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
   void setFlightRecorder(telemetry::FlightRecorder* recorder) noexcept {
     recorder_ = recorder;

@@ -365,25 +365,21 @@ void MigrationCoordinator::trace(const std::string& line) {
 void MigrationCoordinator::attachTelemetry(telemetry::MetricsRegistry& registry,
                                            telemetry::Tracer* tracer) {
   tracer_ = tracer;
-  registry.registerCollector([this, &registry] {
-    registry.counter("lidc_migrations_planned_total").set(counters_.planned);
-    registry.counter("lidc_migrations_completed_total")
-        .set(counters_.completed);
-    registry.counter("lidc_migrations_failed_total").set(counters_.failed);
-    registry.counter("lidc_migrations_cold_fallbacks_total")
-        .set(counters_.coldFallbacks);
-  });
+  registry.bindCounter("lidc_migrations_planned_total", {}, counters_.planned);
+  registry.bindCounter("lidc_migrations_completed_total", {}, counters_.completed);
+  registry.bindCounter("lidc_migrations_failed_total", {}, counters_.failed);
+  registry.bindCounter("lidc_migrations_cold_fallbacks_total", {},
+                       counters_.coldFallbacks);
 }
 
 telemetry::AlertEngine::ValueSource migrationValueSource(
     const MigrationCoordinator& coordinator) {
-  return [&coordinator] {
+  return [&coordinator](std::string_view series) -> std::optional<double> {
     const MigrationCounters& c = coordinator.counters();
-    return std::map<std::string, double>{
-        {"migrate/planned", static_cast<double>(c.planned)},
-        {"migrate/failed", static_cast<double>(c.failed)},
-        {"migrate/cold_fallbacks", static_cast<double>(c.coldFallbacks)},
-    };
+    if (series == "migrate/planned") return static_cast<double>(c.planned);
+    if (series == "migrate/failed") return static_cast<double>(c.failed);
+    if (series == "migrate/cold_fallbacks") return static_cast<double>(c.coldFallbacks);
+    return std::nullopt;
   };
 }
 

@@ -117,7 +117,7 @@ class MigrationCoordinator {
                      const std::string& targetCluster)>
       routeInstaller;
 
-  /// Syncs lidc_migrations_{planned,completed,failed}_total and
+  /// Binds lidc_migrations_{planned,completed,failed}_total and
   /// lidc_migrations_cold_fallbacks_total into `registry`; with a
   /// tracer, each completed migration records a "migration" span from
   /// plan to resumed ack.

@@ -87,37 +87,39 @@ void Forwarder::attachTelemetry(telemetry::MetricsRegistry& registry,
   telemetry_->tracer = tracer;
 
   // Per-face counters and table occupancy change too often to mirror
-  // live; a collector syncs the aggregates at snapshot time.
-  registry.registerCollector([this, &registry, labels] {
-    FaceCounters total;
-    for (const auto& [id, face] : faces_) {
-      const FaceCounters& c = face->counters();
-      total.nInInterests += c.nInInterests;
-      total.nOutInterests += c.nOutInterests;
-      total.nInData += c.nInData;
-      total.nOutData += c.nOutData;
-      total.nInNacks += c.nInNacks;
-      total.nOutNacks += c.nOutNacks;
-      total.nInBytes += c.nInBytes;
-      total.nOutBytes += c.nOutBytes;
-    }
-    registry.counter("lidc_face_in_interests", labels).set(total.nInInterests);
-    registry.counter("lidc_face_out_interests", labels).set(total.nOutInterests);
-    registry.counter("lidc_face_in_data", labels).set(total.nInData);
-    registry.counter("lidc_face_out_data", labels).set(total.nOutData);
-    registry.counter("lidc_face_in_nacks", labels).set(total.nInNacks);
-    registry.counter("lidc_face_out_nacks", labels).set(total.nOutNacks);
-    registry.counter("lidc_face_in_bytes", labels).set(total.nInBytes);
-    registry.counter("lidc_face_out_bytes", labels).set(total.nOutBytes);
-    registry.gauge("lidc_cs_size", labels).set(static_cast<double>(cs_.size()));
-    registry.gauge("lidc_pit_size", labels).set(static_cast<double>(pit_.size()));
-    registry.counter("lidc_cs_hits", labels).set(cs_.hits());
-    registry.counter("lidc_cs_misses", labels).set(cs_.misses());
-    registry.counter("lidc_cs_poisoned_rejects_total", labels)
-        .set(cs_.poisonedRejects());
-    registry.counter("lidc_cs_poisoned_evictions_total", labels)
-        .set(cs_.poisonedEvictions());
-  });
+  // live; bound series read the aggregates at snapshot time.
+  const auto faceTotal = [this](std::uint64_t FaceCounters::*field) {
+    return [this, field] {
+      std::uint64_t total = 0;
+      for (const auto& [id, face] : faces_) total += face->counters().*field;
+      return total;
+    };
+  };
+  registry.bindCounter("lidc_face_in_interests", labels,
+                       faceTotal(&FaceCounters::nInInterests));
+  registry.bindCounter("lidc_face_out_interests", labels,
+                       faceTotal(&FaceCounters::nOutInterests));
+  registry.bindCounter("lidc_face_in_data", labels, faceTotal(&FaceCounters::nInData));
+  registry.bindCounter("lidc_face_out_data", labels,
+                       faceTotal(&FaceCounters::nOutData));
+  registry.bindCounter("lidc_face_in_nacks", labels,
+                       faceTotal(&FaceCounters::nInNacks));
+  registry.bindCounter("lidc_face_out_nacks", labels,
+                       faceTotal(&FaceCounters::nOutNacks));
+  registry.bindCounter("lidc_face_in_bytes", labels,
+                       faceTotal(&FaceCounters::nInBytes));
+  registry.bindCounter("lidc_face_out_bytes", labels,
+                       faceTotal(&FaceCounters::nOutBytes));
+  registry.bindGauge("lidc_cs_size", labels,
+                     [this] { return static_cast<double>(cs_.size()); });
+  registry.bindGauge("lidc_pit_size", labels,
+                     [this] { return static_cast<double>(pit_.size()); });
+  registry.bindCounter("lidc_cs_hits", labels, [this] { return cs_.hits(); });
+  registry.bindCounter("lidc_cs_misses", labels, [this] { return cs_.misses(); });
+  registry.bindCounter("lidc_cs_poisoned_rejects_total", labels,
+                       [this] { return cs_.poisonedRejects(); });
+  registry.bindCounter("lidc_cs_poisoned_evictions_total", labels,
+                       [this] { return cs_.poisonedEvictions(); });
 }
 
 void Forwarder::attachFlowAccounting(telemetry::FlowAccountant& accountant) {

@@ -91,8 +91,8 @@ class Forwarder {
   // --- telemetry ---
   /// Mirrors every ForwarderCounters increment into `registry` as
   /// lidc_forwarder_*{node=<name>} (live, one extra relaxed add per
-  /// event), registers a collector that syncs the per-face aggregate
-  /// FaceCounters plus CS/PIT gauges at snapshot time, and — when a
+  /// event), binds the per-face aggregate FaceCounters plus CS/PIT
+  /// gauges (read at snapshot time), and — when a
   /// tracer is given — records per-hop "forwarder-hop" instants for
   /// Interests carrying a TraceContext. The forwarder must outlive any
   /// snapshot of the registry.

@@ -38,6 +38,7 @@ AdmissionController::TenantState& AdmissionController::stateFor(
   if (inserted) {
     st.spec = &spec;
     st.bucket = TokenBucket(spec.quota.submitRatePerSec, spec.quota.submitBurst);
+    if (registry_ != nullptr) bindTenant(spec.id, st);
   }
   return st;
 }
@@ -67,7 +68,9 @@ void AdmissionController::appendLog(std::string_view verb,
 void AdmissionController::reject(TenantState& st, const std::string& id,
                                  const std::string& reason,
                                  const std::string& tag) {
-  ++st.rejects[reason];
+  const auto [it, first] = st.rejects.try_emplace(reason);
+  ++it->second;
+  if (first && registry_ != nullptr) bindReject(id, reason, it->second);
   appendLog("reject", id, "reason=" + reason + " tag=" + tag);
   LIDC_FR_EVENT(recorder_, kWarn, "qos",
                 "reject tenant=" + id + " reason=" + reason + " tag=" + tag);
@@ -172,10 +175,11 @@ void AdmissionController::launchFront(const std::string& id, TenantState& st) {
   const std::int64_t waitUs =
       (sim_.now() - entry.enqueuedAt).toNanos() / 1000;
   if (registry_ != nullptr) {
-    registry_
-        ->histogram("lidc_qos_queue_wait_us",
-                    {{"cluster", cluster_}, {"tenant", id}})
-        .observe(static_cast<double>(waitUs));
+    if (st.queueWait == nullptr) {
+      st.queueWait = &registry_->histogram("lidc_qos_queue_wait_us",
+                                           {{"cluster", cluster_}, {"tenant", id}});
+    }
+    st.queueWait->observe(static_cast<double>(waitUs));
   }
   appendLog("admit", id,
             "tag=" + entry.job.tag + " wait_us=" + std::to_string(waitUs));
@@ -332,33 +336,41 @@ std::uint64_t AdmissionController::expired(
 
 void AdmissionController::attachTelemetry(telemetry::MetricsRegistry& registry) {
   registry_ = &registry;
-  registry.registerCollector([this, &registry] {
+  for (auto& [id, st] : states_) {
+    st.queueWait = nullptr;  // resolved again, in this registry
+    bindTenant(id, st);
+  }
+  registry.bindCounter("lidc_qos_rejected_total",
+                       {{"cluster", cluster_},
+                        {"reason", "unknown-tenant"},
+                        {"tenant", "unknown"}},
+                       rejected_unknown_);
+  registry.bindGauge("lidc_qos_queue_depth", {{"cluster", cluster_}}, [this] {
     double totalDepth = 0.0;
     for (const auto& [id, st] : states_) {
-      const telemetry::Labels labels{{"cluster", cluster_}, {"tenant", id}};
-      registry.counter("lidc_qos_admitted_total", labels).set(st.admitted);
-      registry.counter("lidc_qos_preempted_total", labels).set(st.preempted);
-      registry.counter("lidc_qos_expired_total", labels).set(st.expired);
-      registry.gauge("lidc_qos_queue_depth", labels)
-          .set(static_cast<double>(st.queue.size()));
-      registry.gauge("lidc_qos_jobs_in_flight", labels)
-          .set(static_cast<double>(st.inFlightJobs));
-      for (const auto& [reason, count] : st.rejects) {
-        registry
-            .counter("lidc_qos_rejected_total",
-                     {{"cluster", cluster_}, {"reason", reason}, {"tenant", id}})
-            .set(count);
-      }
       totalDepth += static_cast<double>(st.queue.size());
     }
-    registry
-        .counter("lidc_qos_rejected_total", {{"cluster", cluster_},
-                                             {"reason", "unknown-tenant"},
-                                             {"tenant", "unknown"}})
-        .set(rejected_unknown_);
-    registry.gauge("lidc_qos_queue_depth", {{"cluster", cluster_}})
-        .set(totalDepth);
+    return totalDepth;
   });
+}
+
+void AdmissionController::bindTenant(const std::string& id, const TenantState& st) {
+  const telemetry::Labels labels{{"cluster", cluster_}, {"tenant", id}};
+  registry_->bindCounter("lidc_qos_admitted_total", labels, st.admitted);
+  registry_->bindCounter("lidc_qos_preempted_total", labels, st.preempted);
+  registry_->bindCounter("lidc_qos_expired_total", labels, st.expired);
+  registry_->bindGauge("lidc_qos_queue_depth", labels,
+                       [&st] { return static_cast<double>(st.queue.size()); });
+  registry_->bindGauge("lidc_qos_jobs_in_flight", labels,
+                       [&st] { return static_cast<double>(st.inFlightJobs); });
+  for (const auto& [reason, count] : st.rejects) bindReject(id, reason, count);
+}
+
+void AdmissionController::bindReject(const std::string& id, const std::string& reason,
+                                     const std::uint64_t& count) {
+  registry_->bindCounter("lidc_qos_rejected_total",
+                         {{"cluster", cluster_}, {"reason", reason}, {"tenant", id}},
+                         count);
 }
 
 }  // namespace lidc::qos

@@ -129,10 +129,11 @@ class AdmissionController {
   /// lines); byte-identical across same-seed runs.
   [[nodiscard]] const std::string& decisionLog() const noexcept { return log_; }
 
-  /// Mirrors admission state into `registry` as per-tenant labeled
+  /// Binds admission state into `registry` as per-tenant labeled
   /// families (lidc_qos_admitted_total, lidc_qos_rejected_total{reason},
-  /// lidc_qos_queue_depth, lidc_qos_jobs_in_flight, ...) and starts
-  /// feeding the per-tenant lidc_qos_queue_wait_us histogram.
+  /// lidc_qos_queue_depth, lidc_qos_jobs_in_flight, ...), each tenant
+  /// and reject reason as it first appears, and starts feeding the
+  /// per-tenant lidc_qos_queue_wait_us histogram.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
 
  private:
@@ -161,9 +162,14 @@ class AdmissionController {
     std::uint64_t preempted = 0;
     std::uint64_t expired = 0;
     std::map<std::string, std::uint64_t> rejects;  // reason -> count
+    /// lidc_qos_queue_wait_us{cluster,tenant}, resolved at first launch.
+    telemetry::Histogram* queueWait = nullptr;
   };
 
   TenantState& stateFor(const TenantSpec& spec);
+  void bindTenant(const std::string& id, const TenantState& st);
+  void bindReject(const std::string& id, const std::string& reason,
+                  const std::uint64_t& count);
   [[nodiscard]] const TenantState* stateOf(const std::string& tenant) const noexcept;
   /// Rotates the ring head to the back (or out of the ring when its
   /// queue is empty) and resets its per-visit accrual state.

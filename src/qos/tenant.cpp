@@ -24,6 +24,7 @@ Status TenantRegistry::registerTenant(TenantSpec spec) {
     return Status::AlreadyExists("tenant '" + spec.id + "' already registered");
   }
   it->second.spec = std::move(spec);
+  if (registry_ != nullptr) bindTenant(it->first, it->second);
   return Status::Ok();
 }
 
@@ -68,14 +69,15 @@ std::uint64_t TenantRegistry::publishRejects(const std::string& id) const noexce
 }
 
 void TenantRegistry::attachTelemetry(telemetry::MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
-    for (const auto& [id, entry] : tenants_) {
-      registry.counter("lidc_qos_publish_bytes", {{"tenant", id}})
-          .set(entry.publishedBytes);
-      registry.counter("lidc_qos_publish_rejected_total", {{"tenant", id}})
-          .set(entry.publishRejects);
-    }
-  });
+  registry_ = &registry;
+  for (const auto& [id, entry] : tenants_) bindTenant(id, entry);
+}
+
+void TenantRegistry::bindTenant(const std::string& id, const Entry& entry) {
+  registry_->bindCounter("lidc_qos_publish_bytes", {{"tenant", id}},
+                         entry.publishedBytes);
+  registry_->bindCounter("lidc_qos_publish_rejected_total", {{"tenant", id}},
+                         entry.publishRejects);
 }
 
 }  // namespace lidc::qos

@@ -62,8 +62,9 @@ class TenantRegistry {
   [[nodiscard]] std::uint64_t publishedBytes(const std::string& id) const noexcept;
   [[nodiscard]] std::uint64_t publishRejects(const std::string& id) const noexcept;
 
-  /// Mirrors per-tenant publish accounting into `registry` as
-  /// lidc_qos_publish_bytes / lidc_qos_publish_rejected_total.
+  /// Binds per-tenant publish accounting, for tenants registered before
+  /// or after this call, into `registry` as lidc_qos_publish_bytes /
+  /// lidc_qos_publish_rejected_total.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
 
  private:
@@ -73,9 +74,12 @@ class TenantRegistry {
     std::uint64_t publishRejects = 0;
   };
 
+  void bindTenant(const std::string& id, const Entry& entry);
+
   // Ordered so iteration (telemetry mirrors, preemption scans) is
   // deterministic across runs.
   std::map<std::string, Entry> tenants_;
+  telemetry::MetricsRegistry* registry_ = nullptr;
 };
 
 }  // namespace lidc::qos

@@ -88,21 +88,20 @@ std::vector<std::string> ReplicaDirectory::knownDatasets() const {
 }
 
 void ReplicaDirectory::attachTelemetry(telemetry::MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
-    const telemetry::CollectorCounters& c = counters();
-    registry.counter("lidc_replica_directory_scrapes_total")
-        .set(static_cast<double>(c.scrapesStarted));
-    registry.counter("lidc_replica_directory_scrape_failures_total")
-        .set(static_cast<double>(c.scrapesFailed));
-    registry.counter("lidc_replica_directory_manifest_reuses_total")
-        .set(static_cast<double>(c.manifestReuses));
-    registry.counter("lidc_replica_directory_snapshots_fetched_total")
-        .set(static_cast<double>(c.snapshotsFetched));
+  const telemetry::CollectorCounters& c = counters();
+  registry.bindCounter("lidc_replica_directory_scrapes_total", {}, c.scrapesStarted);
+  registry.bindCounter("lidc_replica_directory_scrape_failures_total", {},
+                       c.scrapesFailed);
+  registry.bindCounter("lidc_replica_directory_manifest_reuses_total", {},
+                       c.manifestReuses);
+  registry.bindCounter("lidc_replica_directory_snapshots_fetched_total", {},
+                       c.snapshotsFetched);
+  registry.bindGauge("lidc_replica_directory_stale_clusters", {}, [this] {
     double stale = 0.0;
     for (const auto& cluster : watchedClusters()) {
       if (isStale(cluster)) stale += 1.0;
     }
-    registry.gauge("lidc_replica_directory_stale_clusters").set(stale);
+    return stale;
   });
 }
 

@@ -37,7 +37,7 @@ class ReplicaDirectory : public telemetry::SnapshotScraper {
   /// Union of all dataset URIs across non-stale views, sorted.
   [[nodiscard]] std::vector<std::string> knownDatasets() const;
 
-  /// Mirrors lidc_replica_directory_* counters into `registry`.
+  /// Binds lidc_replica_directory_* counters into `registry`.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
 
  private:

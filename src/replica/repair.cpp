@@ -70,25 +70,22 @@ void RepairLoop::stop() {
 }
 
 void RepairLoop::attachTelemetry(telemetry::MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
-    registry.counter("lidc_replica_repaired_total")
-        .set(static_cast<double>(repairs_completed_));
-    registry.counter("lidc_replica_repairs_enqueued_total")
-        .set(static_cast<double>(repairs_enqueued_));
-    registry.counter("lidc_replica_repair_failures_total")
-        .set(static_cast<double>(repairs_failed_));
-    registry.gauge("lidc_replica_under_replicated")
-        .set(static_cast<double>(under_replicated_));
-  });
+  registry.bindCounter("lidc_replica_repaired_total", {}, repairs_completed_);
+  registry.bindCounter("lidc_replica_repairs_enqueued_total", {}, repairs_enqueued_);
+  registry.bindCounter("lidc_replica_repair_failures_total", {}, repairs_failed_);
+  registry.bindGauge("lidc_replica_under_replicated", {},
+                     [this] { return static_cast<double>(under_replicated_); });
 }
 
 telemetry::AlertEngine::ValueSource repairValueSource(const RepairLoop& loop) {
-  return [&loop] {
-    return std::map<std::string, double>{
-        {"replica/under_replicated",
-         static_cast<double>(loop.underReplicated())},
-        {"replica/repairs_failed", static_cast<double>(loop.repairsFailed())},
-    };
+  return [&loop](std::string_view series) -> std::optional<double> {
+    if (series == "replica/under_replicated") {
+      return static_cast<double>(loop.underReplicated());
+    }
+    if (series == "replica/repairs_failed") {
+      return static_cast<double>(loop.repairsFailed());
+    }
+    return std::nullopt;
   };
 }
 

@@ -65,7 +65,7 @@ class RepairLoop {
     return under_replicated_;
   }
 
-  /// Mirrors lidc_replica_repaired_total and the
+  /// Binds lidc_replica_repaired_total and the
   /// lidc_replica_under_replicated gauge into `registry`.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
   void setFlightRecorder(telemetry::FlightRecorder* recorder) noexcept {

@@ -238,16 +238,11 @@ void TransferScheduler::settle(const std::shared_ptr<Entry>& entry,
 
 void TransferScheduler::attachTelemetry(telemetry::MetricsRegistry& registry) {
   const telemetry::Labels labels{{"cluster", cluster_name_}};
-  registry.registerCollector([this, &registry, labels] {
-    registry.counter("lidc_replica_staged_total", labels)
-        .set(static_cast<double>(staged_));
-    registry.counter("lidc_replica_bytes_moved_total", labels)
-        .set(static_cast<double>(bytes_moved_));
-    registry.counter("lidc_replica_capacity_rejected_total", labels)
-        .set(static_cast<double>(capacity_rejects_));
-    registry.counter("lidc_replica_stage_failures_total", labels)
-        .set(static_cast<double>(failures_));
-  });
+  registry.bindCounter("lidc_replica_staged_total", labels, staged_);
+  registry.bindCounter("lidc_replica_bytes_moved_total", labels, bytes_moved_);
+  registry.bindCounter("lidc_replica_capacity_rejected_total", labels,
+                       capacity_rejects_);
+  registry.bindCounter("lidc_replica_stage_failures_total", labels, failures_);
 }
 
 }  // namespace lidc::replica

@@ -102,7 +102,7 @@ class TransferScheduler {
   /// fail|cancel|reject-capacity ..." lines).
   [[nodiscard]] const std::string& eventLog() const noexcept { return log_; }
 
-  /// Mirrors lidc_replica_staged_total / lidc_replica_bytes_moved_total
+  /// Binds lidc_replica_staged_total / lidc_replica_bytes_moved_total
   /// / lidc_replica_capacity_rejected_total (labeled by cluster) into
   /// `registry`.
   void attachTelemetry(telemetry::MetricsRegistry& registry);

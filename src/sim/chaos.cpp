@@ -33,6 +33,7 @@ std::size_t ChaosEngine::declare(std::string label, FaultKind kind) {
   record.label = std::move(label);
   record.kind = kind;
   faults_.push_back(std::move(record));
+  if (registry_ != nullptr) bindFault(faults_.size() - 1);
   return faults_.size() - 1;
 }
 
@@ -252,19 +253,22 @@ std::uint64_t ChaosEngine::totalRecoveries() const noexcept {
 }
 
 void ChaosEngine::attachTelemetry(telemetry::MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
-    registry.counter("lidc_chaos_injections").set(totalInjections());
-    registry.counter("lidc_chaos_recoveries").set(totalRecoveries());
-    registry.gauge("lidc_chaos_faults_declared")
-        .set(static_cast<double>(faults_.size()));
-    for (const auto& fault : faults_) {
-      registry
-          .counter("lidc_chaos_fault_injections",
-                   {{"kind", std::string(faultKindName(fault.kind))},
-                    {"fault", fault.label}})
-          .set(fault.injections);
-    }
-  });
+  registry_ = &registry;
+  registry.bindCounter("lidc_chaos_injections", {},
+                       [this] { return totalInjections(); });
+  registry.bindCounter("lidc_chaos_recoveries", {},
+                       [this] { return totalRecoveries(); });
+  registry.bindGauge("lidc_chaos_faults_declared", {},
+                     [this] { return static_cast<double>(faults_.size()); });
+  for (std::size_t fault = 0; fault < faults_.size(); ++fault) bindFault(fault);
+}
+
+void ChaosEngine::bindFault(std::size_t fault) {
+  const FaultRecord& record = faults_[fault];
+  registry_->bindCounter(
+      "lidc_chaos_fault_injections",
+      {{"kind", std::string(faultKindName(record.kind))}, {"fault", record.label}},
+      [this, fault] { return faults_[fault].injections; });
 }
 
 }  // namespace lidc::sim

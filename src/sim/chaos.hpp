@@ -159,8 +159,9 @@ class ChaosEngine {
   [[nodiscard]] std::uint64_t totalInjections() const noexcept;
   [[nodiscard]] std::uint64_t totalRecoveries() const noexcept;
 
-  /// Syncs injection/recovery totals (and per-kind injection counters)
-  /// into `registry` at snapshot time.
+  /// Binds injection/recovery totals (and per-fault injection counters,
+  /// for faults declared before or after this call) into `registry`,
+  /// read at snapshot time.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
 
   /// Records every injection/recovery into `recorder`, so alert
@@ -172,6 +173,8 @@ class ChaosEngine {
  private:
   /// Registers a fault record; returns its index.
   std::size_t declare(std::string label, FaultKind kind);
+  /// Binds one fault's injection counter into registry_.
+  void bindFault(std::size_t fault);
   /// Schedules `action` at `at`, recording it in the trace and counters.
   void schedulePhase(std::size_t fault, Time at, bool inject,
                      std::function<void()> action);
@@ -181,6 +184,7 @@ class ChaosEngine {
   std::vector<FaultRecord> faults_;
   std::vector<ChaosEvent> trace_;
   telemetry::FlightRecorder* recorder_ = nullptr;
+  telemetry::MetricsRegistry* registry_ = nullptr;
 };
 
 }  // namespace lidc::sim

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "common/logging.hpp"
 
 namespace lidc::telemetry {
 
 namespace {
-
-double lookup(const std::map<std::string, double>& values,
-              const std::string& series) {
-  auto it = values.find(series);
-  return it == values.end() ? 0.0 : it->second;
-}
 
 /// Deterministic short double rendering for logs and reasons.
 std::string num(double value) {
@@ -71,7 +66,6 @@ void AlertEngine::addAnomalyRule(std::string name, std::string series,
 int AlertEngine::evaluate() {
   ++evaluations_;
   if (!source_) return 0;
-  const std::map<std::string, double> values = source_();
   int transitions = 0;
   for (Rule& rule : rules_) {
     bool breach = false;
@@ -81,12 +75,12 @@ int AlertEngine::evaluate() {
       case Rule::Kind::kThreshold: {
         // An absent series never breaches: a "health below x" rule must
         // not fire before the first scrape has produced the series.
-        const auto it = values.find(rule.series);
-        if (it == values.end()) {
+        const std::optional<double> current = source_(rule.series);
+        if (!current) {
           rule.consecutive = 0;
           break;
         }
-        value = it->second;
+        value = *current;
         const bool hit = rule.cmp == AlertComparison::kAbove
                              ? value > rule.threshold
                              : value < rule.threshold;
@@ -101,6 +95,18 @@ int AlertEngine::evaluate() {
         break;
       }
       case Rule::Kind::kSlo: {
+        // The tracker reads its one or two series from a map.
+        const SloSpec& spec = rule.slo->spec();
+        std::map<std::string, double> values;
+        const auto read = [&](const std::string& series) {
+          if (const auto v = source_(series)) values[series] = *v;
+        };
+        if (spec.kind == SloKind::kSuccessRatio) {
+          read(spec.goodSeries);
+          read(spec.totalSeries);
+        } else {
+          read(spec.valueSeries);
+        }
         const SloStatus status = rule.slo->evaluate(sim_.now(), values);
         breach = status.breached;
         value = status.gatingBurnRate;
@@ -113,7 +119,7 @@ int AlertEngine::evaluate() {
       }
       case Rule::Kind::kAnomaly: {
         const AnomalyPoint point =
-            rule.detector->observe(lookup(values, rule.series));
+            rule.detector->observe(source_(rule.series).value_or(0.0));
         breach = point.anomalous;
         value = point.value;
         if (breach) {
@@ -286,12 +292,11 @@ std::string AlertEngine::serializedLog() const {
 }
 
 void AlertEngine::attachTelemetry(MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
-    registry.counter("lidc_alerts_fired_total").set(fired_);
-    registry.counter("lidc_alerts_resolved_total").set(resolved_);
-    registry.counter("lidc_alerts_evaluations_total").set(evaluations_);
-    registry.gauge("lidc_alerts_firing").set(static_cast<double>(firingCount()));
-  });
+  registry.bindCounter("lidc_alerts_fired_total", {}, fired_);
+  registry.bindCounter("lidc_alerts_resolved_total", {}, resolved_);
+  registry.bindCounter("lidc_alerts_evaluations_total", {}, evaluations_);
+  registry.bindGauge("lidc_alerts_firing", {},
+                     [this] { return static_cast<double>(firingCount()); });
 }
 
 }  // namespace lidc::telemetry

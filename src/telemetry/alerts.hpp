@@ -1,7 +1,8 @@
 // Alert rule engine: threshold, SLO burn-rate, and anomaly rules
-// evaluated on the sim clock against a pluggable flat series map (a
-// registry flatten(), or a TelemetryCollector's scraped views via
-// collectorValueSource() in monitor.hpp). Each rule owns at most one
+// evaluated on the sim clock against a pluggable series lookup (e.g. a
+// TelemetryCollector's scraped views via collectorValueSource() in
+// monitor.hpp); an evaluation asks only for the series its rules
+// read. Each rule owns at most one
 // active alert; a fired alert snapshots the flight recorder's last-N
 // event window, so explainAlert(id) renders rule, triggering series,
 // reason, and recent structured events in one shot.
@@ -14,9 +15,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -53,7 +55,8 @@ struct Alert {
 
 class AlertEngine {
  public:
-  using ValueSource = std::function<std::map<std::string, double>()>;
+  /// Looks up one series; nullopt when it is absent.
+  using ValueSource = std::function<std::optional<double>(std::string_view series)>;
 
   explicit AlertEngine(sim::Simulator& sim, AlertEngineOptions options = {});
   ~AlertEngine();
@@ -103,7 +106,7 @@ class AlertEngine {
   /// transition, capped at maxLogLines.
   [[nodiscard]] std::string serializedLog() const;
 
-  /// Mirrors lidc_alerts_* counters/gauges into `registry`.
+  /// Binds lidc_alerts_* counters/gauges into `registry`.
   void attachTelemetry(MetricsRegistry& registry);
 
  private:

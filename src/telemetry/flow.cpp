@@ -1,7 +1,6 @@
 #include "telemetry/flow.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace lidc::telemetry {
 
@@ -29,16 +28,6 @@ bool safeLabelChar(char c) noexcept {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
          (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '=' ||
          c == '&' || c == ':' || c == '/' || c == '-';
-}
-
-void promLine(std::ostringstream& out, const std::string& name,
-              const Labels& labels, double value) {
-  out << name;
-  const std::string ls = labelString(labels);
-  if (!ls.empty()) out << '{' << ls << '}';
-  std::ostringstream v;
-  v << value;
-  out << ' ' << v.str() << '\n';
 }
 
 }  // namespace
@@ -233,17 +222,28 @@ FlowAccountant::FlowAccountant(sim::Simulator& sim,
     : sim_(sim), options_(options) {}
 
 LinkFlowStats* FlowAccountant::registerLink(const std::string& link) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = links_.find(link);
-  if (it == links_.end()) {
-    LinkEntry entry;
-    entry.stats = std::make_unique<LinkFlowStats>(
-        sim_, static_cast<std::uint64_t>(options_.bucketWidth.toNanos()));
-    entry.talkers = std::make_unique<SpaceSaving>(
-        options_.topK, options_.sketchWidth, options_.sketchDepth);
-    it = links_.emplace(link, std::move(entry)).first;
+  LinkEntry* created = nullptr;
+  MetricsRegistry* registry = nullptr;
+  LinkFlowStats* stats = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = links_.find(link);
+    if (it == links_.end()) {
+      LinkEntry entry;
+      entry.stats = std::make_unique<LinkFlowStats>(
+          sim_, static_cast<std::uint64_t>(options_.bucketWidth.toNanos()));
+      entry.talkers = std::make_unique<SpaceSaving>(
+          options_.topK, options_.sketchWidth, options_.sketchDepth);
+      it = links_.emplace(link, std::move(entry)).first;
+      created = &it->second;
+      registry = registry_;
+    }
+    stats = it->second.stats.get();
   }
-  return it->second.stats.get();
+  // Bound outside our lock: an export holds the registry's lock while
+  // it reads bound links, which takes ours.
+  if (registry != nullptr) bindLink(*registry, link, *created);
+  return stats;
 }
 
 LinkFlowStats* FlowAccountant::link(const std::string& link) noexcept {
@@ -329,27 +329,35 @@ std::uint64_t FlowAccountant::stagedBytes(const std::string& tenant) const {
   return sum;
 }
 
+double FlowAccountant::LinkEntry::utilization() const noexcept {
+  if (capacityBits <= 0) return 0.0;
+  const std::uint64_t windowNs = stats->trailingWindowNs();
+  if (windowNs == 0) return 0.0;
+  const double bits = static_cast<double>(stats->trailingWindowBytes()) * 8.0;
+  const double seconds = static_cast<double>(windowNs) * 1e-9;
+  return bits / (seconds * capacityBits);
+}
+
+double FlowAccountant::LinkEntry::dominantShare() const noexcept {
+  if (attributedBytes == 0) return 0.0;
+  std::uint64_t best = 0;
+  for (const auto& [tenant, bytes] : tenantBytes) {
+    if (tenant == "-") continue;  // unattributed traffic dominates nothing
+    best = std::max(best, bytes);
+  }
+  return static_cast<double>(best) / static_cast<double>(attributedBytes);
+}
+
 double FlowAccountant::utilization(const std::string& link) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const LinkEntry* entry = find(link);
-  if (entry == nullptr || entry->capacityBits <= 0) return 0.0;
-  const std::uint64_t windowNs = entry->stats->trailingWindowNs();
-  if (windowNs == 0) return 0.0;
-  const double bits = static_cast<double>(entry->stats->trailingWindowBytes()) * 8.0;
-  const double seconds = static_cast<double>(windowNs) * 1e-9;
-  return bits / (seconds * entry->capacityBits);
+  return entry == nullptr ? 0.0 : entry->utilization();
 }
 
 double FlowAccountant::dominantShare(const std::string& link) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const LinkEntry* entry = find(link);
-  if (entry == nullptr || entry->attributedBytes == 0) return 0.0;
-  std::uint64_t best = 0;
-  for (const auto& [tenant, bytes] : entry->tenantBytes) {
-    if (tenant == "-") continue;  // unattributed traffic dominates nothing
-    best = std::max(best, bytes);
-  }
-  return static_cast<double>(best) / static_cast<double>(entry->attributedBytes);
+  return entry == nullptr ? 0.0 : entry->dominantShare();
 }
 
 std::string FlowAccountant::dominantTenant(const std::string& link) const {
@@ -377,93 +385,83 @@ std::vector<TopKEntry> FlowAccountant::topTalkers(
 
 std::string FlowAccountant::toPrometheus() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream out;
+  std::string out;
   for (const auto& [name, entry] : links_) {
     const Labels link{{"link", name}};
     const LinkFlowStats& s = *entry.stats;
-    promLine(out, "lidc_link_interests_total", link,
-             static_cast<double>(s.interests()));
-    promLine(out, "lidc_link_data_total", link,
-             static_cast<double>(s.dataPackets()));
-    promLine(out, "lidc_link_nacks_total", link,
-             static_cast<double>(s.nacks()));
-    promLine(out, "lidc_link_bytes_total", link,
-             static_cast<double>(s.bytes()));
-    promLine(out, "lidc_link_cs_bytes_total", link,
-             static_cast<double>(s.csBytes()));
-    promLine(out, "lidc_link_upstream_bytes_total", link,
-             static_cast<double>(s.upstreamBytes()));
-    promLine(out, "lidc_link_capacity_bits_per_sec", link, entry.capacityBits);
-    // Inline recomputation (find() under the already-held lock).
-    double util = 0.0;
-    if (entry.capacityBits > 0) {
-      const std::uint64_t windowNs = s.trailingWindowNs();
-      if (windowNs > 0) {
-        util = static_cast<double>(s.trailingWindowBytes()) * 8.0 /
-               (static_cast<double>(windowNs) * 1e-9 * entry.capacityBits);
-      }
-    }
-    promLine(out, "lidc_link_utilization", link, util);
-    std::uint64_t best = 0;
+    appendSample(out, "lidc_link_interests_total", link,
+                 static_cast<double>(s.interests()));
+    appendSample(out, "lidc_link_data_total", link,
+                 static_cast<double>(s.dataPackets()));
+    appendSample(out, "lidc_link_nacks_total", link, static_cast<double>(s.nacks()));
+    appendSample(out, "lidc_link_bytes_total", link, static_cast<double>(s.bytes()));
+    appendSample(out, "lidc_link_cs_bytes_total", link,
+                 static_cast<double>(s.csBytes()));
+    appendSample(out, "lidc_link_upstream_bytes_total", link,
+                 static_cast<double>(s.upstreamBytes()));
+    appendSample(out, "lidc_link_capacity_bits_per_sec", link, entry.capacityBits);
+    appendSample(out, "lidc_link_utilization", link, entry.utilization());
+    appendSample(out, "lidc_link_dominant_share", link, entry.dominantShare());
     for (const auto& [tenant, bytes] : entry.tenantBytes) {
-      if (tenant != "-") best = std::max(best, bytes);
-    }
-    const double share =
-        entry.attributedBytes == 0
-            ? 0.0
-            : static_cast<double>(best) /
-                  static_cast<double>(entry.attributedBytes);
-    promLine(out, "lidc_link_dominant_share", link, share);
-    for (const auto& [tenant, bytes] : entry.tenantBytes) {
-      promLine(out, "lidc_flow_tenant_bytes_total",
-               {{"link", name}, {"tenant", tenant}},
-               static_cast<double>(bytes));
+      appendSample(out, "lidc_flow_tenant_bytes_total",
+                   {{"link", name}, {"tenant", tenant}}, static_cast<double>(bytes));
     }
     const auto top = entry.talkers->top();
     for (std::size_t i = 0; i < top.size(); ++i) {
       const FlowKey key = FlowKey::fromString(top[i].key);
-      promLine(out, "lidc_flow_topk_bytes",
-               {{"link", name},
-                {"rank", std::to_string(i + 1)},
-                {"group", key.group},
-                {"tenant", key.tenant},
-                {"tag", key.tag}},
-               static_cast<double>(top[i].count));
+      appendSample(out, "lidc_flow_topk_bytes",
+                   {{"link", name},
+                    {"rank", std::to_string(i + 1)},
+                    {"group", key.group},
+                    {"tenant", key.tenant},
+                    {"tag", key.tag}},
+                   static_cast<double>(top[i].count));
     }
   }
   for (const auto& [key, bytes] : staged_) {
-    promLine(out, "lidc_flow_staged_bytes_total",
-             {{"tenant", key.tenant}, {"group", key.group}, {"tag", key.tag}},
-             static_cast<double>(bytes));
+    appendSample(out, "lidc_flow_staged_bytes_total",
+                 {{"tenant", key.tenant}, {"group", key.group}, {"tag", key.tag}},
+                 static_cast<double>(bytes));
   }
-  return out.str();
+  return out;
 }
 
 void FlowAccountant::attachTelemetry(MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
-    std::vector<std::string> names = linkNames();
-    for (const std::string& name : names) {
-      LinkFlowStats* s = nullptr;
-      double capacity = 0;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const LinkEntry* entry = find(name);
-        if (entry == nullptr) continue;
-        s = entry->stats.get();
-        capacity = entry->capacityBits;
-      }
-      const Labels link{{"link", name}};
-      registry.counter("lidc_link_interests_total", link).set(s->interests());
-      registry.counter("lidc_link_data_total", link).set(s->dataPackets());
-      registry.counter("lidc_link_nacks_total", link).set(s->nacks());
-      registry.counter("lidc_link_bytes_total", link).set(s->bytes());
-      registry.counter("lidc_link_cs_bytes_total", link).set(s->csBytes());
-      registry.counter("lidc_link_upstream_bytes_total", link)
-          .set(s->upstreamBytes());
-      registry.gauge("lidc_link_capacity_bits_per_sec", link).set(capacity);
-      registry.gauge("lidc_link_utilization", link).set(utilization(name));
-      registry.gauge("lidc_link_dominant_share", link).set(dominantShare(name));
-    }
+  std::vector<std::pair<std::string, LinkEntry*>> existing;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    registry_ = &registry;
+    for (auto& [name, entry] : links_) existing.emplace_back(name, &entry);
+  }
+  for (const auto& [name, entry] : existing) bindLink(registry, name, *entry);
+}
+
+void FlowAccountant::bindLink(MetricsRegistry& registry, const std::string& name,
+                              const LinkEntry& entry) {
+  const Labels link{{"link", name}};
+  const LinkFlowStats* s = entry.stats.get();
+  registry.bindCounter("lidc_link_interests_total", link,
+                       [s] { return s->interests(); });
+  registry.bindCounter("lidc_link_data_total", link,
+                       [s] { return s->dataPackets(); });
+  registry.bindCounter("lidc_link_nacks_total", link, [s] { return s->nacks(); });
+  registry.bindCounter("lidc_link_bytes_total", link, [s] { return s->bytes(); });
+  registry.bindCounter("lidc_link_cs_bytes_total", link,
+                       [s] { return s->csBytes(); });
+  registry.bindCounter("lidc_link_upstream_bytes_total", link,
+                       [s] { return s->upstreamBytes(); });
+  const LinkEntry* e = &entry;
+  registry.bindGauge("lidc_link_capacity_bits_per_sec", link, [this, e] {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return e->capacityBits;
+  });
+  registry.bindGauge("lidc_link_utilization", link, [this, e] {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return e->utilization();
+  });
+  registry.bindGauge("lidc_link_dominant_share", link, [this, e] {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return e->dominantShare();
   });
 }
 

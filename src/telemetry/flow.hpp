@@ -307,9 +307,9 @@ class FlowAccountant {
     return revision_.load(std::memory_order_relaxed);
   }
 
-  /// Mirrors the fixed-cardinality lidc_link_* families into
-  /// `registry` via a collector callback (runs at snapshot time; the
-  /// hot path is untouched).
+  /// Binds the fixed-cardinality lidc_link_* families of every link,
+  /// registered before or after this call, into `registry` (read at
+  /// snapshot time; the hot path is untouched).
   void attachTelemetry(MetricsRegistry& registry);
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
@@ -324,9 +324,14 @@ class FlowAccountant {
     std::unique_ptr<SpaceSaving> talkers;
     std::map<std::string, std::uint64_t> tenantBytes;
     std::uint64_t attributedBytes = 0;
+
+    [[nodiscard]] double utilization() const noexcept;
+    [[nodiscard]] double dominantShare() const noexcept;
   };
 
   [[nodiscard]] const LinkEntry* find(const std::string& link) const;
+  void bindLink(MetricsRegistry& registry, const std::string& name,
+                const LinkEntry& entry);
 
   sim::Simulator& sim_;
   FlowAccountantOptions options_;
@@ -336,6 +341,7 @@ class FlowAccountant {
   std::map<FlowKey, std::uint64_t> staged_;
   std::uint64_t staged_total_ = 0;
   std::atomic<std::uint64_t> revision_{0};
+  MetricsRegistry* registry_ = nullptr;
 };
 
 }  // namespace lidc::telemetry

@@ -6,25 +6,32 @@
 // Hot-path discipline: handles returned by counter()/gauge()/histogram()
 // are stable for the registry's lifetime, and incrementing one is a
 // single relaxed atomic add — no lock, no lookup. Registration and
-// snapshotting take a mutex; components that keep legacy counter
-// structs can instead register a *collector* callback that syncs those
-// values into registry instruments right before each snapshot/export.
+// snapshotting take a mutex. Components that keep their own counter
+// structs instead *bind* each series once to the value that owns it (a
+// counter cell, or a callable for computed values); the registry reads
+// every bound series right before each snapshot/export, with no name or
+// label lookup.
 //
 // Exporters: toJson() (machine-readable, stable ordering) and
-// toPrometheus() (text exposition format; histograms as summaries).
-// The /ndn/k8s/telemetry monitoring plane publishes the Prometheus
-// form, and parsePrometheusText() turns it back into a flat value map
-// on the collector side.
+// toPrometheus() (text exposition format; histograms as summaries),
+// which appends each series' pre-rendered line head and its number into
+// one string. The /ndn/k8s/telemetry monitoring plane publishes the
+// Prometheus form, and SeriesTable decodes it back into a flat,
+// sorted series table on the collector side.
 #pragma once
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,8 +46,8 @@ class Counter {
   void inc(std::uint64_t n = 1) noexcept {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Absolute sync, used by collector callbacks mirroring legacy
-  /// counter structs at snapshot time.
+  /// Absolute sync, used when a bound series is refreshed at snapshot
+  /// time and when a live mirror carries over an earlier count.
   void set(std::uint64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -172,13 +179,22 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name, Labels labels = {});
   Histogram& histogram(const std::string& name, Labels labels = {});
 
-  /// Registers a callback run before every snapshot()/export, letting
-  /// components sync legacy counter structs into registry instruments
-  /// without touching their hot paths.
-  void registerCollector(std::function<void()> collect);
+  /// Binds a counter series to the cell its owner counts in, which must
+  /// outlive the registry's exports. The series is created at the first
+  /// snapshot()/export after the call and takes the cell's value at
+  /// that and every later snapshot/export, never in between. Binding a
+  /// series that already exists reuses it, so counter(name, labels)
+  /// still returns the same Counter.
+  void bindCounter(std::string name, Labels labels, const std::uint64_t& cell);
+  void bindCounter(std::string name, Labels labels, const std::uint64_t&& cell) = delete;
+  /// As above, for a count computed at export time.
+  void bindCounter(std::string name, Labels labels,
+                   std::function<std::uint64_t()> read);
+  /// Binds a gauge series to a value computed at export time.
+  void bindGauge(std::string name, Labels labels, std::function<double()> read);
 
-  /// Runs collectors, then returns every metric whose name starts with
-  /// `prefix` (empty = all), ordered by (name, labels).
+  /// Refreshes bound series, then returns every metric whose name starts
+  /// with `prefix` (empty = all), ordered by (name, labels).
   [[nodiscard]] std::vector<MetricSnapshot> snapshot(const std::string& prefix = "");
 
   /// {"metrics":[{"name":...,"labels":{...},"kind":...,"value":...},...]}
@@ -195,25 +211,131 @@ class MetricsRegistry {
   struct Entry {
     MetricKind kind;
     Labels labels;
+    /// Exposition line heads, rendered once at creation: `name{labels} `
+    /// for a counter or gauge; `_count`, `_sum` and the 0.5/0.9/0.99
+    /// quantile lines for a histogram.
+    std::vector<std::string> heads;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
+  using Entries = std::map<std::pair<std::string, std::string>, Entry>;
 
-  Entry& findOrCreate(const std::string& name, Labels labels, MetricKind kind);
-  void runCollectors();
+  /// Where a bound series reads its value: `count` for a counter,
+  /// `level` for a gauge.
+  struct Source {
+    std::function<std::uint64_t()> count;
+    std::function<double()> level;
+  };
+  /// A binding made since the last export, resolved at the next one.
+  struct PendingBinding {
+    std::string name;
+    Labels labels;
+    MetricKind kind;
+    Source source;
+  };
+  struct Binding {
+    Entry* entry;
+    Source source;
+  };
+
+  void bind(std::string name, Labels labels, MetricKind kind, Source source);
+  Entry& findOrCreateLocked(const std::string& name, Labels labels, MetricKind kind);
+  /// Creates the series of pending bindings, then reads every bound
+  /// value into its instrument. Bound sources run under the lock, so
+  /// they must not call back into the registry.
+  void refreshLocked();
+  /// The entries whose name starts with `prefix`: one contiguous run.
+  [[nodiscard]] std::pair<Entries::iterator, Entries::iterator> rangeLocked(
+      const std::string& prefix);
 
   mutable std::mutex mutex_;
   // (name, serialized labels) -> instrument; ordered for stable exports.
-  std::map<std::pair<std::string, std::string>, Entry> entries_;
-  std::vector<std::function<void()>> collectors_;
+  Entries entries_;
+  std::vector<PendingBinding> pending_;
+  std::vector<Binding> bindings_;
+  /// Export buffer, kept so each export renders without regrowing.
+  std::string render_;
 };
 
 /// Serializes labels as `k1="v1",k2="v2"` (sorted), "" when empty.
 std::string labelString(const Labels& labels);
 
-/// Parses Prometheus text back into {"name{labels}" or "name" -> value}.
-/// Comment lines are skipped; malformed lines are ignored.
+/// Appends one exposition line, `name{labels} value\n`, exactly as
+/// toPrometheus() renders a counter or gauge: labels sorted, braces
+/// omitted when there are none, an integral value below 1e15 in
+/// magnitude as its digits ("%.0f", "-0" for negative zero) and
+/// anything else as "%.6g".
+void appendSample(std::string& out, std::string_view name, const Labels& labels,
+                  double value);
+
+/// One decoded snapshot of Prometheus text: a flat table of rows, each
+/// an (offset, length, value) over the table's own text, sorted by
+/// series. Rows are offsets, not string_views, so moving a table (whose
+/// short text may live inline) never leaves a row dangling. Decoding is
+/// tolerant by construction, because text may arrive truncated or
+/// corrupted off the wire: comment lines, malformed or truncated lines,
+/// unbalanced label blocks and non-finite values are skipped, a
+/// duplicate series keeps its last value, and nothing ever throws.
+class SeriesTable {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = std::pair<std::string_view, double>;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = value_type;
+
+    const_iterator() = default;
+    [[nodiscard]] value_type operator*() const noexcept;
+    const_iterator& operator++() noexcept {
+      ++row_;
+      return *this;
+    }
+    const_iterator operator++(int) noexcept {
+      const_iterator before = *this;
+      ++row_;
+      return before;
+    }
+    bool operator==(const const_iterator&) const = default;
+
+   private:
+    friend class SeriesTable;
+    const_iterator(const SeriesTable* table, std::size_t row) noexcept
+        : table_(table), row_(row) {}
+    const SeriesTable* table_ = nullptr;
+    std::size_t row_ = 0;
+  };
+
+  SeriesTable() = default;
+  explicit SeriesTable(std::string text);
+
+  /// The series' value, or nullopt when the text did not carry it.
+  [[nodiscard]] std::optional<double> find(std::string_view series) const;
+  /// The decoded text.
+  [[nodiscard]] const std::string& text() const noexcept { return text_; }
+  [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
+  /// Series in sorted order, as (series, value) pairs.
+  [[nodiscard]] const_iterator begin() const noexcept { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const noexcept { return {this, rows_.size()}; }
+
+ private:
+  struct Row {
+    std::size_t offset;
+    std::size_t length;
+    double value;
+  };
+  [[nodiscard]] std::string_view series(const Row& row) const noexcept {
+    return std::string_view(text_).substr(row.offset, row.length);
+  }
+
+  std::string text_;
+  std::vector<Row> rows_;
+};
+
+/// Parses Prometheus text back into {"name{labels}" or "name" -> value},
+/// with SeriesTable's line rules.
 std::map<std::string, double> parsePrometheusText(const std::string& text);
 
 }  // namespace lidc::telemetry

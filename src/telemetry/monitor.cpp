@@ -33,11 +33,14 @@ TelemetryCollector::TelemetryCollector(ndn::Forwarder& forwarder,
                       kTelemetryPrefix, options.group, "_latest", options),
       health_(std::move(options.health)) {}
 
+void TelemetryCollector::onWatched(const std::string& cluster) {
+  if (registry_ != nullptr) bindHealthGauge(cluster);
+}
+
 void TelemetryCollector::onSnapshot(const std::string& cluster, std::string text) {
   ClusterView& view = views_[cluster];
   view.prevValues = std::move(view.values);
-  view.rawText = std::move(text);
-  view.values = parsePrometheusText(view.rawText);
+  view.values = SeriesTable(std::move(text));
 }
 
 const TelemetryCollector::ClusterView* TelemetryCollector::view(
@@ -50,8 +53,7 @@ double TelemetryCollector::metric(const std::string& cluster,
                                   const std::string& series) const {
   const ClusterView* v = view(cluster);
   if (!v) return 0.0;
-  auto it = v->values.find(series);
-  return it == v->values.end() ? 0.0 : it->second;
+  return v->values.find(series).value_or(0.0);
 }
 
 void TelemetryCollector::invalidate(const std::string& cluster) {
@@ -65,14 +67,12 @@ double clamp01(double v) { return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v); }
 
 /// Series lookup that tolerates both labeled ("name{cluster=\"x\"}")
 /// and bare ("name") exports.
-double seriesValue(const std::map<std::string, double>& values,
-                   const std::string& name, const std::string& cluster,
-                   double fallback) {
-  auto it = values.find(name + "{cluster=\"" + cluster + "\"}");
-  if (it != values.end()) return it->second;
-  it = values.find(name);
-  if (it != values.end()) return it->second;
-  return fallback;
+double seriesValue(const SeriesTable& values, const std::string& name,
+                   const std::string& cluster, double fallback) {
+  if (const auto labeled = values.find(name + "{cluster=\"" + cluster + "\"}")) {
+    return *labeled;
+  }
+  return values.find(name).value_or(fallback);
 }
 
 double seriesDelta(const TelemetryCollector::ClusterView& view,
@@ -138,38 +138,50 @@ void TelemetryCollector::onSettled(const std::string& cluster) {
 }
 
 void TelemetryCollector::attachTelemetry(MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
-    const CollectorCounters& c = counters();
-    registry.counter("lidc_collector_scrapes_started_total").set(c.scrapesStarted);
-    registry.counter("lidc_collector_scrape_failures_total").set(c.scrapesFailed);
-    registry.counter("lidc_collector_snapshots_fetched_total").set(c.snapshotsFetched);
-    registry.counter("lidc_collector_manifest_reuses_total").set(c.manifestReuses);
-    registry.counter("lidc_collector_signature_failures_total")
-        .set(c.signatureFailures);
+  registry_ = &registry;
+  const CollectorCounters& c = counters();
+  registry.bindCounter("lidc_collector_scrapes_started_total", {}, c.scrapesStarted);
+  registry.bindCounter("lidc_collector_scrape_failures_total", {}, c.scrapesFailed);
+  registry.bindCounter("lidc_collector_snapshots_fetched_total", {},
+                       c.snapshotsFetched);
+  registry.bindCounter("lidc_collector_manifest_reuses_total", {}, c.manifestReuses);
+  registry.bindCounter("lidc_collector_signature_failures_total", {},
+                       c.signatureFailures);
+  for (const auto& cluster : watchedClusters()) bindHealthGauge(cluster);
+  registry.bindGauge("lidc_collector_stale_clusters", {}, [this] {
     double stale = 0.0;
     for (const auto& cluster : watchedClusters()) {
       if (isStale(cluster)) stale += 1.0;
-      registry.gauge("lidc_collector_cluster_health", {{"cluster", cluster}})
-          .set(healthScore(cluster));
     }
-    registry.gauge("lidc_collector_stale_clusters").set(stale);
+    return stale;
   });
+}
+
+void TelemetryCollector::bindHealthGauge(const std::string& cluster) {
+  registry_->bindGauge("lidc_collector_cluster_health", {{"cluster", cluster}},
+                       [this, cluster] { return healthScore(cluster); });
 }
 
 AlertEngine::ValueSource collectorValueSource(
     const TelemetryCollector& collector) {
-  return [&collector] {
-    std::map<std::string, double> out;
-    for (const auto& cluster : collector.watchedClusters()) {
-      out[cluster + "/stale"] = collector.isStale(cluster) ? 1.0 : 0.0;
-      out[cluster + "/health"] = collector.healthScore(cluster);
-      if (const auto* v = collector.view(cluster)) {
-        for (const auto& [series, value] : v->values) {
-          out[cluster + "/" + series] = value;
-        }
+  return [&collector](std::string_view key) -> std::optional<double> {
+    // Later clusters shadow earlier ones, and a scraped series shadows a
+    // cluster's stale/health entry, as in one map filled in that order.
+    const std::vector<std::string>& clusters = collector.watchedClusters();
+    for (auto it = clusters.rbegin(); it != clusters.rend(); ++it) {
+      const std::string& cluster = *it;
+      if (key.size() <= cluster.size() || key[cluster.size()] != '/' ||
+          key.compare(0, cluster.size(), cluster) != 0) {
+        continue;
       }
+      const std::string_view rest = key.substr(cluster.size() + 1);
+      if (const auto* v = collector.view(cluster)) {
+        if (const auto value = v->values.find(rest)) return value;
+      }
+      if (rest == "health") return collector.healthScore(cluster);
+      if (rest == "stale") return collector.isStale(cluster) ? 1.0 : 0.0;
     }
-    return out;
+    return std::nullopt;
   };
 }
 

@@ -99,11 +99,16 @@ class TelemetryCollector : public SnapshotScraper {
   /// One cluster's latest scraped values (scrape progress and
   /// staleness live on the SnapshotScraper).
   struct ClusterView {
-    std::map<std::string, double> values;  // Prometheus series -> value
+    ClusterView() = default;
+    ClusterView(const ClusterView&) = delete;
+    ClusterView& operator=(const ClusterView&) = delete;
+
+    SeriesTable values;  // Prometheus series -> value
     /// Previous snapshot's values — rejection pressure is scored on
     /// the delta between consecutive snapshots, not lifetime totals.
-    std::map<std::string, double> prevValues;
-    std::string rawText;
+    SeriesTable prevValues;
+    /// The latest snapshot's text (the text `values` decodes).
+    const std::string& rawText = values.text();
     /// Hold-down state (see HealthPolicy::holdDown).
     sim::Time degradedUntil;
     double degradedScore = 1.0;
@@ -135,8 +140,9 @@ class TelemetryCollector : public SnapshotScraper {
     health_listener_ = std::move(listener);
   }
 
-  /// Mirrors lidc_collector_* counters plus the stale-cluster gauge and
-  /// per-cluster health gauges into `registry`.
+  /// Binds lidc_collector_* counters plus the stale-cluster gauge and a
+  /// health gauge per watched cluster (watched before or after this
+  /// call) into `registry`.
   void attachTelemetry(MetricsRegistry& registry);
 
   /// Forgets a cluster's scraped values (keeps it watched), forcing the
@@ -145,23 +151,27 @@ class TelemetryCollector : public SnapshotScraper {
   void invalidate(const std::string& cluster);
 
  private:
+  void onWatched(const std::string& cluster) override;
   void onSnapshot(const std::string& cluster, std::string text) override;
   /// Scores the cluster, arms the hold-down, and notifies the listener.
   void onSettled(const std::string& cluster) override;
   /// healthScore() without the hold-down memory.
   [[nodiscard]] double rawHealthScore(const std::string& cluster) const;
+  void bindHealthGauge(const std::string& cluster);
 
   HealthPolicy health_;
   std::map<std::string, ClusterView> views_;
   HealthListener health_listener_;
+  MetricsRegistry* registry_ = nullptr;
 };
 
 /// Adapter: an AlertEngine value source over a collector's scraped
-/// views. For every watched cluster C it exposes
+/// views. For every watched cluster C it answers
 ///   "<C>/stale"  — 1 when the cluster is stale, else 0
 ///   "<C>/health" — healthScore(C)
 ///   "<C>/<series>" — each scraped Prometheus series
-/// so rules can reference cross-cluster series with stable names.
+/// so rules can reference cross-cluster series with stable names. Each
+/// lookup reads only the series asked for.
 [[nodiscard]] AlertEngine::ValueSource collectorValueSource(
     const TelemetryCollector& collector);
 

@@ -6,9 +6,9 @@
 // burns faster than its threshold — a short window for responsiveness
 // plus a long window to reject blips.
 //
-// Trackers are fed flat series maps (MetricsRegistry::flatten() shape,
-// also what TelemetryCollector scrapes) on the sim clock, so a fixed
-// seed replays to byte-identical verdicts.
+// Trackers are fed flat series maps (MetricsRegistry::flatten() shape;
+// the AlertEngine passes the SLO's own series from its value source) on
+// the sim clock, so a fixed seed replays to byte-identical verdicts.
 #pragma once
 
 #include <deque>

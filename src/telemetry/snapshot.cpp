@@ -135,6 +135,7 @@ void SnapshotScraper::watchCluster(const std::string& cluster) {
   if (std::find(watched_.begin(), watched_.end(), cluster) == watched_.end()) {
     watched_.push_back(cluster);
     progress_[cluster];
+    onWatched(cluster);
   }
 }
 

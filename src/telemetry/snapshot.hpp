@@ -157,6 +157,8 @@ class SnapshotScraper {
                   std::uint64_t nonceSeed, ndn::Name root, std::string group,
                   std::string manifestComponent, ScrapeTiming timing);
 
+  /// Each cluster watchCluster() adds.
+  virtual void onWatched(const std::string& /*cluster*/) {}
   /// Each verified snapshot's text.
   virtual void onSnapshot(const std::string& cluster, std::string text) = 0;
   /// After every scrape attempt for `cluster` settles, success or failure.

@@ -38,21 +38,22 @@ std::uint64_t asCount(double v) {
 }  // namespace
 
 std::pair<std::string, std::map<std::string, std::string>> parseSeriesKey(
-    const std::string& series) {
+    std::string_view series) {
   const std::size_t brace = series.find('{');
-  if (brace == std::string::npos) return {series, {}};
+  if (brace == std::string_view::npos) return {std::string(series), {}};
   std::pair<std::string, std::map<std::string, std::string>> out{
-      series.substr(0, brace), {}};
+      std::string(series.substr(0, brace)), {}};
   std::size_t i = brace + 1;
   while (i < series.size() && series[i] != '}') {
     const std::size_t eq = series.find('=', i);
-    if (eq == std::string::npos || eq + 1 >= series.size() ||
+    if (eq == std::string_view::npos || eq + 1 >= series.size() ||
         series[eq + 1] != '"') {
       break;
     }
     const std::size_t close = series.find('"', eq + 2);
-    if (close == std::string::npos) break;
-    out.second[series.substr(i, eq - i)] = series.substr(eq + 2, close - eq - 2);
+    if (close == std::string_view::npos) break;
+    out.second[std::string(series.substr(i, eq - i))] =
+        std::string(series.substr(eq + 2, close - eq - 2));
     i = close + 1;
     if (i < series.size() && series[i] == ',') ++i;
   }
@@ -267,8 +268,13 @@ std::string Weathermap::explainLink(const std::string& link) const {
 }
 
 AlertEngine::ValueSource Weathermap::valueSource() const {
-  return [this] {
-    std::map<std::string, double> out = collectorValueSource(collector_)();
+  return [this, scraped = collectorValueSource(collector_)](
+             std::string_view key) -> std::optional<double> {
+    if (key != "fleet/max_utilization" && key != "fleet/max_dominant_share" &&
+        key != "fleet/hot_links") {
+      return scraped(key);
+    }
+    // Fleet aggregates are computed only when a rule asks for one.
     double maxUtil = 0;
     double maxShare = 0;
     double hot = 0;
@@ -279,10 +285,9 @@ AlertEngine::ValueSource Weathermap::valueSource() const {
         if (lv.utilization > options_.saturationWarn) ++hot;
       }
     }
-    out["fleet/max_utilization"] = maxUtil;
-    out["fleet/max_dominant_share"] = maxShare;
-    out["fleet/hot_links"] = hot;
-    return out;
+    if (key == "fleet/max_utilization") return maxUtil;
+    if (key == "fleet/max_dominant_share") return maxShare;
+    return hot;
   };
 }
 

@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/flight_recorder.hpp"
@@ -100,9 +101,10 @@ class Weathermap {
   [[nodiscard]] std::string explainLink(const std::string& link) const;
 
   /// AlertEngine value source: everything collectorValueSource()
-  /// exposes ("<cluster>/<series>") plus fleet aggregates
+  /// answers ("<cluster>/<series>") plus fleet aggregates
   /// "fleet/max_utilization", "fleet/max_dominant_share", and
-  /// "fleet/hot_links" (count of links over saturationWarn).
+  /// "fleet/hot_links" (count of links over saturationWarn), computed
+  /// when asked for.
   [[nodiscard]] AlertEngine::ValueSource valueSource() const;
 
   [[nodiscard]] TelemetryCollector& collector() noexcept { return collector_; }
@@ -133,6 +135,6 @@ class Weathermap {
 /// labels come back with an empty map; malformed label text yields the
 /// parseable prefix. Exposed for tests.
 [[nodiscard]] std::pair<std::string, std::map<std::string, std::string>>
-parseSeriesKey(const std::string& series);
+parseSeriesKey(std::string_view series);
 
 }  // namespace lidc::telemetry

@@ -272,7 +272,12 @@ TEST(GrayFailuresTest, AllJobsCompleteWithZeroCorruptResultsDelivered) {
   // The alert plane sees the same story: integrity drops at the client
   // host cross the threshold rule.
   telemetry::AlertEngine alerts(scenario.sim);
-  alerts.setValueSource([&] { return scenario.registry.flatten(); });
+  alerts.setValueSource([&](std::string_view series) -> std::optional<double> {
+    const auto flat = scenario.registry.flatten();
+    const auto it = flat.find(std::string(series));
+    if (it == flat.end()) return std::nullopt;
+    return it->second;
+  });
   alerts.addThresholdRule("integrity-drops", R"(lidc_integrity_drops_total{node="client-host"})",
                           telemetry::AlertComparison::kAbove, 0.0);
   alerts.evaluate();

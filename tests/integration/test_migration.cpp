@@ -273,10 +273,9 @@ TEST(MigrationIntegrationTest, RestoreFailuresColdStartAndRaiseAlert) {
   telemetry::AlertEngineOptions alertOptions;
   alertOptions.evaluateInterval = sim::Duration::millis(500);
   telemetry::AlertEngine alerts(sim, alertOptions);
-  alerts.setValueSource([&cc] {
-    return std::map<std::string, double>{
-        {"ckpt/restore_failures",
-         static_cast<double>(cc.gateway().counters().ckptRestoreFailures)}};
+  alerts.setValueSource([&cc](std::string_view series) -> std::optional<double> {
+    if (series != "ckpt/restore_failures") return std::nullopt;
+    return static_cast<double>(cc.gateway().counters().ckptRestoreFailures);
   });
   alerts.addThresholdRule("ckpt-restore-failures", "ckpt/restore_failures",
                           telemetry::AlertComparison::kAbove, 1.0,

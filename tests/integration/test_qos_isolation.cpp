@@ -75,7 +75,12 @@ struct QosScenario {
     alertOptions.eventWindow = 16;
     alertOptions.evaluateInterval = sim::Duration::seconds(1);
     alerts = std::make_unique<telemetry::AlertEngine>(sim, alertOptions);
-    alerts->setValueSource([this] { return registry.flatten("lidc_qos"); });
+    alerts->setValueSource([this](std::string_view series) -> std::optional<double> {
+      const auto flat = registry.flatten("lidc_qos");
+      const auto it = flat.find(std::string(series));
+      if (it == flat.end()) return std::nullopt;
+      return it->second;
+    });
     alerts->setFlightRecorder(recorder.get());
     alerts->addThresholdRule(
         "noisy-quota-rejects",

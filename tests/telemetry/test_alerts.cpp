@@ -20,7 +20,11 @@ class AlertEngineTest : public ::testing::Test {
   sim::Simulator sim;
 
   void bind(AlertEngine& engine) {
-    engine.setValueSource([this] { return values; });
+    engine.setValueSource([this](std::string_view series) -> std::optional<double> {
+      const auto it = values.find(std::string(series));
+      if (it == values.end()) return std::nullopt;
+      return it->second;
+    });
   }
 };
 
@@ -111,10 +115,11 @@ TEST_F(AlertEngineTest, SloRuleFiresOnSustainedBurn) {
   spec.windows = {{sim::Duration::seconds(5), 1.0}};
   engine.addSloRule(spec);
   // 10 requests/s; everything succeeds until t=10s, then hard failure.
-  engine.setValueSource([this] {
+  engine.setValueSource([this](std::string_view series) -> std::optional<double> {
     const double t = sim.now().toSeconds();
-    return std::map<std::string, double>{
-        {"good", 10.0 * std::min(t, 10.0)}, {"total", 10.0 * t}};
+    if (series == "good") return 10.0 * std::min(t, 10.0);
+    if (series == "total") return 10.0 * t;
+    return std::nullopt;
   });
   engine.start();
 
@@ -189,10 +194,10 @@ TEST_F(AlertEngineTest, SerializedLogIsDeterministic) {
   const auto run = [] {
     sim::Simulator sim;
     AlertEngine engine(sim);
-    engine.setValueSource([&sim] {
+    engine.setValueSource([&sim](std::string_view series) -> std::optional<double> {
       const double t = sim.now().toSeconds();
-      return std::map<std::string, double>{
-          {"x", (t >= 5.0 && t < 12.0) ? 3.0 : 0.0}};
+      if (series != "x") return std::nullopt;
+      return (t >= 5.0 && t < 12.0) ? 3.0 : 0.0;
     });
     engine.addThresholdRule("r", "x", AlertComparison::kAbove, 1.0);
     engine.start();

@@ -311,8 +311,9 @@ TEST(FlowAccountantTest, PrometheusExportCarriesAllFamilies) {
             std::string::npos);
   EXPECT_NE(text.find("lidc_link_upstream_bytes_total{link=\"link://a->b\"} 1500"),
             std::string::npos);
-  EXPECT_NE(text.find("lidc_link_capacity_bits_per_sec{link=\"link://a->b\"} 1e+09"),
-            std::string::npos);
+  EXPECT_NE(
+      text.find("lidc_link_capacity_bits_per_sec{link=\"link://a->b\"} 1000000000"),
+      std::string::npos);
   EXPECT_NE(
       text.find("lidc_flow_tenant_bytes_total{link=\"link://a->b\",tenant=\"noisy\"} 1500"),
       std::string::npos);
@@ -327,6 +328,23 @@ TEST(FlowAccountantTest, PrometheusExportCarriesAllFamilies) {
 
   // The export itself is deterministic.
   EXPECT_EQ(text, accountant.toPrometheus());
+}
+
+TEST(FlowAccountantTest, CountersAboveAMillionExportExactly) {
+  sim::Simulator sim;
+  FlowAccountant accountant(sim);
+  accountant.registerLink("link://a->b");
+  accountant.link("link://a->b")->onData(1234567);
+  accountant.recordTransfer({"staging", "acme", "plan-1"}, 7654321);
+
+  const std::string text = accountant.toPrometheus();
+  EXPECT_NE(text.find("lidc_link_bytes_total{link=\"link://a->b\"} 1234567\n"),
+            std::string::npos);
+  const auto flat = parsePrometheusText(text);
+  EXPECT_EQ(flat.at("lidc_link_bytes_total{link=\"link://a->b\"}"), 1234567.0);
+  EXPECT_EQ(flat.at("lidc_flow_staged_bytes_total{group=\"staging\",tag=\"plan-1\","
+                    "tenant=\"acme\"}"),
+            7654321.0);
 }
 
 TEST(FlowAccountantTest, MirrorsLinkFamiliesIntoRegistry) {

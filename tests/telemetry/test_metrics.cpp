@@ -1,10 +1,12 @@
 // MetricsRegistry unit tests: instrument semantics (counter, gauge,
-// log2 histogram quantiles), labeled families, collector callbacks,
-// exporter round-trips, and hot-path thread safety (the concurrent
+// log2 histogram quantiles), labeled families, bound series, exporter
+// round-trips, and hot-path thread safety (the concurrent
 // tests are what the ThreadSanitizer CI job exercises).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -98,19 +100,72 @@ TEST(MetricsTest, SnapshotFiltersByPrefixAndOrders) {
   EXPECT_DOUBLE_EQ(lidc[1].value, 2.0);
 }
 
-TEST(MetricsTest, CollectorRunsBeforeSnapshotAndMayCreateInstruments) {
+TEST(MetricsTest, BoundSeriesReadOwnerAtEverySnapshot) {
   MetricsRegistry registry;
-  std::uint64_t legacy = 7;
-  registry.registerCollector([&registry, &legacy] {
-    // Creating the instrument inside the collector must not deadlock.
-    registry.counter("lidc_legacy_total").set(legacy);
-  });
+  std::uint64_t cell = 7;
+  double level = 0.25;
+  registry.bindCounter("lidc_bound_total", {}, cell);
+  registry.bindGauge("lidc_bound_level", {{"node", "n1"}}, [&level] { return level; });
   auto snaps = registry.snapshot();
-  ASSERT_EQ(snaps.size(), 1u);
-  EXPECT_DOUBLE_EQ(snaps[0].value, 7.0);
-  legacy = 11;
+  ASSERT_EQ(snaps.size(), 2u);
+  EXPECT_EQ(snaps[0].name, "lidc_bound_level");
+  EXPECT_DOUBLE_EQ(snaps[0].value, 0.25);
+  EXPECT_DOUBLE_EQ(snaps[1].value, 7.0);
+
+  cell = 11;
+  level = 0.5;
+  // Between exports the series keeps the value it was last refreshed to.
+  EXPECT_EQ(registry.counter("lidc_bound_total").value(), 7u);
   snaps = registry.snapshot();
-  EXPECT_DOUBLE_EQ(snaps[0].value, 11.0);
+  EXPECT_DOUBLE_EQ(snaps[0].value, 0.5);
+  EXPECT_DOUBLE_EQ(snaps[1].value, 11.0);
+  EXPECT_EQ(registry.counter("lidc_bound_total").value(), 11u);
+}
+
+TEST(MetricsTest, BindingAppearsAtFirstExportNotBefore) {
+  MetricsRegistry registry;
+  std::uint64_t cell = 3;
+  registry.bindCounter("lidc_lazy_total", {{"cluster", "east"}}, cell);
+  registry.bindCounter("lidc_lazy_computed_total", {}, [] { return std::uint64_t{5}; });
+  EXPECT_EQ(registry.size(), 0u);
+
+  const std::string text = registry.toPrometheus();
+  EXPECT_EQ(registry.size(), 2u);
+  EXPECT_NE(text.find("lidc_lazy_total{cluster=\"east\"} 3\n"), std::string::npos);
+  EXPECT_NE(text.find("lidc_lazy_computed_total 5\n"), std::string::npos);
+}
+
+TEST(MetricsTest, BindingReusesSeriesCounterAlreadyCreated) {
+  MetricsRegistry registry;
+  Counter& existing = registry.counter("lidc_shared_total", {{"a", "1"}, {"b", "2"}});
+  existing.inc(4);
+  std::uint64_t cell = 9;
+  // Label order does not matter: this is the same series.
+  registry.bindCounter("lidc_shared_total", {{"b", "2"}, {"a", "1"}}, cell);
+  (void)registry.snapshot();
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(&registry.counter("lidc_shared_total", {{"a", "1"}, {"b", "2"}}),
+            &existing);
+  EXPECT_EQ(existing.value(), 9u);
+}
+
+TEST(MetricsTest, FamilyMemberBoundAfterExportAppearsAtNextExport) {
+  MetricsRegistry registry;
+  std::uint64_t first = 1;
+  std::uint64_t second = 2;
+  registry.bindCounter("lidc_member_total", {{"tenant", "a"}}, first);
+  const std::string before = registry.toPrometheus();
+  EXPECT_EQ(before,
+            "# TYPE lidc_member_total counter\n"
+            "lidc_member_total{tenant=\"a\"} 1\n");
+
+  registry.bindCounter("lidc_member_total", {{"tenant", "b"}}, second);
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.toPrometheus(),
+            "# TYPE lidc_member_total counter\n"
+            "lidc_member_total{tenant=\"a\"} 1\n"
+            "lidc_member_total{tenant=\"b\"} 2\n");
+  EXPECT_EQ(registry.size(), 2u);
 }
 
 TEST(MetricsTest, PrometheusRoundTrip) {
@@ -134,6 +189,67 @@ TEST(MetricsTest, PrometheusRoundTrip) {
 
   // flatten() is exactly the scraped-collector view of toPrometheus().
   EXPECT_EQ(registry.flatten(), values);
+}
+
+// Pins the exposition text byte for byte: it is the payload the
+// monitoring plane ships, so any change to it moves every scrape.
+TEST(MetricsTest, PrometheusExpositionIsByteStable) {
+  MetricsRegistry registry;
+  const double inf = std::numeric_limits<double>::infinity();
+  // Labels given out of order; "app" sorts before "quantile" and
+  // "zone" after it.
+  registry.counter("lidc_golden_jobs_total", {{"zone", "west"}, {"app", "blast"}})
+      .inc(7);
+  registry.counter("lidc_golden_jobs_total", {{"app", "align"}, {"zone", "east"}})
+      .inc(1000000000000000);
+  registry.gauge("lidc_golden_x", {{"v", "tenth"}}).set(0.1);
+  registry.gauge("lidc_golden_x", {{"v", "big"}}).set(1e15);
+  registry.gauge("lidc_golden_x", {{"v", "below_big"}}).set(999999999999999.0);
+  registry.gauge("lidc_golden_x", {{"v", "negative"}}).set(-42.0);
+  registry.gauge("lidc_golden_x", {{"v", "fraction"}}).set(1234567.5);
+  registry.gauge("lidc_golden_x", {{"v", "neg_zero"}}).set(-0.0);
+  registry.gauge("lidc_golden_x", {{"v", "nan"}})
+      .set(std::numeric_limits<double>::quiet_NaN());
+  registry.gauge("lidc_golden_x", {{"v", "pos_inf"}}).set(inf);
+  registry.gauge("lidc_golden_x", {{"v", "neg_inf"}}).set(-inf);
+  // A family name that is a prefix of another family name.
+  registry.counter("lidc_golden_x_total").inc(2);
+  Histogram& wait =
+      registry.histogram("lidc_golden_wait_us", {{"zone", "east"}, {"app", "blast"}});
+  wait.observe(3.0);
+  wait.observe(100.0, /*exemplarTrace=*/0xabc);
+  wait.observe(5000.5);
+  registry.gauge("other_golden_level").set(12.5);
+
+  const std::string family =
+      "# TYPE lidc_golden_x gauge\n"
+      "lidc_golden_x{v=\"below_big\"} 999999999999999\n"
+      "lidc_golden_x{v=\"big\"} 1e+15\n"
+      "lidc_golden_x{v=\"fraction\"} 1.23457e+06\n"
+      "lidc_golden_x{v=\"nan\"} nan\n"
+      "lidc_golden_x{v=\"neg_inf\"} -inf\n"
+      "lidc_golden_x{v=\"neg_zero\"} -0\n"
+      "lidc_golden_x{v=\"negative\"} -42\n"
+      "lidc_golden_x{v=\"pos_inf\"} inf\n"
+      "lidc_golden_x{v=\"tenth\"} 0.1\n"
+      "# TYPE lidc_golden_x_total counter\n"
+      "lidc_golden_x_total 2\n";
+  EXPECT_EQ(registry.toPrometheus(),
+            "# TYPE lidc_golden_jobs_total counter\n"
+            "lidc_golden_jobs_total{app=\"align\",zone=\"east\"} 1e+15\n"
+            "lidc_golden_jobs_total{app=\"blast\",zone=\"west\"} 7\n"
+            "# TYPE lidc_golden_wait_us summary\n"
+            "lidc_golden_wait_us_count{app=\"blast\",zone=\"east\"} 3\n"
+            "lidc_golden_wait_us_sum{app=\"blast\",zone=\"east\"} 5103.5\n"
+            "lidc_golden_wait_us{app=\"blast\",quantile=\"0.5\",zone=\"east\"} 96\n"
+            "lidc_golden_wait_us{app=\"blast\",quantile=\"0.9\",zone=\"east\"} 6144\n"
+            "lidc_golden_wait_us{app=\"blast\",quantile=\"0.99\",zone=\"east\"} "
+            "6144\n" +
+                family +
+                "# TYPE other_golden_level gauge\n"
+                "other_golden_level 12.5\n");
+  EXPECT_EQ(registry.toPrometheus("lidc_golden_x"), family);
+  EXPECT_EQ(registry.toPrometheus("no_such_prefix"), "");
 }
 
 TEST(MetricsTest, JsonExportContainsHistogramSummary) {

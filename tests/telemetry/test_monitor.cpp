@@ -378,16 +378,14 @@ TEST(MonitorTest, CollectorValueSourceExposesPrefixedSeries) {
   world.sim.run();
 
   const auto source = collectorValueSource(*world.collector);
-  const auto values = source();
-  EXPECT_DOUBLE_EQ(values.at("east/stale"), 0.0);
-  EXPECT_DOUBLE_EQ(values.at("east/health"), 1.0);
-  EXPECT_DOUBLE_EQ(values.at("east/lidc_cluster_free_cpu_m{cluster=\"east\"}"),
+  EXPECT_DOUBLE_EQ(source("east/stale").value(), 0.0);
+  EXPECT_DOUBLE_EQ(source("east/health").value(), 1.0);
+  EXPECT_DOUBLE_EQ(source("east/lidc_cluster_free_cpu_m{cluster=\"east\"}").value(),
                    8000.0);
 
   world.collector->invalidate("east");
-  const auto stale = source();
-  EXPECT_DOUBLE_EQ(stale.at("east/stale"), 1.0);
-  EXPECT_DOUBLE_EQ(stale.at("east/health"), 0.0);
+  EXPECT_DOUBLE_EQ(source("east/stale").value(), 1.0);
+  EXPECT_DOUBLE_EQ(source("east/health").value(), 0.0);
 }
 
 }  // namespace

@@ -166,18 +166,32 @@ TEST(WeathermapTest, HotAndDominatedLinksDropFlightRecorderEvents) {
             std::string::npos);
 }
 
+TEST(WeathermapTest, ByteCountsAboveAMillionSurviveTheScrape) {
+  WeathermapWorld world;
+  world.accountant.registerLink("link://east->ops");
+  world.accountant.link("link://east->ops")->onData(1234567);
+  world.accountant.recordTransfer({"staging", "acme", "plan-1"}, 7654321);
+  world.weathermap->scrapeOnce();
+  world.sim.run();
+
+  EXPECT_EQ(world.weathermap->links().at("east").at("link://east->ops").bytes,
+            1234567u);
+  EXPECT_NE(world.weathermap->weathermapJson().find("\"acme|staging|plan-1\":7654321"),
+            std::string::npos);
+}
+
 TEST(WeathermapTest, ValueSourceExposesFleetAggregates) {
   WeathermapWorld world;
   world.seedTraffic();
   world.weathermap->scrapeOnce();
   world.sim.run();
 
-  const auto values = world.weathermap->valueSource()();
-  EXPECT_DOUBLE_EQ(values.at("east/stale"), 0.0);
-  EXPECT_NEAR(values.at("fleet/max_dominant_share"), 1500.0 / 1600.0, 1e-9);
-  EXPECT_DOUBLE_EQ(values.at("fleet/hot_links"), 0.0);
+  const auto source = world.weathermap->valueSource();
+  EXPECT_DOUBLE_EQ(source("east/stale").value(), 0.0);
+  EXPECT_NEAR(source("fleet/max_dominant_share").value(), 1500.0 / 1600.0, 1e-9);
+  EXPECT_DOUBLE_EQ(source("fleet/hot_links").value(), 0.0);
   EXPECT_DOUBLE_EQ(
-      values.at("east/lidc_link_bytes_total{link=\"link://east->ops\"}"),
+      source("east/lidc_link_bytes_total{link=\"link://east->ops\"}").value(),
       1540.0);
 }
 
