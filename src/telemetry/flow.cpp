@@ -259,14 +259,6 @@ void FlowAccountant::setLinkCapacity(const std::string& link,
   links_[link].capacityBits = bitsPerSec;
 }
 
-std::vector<std::string> FlowAccountant::linkNames() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(links_.size());
-  for (const auto& [name, entry] : links_) out.push_back(name);
-  return out;
-}
-
 const FlowAccountant::LinkEntry* FlowAccountant::find(
     const std::string& link) const {
   auto it = links_.find(link);

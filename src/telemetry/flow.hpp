@@ -266,7 +266,6 @@ class FlowAccountant {
   LinkFlowStats* registerLink(const std::string& link);
   [[nodiscard]] LinkFlowStats* link(const std::string& link) noexcept;
   void setLinkCapacity(const std::string& link, double bitsPerSec);
-  [[nodiscard]] std::vector<std::string> linkNames() const;
 
   /// Attribution path: `bytes` of Data for `key` crossed `link`
   /// (downstream). fromCache marks bytes served out of a Content
