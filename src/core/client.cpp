@@ -1,7 +1,9 @@
 #include "core/client.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
+#include <variant>
 
 #include "common/logging.hpp"
 #include "core/wire_format.hpp"
@@ -11,6 +13,14 @@ namespace lidc::core {
 namespace {
 constexpr sim::Time kNoDeadline =
     sim::Time::fromNanos(std::numeric_limits<std::int64_t>::max());
+/// Backoff growth per submit attempt, and the seeded jitter band
+/// around it (a factor in [1 - kBackoffJitter, 1 + kBackoffJitter]).
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.2;
+/// A RESOURCE_EXHAUSTED retry waits this many times the normal backoff.
+constexpr double kQuotaBackoffScale = 4.0;
+/// Quantile of observed ack latencies that arms the hedge timer.
+constexpr double kHedgeQuantile = 0.99;
 
 std::uint64_t fnv1a(const std::string& text) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
@@ -62,12 +72,97 @@ Status nackStatus(ndn::NackReason reason, const std::string& what, int attempts)
   }
   return Status::Unavailable(detail);
 }
+
+Result<JobStatusSnapshot> decodeStatus(const ndn::Data& data) {
+  const KvMap fields = decodeKv(data.contentAsString());
+  JobStatusSnapshot snapshot;
+  if (auto it = fields.find("error");
+      it != fields.end() && fields.count("state") == 0) {
+    return Status::NotFound(it->second);
+  }
+  if (auto it = fields.find("state"); it != fields.end()) {
+    const std::string& state = it->second;
+    if (state == "Pending") {
+      snapshot.state = k8s::JobState::kPending;
+    } else if (state == "Running") {
+      snapshot.state = k8s::JobState::kRunning;
+    } else if (state == "Completed") {
+      snapshot.state = k8s::JobState::kCompleted;
+    } else {
+      snapshot.state = k8s::JobState::kFailed;
+    }
+  }
+  if (auto it = fields.find("cluster"); it != fields.end()) {
+    snapshot.cluster = it->second;
+  }
+  if (auto it = fields.find("result"); it != fields.end()) {
+    snapshot.resultPath = it->second;
+  }
+  if (auto it = fields.find("output_bytes"); it != fields.end()) {
+    snapshot.outputBytes = strings::parseUint(it->second).value_or(0);
+  }
+  if (auto it = fields.find("runtime_s"); it != fields.end()) {
+    snapshot.runtime =
+        sim::Duration::seconds(strings::parseDouble(it->second).value_or(0));
+  }
+  if (auto it = fields.find("error"); it != fields.end()) {
+    snapshot.error = it->second;
+  }
+  return snapshot;
+}
 }  // namespace
 
-sim::Time LidcClient::deadlineFor(sim::Time startedAt) const {
-  if (options_.deadline.toNanos() <= 0) return kNoDeadline;
-  return startedAt + options_.deadline;
-}
+struct LidcClient::Leg {
+  int race = 0;  // the attempt that sent it (JobRun::race at send time)
+  bool hedge = false;
+  sim::Time sentAt;
+  telemetry::TraceContext span;
+};
+
+/// One request's life, from its first submit Interest to its single
+/// terminal callback: submitting (legs, backoff retries) -> polling ->
+/// finished, where a failover (Failed job, dark status, watchdog, or
+/// the health or breaker gate) goes back to submitting under a fresh
+/// request id. submit() stops at the ack, waitForCompletion() starts at
+/// the first poll, and runToCompletion() runs the whole machine. Each
+/// field is stored once; timers and Interests hold the run, and every
+/// transition is a LidcClient member.
+struct LidcClient::JobRun {
+  ComputeRequest request;  // carries the current submit cycle's request id
+  std::variant<SubmitCallback, StatusCallback, OutcomeCallback> done;
+  sim::Time startedAt;
+  sim::Time deadlineAt;
+  /// Parent of the run's spans and instants: the "job" span of a
+  /// runToCompletion(), else the caller's context.
+  telemetry::TraceContext root;
+  int failovers = 0;
+
+  // Submitting. `attempt` counts retries since the last failover; `race`
+  // numbers every attempt of the run, so a leg answering after its
+  // attempt settled (a hedge loser) is recognised as cancelled.
+  int attempt = 0;
+  int race = 0;
+  bool settled = false;  // the race was won, or every leg failed
+  int outstanding = 0;   // legs of the current race not yet answered
+
+  // Polling.
+  SubmitResult ack;
+  ndn::Name statusName;
+  telemetry::TraceContext await;  // "await-completion" span
+  int pollFailures = 0;           // consecutive
+  sim::Time progressSince;        // Pending watchdog anchor
+
+  bool finished = false;
+
+  /// Hands the terminal result to the caller; a run finishes once.
+  template <typename T>
+  void finish(Result<T> result) {
+    assert(!finished && "a JobRun finishes at most once");
+    finished = true;
+    auto callback = std::get<std::function<void(Result<T>)>>(std::move(done));
+    callback(std::move(result));
+  }
+};
 
 ndn::Name LidcClient::requestName(const ComputeRequest& request) const {
   if (options_.tenant.empty()) return request.toName();
@@ -155,332 +250,344 @@ sim::Duration LidcClient::hedgeDelay() const {
   std::sort(sorted.begin(), sorted.end());
   const auto index = std::min(
       sorted.size() - 1,
-      static_cast<std::size_t>(options_.hedgeQuantile *
-                               static_cast<double>(sorted.size())));
+      static_cast<std::size_t>(kHedgeQuantile * static_cast<double>(sorted.size())));
   return std::max(options_.hedgeDelayFloor, sim::Duration::seconds(sorted[index]));
 }
 
 sim::Duration LidcClient::backoffDelay(int attempt) {
   double delay = options_.backoffInitial.toSeconds();
-  for (int i = 0; i < attempt; ++i) delay *= options_.backoffMultiplier;
+  for (int i = 0; i < attempt; ++i) delay *= kBackoffMultiplier;
   delay = std::min(delay, options_.backoffMax.toSeconds());
-  const double jitter =
-      1.0 + options_.backoffJitter * (2.0 * rng_.uniformDouble() - 1.0);
+  const double jitter = 1.0 + kBackoffJitter * (2.0 * rng_.uniformDouble() - 1.0);
   return sim::Duration::seconds(delay * jitter);
+}
+
+void LidcClient::closeLegSpan(const Leg& leg, const char* outcome) {
+  telemetry::Tracer* tracer = this->tracer();
+  if (tracer != nullptr && leg.span) {
+    tracer->setAttr(leg.span, "outcome", outcome);
+    tracer->endSpan(leg.span);
+  }
+}
+
+LidcClient::RunPtr LidcClient::newRun(telemetry::TraceContext root) {
+  auto run = std::make_shared<JobRun>();
+  run->startedAt = forwarder_.simulator().now();
+  run->deadlineAt = options_.deadline.toNanos() > 0
+                        ? run->startedAt + options_.deadline
+                        : kNoDeadline;
+  run->root = root;
+  return run;
 }
 
 void LidcClient::submit(ComputeRequest request, SubmitCallback done,
                         telemetry::TraceContext parent) {
-  if (options_.bypassCache && request.requestId.empty()) {
-    // Unique request id defeats caches and Interest aggregation.
-    request.requestId = name_ + "-" + std::to_string(next_request_id_++);
-  }
-  auto shared = std::make_shared<ComputeRequest>(std::move(request));
-  const sim::Time now = forwarder_.simulator().now();
-  submitAttempt(std::move(shared), 0, now, deadlineFor(now), std::move(done),
-                parent);
+  RunPtr run = newRun(parent);
+  run->request = std::move(request);
+  run->done.emplace<SubmitCallback>(std::move(done));
+  startSubmitting(run);
 }
 
-void LidcClient::retryOrGiveUp(std::shared_ptr<ComputeRequest> request,
-                               int attempt, sim::Time startedAt,
-                               sim::Time deadlineAt, SubmitCallback done,
-                               Status why, telemetry::TraceContext parent) {
+void LidcClient::waitForCompletion(const ndn::Name& statusName, StatusCallback done,
+                                   telemetry::TraceContext parent) {
+  RunPtr run = newRun(parent);
+  run->done.emplace<StatusCallback>(std::move(done));
+  run->statusName = statusName;
+  run->progressSince = run->startedAt;
+  poll(run);
+}
+
+void LidcClient::runToCompletion(ComputeRequest request, OutcomeCallback done,
+                                 telemetry::TraceContext parent) {
+  // Root of the job's span tree: a fresh trace, or a child of the
+  // caller's span (e.g. a workflow-stage span).
+  telemetry::TraceContext root;
+  if (telemetry::Tracer* tracer = this->tracer()) {
+    const telemetry::SpanAttrs attrs{{"app", request.app}};
+    root = parent ? tracer->startSpan("job", "client:" + name_, parent, attrs)
+                  : tracer->startTrace("job", "client:" + name_, attrs);
+  }
+  RunPtr run = newRun(root);
+  run->request = std::move(request);
+  run->done.emplace<OutcomeCallback>(std::move(done));
+  startSubmitting(run);
+}
+
+void LidcClient::startSubmitting(const RunPtr& run) {
+  std::string& requestId = run->request.requestId;
+  if (run->failovers > 0) {
+    // A fresh request id guarantees the resubmission is a new name: no
+    // content store, PIT aggregation, or gateway dedup entry can answer
+    // with the dead job, so the forwarding strategy is free to place it
+    // on a healthy cluster.
+    requestId = name_ + "-fo" + std::to_string(run->failovers) + "-" +
+                std::to_string(next_request_id_++);
+  }
+  if (options_.bypassCache && requestId.empty()) {
+    // Unique request id defeats caches and Interest aggregation.
+    requestId = name_ + "-" + std::to_string(next_request_id_++);
+  }
+  run->attempt = 0;
+  submitAttempt(run);
+}
+
+void LidcClient::submitAttempt(const RunPtr& run) {
+  const int race = ++run->race;
+  run->settled = false;
+  run->outstanding = 0;
+  sendLeg(run, run->request, /*hedge=*/false);
+  if (!options_.enableHedging) return;
+  const sim::Duration delay = hedgeDelay();
+  forwarder_.simulator().scheduleAfter(delay, [this, run, race, delay] {
+    // Already answered (or every leg failed), or a later attempt began.
+    if (run->race != race || run->settled) return;
+    if (forwarder_.simulator().now() >= run->deadlineAt) return;
+    ++hedges_issued_;
+    if (telemetry_) {
+      telemetry_->hedgesIssued->inc();
+      if (telemetry_->tracer != nullptr) {
+        telemetry_->tracer->instant("hedge", "client:" + name_, run->root,
+                                    {{"delay_ms", std::to_string(delay.toMillis())}});
+      }
+    }
+    LIDC_FR_EVENT(recorder_, kWarn, "client",
+                  name_ + " hedge after " + std::to_string(delay.toMillis()) +
+                      "ms attempt=" + std::to_string(run->attempt));
+    // A fresh request id makes the backup a new name: no PIT entry
+    // or content store can collapse it onto the stalled primary, so
+    // the forwarding strategy is free to try another path.
+    ComputeRequest backup = run->request;
+    backup.requestId = (backup.requestId.empty() ? name_ : backup.requestId) +
+                       "-h" + std::to_string(next_request_id_++);
+    sendLeg(run, backup, /*hedge=*/true);
+  });
+}
+
+void LidcClient::sendLeg(const RunPtr& run, const ComputeRequest& request,
+                         bool hedge) {
+  ++submits_;
+  if (telemetry_) telemetry_->submits->inc();
+  const sim::Time now = forwarder_.simulator().now();
+  submit_attempt_log_.push_back(now);
+  ++run->outstanding;
+
+  Leg leg{run->race, hedge, now, {}};
+  if (telemetry::Tracer* tracer = this->tracer()) {
+    telemetry::SpanAttrs attrs{{"attempt", std::to_string(run->attempt)}};
+    if (options_.enableHedging) attrs.emplace_back("hedge", hedge ? "1" : "0");
+    leg.span = tracer->startSpan("submit-attempt", "client:" + name_, run->root,
+                                 std::move(attrs));
+  }
+
+  ndn::Interest interest(requestName(request));
+  interest.setLifetime(options_.interestLifetime);
+  interest.setTraceContext(leg.span);
+  interest.setFlowLabel({options_.tenant, request.flowTag});
+  // MustBeFresh keeps network caches from answering with acks older
+  // than the gateway's ackFreshness; within that window, identical
+  // canonical requests may legitimately be served from any CS.
+  interest.setMustBeFresh(true);
+
+  face_->expressInterest(
+      std::move(interest),
+      [this, run, leg](const ndn::Interest&, const ndn::Data& data) {
+        onAck(run, leg, data);
+      },
+      [this, run, leg](const ndn::Interest&, const ndn::Nack& nack) {
+        onLegFailed(run, leg, &nack);
+      },
+      [this, run, leg](const ndn::Interest&) { onLegFailed(run, leg, nullptr); });
+}
+
+void LidcClient::onAck(const RunPtr& run, const Leg& leg, const ndn::Data& data) {
+  if (leg.race != run->race || run->settled) {
+    // Another leg already won: this is the cancelled loser.
+    ++hedges_cancelled_;
+    if (telemetry_) telemetry_->hedgesCancelled->inc();
+    closeLegSpan(leg, "hedge-lost");
+    return;
+  }
+  run->settled = true;
+  --run->outstanding;
+  if (leg.hedge) {
+    ++hedges_won_;
+    if (telemetry_) telemetry_->hedgesWon->inc();
+  }
+  const sim::Time now = forwarder_.simulator().now();
+  recordAckLatency(now - leg.sentAt);
+  const KvMap fields = decodeKv(data.contentAsString());
+  if (auto it = fields.find("error"); it != fields.end()) {
+    closeLegSpan(leg, "error");
+    onSubmitted(run, Status::InvalidArgument(it->second));
+    return;
+  }
+  SubmitResult result;
+  if (auto it = fields.find("job_id"); it != fields.end()) {
+    result.jobId = it->second;
+  }
+  if (auto it = fields.find("cluster"); it != fields.end()) {
+    result.cluster = it->second;
+  }
+  if (auto it = fields.find("status_name"); it != fields.end()) {
+    result.statusName = it->second;
+  } else if (!result.jobId.empty() && !result.cluster.empty()) {
+    result.statusName = makeStatusName(result.cluster, result.jobId).toUri();
+  }
+  result.cached = fields.count("cached") > 0;
+  result.deduplicated = fields.count("deduplicated") > 0;
+  if (auto it = fields.find("result"); it != fields.end()) {
+    result.resultPath = it->second;
+  }
+  if (auto it = fields.find("output_bytes"); it != fields.end()) {
+    result.outputBytes = strings::parseUint(it->second).value_or(0);
+  }
+  result.placementLatency = now - run->startedAt;
+  closeLegSpan(leg, leg.hedge             ? "hedge-won"
+                    : result.cached       ? "cache-hit"
+                    : result.deduplicated ? "dedup"
+                                          : "ack");
+  onSubmitted(run, std::move(result));
+}
+
+void LidcClient::onLegFailed(const RunPtr& run, const Leg& leg,
+                             const ndn::Nack* nack) {
+  closeLegSpan(leg, nack != nullptr ? "nack" : "timeout");
+  if (leg.race != run->race || run->settled) return;
+  // The last leg to fail settles the attempt, so a pending hedge timer
+  // is a no-op.
+  if (--run->outstanding > 0) return;
+  run->settled = true;
+  if (nack == nullptr) {
+    retryOrGiveUp(run, Status::Timeout("compute request timed out after " +
+                                       std::to_string(run->attempt + 1) +
+                                       " attempts"));
+    return;
+  }
+  Status why = nackStatus(nack->reason(), "compute request", run->attempt + 1);
+  if (isRetryableNack(nack->reason())) {
+    retryOrGiveUp(run, std::move(why));
+  } else {
+    onSubmitted(run, std::move(why));
+  }
+}
+
+void LidcClient::retryOrGiveUp(const RunPtr& run, Status why) {
+  const int attempt = run->attempt;
   if (attempt + 1 > options_.maxSubmitRetries) {
-    done(std::move(why));
+    onSubmitted(run, std::move(why));
     return;
   }
   sim::Duration delay = backoffDelay(attempt);
-  if (why.code() == StatusCode::kResourceExhausted &&
-      options_.quotaBackoffScale > 1.0) {
+  if (why.code() == StatusCode::kResourceExhausted) {
     // Quota pressure is global (the tenant's budget, not this path):
     // retrying fast or failing over cannot help, so wait it out.
-    delay = delay * options_.quotaBackoffScale;
+    delay = delay * kQuotaBackoffScale;
   }
-  if (forwarder_.simulator().now() + delay > deadlineAt) {
-    done(Status::Timeout("deadline exceeded after " +
-                         std::to_string(attempt + 1) + " submit attempts (" +
-                         why.toString() + ")"));
+  if (forwarder_.simulator().now() + delay > run->deadlineAt) {
+    onSubmitted(run, Status::Timeout("deadline exceeded after " +
+                                     std::to_string(attempt + 1) +
+                                     " submit attempts (" + why.toString() + ")"));
     return;
   }
   if (telemetry_) {
     telemetry_->retries->inc();
     if (telemetry_->tracer != nullptr) {
-      telemetry_->tracer->instant(
-          "backoff", "client:" + name_, parent,
-          {{"delay_ms", std::to_string(delay.toMillis())},
-           {"after", why.toString()}});
+      telemetry_->tracer->instant("backoff", "client:" + name_, run->root,
+                                  {{"delay_ms", std::to_string(delay.toMillis())},
+                                   {"after", why.toString()}});
     }
   }
   LIDC_FR_EVENT(recorder_, kWarn, "client",
                 name_ + " backoff attempt=" + std::to_string(attempt + 1) +
                     " delay_ms=" + std::to_string(delay.toMillis()) + " after " +
                     why.toString());
-  forwarder_.simulator().scheduleAfter(
-      delay, [this, request = std::move(request), attempt, startedAt, deadlineAt,
-              done = std::move(done), parent] {
-        submitAttempt(request, attempt + 1, startedAt, deadlineAt, done, parent);
-      });
+  forwarder_.simulator().scheduleAfter(delay, [this, run] {
+    ++run->attempt;
+    submitAttempt(run);
+  });
 }
 
-void LidcClient::submitAttempt(std::shared_ptr<ComputeRequest> request, int attempt,
-                               sim::Time startedAt, sim::Time deadlineAt,
-                               SubmitCallback done,
-                               telemetry::TraceContext parent) {
-  if (options_.enableHedging) {
-    submitAttemptHedged(std::move(request), attempt, startedAt, deadlineAt,
-                        std::move(done), parent);
+void LidcClient::onSubmitted(const RunPtr& run, Result<SubmitResult> ack) {
+  if (std::holds_alternative<SubmitCallback>(run->done)) {
+    run->finish(std::move(ack));
     return;
   }
-  ++submits_;
-  if (telemetry_) telemetry_->submits->inc();
-  submit_attempt_log_.push_back(forwarder_.simulator().now());
-
-  telemetry::TraceContext span;
-  telemetry::Tracer* tracer = telemetry_ ? telemetry_->tracer : nullptr;
-  if (tracer != nullptr) {
-    span = tracer->startSpan("submit-attempt", "client:" + name_, parent,
-                             {{"attempt", std::to_string(attempt)}});
-  }
-  auto closeSpan = [tracer, span](const char* outcome) {
-    if (tracer != nullptr && span) {
-      tracer->setAttr(span, "outcome", outcome);
-      tracer->endSpan(span);
+  if (!ack.ok()) {
+    if (ack.status().code() == StatusCode::kResourceExhausted) {
+      // The tenant's quota is exhausted federation-wide; a fresh
+      // request id on another cluster hits the same budget. Report
+      // RESOURCE_EXHAUSTED instead of burning the failover budget.
+      finishJob(*run, ack.status());
+      return;
     }
-  };
-
-  ndn::Interest interest(requestName(*request));
-  interest.setLifetime(options_.interestLifetime);
-  interest.setTraceContext(span);
-  interest.setFlowLabel({options_.tenant, request->flowTag});
-  // MustBeFresh keeps network caches from answering with acks older
-  // than the gateway's ackFreshness; within that window, identical
-  // canonical requests may legitimately be served from any CS.
-  interest.setMustBeFresh(true);
-
-  const sim::Time sentAt = forwarder_.simulator().now();
-  face_->expressInterest(
-      interest,
-      [this, startedAt, sentAt, done, closeSpan](const ndn::Interest&,
-                                                 const ndn::Data& data) {
-        recordAckLatency(forwarder_.simulator().now() - sentAt);
-        const KvMap fields = decodeKv(data.contentAsString());
-        if (auto it = fields.find("error"); it != fields.end()) {
-          closeSpan("error");
-          done(Status::InvalidArgument(it->second));
-          return;
-        }
-        SubmitResult result;
-        if (auto it = fields.find("job_id"); it != fields.end()) {
-          result.jobId = it->second;
-        }
-        if (auto it = fields.find("cluster"); it != fields.end()) {
-          result.cluster = it->second;
-        }
-        if (auto it = fields.find("status_name"); it != fields.end()) {
-          result.statusName = it->second;
-        } else if (!result.jobId.empty() && !result.cluster.empty()) {
-          result.statusName = makeStatusName(result.cluster, result.jobId).toUri();
-        }
-        result.cached = fields.count("cached") > 0;
-        result.deduplicated = fields.count("deduplicated") > 0;
-        if (auto it = fields.find("result"); it != fields.end()) {
-          result.resultPath = it->second;
-        }
-        if (auto it = fields.find("output_bytes"); it != fields.end()) {
-          result.outputBytes = strings::parseUint(it->second).value_or(0);
-        }
-        result.placementLatency = forwarder_.simulator().now() - startedAt;
-        closeSpan(result.cached ? "cache-hit"
-                                : (result.deduplicated ? "dedup" : "ack"));
-        done(std::move(result));
-      },
-      [this, request, attempt, startedAt, deadlineAt, done, closeSpan,
-       parent](const ndn::Interest&, const ndn::Nack& nack) {
-        closeSpan("nack");
-        Status why = nackStatus(nack.reason(), "compute request", attempt + 1);
-        if (isRetryableNack(nack.reason())) {
-          retryOrGiveUp(request, attempt, startedAt, deadlineAt, done,
-                        std::move(why), parent);
-        } else {
-          done(std::move(why));
-        }
-      },
-      [this, request, attempt, startedAt, deadlineAt, done, closeSpan,
-       parent](const ndn::Interest&) {
-        closeSpan("timeout");
-        retryOrGiveUp(request, attempt, startedAt, deadlineAt, done,
-                      Status::Timeout("compute request timed out after " +
-                                      std::to_string(attempt + 1) +
-                                      " attempts"),
-                      parent);
-      });
-}
-
-/// Shared state of one hedged submit attempt. A race is "settled" once
-/// a winner delivered its result (or every leg failed); late responses
-/// after that are cancelled losers and only bump counters.
-struct LidcClient::HedgeRace {
-  bool settled = false;
-  int outstanding = 0;
-  Status error;
-  bool retryable = false;
-};
-
-void LidcClient::submitAttemptHedged(std::shared_ptr<ComputeRequest> request,
-                                     int attempt, sim::Time startedAt,
-                                     sim::Time deadlineAt, SubmitCallback done,
-                                     telemetry::TraceContext parent) {
-  auto race = std::make_shared<HedgeRace>();
-  sendSubmitLeg(race, /*isHedge=*/false, request, request, attempt, startedAt,
-                deadlineAt, done, parent);
-  const sim::Duration delay = hedgeDelay();
-  forwarder_.simulator().scheduleAfter(
-      delay, [this, race, request, attempt, startedAt, deadlineAt, done, parent,
-              delay] {
-        if (race->settled) return;  // already answered (or already failed)
-        if (forwarder_.simulator().now() >= deadlineAt) return;
-        ++hedges_issued_;
-        if (telemetry_) {
-          telemetry_->hedgesIssued->inc();
-          if (telemetry_->tracer != nullptr) {
-            telemetry_->tracer->instant(
-                "hedge", "client:" + name_, parent,
-                {{"delay_ms", std::to_string(delay.toMillis())}});
-          }
-        }
-        LIDC_FR_EVENT(recorder_, kWarn, "client",
-                      name_ + " hedge after " + std::to_string(delay.toMillis()) +
-                          "ms attempt=" + std::to_string(attempt));
-        // A fresh request id makes the backup a new name: no PIT entry
-        // or content store can collapse it onto the stalled primary, so
-        // the forwarding strategy is free to try another path.
-        auto backup = std::make_shared<ComputeRequest>(*request);
-        backup->requestId = (backup->requestId.empty() ? name_ : backup->requestId) +
-                            "-h" + std::to_string(next_request_id_++);
-        sendSubmitLeg(race, /*isHedge=*/true, std::move(backup), request, attempt,
-                      startedAt, deadlineAt, done, parent);
-      });
-}
-
-void LidcClient::sendSubmitLeg(std::shared_ptr<HedgeRace> race, bool isHedge,
-                               std::shared_ptr<ComputeRequest> legRequest,
-                               std::shared_ptr<ComputeRequest> request, int attempt,
-                               sim::Time startedAt, sim::Time deadlineAt,
-                               SubmitCallback done,
-                               telemetry::TraceContext parent) {
-  ++submits_;
-  if (telemetry_) telemetry_->submits->inc();
-  submit_attempt_log_.push_back(forwarder_.simulator().now());
-  ++race->outstanding;
-  const sim::Time sentAt = forwarder_.simulator().now();
-
-  telemetry::TraceContext span;
-  telemetry::Tracer* tracer = telemetry_ ? telemetry_->tracer : nullptr;
-  if (tracer != nullptr) {
-    span = tracer->startSpan("submit-attempt", "client:" + name_, parent,
-                             {{"attempt", std::to_string(attempt)},
-                              {"hedge", isHedge ? "1" : "0"}});
+    failOver(run, ack.status());
+    return;
   }
-  auto closeSpan = [tracer, span](const char* outcome) {
-    if (tracer != nullptr && span) {
-      tracer->setAttr(span, "outcome", outcome);
-      tracer->endSpan(span);
-    }
-  };
-
-  ndn::Interest interest(requestName(*legRequest));
-  interest.setLifetime(options_.interestLifetime);
-  interest.setTraceContext(span);
-  interest.setFlowLabel({options_.tenant, legRequest->flowTag});
-  interest.setMustBeFresh(true);
-
-  face_->expressInterest(
-      interest,
-      [this, race, isHedge, sentAt, startedAt, done, closeSpan](
-          const ndn::Interest&, const ndn::Data& data) {
-        if (race->settled) {
-          // The other leg already won: this is the cancelled loser.
-          ++hedges_cancelled_;
-          if (telemetry_) telemetry_->hedgesCancelled->inc();
-          closeSpan("hedge-lost");
-          return;
-        }
-        race->settled = true;
-        --race->outstanding;
-        if (isHedge) {
-          ++hedges_won_;
-          if (telemetry_) telemetry_->hedgesWon->inc();
-        }
-        recordAckLatency(forwarder_.simulator().now() - sentAt);
-        const KvMap fields = decodeKv(data.contentAsString());
-        if (auto it = fields.find("error"); it != fields.end()) {
-          closeSpan("error");
-          done(Status::InvalidArgument(it->second));
-          return;
-        }
-        SubmitResult result;
-        if (auto it = fields.find("job_id"); it != fields.end()) {
-          result.jobId = it->second;
-        }
-        if (auto it = fields.find("cluster"); it != fields.end()) {
-          result.cluster = it->second;
-        }
-        if (auto it = fields.find("status_name"); it != fields.end()) {
-          result.statusName = it->second;
-        } else if (!result.jobId.empty() && !result.cluster.empty()) {
-          result.statusName = makeStatusName(result.cluster, result.jobId).toUri();
-        }
-        result.cached = fields.count("cached") > 0;
-        result.deduplicated = fields.count("deduplicated") > 0;
-        if (auto it = fields.find("result"); it != fields.end()) {
-          result.resultPath = it->second;
-        }
-        if (auto it = fields.find("output_bytes"); it != fields.end()) {
-          result.outputBytes = strings::parseUint(it->second).value_or(0);
-        }
-        result.placementLatency = forwarder_.simulator().now() - startedAt;
-        closeSpan(isHedge ? "hedge-won"
-                          : (result.cached ? "cache-hit"
-                                           : (result.deduplicated ? "dedup" : "ack")));
-        done(std::move(result));
-      },
-      [this, race, request, attempt, startedAt, deadlineAt, done, closeSpan,
-       parent](const ndn::Interest&, const ndn::Nack& nack) {
-        closeSpan("nack");
-        if (race->settled) return;
-        --race->outstanding;
-        race->error = nackStatus(nack.reason(), "compute request", attempt + 1);
-        race->retryable = isRetryableNack(nack.reason());
-        if (race->outstanding == 0) {
-          // Every leg failed; settle so a pending hedge timer is a no-op.
-          race->settled = true;
-          if (race->retryable) {
-            retryOrGiveUp(request, attempt, startedAt, deadlineAt, done,
-                          race->error, parent);
-          } else {
-            done(race->error);
-          }
-        }
-      },
-      [this, race, request, attempt, startedAt, deadlineAt, done, closeSpan,
-       parent](const ndn::Interest&) {
-        closeSpan("timeout");
-        if (race->settled) return;
-        --race->outstanding;
-        race->error =
-            Status::Timeout("compute request timed out after " +
-                            std::to_string(attempt + 1) + " attempts");
-        race->retryable = true;
-        if (race->outstanding == 0) {
-          race->settled = true;
-          retryOrGiveUp(request, attempt, startedAt, deadlineAt, done,
-                        race->error, parent);
-        }
-      });
+  telemetry::Tracer* tracer = this->tracer();
+  if (tracer != nullptr && run->root && !ack->jobId.empty()) {
+    // Bind early so explain(job_id) works even for jobs that never
+    // reach a terminal state (e.g. lost with their cluster).
+    tracer->bindJob(ack->jobId, run->root.trace);
+  }
+  const sim::Time now = forwarder_.simulator().now();
+  if (ack->cached) {
+    // Cache hit: no job to wait for.
+    JobOutcome outcome;
+    outcome.finalStatus.state = k8s::JobState::kCompleted;
+    outcome.finalStatus.cluster = ack->cluster;
+    outcome.finalStatus.resultPath = ack->resultPath;
+    outcome.finalStatus.outputBytes = ack->outputBytes;
+    outcome.submit = std::move(*ack);
+    outcome.totalLatency = now - run->startedAt;
+    outcome.failovers = run->failovers;
+    finishJob(*run, std::move(outcome));
+    return;
+  }
+  // Both gates are skipped once the failover budget is spent — a
+  // possible job beats an error.
+  const bool canFailOver = run->failovers < options_.maxFailovers;
+  // Telemetry-steered proactive failover: the ack names the cluster the
+  // job landed on; if the health plane says it is degraded, resubmit
+  // elsewhere now rather than poll a job that is likely to stall or
+  // fail. It runs before the breaker gate because a half-open breaker
+  // counts every request it allows as a probe awaiting an outcome, and
+  // a job steered off here never reports one.
+  if (options_.healthProvider && options_.minClusterHealth > 0.0 && canFailOver &&
+      !ack->cluster.empty() &&
+      options_.healthProvider(ack->cluster) < options_.minClusterHealth) {
+    LIDC_FR_EVENT(recorder_, kWarn, "client", name_ + " steering off " + ack->cluster);
+    failOver(run, Status::Unavailable("cluster " + ack->cluster +
+                                      " health below minimum"));
+    return;
+  }
+  // Circuit breaker gate: if the cluster's breaker refuses requests
+  // (tripped by consecutive failures — gray gateways, limping nodes),
+  // abandon this attempt and fail over with a fresh request id instead
+  // of parking the job on a cluster that keeps answering but never
+  // delivers.
+  if (CircuitBreaker* breaker = breakerFor(ack->cluster);
+      breaker != nullptr && canFailOver && !breaker->allowRequest(now)) {
+    ++breaker_steered_;
+    if (telemetry_) telemetry_->breakerSteered->inc();
+    LIDC_FR_EVENT(recorder_, kWarn, "client",
+                  name_ + " breaker open, steering off " + ack->cluster);
+    failOver(run, Status::Unavailable("circuit breaker open for " + ack->cluster));
+    return;
+  }
+  if (tracer != nullptr) {
+    run->await = tracer->startSpan("await-completion", "client:" + name_, run->root,
+                                   {{"job_id", ack->jobId}});
+  }
+  run->statusName = ndn::Name(ack->statusName);
+  run->ack = std::move(*ack);
+  run->pollFailures = 0;
+  run->progressSince = now;
+  poll(run);
 }
 
-void LidcClient::queryStatus(const ndn::Name& statusName, StatusCallback done,
-                             telemetry::TraceContext parent) {
+template <typename OnStatus>
+void LidcClient::expressStatus(const ndn::Name& statusName,
+                               telemetry::TraceContext parent, OnStatus onStatus) {
   if (telemetry_) telemetry_->polls->inc();
   ndn::Interest interest(statusName);
   interest.setTraceContext(parent);
@@ -488,358 +595,179 @@ void LidcClient::queryStatus(const ndn::Name& statusName, StatusCallback done,
   interest.setLifetime(options_.interestLifetime);
 
   face_->expressInterest(
-      interest,
-      [done](const ndn::Interest&, const ndn::Data& data) {
-        const KvMap fields = decodeKv(data.contentAsString());
-        JobStatusSnapshot snapshot;
-        if (auto it = fields.find("error");
-            it != fields.end() && fields.count("state") == 0) {
-          done(Status::NotFound(it->second));
-          return;
-        }
-        if (auto it = fields.find("state"); it != fields.end()) {
-          const std::string& state = it->second;
-          if (state == "Pending") {
-            snapshot.state = k8s::JobState::kPending;
-          } else if (state == "Running") {
-            snapshot.state = k8s::JobState::kRunning;
-          } else if (state == "Completed") {
-            snapshot.state = k8s::JobState::kCompleted;
-          } else {
-            snapshot.state = k8s::JobState::kFailed;
-          }
-        }
-        if (auto it = fields.find("cluster"); it != fields.end()) {
-          snapshot.cluster = it->second;
-        }
-        if (auto it = fields.find("result"); it != fields.end()) {
-          snapshot.resultPath = it->second;
-        }
-        if (auto it = fields.find("output_bytes"); it != fields.end()) {
-          snapshot.outputBytes = strings::parseUint(it->second).value_or(0);
-        }
-        if (auto it = fields.find("runtime_s"); it != fields.end()) {
-          snapshot.runtime =
-              sim::Duration::seconds(strings::parseDouble(it->second).value_or(0));
-        }
-        if (auto it = fields.find("error"); it != fields.end()) {
-          snapshot.error = it->second;
-        }
-        done(std::move(snapshot));
+      std::move(interest),
+      [onStatus](const ndn::Interest&, const ndn::Data& data) {
+        onStatus(decodeStatus(data));
       },
-      [done](const ndn::Interest&, const ndn::Nack& nack) {
-        done(Status::Unavailable("status query nacked: " +
-                                 std::string(ndn::nackReasonName(nack.reason()))));
+      [onStatus](const ndn::Interest&, const ndn::Nack& nack) {
+        onStatus(Status::Unavailable("status query nacked: " +
+                                     std::string(ndn::nackReasonName(nack.reason()))));
       },
-      [done](const ndn::Interest& i) {
-        done(Status::Timeout("status query timed out: " + i.name().toUri()));
+      [onStatus](const ndn::Interest& i) {
+        onStatus(Status::Timeout("status query timed out: " + i.name().toUri()));
       });
 }
 
-void LidcClient::waitForCompletion(const ndn::Name& statusName, StatusCallback done,
-                                   telemetry::TraceContext parent) {
+void LidcClient::queryStatus(const ndn::Name& statusName, StatusCallback done,
+                             telemetry::TraceContext parent) {
+  expressStatus(statusName, parent, std::move(done));
+}
+
+void LidcClient::poll(const RunPtr& run) {
+  expressStatus(run->statusName, run->await ? run->await : run->root,
+                [this, run](Result<JobStatusSnapshot> status) {
+                  onPolled(run, std::move(status));
+                });
+}
+
+void LidcClient::onPolled(const RunPtr& run, Result<JobStatusSnapshot> status) {
   const sim::Time now = forwarder_.simulator().now();
-  pollLoop(statusName, 0, deadlineFor(now), now, std::move(done), parent);
-}
-
-void LidcClient::pollLoop(const ndn::Name& statusName, int consecutiveFailures,
-                          sim::Time deadlineAt, sim::Time progressSince,
-                          StatusCallback done, telemetry::TraceContext parent) {
-  queryStatus(
-      statusName,
-      [this, statusName, consecutiveFailures, deadlineAt, progressSince, done,
-       parent](Result<JobStatusSnapshot> result) {
-    const sim::Time now = forwarder_.simulator().now();
-    if (!result.ok()) {
-      // Timeouts on a lossy path and Nacks (transient kNoRoute/
-      // kCongestion during a route flap mid-failover) are transient:
-      // keep polling within the consecutive-failure budget. NotFound
-      // (the job vanished) and other errors are terminal.
-      const StatusCode code = result.status().code();
-      const bool transient =
-          code == StatusCode::kTimeout || code == StatusCode::kUnavailable;
-      if (transient && consecutiveFailures + 1 < options_.maxStatusPollFailures &&
-          now + options_.statusPollInterval <= deadlineAt) {
-        forwarder_.simulator().scheduleAfter(
-            options_.statusPollInterval, [this, statusName, consecutiveFailures,
-                                          deadlineAt, progressSince, done, parent] {
-              pollLoop(statusName, consecutiveFailures + 1, deadlineAt,
-                       progressSince, done, parent);
-            });
-        return;
-      }
-      done(std::move(result));
+  if (!status.ok()) {
+    // Timeouts on a lossy path and Nacks (transient kNoRoute/
+    // kCongestion during a route flap mid-failover) are transient:
+    // keep polling within the consecutive-failure budget. NotFound
+    // (the job vanished) and other errors are terminal.
+    const StatusCode code = status.status().code();
+    const bool transient =
+        code == StatusCode::kTimeout || code == StatusCode::kUnavailable;
+    if (transient && run->pollFailures + 1 < options_.maxStatusPollFailures &&
+        now + options_.statusPollInterval <= run->deadlineAt) {
+      ++run->pollFailures;
+      forwarder_.simulator().scheduleAfter(options_.statusPollInterval,
+                                           [this, run] { poll(run); });
       return;
     }
-    if (result->state == k8s::JobState::kCompleted ||
-        result->state == k8s::JobState::kFailed) {
-      done(std::move(result));
-      return;
-    }
-    // Progress watchdog: a healthy cluster moves a job to Running
-    // quickly; one that answers polls with Pending forever is a gray
-    // gateway (it admitted the job but never scheduled it). Treat the
-    // stall as a dark status so the caller records a breaker failure
-    // and fails over — the poll itself keeps "succeeding", which is
-    // exactly why a plain failure budget never fires here.
-    sim::Time nextProgress = progressSince;
-    if (options_.pendingProgressTtl.toNanos() > 0) {
-      if (result->state == k8s::JobState::kPending) {
-        if (now - progressSince >= options_.pendingProgressTtl) {
-          ++watchdog_timeouts_;
-          if (telemetry_) telemetry_->watchdogTimeouts->inc();
-          LIDC_FR_EVENT(recorder_, kWarn, "client",
-                        name_ + " watchdog: no progress on " +
-                            statusName.toUri());
-          done(Status::Unavailable(
-              "progress watchdog: job still Pending after " +
-              std::to_string(options_.pendingProgressTtl.toMillis()) + "ms"));
-          return;
-        }
-      } else {
-        nextProgress = now;  // Running counts as progress
-      }
-    }
-    if (now + options_.statusPollInterval > deadlineAt) {
-      done(Status::Timeout("deadline exceeded while job still " +
-                           std::string(k8s::jobStateName(result->state))));
-      return;
-    }
-    forwarder_.simulator().scheduleAfter(
-        options_.statusPollInterval,
-        [this, statusName, deadlineAt, nextProgress, done, parent] {
-          pollLoop(statusName, 0, deadlineAt, nextProgress, done, parent);
-        });
-      },
-      parent);
-}
-
-void LidcClient::runToCompletion(ComputeRequest request, OutcomeCallback done,
-                                 telemetry::TraceContext parent) {
-  const sim::Time startedAt = forwarder_.simulator().now();
-
-  // Root of the job's span tree: a fresh trace, or a child of the
-  // caller's span (e.g. a workflow-stage span).
-  telemetry::TraceContext root;
-  telemetry::Tracer* tracer = telemetry_ ? telemetry_->tracer : nullptr;
-  if (tracer != nullptr) {
-    const telemetry::SpanAttrs attrs{{"app", request.app}};
-    root = parent ? tracer->startSpan("job", "client:" + name_, parent, attrs)
-                  : tracer->startTrace("job", "client:" + name_, attrs);
+    onPollDone(run, std::move(status));
+    return;
   }
-
-  auto shared = std::make_shared<ComputeRequest>(std::move(request));
-  auto finish = [this, tracer, root, startedAt,
-                 done = std::move(done)](Result<JobOutcome> outcome) {
-    if (outcome.ok()) {
-      outcome->trace = root;
-      if (telemetry_) {
-        // Tail samples carry the job's trace id as an exemplar, so a
-        // latency-regression alert links to a concrete slow trace.
-        telemetry_->jobLatencyUs->observe(
-            static_cast<double>(outcome->totalLatency.toNanos()) / 1e3,
-            root.trace);
-      }
+  run->pollFailures = 0;
+  if (status->state == k8s::JobState::kCompleted ||
+      status->state == k8s::JobState::kFailed) {
+    onPollDone(run, std::move(status));
+    return;
+  }
+  // Progress watchdog: a healthy cluster moves a job to Running
+  // quickly; one that answers polls with Pending forever is a gray
+  // gateway (it admitted the job but never scheduled it). Treat the
+  // stall as a dark status so the caller records a breaker failure
+  // and fails over — the poll itself keeps "succeeding", which is
+  // exactly why a plain failure budget never fires here.
+  if (options_.pendingProgressTtl.toNanos() > 0) {
+    if (status->state != k8s::JobState::kPending) {
+      run->progressSince = now;  // Running counts as progress
+    } else if (now - run->progressSince >= options_.pendingProgressTtl) {
+      ++watchdog_timeouts_;
+      if (telemetry_) telemetry_->watchdogTimeouts->inc();
+      LIDC_FR_EVENT(recorder_, kWarn, "client",
+                    name_ + " watchdog: no progress on " + run->statusName.toUri());
+      onPollDone(run, Status::Unavailable(
+                          "progress watchdog: job still Pending after " +
+                          std::to_string(options_.pendingProgressTtl.toMillis()) +
+                          "ms"));
+      return;
     }
-    if (tracer != nullptr && root) {
-      if (outcome.ok()) {
-        tracer->setAttr(root, "job_id", outcome->submit.jobId);
-        tracer->setAttr(root, "cluster", outcome->finalStatus.cluster);
-        tracer->setAttr(root, "failovers",
-                        std::to_string(outcome->failovers));
-        if (!outcome->submit.jobId.empty()) {
-          tracer->bindJob(outcome->submit.jobId, root.trace);
-        }
-      } else {
-        tracer->setAttr(root, "error", outcome.status().toString());
-      }
-      tracer->endSpan(root);
-    }
-    done(std::move(outcome));
-  };
-  runAttempt(std::move(shared), 0, startedAt, deadlineFor(startedAt),
-             std::move(finish), root);
+  }
+  if (now + options_.statusPollInterval > run->deadlineAt) {
+    onPollDone(run, Status::Timeout("deadline exceeded while job still " +
+                                    std::string(k8s::jobStateName(status->state))));
+    return;
+  }
+  forwarder_.simulator().scheduleAfter(options_.statusPollInterval,
+                                       [this, run] { poll(run); });
 }
 
-void LidcClient::failoverOrGiveUp(std::shared_ptr<ComputeRequest> request,
-                                  int failover, sim::Time startedAt,
-                                  sim::Time deadlineAt, OutcomeCallback done,
-                                  Status why,
-                                  std::optional<JobOutcome> failedOutcome,
-                                  telemetry::TraceContext root) {
-  if (failover + 1 > options_.maxFailovers ||
-      forwarder_.simulator().now() >= deadlineAt) {
+void LidcClient::onPollDone(const RunPtr& run, Result<JobStatusSnapshot> status) {
+  if (std::holds_alternative<StatusCallback>(run->done)) {
+    run->finish(std::move(status));
+    return;
+  }
+  telemetry::Tracer* tracer = this->tracer();
+  if (tracer != nullptr && run->await) {
+    tracer->setAttr(run->await, "outcome",
+                    status.ok() ? std::string(k8s::jobStateName(status->state))
+                                : status.status().toString());
+    tracer->endSpan(run->await);
+  }
+  const sim::Time now = forwarder_.simulator().now();
+  CircuitBreaker* breaker = breakerFor(run->ack.cluster);
+  if (!status.ok()) {
+    // Status endpoint dark past the poll budget, the progress watchdog
+    // fired, or the job vanished (reaped after its cluster died): count
+    // the failure against the cluster's breaker and resubmit.
+    if (breaker != nullptr) breaker->recordFailure(now);
+    failOver(run, status.status());
+    return;
+  }
+  JobOutcome outcome;
+  outcome.submit = std::move(run->ack);
+  outcome.finalStatus = std::move(*status);
+  outcome.totalLatency = now - run->startedAt;
+  outcome.failovers = run->failovers;
+  if (outcome.finalStatus.state == k8s::JobState::kFailed) {
+    if (breaker != nullptr) breaker->recordFailure(now);
+    Status why = Status::Unavailable("job failed: " + outcome.finalStatus.error);
+    failOver(run, std::move(why), std::move(outcome));
+    return;
+  }
+  if (breaker != nullptr) breaker->recordSuccess(now);
+  finishJob(*run, std::move(outcome));
+}
+
+void LidcClient::failOver(const RunPtr& run, Status why,
+                          std::optional<JobOutcome> failed) {
+  if (run->failovers + 1 > options_.maxFailovers ||
+      forwarder_.simulator().now() >= run->deadlineAt) {
     // Out of budget: a job that terminated Failed is still a valid
     // outcome (the pre-failover behaviour); everything else is an error.
-    if (failedOutcome.has_value()) {
-      done(std::move(*failedOutcome));
+    if (failed.has_value()) {
+      finishJob(*run, std::move(*failed));
     } else {
-      done(std::move(why));
+      finishJob(*run, std::move(why));
     }
     return;
   }
   if (telemetry_) {
     telemetry_->failovers->inc();
     if (telemetry_->tracer != nullptr) {
-      telemetry_->tracer->instant("failover", "client:" + name_, root,
+      telemetry_->tracer->instant("failover", "client:" + name_, run->root,
                                   {{"after", why.toString()}});
     }
   }
-  log::ScopedTrace scopedTrace(root.trace);
+  const int failover = ++run->failovers;
+  log::ScopedTrace scopedTrace(run->root.trace);
   LIDC_FR_EVENT(recorder_, kWarn, "client",
-                name_ + " failover attempt=" + std::to_string(failover + 1) +
-                    " after " + why.toString());
-  LIDC_LOG(kInfo, "client") << name_ << " failing over (attempt "
-                            << (failover + 1) << "): " << why.toString();
-  runAttempt(std::move(request), failover + 1, startedAt, deadlineAt,
-             std::move(done), root);
+                name_ + " failover attempt=" + std::to_string(failover) + " after " +
+                    why.toString());
+  LIDC_LOG(kInfo, "client") << name_ << " failing over (attempt " << failover
+                            << "): " << why.toString();
+  startSubmitting(run);
 }
 
-void LidcClient::runAttempt(std::shared_ptr<ComputeRequest> request, int failover,
-                            sim::Time startedAt, sim::Time deadlineAt,
-                            OutcomeCallback done, telemetry::TraceContext root) {
-  ComputeRequest attemptRequest = *request;
-  if (failover > 0) {
-    // A fresh request id guarantees the resubmission is a new name: no
-    // content store, PIT aggregation, or gateway dedup entry can answer
-    // with the dead job, so the forwarding strategy is free to place it
-    // on a healthy cluster.
-    attemptRequest.requestId = name_ + "-fo" + std::to_string(failover) + "-" +
-                               std::to_string(next_request_id_++);
+void LidcClient::finishJob(JobRun& run, Result<JobOutcome> outcome) {
+  telemetry::Tracer* tracer = this->tracer();
+  if (outcome.ok()) {
+    outcome->trace = run.root;
+    if (telemetry_) {
+      // Tail samples carry the job's trace id as an exemplar, so a
+      // latency-regression alert links to a concrete slow trace.
+      telemetry_->jobLatencyUs->observe(
+          static_cast<double>(outcome->totalLatency.toNanos()) / 1e3, run.root.trace);
+    }
   }
-  if (options_.bypassCache && attemptRequest.requestId.empty()) {
-    attemptRequest.requestId = name_ + "-" + std::to_string(next_request_id_++);
+  if (tracer != nullptr && run.root) {
+    if (outcome.ok()) {
+      tracer->setAttr(run.root, "job_id", outcome->submit.jobId);
+      tracer->setAttr(run.root, "cluster", outcome->finalStatus.cluster);
+      tracer->setAttr(run.root, "failovers", std::to_string(outcome->failovers));
+      if (!outcome->submit.jobId.empty()) {
+        tracer->bindJob(outcome->submit.jobId, run.root.trace);
+      }
+    } else {
+      tracer->setAttr(run.root, "error", outcome.status().toString());
+    }
+    tracer->endSpan(run.root);
   }
-  auto shared = std::make_shared<ComputeRequest>(std::move(attemptRequest));
-  submitAttempt(
-      std::move(shared), 0, startedAt, deadlineAt,
-      [this, request, failover, startedAt, deadlineAt, done,
-       root](Result<SubmitResult> submitted) {
-        if (!submitted.ok()) {
-          if (submitted.status().code() == StatusCode::kResourceExhausted) {
-            // The tenant's quota is exhausted federation-wide; a fresh
-            // request id on another cluster hits the same budget. Report
-            // RESOURCE_EXHAUSTED instead of burning the failover budget.
-            done(submitted.status());
-            return;
-          }
-          failoverOrGiveUp(request, failover, startedAt, deadlineAt, done,
-                           submitted.status(), std::nullopt, root);
-          return;
-        }
-        telemetry::Tracer* tracer = telemetry_ ? telemetry_->tracer : nullptr;
-        if (tracer != nullptr && root && !submitted->jobId.empty()) {
-          // Bind early so explain(job_id) works even for jobs that never
-          // reach a terminal state (e.g. lost with their cluster).
-          tracer->bindJob(submitted->jobId, root.trace);
-        }
-        if (submitted->cached) {
-          // Cache hit: no job to wait for.
-          JobOutcome outcome;
-          outcome.submit = *submitted;
-          outcome.finalStatus.state = k8s::JobState::kCompleted;
-          outcome.finalStatus.cluster = submitted->cluster;
-          outcome.finalStatus.resultPath = submitted->resultPath;
-          outcome.finalStatus.outputBytes = submitted->outputBytes;
-          outcome.totalLatency = forwarder_.simulator().now() - startedAt;
-          outcome.failovers = failover;
-          done(std::move(outcome));
-          return;
-        }
-        // Circuit breaker gate: the ack names the cluster; if its
-        // breaker refuses requests (tripped by consecutive failures —
-        // gray gateways, limping nodes), abandon this attempt and fail
-        // over with a fresh request id instead of parking the job on a
-        // cluster that keeps answering but never delivers. Skipped once
-        // the failover budget is spent — a possible job beats an error.
-        if (CircuitBreaker* breaker = breakerFor(submitted->cluster);
-            breaker != nullptr && failover < options_.maxFailovers &&
-            !breaker->allowRequest(forwarder_.simulator().now())) {
-          ++breaker_steered_;
-          if (telemetry_) telemetry_->breakerSteered->inc();
-          LIDC_FR_EVENT(recorder_, kWarn, "client",
-                        name_ + " breaker open, steering off " +
-                            submitted->cluster);
-          failoverOrGiveUp(request, failover, startedAt, deadlineAt, done,
-                           Status::Unavailable("circuit breaker open for " +
-                                               submitted->cluster),
-                           std::nullopt, root);
-          return;
-        }
-        // Telemetry-steered proactive failover: the ack names the
-        // cluster the job landed on; if the health plane says it is
-        // degraded, resubmit elsewhere now rather than poll a job that
-        // is likely to stall or fail. Skipped once the failover budget
-        // is spent — a running job beats an error.
-        if (options_.healthProvider && options_.minClusterHealth > 0.0 &&
-            failover < options_.maxFailovers && !submitted->cluster.empty()) {
-          const double health = options_.healthProvider(submitted->cluster);
-          if (health < options_.minClusterHealth) {
-            LIDC_FR_EVENT(recorder_, kWarn, "client",
-                          name_ + " steering off " + submitted->cluster);
-            failoverOrGiveUp(
-                request, failover, startedAt, deadlineAt, done,
-                Status::Unavailable("cluster " + submitted->cluster +
-                                    " health below minimum"),
-                std::nullopt, root);
-            return;
-          }
-        }
-        const SubmitResult submitCopy = *submitted;
-        telemetry::TraceContext await;
-        if (tracer != nullptr) {
-          await = tracer->startSpan("await-completion", "client:" + name_, root,
-                                    {{"job_id", submitCopy.jobId}});
-        }
-        const sim::Time pollStart = forwarder_.simulator().now();
-        pollLoop(
-            ndn::Name(submitCopy.statusName), 0, deadlineAt, pollStart,
-            [this, request, failover, startedAt, deadlineAt, submitCopy, done,
-             root, await, tracer](Result<JobStatusSnapshot> status) {
-              if (tracer != nullptr && await) {
-                tracer->setAttr(await, "outcome",
-                                status.ok()
-                                    ? std::string(k8s::jobStateName(status->state))
-                                    : status.status().toString());
-                tracer->endSpan(await);
-              }
-              const sim::Time now = forwarder_.simulator().now();
-              if (!status.ok()) {
-                // Status endpoint dark past the poll budget, the
-                // progress watchdog fired, or the job vanished (reaped
-                // after its cluster died): count the failure against
-                // the cluster's breaker and resubmit.
-                if (CircuitBreaker* b = breakerFor(submitCopy.cluster)) {
-                  b->recordFailure(now);
-                }
-                failoverOrGiveUp(request, failover, startedAt, deadlineAt,
-                                 done, status.status(), std::nullopt, root);
-                return;
-              }
-              JobOutcome outcome;
-              outcome.submit = submitCopy;
-              outcome.finalStatus = *status;
-              outcome.totalLatency = forwarder_.simulator().now() - startedAt;
-              outcome.failovers = failover;
-              if (status->state == k8s::JobState::kFailed) {
-                if (CircuitBreaker* b = breakerFor(submitCopy.cluster)) {
-                  b->recordFailure(now);
-                }
-                failoverOrGiveUp(request, failover, startedAt, deadlineAt,
-                                 done,
-                                 Status::Unavailable("job failed: " +
-                                                     status->error),
-                                 std::move(outcome), root);
-                return;
-              }
-              if (CircuitBreaker* b = breakerFor(submitCopy.cluster)) {
-                b->recordSuccess(now);
-              }
-              done(std::move(outcome));
-            },
-            await ? await : root);
-      },
-      root);
+  run.finish(std::move(outcome));
 }
 
 void LidcClient::fetchData(const ndn::Name& objectName, FetchCallback done,

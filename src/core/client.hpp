@@ -80,18 +80,20 @@ struct ClientOptions {
   /// Extra submit attempts on timeout or a retryable Nack (kCongestion /
   /// kNoRoute), paced by exponential backoff below.
   int maxSubmitRetries = 2;
-  /// waitForCompletion() tolerates this many *consecutive* failed polls
-  /// (lossy networks, route flaps) before giving up.
+  /// Status polling gives up at the maxStatusPollFailures-th
+  /// *consecutive* failed poll (a timeout or Nack: lossy networks,
+  /// route flaps), in waitForCompletion() and runToCompletion() alike;
+  /// the latter then fails over.
   int maxStatusPollFailures = 5;
   /// Exponential backoff between submit attempts: attempt n waits
-  /// backoffInitial * backoffMultiplier^n (capped at backoffMax), scaled
-  /// by a seeded jitter factor in [1-backoffJitter, 1+backoffJitter].
+  /// backoffInitial * 2^n (capped at backoffMax), scaled by a seeded
+  /// jitter factor in [0.8, 1.2].
   sim::Duration backoffInitial = sim::Duration::millis(200);
-  double backoffMultiplier = 2.0;
   sim::Duration backoffMax = sim::Duration::seconds(5);
-  double backoffJitter = 0.2;
-  /// Wall-clock budget for one runToCompletion() request, covering every
-  /// retry, poll, and failover. Zero = unbounded.
+  /// Simulated-time budget for one request, from its start: it covers
+  /// every retry, poll and failover of a runToCompletion(), and also
+  /// bounds submit()'s retries and waitForCompletion()'s polling.
+  /// Zero = unbounded.
   sim::Duration deadline{};
   /// runToCompletion() resubmits (with a fresh request id, so the
   /// forwarding strategy can fail over to a healthy cluster) when a job
@@ -115,14 +117,13 @@ struct ClientOptions {
   /// e.g. AdaptivePlacement::observeBreaker).
   std::function<void(const std::string& cluster, BreakerState state)>
       breakerListener;
-  /// Hedged submits: when a submit ack has not arrived after a
-  /// p`hedgeQuantile` delay (derived from this client's observed ack
-  /// latencies, floored at hedgeDelayFloor), a backup Interest with a
-  /// fresh request id races the primary; the first answer wins and the
-  /// loser is abandoned (and counted).
+  /// Hedged submits: when a submit ack has not arrived after a p99
+  /// delay (derived from this client's observed ack latencies, floored
+  /// at hedgeDelayFloor), a backup Interest with a fresh request id
+  /// races the primary; the first answer wins and the loser is
+  /// abandoned (and counted).
   bool enableHedging = false;
   sim::Duration hedgeDelayFloor = sim::Duration::millis(500);
-  double hedgeQuantile = 0.99;
   /// Progress watchdog: a job still Pending this long after polling
   /// began is treated as dark (gray gateways admit jobs that never
   /// run), so runToCompletion() records a breaker failure and fails
@@ -132,11 +133,10 @@ struct ClientOptions {
   /// /ndn/k8s/submit/<tenant>/... namespace (QoS gateways apply quotas
   /// and fair-share queueing) and publishes carry a tenant component
   /// charged against the tenant's byte quota. A kQuotaExceeded nack maps
-  /// to RESOURCE_EXHAUSTED and backs off quotaBackoffScale times slower
-  /// than ordinary retries — quota pressure is global, so hammering the
-  /// overlay cannot help.
+  /// to RESOURCE_EXHAUSTED and backs off 4x slower than ordinary
+  /// retries — quota pressure is global, so hammering the overlay
+  /// cannot help.
   std::string tenant;
-  double quotaBackoffScale = 4.0;
 };
 
 class LidcClient {
@@ -245,56 +245,54 @@ class LidcClient {
   }
 
  private:
-  struct HedgeRace;
+  /// One request's life as a state machine; see client.cpp.
+  struct JobRun;
+  /// One submit Interest of an attempt: the primary or a hedge.
+  struct Leg;
+  using RunPtr = std::shared_ptr<JobRun>;
 
-  void submitAttempt(std::shared_ptr<ComputeRequest> request, int attempt,
-                     sim::Time startedAt, sim::Time deadlineAt,
-                     SubmitCallback done, telemetry::TraceContext parent);
-  /// Hedged variant: a primary leg plus (after the hedge delay) a
-  /// backup leg with a fresh request id; first ack settles the race.
-  void submitAttemptHedged(std::shared_ptr<ComputeRequest> request, int attempt,
-                           sim::Time startedAt, sim::Time deadlineAt,
-                           SubmitCallback done, telemetry::TraceContext parent);
-  /// Sends one leg of a hedge race.
-  void sendSubmitLeg(std::shared_ptr<HedgeRace> race, bool isHedge,
-                     std::shared_ptr<ComputeRequest> legRequest,
-                     std::shared_ptr<ComputeRequest> request, int attempt,
-                     sim::Time startedAt, sim::Time deadlineAt,
-                     SubmitCallback done, telemetry::TraceContext parent);
-  /// p`hedgeQuantile` of observed ack latencies, floored at
-  /// hedgeDelayFloor (used until enough samples accumulate).
+  /// A run started now, its deadline set, its spans under `root`.
+  [[nodiscard]] RunPtr newRun(telemetry::TraceContext root);
+  // JobRun transitions.
+  /// Gives the request its id for this submit cycle (a fresh one after
+  /// a failover) and starts attempt 0.
+  void startSubmitting(const RunPtr& run);
+  /// Sends the primary leg and, with hedging on, arms the hedge timer.
+  void submitAttempt(const RunPtr& run);
+  void sendLeg(const RunPtr& run, const ComputeRequest& request, bool hedge);
+  void onAck(const RunPtr& run, const Leg& leg, const ndn::Data& data);
+  /// A leg's Nack, or its timeout when `nack` is null.
+  void onLegFailed(const RunPtr& run, const Leg& leg, const ndn::Nack* nack);
+  /// Retries after a jittered backoff delay, or settles the submit with
+  /// `why` when the attempt budget or the deadline is exhausted.
+  void retryOrGiveUp(const RunPtr& run, Status why);
+  void onSubmitted(const RunPtr& run, Result<SubmitResult> ack);
+  void poll(const RunPtr& run);
+  void onPolled(const RunPtr& run, Result<JobStatusSnapshot> status);
+  void onPollDone(const RunPtr& run, Result<JobStatusSnapshot> status);
+  /// Resubmits with a fresh request id within the failover/deadline
+  /// budget; otherwise finishes with `why` (or `failed` when the job
+  /// terminated Failed and no budget remains).
+  void failOver(const RunPtr& run, Status why,
+                std::optional<JobOutcome> failed = std::nullopt);
+  /// Closes the job's root span, then finishes a runToCompletion().
+  void finishJob(JobRun& run, Result<JobOutcome> outcome);
+
+  /// Sends one status poll (counted) and hands its Data, Nack or
+  /// timeout to `onStatus` as one Result.
+  template <typename OnStatus>
+  void expressStatus(const ndn::Name& statusName, telemetry::TraceContext parent,
+                     OnStatus onStatus);
+  void closeLegSpan(const Leg& leg, const char* outcome);
+  /// p99 of observed ack latencies, floored at hedgeDelayFloor (used
+  /// until enough samples accumulate).
   [[nodiscard]] sim::Duration hedgeDelay() const;
   void recordAckLatency(sim::Duration latency);
   /// The breaker guarding `cluster`, created (seeded from the client
   /// seed and the cluster name) on first use; nullptr when breakers are
   /// disabled or the cluster is unknown.
   CircuitBreaker* breakerFor(const std::string& cluster);
-  /// Retries after a jittered backoff delay, or fails with `why` when
-  /// the attempt budget or the deadline is exhausted.
-  void retryOrGiveUp(std::shared_ptr<ComputeRequest> request, int attempt,
-                     sim::Time startedAt, sim::Time deadlineAt,
-                     SubmitCallback done, Status why,
-                     telemetry::TraceContext parent);
   [[nodiscard]] sim::Duration backoffDelay(int attempt);
-  /// `progressSince` anchors the Pending watchdog: it is the last time
-  /// the job was observed making progress (poll start, or any
-  /// non-Pending state).
-  void pollLoop(const ndn::Name& statusName, int consecutiveFailures,
-                sim::Time deadlineAt, sim::Time progressSince,
-                StatusCallback done, telemetry::TraceContext parent);
-  /// One submit+poll attempt of the runToCompletion() failover loop.
-  void runAttempt(std::shared_ptr<ComputeRequest> request, int failover,
-                  sim::Time startedAt, sim::Time deadlineAt,
-                  OutcomeCallback done, telemetry::TraceContext root);
-  /// Resubmits with a fresh request id within the failover/deadline
-  /// budget; otherwise reports `why` (or `failedOutcome` when the job
-  /// terminated Failed and no budget remains).
-  void failoverOrGiveUp(std::shared_ptr<ComputeRequest> request, int failover,
-                        sim::Time startedAt, sim::Time deadlineAt,
-                        OutcomeCallback done, Status why,
-                        std::optional<JobOutcome> failedOutcome,
-                        telemetry::TraceContext root);
-  [[nodiscard]] sim::Time deadlineFor(sim::Time startedAt) const;
   /// The Interest name a request goes out under: the tenant-scoped
   /// submit name when a tenant context is set, else the compute name.
   [[nodiscard]] ndn::Name requestName(const ComputeRequest& request) const;

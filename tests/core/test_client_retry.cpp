@@ -53,9 +53,7 @@ core::ClientOptions retryOptions() {
   core::ClientOptions options;
   options.maxSubmitRetries = 4;
   options.backoffInitial = sim::Duration::millis(100);
-  options.backoffMultiplier = 2.0;
   options.backoffMax = sim::Duration::seconds(2);
-  options.backoffJitter = 0.2;
   return options;
 }
 

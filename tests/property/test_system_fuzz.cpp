@@ -1,6 +1,9 @@
 // System-level fuzz: a random interleaving of job submissions (valid
 // and invalid), status polls, data fetches, cluster failures/recoveries
-// and membership churn against a 3-cluster overlay. Invariants:
+// and membership churn against a 3-cluster overlay, plus full jobs run
+// by a second client with every client-side defence on (hedging,
+// breakers, the Pending watchdog, a health gate and a deadline).
+// Invariants:
 //   - every client callback eventually fires exactly once (no lost or
 //     duplicated completions),
 //   - the simulation drains (no runaway event loops),
@@ -22,6 +25,10 @@ struct FuzzOutcome {
   int infoQueries = 0;
   int infoResolved = 0;
   std::map<std::string, int> placements;
+  /// Per runToCompletion() on the defended client: times its callback
+  /// fired, and what it reported.
+  std::vector<int> runCalls;
+  std::vector<std::string> runOutcomes;
 };
 
 FuzzOutcome runFuzz(std::uint64_t seed) {
@@ -53,6 +60,19 @@ FuzzOutcome runFuzz(std::uint64_t seed) {
 
   core::LidcClient client(*overlay.topology().node("client-host"), "fuzzer",
                           core::ClientOptions{}, seed);
+  core::ClientOptions defences;
+  defences.enableHedging = true;
+  defences.hedgeDelayFloor = sim::Duration::millis(30);
+  defences.enableCircuitBreaker = true;
+  defences.breaker.failureThreshold = 1;
+  defences.pendingProgressTtl = sim::Duration::seconds(10);
+  defences.healthProvider = [](const std::string& cluster) {
+    return cluster == "c1" ? 0.4 : 1.0;
+  };
+  defences.minClusterHealth = 0.5;
+  defences.deadline = sim::Duration::seconds(120);
+  core::LidcClient defended(*overlay.topology().node("client-host"), "defended",
+                            defences, seed + 1);
   FuzzOutcome outcome;
   std::map<std::string, bool> failedClusters;
 
@@ -104,6 +124,23 @@ FuzzOutcome runFuzz(std::uint64_t seed) {
         overlay.withdrawCluster(victim);
         overlay.announceCluster(victim);
       }
+    } else if (dice < 96) {
+      // Run a job to its end through every client-side defence.
+      const std::size_t run = outcome.runCalls.size();
+      outcome.runCalls.push_back(0);
+      outcome.runOutcomes.emplace_back();
+      core::ComputeRequest request;
+      request.app = rng.bernoulli(0.9) ? "sleep" : "no-such-app";
+      request.cpu = MilliCpu::fromCores(1 + rng.uniform(4));
+      request.memory = ByteSize::fromGiB(1 + rng.uniform(4));
+      defended.runToCompletion(request, [&outcome, run](Result<core::JobOutcome> r) {
+        ++outcome.runCalls[run];
+        outcome.runOutcomes[run] =
+            r.ok() ? r->finalStatus.cluster + " " +
+                         std::string(k8s::jobStateName(r->finalStatus.state)) +
+                         " failovers=" + std::to_string(r->failovers)
+                   : r.status().toString();
+      });
     } else {
       // Idle gap.
     }
@@ -133,6 +170,9 @@ TEST_P(SystemFuzz, EveryCallbackFiresAndSimulationDrains) {
   EXPECT_EQ(outcome.fetchResolved, outcome.fetches);
   EXPECT_EQ(outcome.infoResolved, outcome.infoQueries);
   EXPECT_GT(outcome.submitted, 0);
+  for (std::size_t run = 0; run < outcome.runCalls.size(); ++run) {
+    EXPECT_EQ(outcome.runCalls[run], 1) << "run " << run;
+  }
 }
 
 TEST_P(SystemFuzz, DeterministicPerSeed) {
@@ -141,6 +181,7 @@ TEST_P(SystemFuzz, DeterministicPerSeed) {
   EXPECT_EQ(a.submitResolved, b.submitResolved);
   EXPECT_EQ(a.placements, b.placements);
   EXPECT_EQ(a.fetchResolved, b.fetchResolved);
+  EXPECT_EQ(a.runOutcomes, b.runOutcomes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SystemFuzz,
