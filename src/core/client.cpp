@@ -384,8 +384,9 @@ void LidcClient::sendLeg(const RunPtr& run, const ComputeRequest& request,
   interest.setTraceContext(leg.span);
   interest.setFlowLabel({options_.tenant, request.flowTag});
   // MustBeFresh keeps network caches from answering with acks older
-  // than the gateway's ackFreshness; within that window, identical
-  // canonical requests may legitimately be served from any CS.
+  // than their freshness period (5 s, set by the gateway); within that
+  // window, identical canonical requests may legitimately be served
+  // from any CS.
   interest.setMustBeFresh(true);
 
   face_->expressInterest(

@@ -2,12 +2,34 @@
 
 #include <optional>
 #include <string_view>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "core/checkpoint_format.hpp"
 #include "core/wire_format.hpp"
 
 namespace lidc::core {
+
+namespace {
+constexpr std::size_t kCacheCapacity = 256;
+constexpr sim::Duration kCacheTtl = sim::Duration::hours(24);
+// Freshness on compute acks lets the NDN content stores aggregate
+// identical canonical requests network-wide.
+constexpr sim::Duration kAckFreshness = sim::Duration::seconds(5);
+constexpr sim::Duration kStatusFreshness = sim::Duration::millis(500);
+// Health gate: below this fraction of Ready nodes, compute Interests are
+// nacked kCongestion so the strategy fails over to a healthy cluster.
+constexpr double kMinHealthyNodeFraction = 0.5;
+
+// Erases `key` only while it still names `jobId`: a newer job may have
+// registered the same key since.
+template <typename Index, typename Key>
+void eraseIfNames(Index& index, const Key& key, const std::string& jobId) {
+  if (auto it = index.find(key); it != index.end() && it->second == jobId) {
+    index.erase(it);
+  }
+}
+}  // namespace
 
 Gateway::Gateway(ndn::Forwarder& forwarder, k8s::Cluster& cluster,
                  ValidatorRegistry validators, GatewayOptions options,
@@ -19,7 +41,7 @@ Gateway::Gateway(ndn::Forwarder& forwarder, k8s::Cluster& cluster,
       options_(options),
       predictor_(predictor),
       jobs_(cluster),
-      cache_(options.cacheCapacity, options.cacheTtl) {
+      cache_(kCacheCapacity, kCacheTtl) {
   face_ = std::make_shared<ndn::AppFace>("app://gateway/" + cluster_name_,
                                          forwarder_.simulator());
   face_->setInterestHandler([this](const ndn::Interest& i) { handleInterest(i); });
@@ -61,11 +83,9 @@ void Gateway::enableQos(qos::TenantRegistry& tenants,
   // control: health first, then whether the job fits the free capacity.
   admission_->setCapacityProbe([this](const qos::AdmissionJob& job) {
     if (!admission_control_) return true;
-    if (healthyNodeFraction() < options_.minHealthyNodeFraction) return false;
-    k8s::Resources needed;
-    needed.cpu = MilliCpu(static_cast<std::int64_t>(job.cpuMillicores));
-    needed.memory = ByteSize(job.memoryBytes);
-    return needed.fitsWithin(cluster_.totalFree());
+    if (healthyNodeFraction() < kMinHealthyNodeFraction) return false;
+    return k8s::Resources{MilliCpu(job.cpuMillicores), ByteSize(job.memoryBytes)}
+        .fitsWithin(cluster_.totalFree());
   });
   forwarder_.registerPrefix(kSubmitPrefix, face_id_, /*cost=*/0);
   if (publish_store_ != nullptr) {
@@ -111,20 +131,27 @@ void Gateway::replyKv(const ndn::Name& name, const KvMap& fields,
   face_->putData(std::move(data));
 }
 
+void Gateway::replyError(const ndn::Interest& interest, const std::string& error) {
+  replyKv(interest.name(), {{"error", error}, {"cluster", cluster_name_}},
+          kAckFreshness);
+}
+
 // Gray failure: admit the job with a straight face — plausible ack,
 // fresh job id — then never schedule anything. The client only finds
 // out when its progress watchdog notices the job never leaves Pending.
 void Gateway::grayAdmit(const ndn::Interest& interest) {
   ++counters_.grayAdmitted;
   const std::string jobId = "gray-" + std::to_string(next_gray_id_++);
-  gray_jobs_.insert(jobId);
+  JobRecord& record = records_[jobId];
+  record.phase = JobRecord::Phase::kGray;
+  record.since = forwarder_.simulator().now();
   LIDC_FR_EVENT(recorder_, kWarn, "gateway",
                 cluster_name_ + " gray-admit " + jobId);
   replyKv(interest.name(),
           {{"job_id", jobId},
            {"cluster", cluster_name_},
            {"status_name", makeStatusName(cluster_name_, jobId).toUri()}},
-          options_.ackFreshness);
+          kAckFreshness);
 }
 
 void Gateway::onCompute(const ndn::Interest& interest) {
@@ -144,9 +171,7 @@ void Gateway::onCompute(const ndn::Interest& interest) {
                         {"error", parsed.status().toString()}});
     }
     LIDC_FR_EVENT(recorder_, kWarn, "gateway", cluster_name_ + " parse-reject");
-    replyKv(interest.name(),
-            {{"error", parsed.status().toString()}, {"cluster", cluster_name_}},
-            options_.ackFreshness);
+    replyError(interest, parsed.status().toString());
     return;
   }
   processCompute(interest, *parsed, /*tenant=*/"", /*priorityClass=*/0,
@@ -171,9 +196,7 @@ void Gateway::onSubmit(const ndn::Interest& interest) {
     ++counters_.computeRejected;
     LIDC_FR_EVENT(recorder_, kWarn, "gateway",
                   cluster_name_ + " submit-parse-reject");
-    replyKv(interest.name(),
-            {{"error", parsed.status().toString()}, {"cluster", cluster_name_}},
-            options_.ackFreshness);
+    replyError(interest, parsed.status().toString());
     return;
   }
   const std::string tenant = parsed->first;
@@ -181,26 +204,21 @@ void Gateway::onSubmit(const ndn::Interest& interest) {
   const qos::TenantSpec* spec = tenants_->find(tenant);
   const int priority = spec != nullptr ? spec->priorityClass : 0;
 
+  const k8s::Resources needs = JobManager::requestsFor(*request);
   qos::AdmissionJob job;
   job.tenant = tenant;
-  job.cpuMillicores = request->cpu.millicores() > 0
-                          ? static_cast<std::uint64_t>(request->cpu.millicores())
-                          : JobManager::kDefaultCpuMillicores;
-  job.memoryBytes = request->memory.bytes() > 0
-                        ? request->memory.bytes()
-                        : JobManager::defaultMemory().bytes();
+  job.cpuMillicores = needs.cpu.millicores();
+  job.memoryBytes = needs.memory.bytes();
   job.expiresAt = forwarder_.simulator().now() + interest.lifetime();
   job.tag = request->requestId.empty() ? request->app : request->requestId;
   job.wireBytes = interest.wireSize();
   auto held = std::make_shared<ndn::Interest>(interest);
-  const std::uint64_t cpu = job.cpuMillicores;
-  const std::uint64_t mem = job.memoryBytes;
-  job.launch = [this, held, request, tenant, priority, cpu, mem] {
+  job.launch = [this, held, request, tenant, priority] {
     // A launch that produced no job record (cache hit, dedup, rejection)
     // holds no usage: release the admission charge immediately.
     if (!processCompute(*held, *request, tenant, priority,
                         /*checkCapacity=*/false)) {
-      admission_->releaseJob(tenant, cpu, mem);
+      releaseCharge(tenant, *request);
     }
   };
   job.evict = [this, held](const std::string&) {
@@ -215,10 +233,7 @@ void Gateway::onSubmit(const ndn::Interest& interest) {
       // Terminal: an unknown tenant is unknown everywhere (the registry
       // is federation-wide), so an error Data beats a failover storm.
       ++counters_.computeRejected;
-      replyKv(interest.name(),
-              {{"error", "unknown tenant '" + tenant + "'"},
-               {"cluster", cluster_name_}},
-              options_.ackFreshness);
+      replyError(interest, "unknown tenant '" + tenant + "'");
       return;
     case qos::AdmitDecision::kRejectedRate:
     case qos::AdmitDecision::kRejectedQuota:
@@ -263,9 +278,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
       face_->putNack(interest, ndn::NackReason::kNoRoute);
       return false;
     }
-    replyKv(interest.name(),
-            {{"error", valid.toString()}, {"cluster", cluster_name_}},
-            options_.ackFreshness);
+    replyError(interest, valid.toString());
     return false;
   }
 
@@ -286,11 +299,8 @@ bool Gateway::processCompute(const ndn::Interest& interest,
       // Malformed references are terminal: no cluster can parse them.
       ++counters_.computeRejected;
       admission("ckpt-parse-reject");
-      replyKv(interest.name(),
-              {{"error", "INVALID_ARGUMENT: malformed ckpt reference '" +
-                             ckptIt->second + "'"},
-               {"cluster", cluster_name_}},
-              options_.ackFreshness);
+      replyError(interest, "INVALID_ARGUMENT: malformed ckpt reference '" +
+                               ckptIt->second + "'");
       return false;
     }
     if (ckpt_store_ == nullptr) {
@@ -349,7 +359,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
     }
   }
 
-  const ndn::Name canonical = effective.canonicalName();
+  ndn::Name canonical = effective.canonicalName();
 
   // Result cache: identical canonical requests are answered directly
   // with the stored result location (paper SVII).
@@ -363,7 +373,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
                {"cluster", cluster_name_},
                {"result", cached->resultPath},
                {"output_bytes", std::to_string(cached->outputBytes)}},
-              options_.ackFreshness);
+              kAckFreshness);
       return false;
     }
     // In-flight dedup: join a running job for the same canonical name.
@@ -375,7 +385,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
                {"cluster", cluster_name_},
                {"status_name", makeStatusName(cluster_name_, it->second).toUri()},
                {"deduplicated", "1"}},
-              options_.ackFreshness);
+              kAckFreshness);
       return false;
     }
   }
@@ -390,20 +400,14 @@ bool Gateway::processCompute(const ndn::Interest& interest,
     // jobs entirely, even if the survivors nominally have capacity —
     // partial failures usually cascade, and the overlay has healthier
     // clusters to offer.
-    if (healthyNodeFraction() < options_.minHealthyNodeFraction) {
+    if (healthyNodeFraction() < kMinHealthyNodeFraction) {
       ++counters_.healthRejected;
       admission("health-reject",
                 {{"healthy_fraction", std::to_string(healthyNodeFraction())}});
       face_->putNack(interest, ndn::NackReason::kCongestion);
       return false;
     }
-    k8s::Resources needed;
-    needed.cpu = effective.cpu.millicores() > 0
-                     ? effective.cpu
-                     : MilliCpu(JobManager::kDefaultCpuMillicores);
-    needed.memory = effective.memory.bytes() > 0 ? effective.memory
-                                                 : JobManager::defaultMemory();
-    if (!needed.fitsWithin(cluster_.totalFree())) {
+    if (!JobManager::requestsFor(effective).fitsWithin(cluster_.totalFree())) {
       ++counters_.capacityRejected;
       admission("capacity-reject");
       face_->putNack(interest, ndn::NackReason::kCongestion);
@@ -430,28 +434,24 @@ bool Gateway::processCompute(const ndn::Interest& interest,
                                    : ndn::NackReason::kQuotaExceeded);
       return false;
     }
-    replyKv(interest.name(),
-            {{"error", jobId.status().toString()}, {"cluster", cluster_name_}},
-            options_.ackFreshness);
+    replyError(interest, jobId.status().toString());
     return false;
   }
 
   ++counters_.jobsLaunched;
-  const telemetry::TraceContext launchCtx =
-      admission("launch", {{"job_id", *jobId}});
-  LaunchRecord record{effective, forwarder_.simulator().now(), launchCtx};
-  if (!tenant.empty()) {
-    record.tenant = tenant;
-    record.chargedCpu = effective.cpu.millicores() > 0
-                            ? static_cast<std::uint64_t>(effective.cpu.millicores())
-                            : JobManager::kDefaultCpuMillicores;
-    record.chargedMem = effective.memory.bytes() > 0
-                            ? effective.memory.bytes()
-                            : JobManager::defaultMemory().bytes();
+  JobRecord& record = records_[*jobId];
+  record.phase = JobRecord::Phase::kLaunched;
+  record.since = forwarder_.simulator().now();
+  record.launch = std::make_unique<JobRecord::Launch>();
+  JobRecord::Launch& launch = *record.launch;
+  launch.trace = admission("launch", {{"job_id", *jobId}});
+  launch.tenant = tenant;
+  if (effective.requestId.empty()) {
+    inflight_.emplace(canonical, *jobId);
+    launch.dedupKey = std::move(canonical);
   }
-  launched_.emplace(*jobId, std::move(record));
-  if (effective.requestId.empty()) inflight_.emplace(canonical, *jobId);
-  scheduleReaper();
+  launch.request = std::move(effective);
+  armReaper();
 
   if (restoring) {
     ++counters_.ckptRestores;
@@ -469,7 +469,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
           {{"job_id", *jobId},
            {"cluster", cluster_name_},
            {"status_name", makeStatusName(cluster_name_, *jobId).toUri()}},
-          options_.ackFreshness);
+          kAckFreshness);
   return true;
 }
 
@@ -484,47 +484,46 @@ void Gateway::onStatus(const ndn::Interest& interest) {
   if (parsed->first != cluster_name_) {
     // Migration alias: polls under the old cluster's name for a job
     // that moved here are answered with the local successor's status.
-    auto alias = status_aliases_.find(parsed->first + "/" + parsed->second);
-    if (alias == status_aliases_.end()) {
+    auto alias = aliases_.find(parsed->first + "/" + parsed->second);
+    if (alias == aliases_.end()) {
       face_->putNack(interest, ndn::NackReason::kNoRoute);
       return;
     }
     ++counters_.aliasServed;
-    jobKey = alias->second.jobId;
+    jobKey = alias->second;
   }
-  // Touch-eviction: an expired terminal entry is forgotten on contact,
-  // so status GC holds even while the reaper timer is idle.
-  if (options_.enableStatusGc) {
-    if (auto t = terminal_.find(jobKey);
-        t != terminal_.end() &&
-        forwarder_.simulator().now() - t->second > options_.statusRetention) {
-      ++counters_.statusEvicted;
-      jobs_.forget(jobKey);
-      terminal_.erase(t);
-    }
+  auto record = records_.find(jobKey);
+  // Touch-eviction: an expired record is retired on contact, so status
+  // GC holds even while the reaper timer is idle.
+  if (record != records_.end() &&
+      expired(record->second, forwarder_.simulator().now())) {
+    ++counters_.statusEvicted;
+    retire(jobKey);
+    record = records_.end();
   }
-  // A gray-admitted id has no job behind it: report Pending forever,
-  // exactly the signature a stalled-but-alive gateway shows.
-  if (gray_jobs_.count(jobKey) > 0) {
+  // A gray-admitted id has no job behind it: report Pending, exactly the
+  // signature a stalled-but-alive gateway shows, until the id retires.
+  if (record != records_.end() &&
+      record->second.phase == JobRecord::Phase::kGray) {
     replyKv(interest.name(),
             {{"state", std::string(k8s::jobStateName(k8s::JobState::kPending))},
              {"cluster", cluster_name_}},
-            options_.statusFreshness);
+            kStatusFreshness);
     return;
   }
   auto status = jobs_.status(jobKey);
   if (!status.ok()) {
-    // The job object vanished (reaped, or lost with its cluster state):
-    // evict any dangling dedup bookkeeping so a later identical request
-    // launches fresh instead of joining a dead job, then answer a clean
-    // NotFound.
+    // The job object vanished (lost with its cluster state): retire the
+    // record so a later identical request launches fresh instead of
+    // joining a dead job, then answer a clean NotFound.
     if (status.status().code() == StatusCode::kNotFound &&
-        launched_.count(jobKey) > 0) {
+        record != records_.end() &&
+        record->second.phase == JobRecord::Phase::kLaunched) {
       ++counters_.vanishedEvicted;
-      evictJob(jobKey, /*forgetStatus=*/false);
+      retire(jobKey);
     }
     replyKv(interest.name(), {{"error", status.status().toString()}},
-            options_.statusFreshness);
+            kStatusFreshness);
     return;
   }
 
@@ -552,10 +551,12 @@ void Gateway::onStatus(const ndn::Interest& interest) {
     case k8s::JobState::kPending:
       break;
   }
-  replyKv(interest.name(), fields, options_.statusFreshness);
+  replyKv(interest.name(), fields, kStatusFreshness);
 }
 
 void Gateway::onInfo(const ndn::Interest& interest) {
+  // Freshness on /ndn/k8s/info/<cluster> capability advertisements.
+  constexpr sim::Duration kInfoFreshness = sim::Duration::seconds(2);
   ++counters_.infoReceived;
   const auto free = cluster_.totalFree();
   const auto total = cluster_.totalAllocatable();
@@ -573,7 +574,7 @@ void Gateway::onInfo(const ndn::Interest& interest) {
            {"running_jobs", std::to_string(cluster_.runningJobCount())},
            {"nodes", std::to_string(cluster_.nodeCount())},
            {"apps", apps}},
-          options_.infoFreshness);
+          kInfoFreshness);
 }
 
 void Gateway::onPublish(const ndn::Interest& interest) {
@@ -583,7 +584,7 @@ void Gateway::onPublish(const ndn::Interest& interest) {
   auto reject = [this, &interest](const std::string& reason) {
     ++counters_.publishesRejected;
     replyKv(interest.name(), {{"error", reason}, {"cluster", cluster_name_}},
-            options_.statusFreshness);
+            kStatusFreshness);
   };
 
   if (publish_store_ == nullptr) {
@@ -664,59 +665,53 @@ void Gateway::onPublish(const ndn::Interest& interest) {
           {{"stored", objectName.toUri()},
            {"bytes", std::to_string(payload.size())},
            {"cluster", cluster_name_}},
-          options_.statusFreshness);
+          kStatusFreshness);
 }
 
 void Gateway::onJobFinished(const k8s::Job& job) {
-  // Status GC: remember when the job turned terminal so its status
-  // entry can be retired after the retention window.
-  if (options_.enableStatusGc) {
-    terminal_[job.name()] = forwarder_.simulator().now();
-  }
-  auto it = launched_.find(job.name());
-  if (it == launched_.end()) return;  // not one of ours (or already reaped)
-  const ComputeRequest& request = it->second.request;
-  const ndn::Name canonical = request.canonicalName();
-  inflight_.erase(canonical);
+  // Jobs submitted straight to jobs() (the centralized baseline) get
+  // their first record here, already terminal.
+  JobRecord& record = records_[job.name()];
+  const sim::Time launchedAt = record.since;
+  // The launch state leaves the record with the job.
+  const std::unique_ptr<JobRecord::Launch> launch = std::move(record.launch);
+  record.phase = JobRecord::Phase::kTerminal;
+  record.since = forwarder_.simulator().now();
+  if (launch == nullptr) return;
+  const ComputeRequest& request = launch->request;
+  eraseIfNames(inflight_, launch->dedupKey, job.name());
 
   // The gateway only learns scheduling/execution boundaries at terminal
   // state, so the K8s spans are recorded retroactively under the launch
   // decision's span.
-  if (tracer_ != nullptr && it->second.trace) {
+  if (tracer_ != nullptr && launch->trace) {
     const auto& st = job.status();
-    if (st.startTime >= it->second.launchedAt) {
-      tracer_->recordSpan("k8s-schedule", "k8s:" + cluster_name_,
-                          it->second.trace, it->second.launchedAt, st.startTime);
+    if (st.startTime >= launchedAt) {
+      tracer_->recordSpan("k8s-schedule", "k8s:" + cluster_name_, launch->trace,
+                          launchedAt, st.startTime);
       if (st.completionTime >= st.startTime) {
         tracer_->recordSpan(
-            "k8s-exec", "k8s:" + cluster_name_, it->second.trace, st.startTime,
+            "k8s-exec", "k8s:" + cluster_name_, launch->trace, st.startTime,
             st.completionTime,
             {{"state", std::string(k8s::jobStateName(st.state))}});
       }
     }
-    tracer_->bindJob(job.name(), it->second.trace.trace);
+    tracer_->bindJob(job.name(), launch->trace.trace);
   }
 
   if (job.status().state == k8s::JobState::kCompleted) {
     if (options_.enableResultCache && request.requestId.empty()) {
-      cache_.put(canonical, CachedResult{job.name(), job.status().resultPath,
-                                         job.status().outputBytes,
-                                         forwarder_.simulator().now()});
+      cache_.put(launch->dedupKey,
+                 CachedResult{job.name(), job.status().resultPath,
+                              job.status().outputBytes,
+                              forwarder_.simulator().now()});
     }
     if (predictor_ != nullptr) {
       predictor_->record(request,
                          job.status().completionTime - job.status().startTime);
     }
   }
-  // Erase before releasing: releaseJob drains the admission queue, which
-  // can synchronously launch work and mutate launched_ under us.
-  const std::string tenant = it->second.tenant;
-  const std::uint64_t cpu = it->second.chargedCpu;
-  const std::uint64_t mem = it->second.chargedMem;
-  launched_.erase(it);
-  if (admission_ != nullptr && !tenant.empty()) {
-    admission_->releaseJob(tenant, cpu, mem);
-  }
+  releaseCharge(launch->tenant, request);
 }
 
 void Gateway::attachTelemetry(telemetry::MetricsRegistry& registry,
@@ -764,102 +759,81 @@ double Gateway::healthyNodeFraction() const {
          static_cast<double>(nodes);
 }
 
-void Gateway::evictJob(const std::string& jobId, bool forgetStatus) {
-  auto it = launched_.find(jobId);
-  if (it == launched_.end()) return;
-  // Only drop the dedup entry if it still points at this job — a fresh
-  // identical request may have re-populated it with a newer job id.
-  const ndn::Name canonical = it->second.request.canonicalName();
-  if (auto inflightIt = inflight_.find(canonical);
-      inflightIt != inflight_.end() && inflightIt->second == jobId) {
-    inflight_.erase(inflightIt);
-  }
-  const std::string tenant = it->second.tenant;
-  const std::uint64_t cpu = it->second.chargedCpu;
-  const std::uint64_t mem = it->second.chargedMem;
-  launched_.erase(it);
-  if (forgetStatus) jobs_.forget(jobId);
-  if (admission_ != nullptr && !tenant.empty()) {
-    admission_->releaseJob(tenant, cpu, mem);
-  }
+bool Gateway::expired(const JobRecord& record, sim::Time now) const {
+  return options_.enableStatusGc &&
+         record.phase != JobRecord::Phase::kLaunched &&
+         now - record.since > options_.statusRetention;
 }
 
-void Gateway::scheduleReaper() {
-  // Lazy arming: no recurring event while nothing is launched, so
-  // simulations with a drained job table still run to completion.
-  if (!options_.enableOrphanReaper || reaper_pending_ || launched_.empty()) {
-    return;
-  }
+void Gateway::retire(const std::string& jobId) {
+  auto it = records_.find(jobId);
+  if (it == records_.end()) return;
+  for (const auto& alias : it->second.aliases) eraseIfNames(aliases_, alias, jobId);
+  const std::unique_ptr<JobRecord::Launch> launch = std::move(it->second.launch);
+  if (launch != nullptr) eraseIfNames(inflight_, launch->dedupKey, jobId);
+  records_.erase(it);
+  jobs_.retire(jobId);
+  if (launch != nullptr) releaseCharge(launch->tenant, launch->request);
+}
+
+void Gateway::releaseCharge(const std::string& tenant,
+                            const ComputeRequest& request) {
+  if (admission_ == nullptr || tenant.empty()) return;
+  const k8s::Resources charged = JobManager::requestsFor(request);
+  admission_->releaseJob(tenant, charged.cpu.millicores(), charged.memory.bytes());
+}
+
+void Gateway::armReaper() {
+  if (reaper_pending_) return;
   reaper_pending_ = true;
   forwarder_.simulator().scheduleAfter(options_.reaperInterval, [this] {
     reaper_pending_ = false;
-    reapOrphans();
-    scheduleReaper();
+    if (sweep()) armReaper();
   });
 }
 
-void Gateway::reapOrphans() {
+bool Gateway::sweep() {
   const sim::Time now = forwarder_.simulator().now();
+  // Collect first: retiring an orphan releases its tenant charge, which
+  // can launch queued work that inserts records.
   std::vector<std::string> victims;
-  for (const auto& [jobId, record] : launched_) {
-    auto status = jobs_.status(jobId);
-    if (!status.ok()) {
-      // Job object gone (e.g. cluster state lost): dangling entry.
-      victims.push_back(jobId);
+  bool launchedLeft = false;
+  for (const auto& [jobId, record] : records_) {
+    if (record.phase != JobRecord::Phase::kLaunched) {
+      if (expired(record, now)) {
+        ++counters_.statusEvicted;
+        victims.push_back(jobId);
+      }
       continue;
     }
-    // Only Pending counts as "stuck": a Running job has a completion
-    // event scheduled and will reach a terminal state on its own, but a
-    // pod that cannot be scheduled (cluster lost its nodes, capacity
-    // gone for good) waits forever.
-    if (status->state == k8s::JobState::kPending &&
-        now - record.launchedAt > options_.orphanTtl) {
+    // A vanished job object leaves a dangling record. Of live jobs only
+    // Pending counts as "stuck": a Running job has a completion event
+    // scheduled and will reach a terminal state on its own, but a pod
+    // that cannot be scheduled (cluster lost its nodes, capacity gone
+    // for good) waits forever.
+    auto status = jobs_.status(jobId);
+    if (!status.ok() || (status->state == k8s::JobState::kPending &&
+                         now - record.since > options_.orphanTtl)) {
+      ++counters_.orphansReaped;
+      LIDC_LOG(kInfo, "gateway")
+          << cluster_name_ << " reaped orphaned job " << jobId;
       victims.push_back(jobId);
+    } else {
+      launchedLeft = true;
     }
   }
-  for (const auto& jobId : victims) {
-    ++counters_.orphansReaped;
-    LIDC_LOG(kInfo, "gateway")
-        << cluster_name_ << " reaped orphaned job " << jobId;
-    evictJob(jobId, /*forgetStatus=*/true);
-  }
-
-  // Status-namespace GC rides along with the reaper sweep (no extra
-  // timer: terminal-only state is otherwise evicted on touch).
-  if (options_.enableStatusGc) {
-    for (auto it = terminal_.begin(); it != terminal_.end();) {
-      if (now - it->second > options_.statusRetention) {
-        ++counters_.statusEvicted;
-        jobs_.forget(it->first);
-        it = terminal_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = status_aliases_.begin(); it != status_aliases_.end();) {
-      // An alias lives as long as its successor's status entry: while
-      // the restored job is still running (migrations can outlive the
-      // retention window many times over), pollers of the old name must
-      // keep being answered. Retention ages the alias from the
-      // successor's *terminal* time; createdAt only covers successors
-      // that vanished without ever turning terminal here.
-      bool expired;
-      if (auto t = terminal_.find(it->second.jobId); t != terminal_.end()) {
-        expired = now - t->second > options_.statusRetention;
-      } else {
-        expired = now - it->second.createdAt > options_.statusRetention &&
-                  !jobs_.status(it->second.jobId).ok();
-      }
-      it = expired ? status_aliases_.erase(it) : std::next(it);
-    }
-  }
+  for (const std::string& jobId : victims) retire(jobId);
+  return launchedLeft;
 }
 
 void Gateway::addStatusAlias(const std::string& oldCluster,
                              const std::string& oldJobId,
                              const std::string& newJobId) {
-  status_aliases_[oldCluster + "/" + oldJobId] =
-      StatusAlias{newJobId, forwarder_.simulator().now()};
+  auto record = records_.find(newJobId);
+  if (record == records_.end()) return;
+  std::string aliasKey = oldCluster + "/" + oldJobId;
+  aliases_[aliasKey] = newJobId;
+  record->second.aliases.push_back(std::move(aliasKey));
   // Exact route for the old status name: its 5 components beat the dead
   // cluster's 4-component /ndn/k8s/status/<cluster> registration in
   // longest-prefix match, so existing pollers are steered here without

@@ -8,10 +8,11 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/job_manager.hpp"
 #include "core/predictor.hpp"
@@ -31,32 +32,17 @@ namespace lidc::core {
 
 struct GatewayOptions {
   bool enableResultCache = true;
-  std::size_t cacheCapacity = 256;
-  sim::Duration cacheTtl = sim::Duration::hours(24);
-  /// Freshness on compute acks (lets the NDN content stores aggregate
-  /// identical canonical requests network-wide).
-  sim::Duration ackFreshness = sim::Duration::seconds(5);
-  sim::Duration statusFreshness = sim::Duration::millis(500);
-  /// Freshness on /ndn/k8s/info/<cluster> capability advertisements.
-  sim::Duration infoFreshness = sim::Duration::seconds(2);
   /// Largest object accepted through a single publish command Interest.
   std::size_t maxPublishBytes = 1 << 20;
-  /// Health gate: while the fraction of Ready nodes is below this, new
-  /// compute Interests are nacked with kCongestion so the forwarding
-  /// strategy fails over to a healthy cluster. 0 disables the gate.
-  double minHealthyNodeFraction = 0.5;
-  /// Orphan reaper: launched/in-flight bookkeeping for a job that is
-  /// still non-terminal this long after launch is expired, so dedup can
-  /// never join a dead job and status queries return a clean NotFound.
+  /// Orphan reaper: every `reaperInterval` while a launched job exists, a
+  /// sweep retires jobs still Pending `orphanTtl` after launch, so dedup
+  /// never joins a dead job and their status is a clean NotFound.
   sim::Duration orphanTtl = sim::Duration::minutes(10);
   sim::Duration reaperInterval = sim::Duration::seconds(30);
-  bool enableOrphanReaper = true;
-  /// Status-namespace GC: terminal job entries (and migration aliases)
-  /// older than `statusRetention` are forgotten. Swept by the orphan
-  /// reaper while it runs and evicted lazily when a poll touches an
-  /// expired entry, so the status table cannot grow without bound — and
-  /// no extra timer is armed for terminal-only state (idle simulations
-  /// still drain).
+  /// Status GC: a job terminal (or a gray id handed out) longer than
+  /// `statusRetention` is retired with its K8s Job, Pods and aliases, by
+  /// the sweep or when a poll touches it. It arms no timer of its own,
+  /// so idle simulations still drain.
   bool enableStatusGc = true;
   sim::Duration statusRetention = sim::Duration::minutes(30);
 };
@@ -73,13 +59,13 @@ struct GatewayCounters {
   std::uint64_t publishesAccepted = 0;
   std::uint64_t publishesRejected = 0;
   std::uint64_t healthRejected = 0;    // nacked by the health gate
-  std::uint64_t orphansReaped = 0;     // launched/inflight entries expired
-  std::uint64_t vanishedEvicted = 0;   // evicted when the job object vanished
+  std::uint64_t orphansReaped = 0;     // launched records reaped by the sweep
+  std::uint64_t vanishedEvicted = 0;   // retired when the job object vanished
   std::uint64_t blackoutDropped = 0;   // Interests dropped during a blackout
   std::uint64_t grayAdmitted = 0;      // jobs "accepted" by a gray gateway
   std::uint64_t ckptRestores = 0;      // jobs launched from a checkpoint
   std::uint64_t ckptRestoreFailures = 0;  // stale/corrupt ckpt -> cold start
-  std::uint64_t statusEvicted = 0;     // terminal status entries GC'd
+  std::uint64_t statusEvicted = 0;     // terminal/gray records GC'd
   std::uint64_t aliasServed = 0;       // polls served through a migration alias
 };
 
@@ -123,7 +109,9 @@ class Gateway {
   /// follow a migrated job without learning the new name. Registers the
   /// exact old status name on this gateway's forwarder — the
   /// 5-component route wins longest-prefix match over the dead
-  /// cluster's 4-component status prefix.
+  /// cluster's 4-component status prefix. The alias lives exactly as
+  /// long as `newJobId`'s record (a no-op when there is none); after
+  /// that, polls of the old name are nacked.
   void addStatusAlias(const std::string& oldCluster,
                       const std::string& oldJobId, const std::string& newJobId);
 
@@ -145,20 +133,26 @@ class Gateway {
   /// is dropped silently (no Data, no Nack), so clients see PIT timeouts
   /// exactly as if the gateway pod died. Driven by the chaos engine.
   void setBlackout(bool on) noexcept { blackout_ = on; }
-  [[nodiscard]] bool blackedOut() const noexcept { return blackout_; }
 
   /// Gray failure (chaos kGrayGateway): unlike a blackout, the gateway
   /// keeps answering — compute Interests get a plausible ack with a job
   /// id, but nothing is ever scheduled and status polls for those ids
-  /// return Pending forever. Health probes, info queries, and real jobs'
-  /// status keep working, so only a progress watchdog can tell. Jobs
-  /// admitted during the gray window stay dark even after recovery (the
-  /// fabricated ids never map to real work).
+  /// return Pending until status GC retires the id, `statusRetention`
+  /// after it was handed out (NotFound from then on). Health probes,
+  /// info queries, and real jobs' status keep working, so only a
+  /// progress watchdog can tell. Jobs admitted during the gray window
+  /// stay dark even after recovery (the fabricated ids never map to
+  /// real work).
   void setGrayFailure(bool on) noexcept { gray_ = on; }
-  [[nodiscard]] bool grayFailed() const noexcept { return gray_; }
 
   /// Fraction of this cluster's nodes currently Ready, in [0, 1].
   [[nodiscard]] double healthyNodeFraction() const;
+
+  /// Sizes of the per-job record table and its two indexes.
+  struct JobTableSizes { std::size_t records, dedup, aliases; };
+  [[nodiscard]] JobTableSizes jobTableSizes() const noexcept {
+    return {records_.size(), inflight_.size(), aliases_.size()};
+  }
 
   /// Binds GatewayCounters, result-cache stats, and the health gauge
   /// into `registry`, read at snapshot time (lidc_gateway_*{cluster=...}).
@@ -181,9 +175,9 @@ class Gateway {
   void onCompute(const ndn::Interest& interest);
   void onSubmit(const ndn::Interest& interest);
   /// The shared back half of the compute pipeline (validation, cache,
-  /// dedup, capacity, launch, ack). Returns true iff a LaunchRecord was
-  /// created — QoS launches use this to release usage for answers that
-  /// hold no job (cache hits, dedups, rejections).
+  /// dedup, capacity, launch, ack). Returns true iff a launched record
+  /// was created — QoS launches use this to release usage for answers
+  /// that hold no job (cache hits, dedups, rejections).
   bool processCompute(const ndn::Interest& interest,
                       const ComputeRequest& request, const std::string& tenant,
                       int priorityClass, bool checkCapacity);
@@ -193,15 +187,45 @@ class Gateway {
   void onInfo(const ndn::Interest& interest);
   void onPublish(const ndn::Interest& interest);
   void replyKv(const ndn::Name& name, const KvMap& fields, sim::Duration freshness);
+  /// Terminal error answer to a compute or submit Interest.
+  void replyError(const ndn::Interest& interest, const std::string& error);
   void onJobFinished(const k8s::Job& job);
-  /// Drops launched_/inflight_ bookkeeping for a job and (for orphans)
-  /// the JobManager mapping, so dedup/status never reference it again.
-  void evictJob(const std::string& jobId, bool forgetStatus);
-  /// Arms the reaper timer if it is enabled, not already pending, and
-  /// there are launched jobs to watch (lazy, so idle simulations drain).
-  void scheduleReaper();
-  /// One reaper sweep: expires vanished jobs and non-terminal orphans.
-  void reapOrphans();
+
+  /// One job id's gateway-side state, from launch (or gray admission)
+  /// until retire(): the server-side half of the client's JobRun.
+  struct JobRecord {
+    enum class Phase { kLaunched, kTerminal, kGray };
+    /// What a launched job needs until it turns terminal: the request,
+    /// the launching Interest's trace (parents the retroactive K8s
+    /// spans), the QoS tenant charged for it (empty on the legacy path)
+    /// and the canonical name it holds in inflight_ (empty if none).
+    struct Launch {
+      ComputeRequest request;
+      telemetry::TraceContext trace;
+      std::string tenant;
+      ndn::Name dedupKey;
+    };
+    Phase phase = Phase::kTerminal;
+    sim::Time since;                   // when the record entered `phase`
+    std::unique_ptr<Launch> launch;    // set exactly while launched
+    std::vector<std::string> aliases;  // aliases_ keys naming this job
+  };
+  /// True for a terminal or gray record older than statusRetention.
+  [[nodiscard]] bool expired(const JobRecord& record, sim::Time now) const;
+  /// The only way out of records_: drops the record and its index
+  /// entries, deletes the job's K8s Job and Pods, then releases its
+  /// tenant charge.
+  void retire(const std::string& jobId);
+  /// Releases the QoS usage `tenant` was charged for `request`. Call it
+  /// last: releaseJob can launch queued work, which inserts records.
+  void releaseCharge(const std::string& tenant, const ComputeRequest& request);
+  /// Arms the reaper timer unless it is pending. Called only while a
+  /// launched record exists (lazy, so idle simulations drain).
+  void armReaper();
+  /// One reaper sweep over records_: reaps launched records whose job
+  /// vanished or sat Pending past orphanTtl, and retires expired
+  /// terminal and gray records. Returns whether a launched record is left.
+  bool sweep();
 
   ndn::Forwarder& forwarder_;
   k8s::Cluster& cluster_;
@@ -224,41 +248,17 @@ class Gateway {
   bool blackout_ = false;
   bool gray_ = false;
   std::uint64_t next_gray_id_ = 1;
-  /// Fabricated job ids handed out while gray; status stays Pending.
-  std::set<std::string> gray_jobs_;
   bool reaper_pending_ = false;
   /// Checkpoint lake for ckpt= restores (null until enableCheckpointRestore).
   datalake::ObjectStore* ckpt_store_ = nullptr;
 
-  struct StatusAlias {
-    std::string jobId;       // local job serving the old name
-    sim::Time createdAt;     // GC fallback; normally ages from the
-                             // successor's terminal time instead
-  };
-  /// "<oldCluster>/<oldJobId>" -> alias (migrated-in jobs).
-  std::unordered_map<std::string, StatusAlias> status_aliases_;
-  /// jobId -> terminal time, for status-namespace GC.
-  std::unordered_map<std::string, sim::Time> terminal_;
-
-  struct LaunchRecord {
-    ComputeRequest request;
-    sim::Time launchedAt;
-    /// Trace of the Interest that launched the job (invalid when the
-    /// submitter was not tracing); parents the retroactive K8s spans.
-    telemetry::TraceContext trace;
-    /// QoS bookkeeping: tenant the job was admitted for (empty on the
-    /// legacy compute path) and the usage charged at admission, released
-    /// when the job reaches a terminal state or is evicted.
-    std::string tenant;
-    std::uint64_t chargedCpu = 0;
-    std::uint64_t chargedMem = 0;
-  };
-
-  /// canonical name -> jobId for jobs still in flight (dedup).
+  /// Every job id this gateway answers for, ordered so sweeps retire in
+  /// a deterministic order.
+  std::map<std::string, JobRecord> records_;
+  /// canonical name -> id of the launched job running it (dedup).
   std::unordered_map<ndn::Name, std::string, ndn::NameHash> inflight_;
-  /// jobId -> originating request + launch time (cache/predictor
-  /// bookkeeping and orphan expiry).
-  std::unordered_map<std::string, LaunchRecord> launched_;
+  /// "<oldCluster>/<oldJobId>" -> id of the migrated-in successor.
+  std::unordered_map<std::string, std::string> aliases_;
 };
 
 }  // namespace lidc::core

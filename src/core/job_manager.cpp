@@ -43,11 +43,7 @@ Result<std::string> JobManager::submit(const ComputeRequest& request,
   k8s::JobSpec spec;
   spec.app = image;
   spec.priorityClass = priorityClass;
-  spec.requests.cpu = request.cpu.millicores() > 0
-                          ? request.cpu
-                          : MilliCpu(kDefaultCpuMillicores);
-  spec.requests.memory =
-      request.memory.bytes() > 0 ? request.memory : defaultMemory();
+  spec.requests = requestsFor(request);
   spec.args = request.params;
   for (std::size_t i = 0; i < request.datasets.size(); ++i) {
     spec.args["dataset" + std::to_string(i)] = request.datasets[i];
@@ -68,6 +64,21 @@ Result<std::string> JobManager::submit(const ComputeRequest& request,
   if (!job.ok()) return job.status();
   job_namespaces_[jobId] = ns;
   return jobId;
+}
+
+k8s::Resources JobManager::requestsFor(const ComputeRequest& request) {
+  k8s::Resources requests;
+  requests.cpu = request.cpu.millicores() > 0 ? request.cpu
+                                              : MilliCpu(kDefaultCpuMillicores);
+  requests.memory = request.memory.bytes() > 0 ? request.memory : defaultMemory();
+  return requests;
+}
+
+void JobManager::retire(const std::string& jobId) {
+  auto it = job_namespaces_.find(jobId);
+  if (it == job_namespaces_.end()) return;
+  (void)cluster_.deleteJob(it->second, jobId);
+  job_namespaces_.erase(it);
 }
 
 Result<JobStatusInfo> JobManager::status(const std::string& jobId) const {

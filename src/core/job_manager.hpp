@@ -48,20 +48,16 @@ class JobManager {
 
   [[nodiscard]] Result<JobStatusInfo> status(const std::string& jobId) const;
 
-  /// Drops all bookkeeping for a job id: subsequent status() queries
-  /// return NotFound. Used by the gateway's orphan reaper to retire jobs
-  /// stuck non-terminal past their TTL.
-  void forget(const std::string& jobId) { job_namespaces_.erase(jobId); }
-
-  [[nodiscard]] const std::string& namespaceName() const noexcept {
-    return namespace_;
-  }
-  [[nodiscard]] k8s::Cluster& cluster() noexcept { return cluster_; }
-  [[nodiscard]] std::uint64_t submitted() const noexcept { return next_job_seq_; }
+  /// Forgets a job id and deletes its K8s Job and Pods: status() then
+  /// returns NotFound. The gateway calls it when it retires the job's
+  /// record, so K8s state lives exactly as long as its status entry.
+  void retire(const std::string& jobId);
 
   /// Defaults applied when the request omits resources.
   static constexpr std::uint64_t kDefaultCpuMillicores = 1000;
   static ByteSize defaultMemory() { return ByteSize::fromGiB(1); }
+  /// The resources a request's job asks for, defaults filled in.
+  static k8s::Resources requestsFor(const ComputeRequest& request);
 
  private:
   k8s::Cluster& cluster_;

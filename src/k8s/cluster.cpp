@@ -53,25 +53,17 @@ void Cluster::failNode(const std::string& nodeName) {
   failed->setReady(false);
   recordEvent("NodeFailed", nodeName, "evicting pods");
 
-  // Collect victims first: eviction mutates the node's pod set.
-  std::vector<Pod*> victims;
-  for (auto& [k, pod] : pods_) {
-    if (pod->nodeName() == nodeName) victims.push_back(pod.get());
-  }
-  for (Pod* pod : victims) {
-    const std::string podKey = key(pod->namespaceName(), pod->name());
-    // Is this pod backing a running/pending job? Then the job's current
-    // attempt fails as if the container died with the node.
-    Job* owner = nullptr;
-    for (auto& [jk, job] : jobs_) {
-      if (job->podName() == pod->name() &&
-          job->namespaceName() == pod->namespaceName() &&
-          (job->status().state == JobState::kRunning ||
-           job->status().state == JobState::kPending)) {
-        owner = job.get();
-        break;
-      }
-    }
+  // Copy the victims' keys first: eviction mutates the node's pod set,
+  // which holds the same ns/name keys as pods_, in the same order.
+  const std::vector<std::string> victims(failed->podNames().begin(),
+                                         failed->podNames().end());
+  for (const std::string& podKey : victims) {
+    auto podIt = pods_.find(podKey);
+    if (podIt == pods_.end()) continue;
+    Pod* pod = podIt->second.get();
+    // Is this pod backing a running job? Then the job's current attempt
+    // fails as if the container died with the node.
+    Job* owner = ownerJob(*pod);
     if (owner != nullptr && owner->status().state == JobState::kRunning) {
       AppResult death;
       death.status = Status::Unavailable("node " + nodeName + " failed");
@@ -80,13 +72,11 @@ void Cluster::failNode(const std::string& nodeName) {
       continue;
     }
     // Plain pod (or a job pod that never started): evict and requeue.
+    // A bound pod is never queued, so it cannot be queued twice.
     releasePod(*pod);
     pod->setPhase(PodPhase::kPending);
     recordEvent("PodEvicted", podKey, "node failure");
-    if (std::find(unschedulable_.begin(), unschedulable_.end(), podKey) ==
-        unschedulable_.end()) {
-      unschedulable_.push_back(podKey);
-    }
+    unschedulable_.push_back(podKey);
   }
   retryUnschedulable();
 }
@@ -141,9 +131,15 @@ std::optional<Resources> Cluster::namespaceQuota(const std::string& ns) const {
 }
 
 Resources Cluster::namespaceUsage(const std::string& ns) const {
+  // A ResourceQuota counts only pods in a non-terminal phase, as in K8s.
   Resources usage;
-  for (const auto& [k, pod] : pods_) {
-    if (pod->namespaceName() == ns) usage += pod->spec().requests;
+  const std::string prefix = ns + "/";
+  for (auto it = pods_.lower_bound(prefix);
+       it != pods_.end() && it->first.starts_with(prefix); ++it) {
+    const PodPhase phase = it->second->phase();
+    if (phase == PodPhase::kPending || phase == PodPhase::kRunning) {
+      usage += it->second->spec().requests;
+    }
   }
   return usage;
 }
@@ -255,14 +251,20 @@ void Cluster::startPodOnNode(Pod& pod) {
     recordEvent("PodStarted", k, "on node " + p.nodeName());
 
     // If this pod belongs to a job, run the application now.
-    for (auto& [jk, job] : jobs_) {
-      if (job->podName() == p.name() && job->namespaceName() == p.namespaceName() &&
-          job->status().state == JobState::kPending) {
-        executeJobPod(*job, p);
-        break;
-      }
+    if (Job* owner = ownerJob(p);
+        owner != nullptr && owner->status().state == JobState::kPending) {
+      executeJobPod(*owner, p);
     }
   });
+}
+
+Job* Cluster::ownerJob(const Pod& pod) {
+  // Only the job's current attempt counts as backed by it.
+  const auto label = pod.spec().labels.find("job-name");
+  if (label == pod.spec().labels.end()) return nullptr;
+  const auto it = jobs_.find(key(pod.namespaceName(), label->second));
+  if (it == jobs_.end() || it->second->podName() != pod.name()) return nullptr;
+  return it->second.get();
 }
 
 void Cluster::releasePod(Pod& pod) {
@@ -403,22 +405,24 @@ Result<Job*> Cluster::createJob(const std::string& ns, const std::string& jobNam
   job->mutableStatus().submitTime = sim_.now();
   Job* raw = job.get();
   jobs_.emplace(k, std::move(job));
-
-  PodSpec podSpec;
-  podSpec.image = spec.app;
-  podSpec.requests = spec.requests;
-  podSpec.labels = {{"job-name", jobName}, {"app", spec.app}};
-  podSpec.args = spec.args;
-  podSpec.priorityClass = spec.priorityClass;
-  const std::string podName = jobName + "-pod-0";
-  raw->setPodName(podName);
-  auto pod = createPod(ns, podName, std::move(podSpec));
+  auto pod = createJobPod(*raw);
   if (!pod.ok()) {
     jobs_.erase(k);
     return pod.status();
   }
   recordEvent("JobCreated", k, "app=" + spec.app);
   return raw;
+}
+
+Result<Pod*> Cluster::createJobPod(Job& job) {
+  PodSpec podSpec;
+  podSpec.image = job.spec().app;
+  podSpec.requests = job.spec().requests;
+  podSpec.labels = {{"job-name", job.name()}, {"app", job.spec().app}};
+  podSpec.args = job.spec().args;
+  podSpec.priorityClass = job.spec().priorityClass;
+  job.setPodName(job.name() + "-pod-" + std::to_string(job.status().attempts));
+  return createPod(job.namespaceName(), job.podName(), std::move(podSpec));
 }
 
 Job* Cluster::job(const std::string& ns, const std::string& jobName) {
@@ -429,6 +433,28 @@ Job* Cluster::job(const std::string& ns, const std::string& jobName) {
 const Job* Cluster::job(const std::string& ns, const std::string& jobName) const {
   auto it = jobs_.find(key(ns, jobName));
   return it == jobs_.end() ? nullptr : it->second.get();
+}
+
+Status Cluster::deleteJob(const std::string& ns, const std::string& jobName) {
+  const std::string k = key(ns, jobName);
+  auto it = jobs_.find(k);
+  if (it == jobs_.end()) return Status::NotFound("job " + k);
+  const JobStatus& status = it->second->status();
+  if (status.state == JobState::kRunning) --running_jobs_;
+  // One pod per attempt, up to the retry made after the last failure.
+  bool freed = false;
+  for (int attempt = 0; attempt <= status.attempts; ++attempt) {
+    const std::string podKey = key(ns, jobName + "-pod-" + std::to_string(attempt));
+    auto podIt = pods_.find(podKey);
+    if (podIt == pods_.end()) continue;
+    freed = freed || !podIt->second->nodeName().empty();
+    releasePod(*podIt->second);
+    std::erase(unschedulable_, podKey);
+    pods_.erase(podIt);
+  }
+  jobs_.erase(it);
+  if (freed) retryUnschedulable();  // capacity came back
+  return Status::Ok();
 }
 
 std::vector<Job*> Cluster::jobsInNamespace(const std::string& ns) {
@@ -493,23 +519,13 @@ void Cluster::finishJob(Job& job, Pod& pod, const AppResult& result) {
                 "output=" + std::to_string(result.outputBytes) + "B");
   } else {
     pod.setPhase(PodPhase::kFailed);
-    pod.setTerminationMessage(result.status.toString());
     if (status.attempts <= job.spec().backoffLimit) {
       // Retry with a fresh pod, as the Job controller does.
       recordEvent("JobRetry", key(job.namespaceName(), job.name()),
                   "attempt " + std::to_string(status.attempts));
       releasePod(pod);
       status.state = JobState::kPending;
-      PodSpec podSpec;
-      podSpec.image = job.spec().app;
-      podSpec.requests = job.spec().requests;
-      podSpec.labels = {{"job-name", job.name()}, {"app", job.spec().app}};
-      podSpec.args = job.spec().args;
-      const std::string podName =
-          job.name() + "-pod-" + std::to_string(status.attempts);
-      job.setPodName(podName);
-      auto created = createPod(job.namespaceName(), podName, std::move(podSpec));
-      if (created.ok()) {
+      if (createJobPod(job).ok()) {
         retryUnschedulable();
         return;
       }

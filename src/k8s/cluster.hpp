@@ -74,7 +74,7 @@ class Cluster {
   /// admission, not queued.
   void setNamespaceQuota(const std::string& ns, Resources quota);
   [[nodiscard]] std::optional<Resources> namespaceQuota(const std::string& ns) const;
-  /// Sum of requests of all pods currently in the namespace.
+  /// Sum of requests of the namespace's Pending and Running pods.
   [[nodiscard]] Resources namespaceUsage(const std::string& ns) const;
 
   // --- pods ---
@@ -123,6 +123,9 @@ class Cluster {
   [[nodiscard]] const Job* job(const std::string& ns,
                                const std::string& jobName) const;
   [[nodiscard]] std::vector<Job*> jobsInNamespace(const std::string& ns);
+  /// Deletes a Job and the Pod of each attempt, as the TTL-after-finished
+  /// controller does. Records no event and fires no watcher.
+  Status deleteJob(const std::string& ns, const std::string& jobName);
   /// Fires when any job reaches Completed or Failed.
   void onJobFinished(std::function<void(const Job&)> callback) {
     job_watchers_.push_back(std::move(callback));
@@ -153,6 +156,10 @@ class Cluster {
   /// Called when resources free up: retries unschedulable pods in order.
   void retryUnschedulable();
   void startPodOnNode(Pod& pod);
+  /// The job whose current attempt `pod` is (via its job-name label).
+  [[nodiscard]] Job* ownerJob(const Pod& pod);
+  /// Creates <job>-pod-<attempts>, the pod of the job's next attempt.
+  Result<Pod*> createJobPod(Job& job);
   /// Runs the job's application and schedules completion.
   void executeJobPod(Job& job, Pod& pod);
   void finishJob(Job& job, Pod& pod, const AppResult& result);

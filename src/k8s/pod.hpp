@@ -56,13 +56,6 @@ class Pod {
   [[nodiscard]] const std::string& podIp() const noexcept { return pod_ip_; }
   void setPodIp(std::string ip) { pod_ip_ = std::move(ip); }
 
-  [[nodiscard]] const std::string& terminationMessage() const noexcept {
-    return termination_message_;
-  }
-  void setTerminationMessage(std::string msg) {
-    termination_message_ = std::move(msg);
-  }
-
  private:
   std::string name_;
   std::string namespace_;
@@ -71,7 +64,6 @@ class Pod {
   std::string node_;
   std::string pod_ip_;
   sim::Time start_time_;
-  std::string termination_message_;
 };
 
 }  // namespace lidc::k8s

@@ -1,14 +1,17 @@
 // Status-namespace GC: terminal jobs are evicted after the retention
 // window — on contact (touch eviction) and by the reaper sweep while it
-// is armed — so a long-lived gateway's status table and JobManager stop
-// growing without bound. Also covers the migration-plane status alias:
-// polls under a dead cluster's old name are answered with the local
-// successor's status until the alias itself ages out.
+// is armed — so a long-lived gateway's records, its JobManager and the
+// cluster's K8s Jobs and Pods stop growing without bound. Also covers
+// the migration-plane status alias: polls under a dead cluster's old
+// name are answered with the local successor's status until the alias
+// retires with it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/client.hpp"
 #include "core/overlay.hpp"
@@ -156,6 +159,98 @@ TEST(StatusGcTest, StatusAliasAnswersOldNameAndAgesOut) {
   (void)rig.submitAndFinish();
   auto expired = rig.poll(makeStatusName("west", "west-3"));
   EXPECT_FALSE(expired.ok());
+}
+
+// A steady stream of short jobs for four retention windows, with a gray
+// window and one migration alias: K8s Jobs and Pods, gateway records and
+// both indexes stay within the jobs that finished in the last retention
+// window plus one reaper interval, plus the jobs in flight. Once all of
+// it has aged out, one launch arms the sweep and only that job remains.
+TEST(StatusGcTest, JobStateStaysWithinOneRetentionWindow) {
+  const sim::Duration retention = sim::Duration::minutes(2);
+  const sim::Duration reaperInterval = sim::Duration::seconds(30);
+  GcRig rig(retention);
+  // Canonical names, one per job, so every launch registers a dedup key.
+  ClientOptions options;
+  options.bypassCache = false;
+  rig.client = std::make_unique<LidcClient>(
+      *rig.overlay->topology().node("client-host"), "user", options);
+  k8s::Cluster& cluster = rig.cc->cluster();
+  Gateway& gateway = rig.cc->gateway();
+
+  std::vector<sim::Time> finishedAt;
+  cluster.onJobFinished(
+      [&](const k8s::Job&) { finishedAt.push_back(rig.sim.now()); });
+  std::vector<std::string> jobIds;
+  auto submit = [&](int n) {
+    ComputeRequest request;
+    request.app = "sleep";
+    request.cpu = MilliCpu::fromCores(1);
+    request.memory = ByteSize::fromGiB(1);
+    request.params["n"] = std::to_string(n);
+    rig.client->submit(request, [&jobIds](Result<SubmitResult> r) {
+      ASSERT_TRUE(r.ok()) << r.status();
+      jobIds.push_back(r->jobId);
+    });
+  };
+
+  constexpr int kJobs = 240;  // one every 2 s: 8 minutes, 4 windows
+  constexpr int kGrayJob = 90;
+  constexpr int kAliasedJob = 10;
+  std::string grayId;
+  sim::Time grayAt;
+  std::string aliasTarget;
+  for (int n = 0; n < kJobs; ++n) {
+    gateway.setGrayFailure(n == kGrayJob);
+    if (n == kGrayJob) grayAt = rig.sim.now();
+    submit(n);
+    rig.advance(sim::Duration::seconds(2));
+    ASSERT_EQ(jobIds.size(), static_cast<std::size_t>(n + 1));
+    if (n == kGrayJob) grayId = jobIds.back();
+    if (n == kAliasedJob) {
+      aliasTarget = jobIds.back();
+      gateway.addStatusAlias("west", "west-3", aliasTarget);
+    }
+    if (n % 15 != 14) continue;
+
+    const sim::Time now = rig.sim.now();
+    const auto live = [&](sim::Time since) {
+      return now - since <= retention + reaperInterval;
+    };
+    const auto recent = static_cast<std::size_t>(
+        std::count_if(finishedAt.begin(), finishedAt.end(), live));
+    const std::size_t inFlight = gateway.counters().jobsLaunched - finishedAt.size();
+    const std::size_t grayLive = n >= kGrayJob && live(grayAt);
+    SCOPED_TRACE("after job " + std::to_string(n));
+    EXPECT_LE(cluster.jobsInNamespace("ndnk8s").size(), recent + inFlight);
+    EXPECT_LE(cluster.podsInNamespace("ndnk8s").size(), recent + inFlight);
+    const auto sizes = gateway.jobTableSizes();
+    EXPECT_LE(sizes.records, recent + inFlight + grayLive);
+    EXPECT_LE(sizes.dedup, inFlight);
+    EXPECT_EQ(sizes.aliases, gateway.jobs().status(aliasTarget).ok() ? 1u : 0u);
+  }
+  // Without retirement every job would still be there.
+  EXPECT_GT(gateway.counters().jobsLaunched,
+            2 * cluster.jobsInNamespace("ndnk8s").size());
+
+  // Let everything finish and age out, then launch once more: the sweep
+  // it arms leaves only that job's state.
+  rig.advance(retention + sim::Duration::minutes(1));
+  submit(kJobs);
+  rig.advance(reaperInterval + sim::Duration::seconds(1));
+  EXPECT_EQ(cluster.jobsInNamespace("ndnk8s").size(), 1u);
+  EXPECT_EQ(cluster.podsInNamespace("ndnk8s").size(), 1u);
+  const auto sizes = gateway.jobTableSizes();
+  EXPECT_EQ(sizes.records, 1u);
+  EXPECT_EQ(sizes.dedup, 0u);
+  EXPECT_EQ(sizes.aliases, 0u);
+  auto last = rig.poll(makeStatusName("east", jobIds.back()));
+  ASSERT_TRUE(last.ok()) << last.status();
+  EXPECT_EQ(last->state, k8s::JobState::kCompleted);
+  // The gray id answers NotFound once retired, no longer Pending.
+  auto gray = rig.poll(makeStatusName("east", grayId));
+  ASSERT_FALSE(gray.ok());
+  EXPECT_EQ(gray.status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -236,6 +236,10 @@ TEST(ChaosRecoveryTest, ReapedOrphanNeverServesDedupOrStatus) {
   sim.runUntil(sim.now() + sim::Duration::seconds(5));
   ASSERT_TRUE(statusError.has_value());
   EXPECT_EQ(statusError->code(), StatusCode::kNotFound);
+  // Reaping deleted the job's K8s Job and Pods, so its pod cannot run
+  // later for a job nobody can query.
+  EXPECT_EQ(cc.cluster().job("ndnk8s", firstAck->jobId), nullptr);
+  EXPECT_TRUE(cc.cluster().podsInNamespace("ndnk8s").empty());
 
   // Once the cluster heals, the same canonical request launches a brand
   // new job instead of joining the reaped one through the dedup map.

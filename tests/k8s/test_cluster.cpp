@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace lidc::k8s {
 namespace {
 
@@ -151,6 +154,128 @@ TEST_F(ClusterTest, JobWatcherFires) {
   sim_.run();
   ASSERT_EQ(finished.size(), 1u);
   EXPECT_EQ(finished[0], "watched");
+}
+
+// A ResourceQuota counts only non-terminal pods, as in Kubernetes:
+// finished jobs give their share back.
+TEST_F(ClusterTest, QuotaAdmitsNewJobsAfterEarlierOnesFinish) {
+  registerNoop();
+  cluster_.setNamespaceQuota(
+      "lab", Resources{MilliCpu::fromCores(2), ByteSize::fromGiB(8)});
+  JobSpec spec;
+  spec.app = "noop";
+  spec.requests = Resources{MilliCpu::fromCores(1), ByteSize::fromGiB(1)};
+  ASSERT_TRUE(cluster_.createJob("lab", "first", spec).ok());
+  ASSERT_TRUE(cluster_.createJob("lab", "second", spec).ok());
+  sim_.run();
+  EXPECT_EQ(cluster_.namespaceUsage("lab").cpu, MilliCpu());
+
+  auto third = cluster_.createJob("lab", "third", spec);
+  ASSERT_TRUE(third.ok()) << third.status();
+  sim_.run();
+  EXPECT_EQ((*third)->status().state, JobState::kCompleted);
+}
+
+TEST_F(ClusterTest, QuotaAdmitsTheRetryOfAFailedAttempt) {
+  int attempts = 0;
+  cluster_.registerApp("flaky", [&attempts](AppContext&) {
+    AppResult result;
+    result.runtime = sim::Duration::seconds(1);
+    if (++attempts == 1) result.status = Status::Internal("boom");
+    return result;
+  });
+  cluster_.setNamespaceQuota(
+      "lab", Resources{MilliCpu::fromCores(1), ByteSize::fromGiB(8)});
+  JobSpec spec;
+  spec.app = "flaky";
+  spec.requests = Resources{MilliCpu::fromCores(1), ByteSize::fromGiB(1)};
+  spec.backoffLimit = 1;
+  auto job = cluster_.createJob("lab", "retried", spec);
+  ASSERT_TRUE(job.ok());
+  sim_.run();
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ((*job)->status().state, JobState::kCompleted);
+  EXPECT_EQ((*job)->status().attempts, 2);
+}
+
+TEST_F(ClusterTest, RetryPodKeepsTheJobsPriorityClass) {
+  int attempts = 0;
+  cluster_.registerApp("flaky", [&attempts](AppContext&) {
+    AppResult result;
+    result.runtime = sim::Duration::seconds(1);
+    if (++attempts == 1) result.status = Status::Internal("boom");
+    return result;
+  });
+  JobSpec spec;
+  spec.app = "flaky";
+  spec.requests = Resources{MilliCpu::fromCores(1), ByteSize::fromGiB(1)};
+  spec.backoffLimit = 1;
+  spec.priorityClass = 3;
+  ASSERT_TRUE(cluster_.createJob("default", "ranked", spec).ok());
+  sim_.run();
+  ASSERT_NE(cluster_.pod("default", "ranked-pod-1"), nullptr);
+  EXPECT_EQ(cluster_.pod("default", "ranked-pod-0")->spec().priorityClass, 3);
+  EXPECT_EQ(cluster_.pod("default", "ranked-pod-1")->spec().priorityClass, 3);
+}
+
+TEST_F(ClusterTest, DeleteJobRemovesTheJobAndEveryAttemptPod) {
+  int attempts = 0;
+  cluster_.registerApp("flaky", [&attempts](AppContext&) {
+    AppResult result;
+    result.runtime = sim::Duration::seconds(1);
+    if (++attempts == 1) result.status = Status::Internal("boom");
+    return result;
+  });
+  JobSpec spec;
+  spec.app = "flaky";
+  spec.requests = Resources{MilliCpu::fromCores(1), ByteSize::fromGiB(1)};
+  spec.backoffLimit = 1;
+  ASSERT_TRUE(cluster_.createJob("default", "retried", spec).ok());
+  sim_.run();
+  ASSERT_EQ(cluster_.job("default", "retried")->status().attempts, 2);
+  ASSERT_EQ(cluster_.podsInNamespace("default").size(), 2u);
+
+  const std::size_t events = cluster_.events().size();
+  ASSERT_TRUE(cluster_.deleteJob("default", "retried").ok());
+  EXPECT_EQ(cluster_.job("default", "retried"), nullptr);
+  EXPECT_TRUE(cluster_.podsInNamespace("default").empty());
+  EXPECT_EQ(cluster_.events().size(), events);
+  EXPECT_EQ(cluster_.deleteJob("default", "retried").code(),
+            StatusCode::kNotFound);
+}
+
+TEST_F(ClusterTest, DeleteJobDequeuesPendingPodsAndReleasesBoundOnes) {
+  registerNoop(60.0);
+  JobSpec hog;
+  hog.app = "noop";
+  hog.requests = Resources{MilliCpu::fromCores(8), ByteSize::fromGiB(8)};
+  JobSpec small = hog;
+  small.requests = Resources{MilliCpu::fromCores(1), ByteSize::fromGiB(1)};
+  ASSERT_TRUE(cluster_.createJob("default", "hog", hog).ok());
+  ASSERT_TRUE(cluster_.createJob("default", "waiter", small).ok());
+  ASSERT_TRUE(cluster_.createJob("default", "doomed", small).ok());
+  sim_.runUntil(sim_.now() + sim::Duration::seconds(5));
+  ASSERT_EQ(cluster_.runningJobCount(), 1u);
+  ASSERT_EQ(cluster_.pendingUnschedulable(), 2u);
+
+  // A Pending pod leaves the unschedulable queue with its job.
+  ASSERT_TRUE(cluster_.deleteJob("default", "doomed").ok());
+  EXPECT_EQ(cluster_.pendingUnschedulable(), 1u);
+  EXPECT_EQ(cluster_.pod("default", "doomed-pod-0"), nullptr);
+
+  // A bound pod's node capacity returns, and the queue is retried.
+  std::vector<std::string> finished;
+  cluster_.onJobFinished([&](const Job& job) { finished.push_back(job.name()); });
+  ASSERT_TRUE(cluster_.deleteJob("default", "hog").ok());
+  EXPECT_EQ(cluster_.runningJobCount(), 0u);
+  EXPECT_EQ(cluster_.pendingUnschedulable(), 0u);
+  EXPECT_EQ(cluster_.totalAllocated().cpu, MilliCpu::fromCores(1));
+  EXPECT_EQ(cluster_.pod("default", "waiter-pod-0")->nodeName(), "node0");
+
+  // The deleted job's pending completion never fires.
+  sim_.run();
+  EXPECT_EQ(finished, std::vector<std::string>{"waiter"});
+  EXPECT_EQ(cluster_.totalAllocated().cpu, MilliCpu());
 }
 
 TEST_F(ClusterTest, ServiceGetsDnsAndNodePort) {
