@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "apps/transform_app.hpp"
+#include "common/hash.hpp"
 #include "core/checkpoint_format.hpp"
 #include "core/client.hpp"
 #include "core/overlay.hpp"
@@ -181,7 +182,7 @@ int main() {
                 stage.c_str(),
                 core::makeCkptName(jobId, *newest).toUri().c_str());
     return {{"ckpt", jobId + "/" + std::to_string(*newest)},
-            {"ckpt_digest", std::to_string(core::ckptDigest(payload))},
+            {"ckpt_digest", std::to_string(fnv1a(payload))},
             {"ckpt_from", "east"}};
   };
   workflow::WorkflowEngine engine(client, engineOptions);

@@ -71,15 +71,6 @@ Result<CkptRef> parseCkptName(const ndn::Name& name) {
                       name[kCkptPrefix.size() + 1].toString());
 }
 
-std::uint64_t ckptDigest(const std::vector<std::uint8_t>& payload) {
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
-  for (std::uint8_t byte : payload) {
-    digest ^= byte;
-    digest *= 0x100000001b3ULL;
-  }
-  return digest;
-}
-
 std::string encodeCkptManifest(const CkptManifest& manifest) {
   return encodeKv({{"app", manifest.app},
                    {"bytes", std::to_string(manifest.bytes)},

@@ -48,17 +48,15 @@ Result<CkptRef> parseCkptRef(std::string_view text);
 /// Parses a full /ndn/k8s/ckpt/<job_id>/<epoch> name.
 Result<CkptRef> parseCkptName(const ndn::Name& name);
 
-/// FNV-1a content digest — the same integrity primitive the publish
-/// pipeline uses, so corrupt or stale epochs are rejected identically.
-std::uint64_t ckptDigest(const std::vector<std::uint8_t>& payload);
-
 /// Manifest fields for the latest checkpoint epoch of one job.
 struct CkptManifest {
   std::string jobId;
   std::string app;                 // producing application image
   std::uint64_t epoch = 0;         // latest epoch written
   std::uint64_t bytes = 0;         // payload size of that epoch
-  std::uint64_t digest = 0;        // FNV-1a of the payload
+  /// fnv1a() of the payload (common/hash.hpp), the integrity check the
+  /// publish pipeline uses, so corrupt or stale epochs are rejected alike.
+  std::uint64_t digest = 0;
   std::uint32_t progressPermille = 0;  // job progress at the write, 0..1000
 };
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <variant>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "core/wire_format.hpp"
 
@@ -21,15 +22,6 @@ constexpr double kBackoffJitter = 0.2;
 constexpr double kQuotaBackoffScale = 4.0;
 /// Quantile of observed ack latencies that arms the hedge timer.
 constexpr double kHedgeQuantile = 0.99;
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : text) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 }  // namespace
 
 LidcClient::LidcClient(ndn::Forwarder& forwarder, std::string name,
@@ -804,11 +796,7 @@ void LidcClient::publishData(const std::string& path,
                              telemetry::TraceContext parent,
                              std::string flowTag) {
   // Digest binds the command name to the exact payload bytes.
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
-  for (std::uint8_t byte : bytes) {
-    digest ^= byte;
-    digest *= 0x100000001b3ULL;
-  }
+  const std::uint64_t digest = fnv1a(bytes);
   ndn::Name name = kPublishPrefix;
   // Tenant attribution: QoS gateways charge the publish against the
   // tenant's byte quota and strip the component from the stored name.

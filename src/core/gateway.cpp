@@ -4,6 +4,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "core/checkpoint_format.hpp"
 #include "core/wire_format.hpp"
@@ -24,10 +25,11 @@ constexpr double kMinHealthyNodeFraction = 0.5;
 // Erases `key` only while it still names `jobId`: a newer job may have
 // registered the same key since.
 template <typename Index, typename Key>
-void eraseIfNames(Index& index, const Key& key, const std::string& jobId) {
-  if (auto it = index.find(key); it != index.end() && it->second == jobId) {
-    index.erase(it);
-  }
+bool eraseIfNames(Index& index, const Key& key, const std::string& jobId) {
+  auto it = index.find(key);
+  if (it == index.end() || it->second != jobId) return false;
+  index.erase(it);
+  return true;
 }
 }  // namespace
 
@@ -320,7 +322,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
     // authoritative integrity check — the local manifest replica may
     // legitimately lag the latest epoch after a crash. Without a pin,
     // the local manifest must name this exact epoch and digest.
-    const std::uint64_t digest = ckptDigest(*payload);
+    const std::uint64_t digest = fnv1a(*payload);
     std::string invalid;
     if (auto pin = effective.params.find("ckpt_digest");
         pin != effective.params.end()) {
@@ -630,12 +632,7 @@ void Gateway::onPublish(const ndn::Interest& interest) {
     return;
   }
   // Integrity: the digest in the name must match the payload.
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
-  for (std::uint8_t byte : payload) {
-    digest ^= byte;
-    digest *= 0x100000001b3ULL;
-  }
-  if (last != "sha=" + std::to_string(digest)) {
+  if (last != "sha=" + std::to_string(fnv1a(payload))) {
     reject("payload digest mismatch");
     return;
   }
@@ -768,7 +765,11 @@ bool Gateway::expired(const JobRecord& record, sim::Time now) const {
 void Gateway::retire(const std::string& jobId) {
   auto it = records_.find(jobId);
   if (it == records_.end()) return;
-  for (const auto& alias : it->second.aliases) eraseIfNames(aliases_, alias, jobId);
+  for (const auto& alias : it->second.aliases) {
+    if (eraseIfNames(aliases_, alias.key, jobId)) {
+      forwarder_.unregisterPrefix(alias.route, face_id_);
+    }
+  }
   const std::unique_ptr<JobRecord::Launch> launch = std::move(it->second.launch);
   if (launch != nullptr) eraseIfNames(inflight_, launch->dedupKey, jobId);
   records_.erase(it);
@@ -831,15 +832,15 @@ void Gateway::addStatusAlias(const std::string& oldCluster,
                              const std::string& newJobId) {
   auto record = records_.find(newJobId);
   if (record == records_.end()) return;
-  std::string aliasKey = oldCluster + "/" + oldJobId;
-  aliases_[aliasKey] = newJobId;
-  record->second.aliases.push_back(std::move(aliasKey));
+  JobRecord::Alias alias{oldCluster + "/" + oldJobId,
+                         makeStatusName(oldCluster, oldJobId)};
+  aliases_[alias.key] = newJobId;
   // Exact route for the old status name: its 5 components beat the dead
   // cluster's 4-component /ndn/k8s/status/<cluster> registration in
   // longest-prefix match, so existing pollers are steered here without
-  // learning the new name.
-  forwarder_.registerPrefix(makeStatusName(oldCluster, oldJobId), face_id_,
-                            /*cost=*/0);
+  // learning the new name. retire() removes it with the alias.
+  forwarder_.registerPrefix(alias.route, face_id_, /*cost=*/0);
+  record->second.aliases.push_back(std::move(alias));
   LIDC_FR_EVENT(recorder_, kInfo, "gateway",
                 cluster_name_ + " status-alias " + oldCluster + "/" +
                     oldJobId + " -> " + newJobId);

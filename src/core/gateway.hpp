@@ -208,13 +208,19 @@ class Gateway {
     Phase phase = Phase::kTerminal;
     sim::Time since;                   // when the record entered `phase`
     std::unique_ptr<Launch> launch;    // set exactly while launched
-    std::vector<std::string> aliases;  // aliases_ keys naming this job
+    /// A migration alias naming this job: its aliases_ key
+    /// ("<oldCluster>/<oldJobId>") and the exact route it registered.
+    struct Alias {
+      std::string key;
+      ndn::Name route;
+    };
+    std::vector<Alias> aliases;
   };
   /// True for a terminal or gray record older than statusRetention.
   [[nodiscard]] bool expired(const JobRecord& record, sim::Time now) const;
   /// The only way out of records_: drops the record and its index
-  /// entries, deletes the job's K8s Job and Pods, then releases its
-  /// tenant charge.
+  /// entries (with the exact route of each alias still naming it),
+  /// deletes the job's K8s Job and Pods, then releases its tenant charge.
   void retire(const std::string& jobId);
   /// Releases the QoS usage `tenant` was charged for `request`. Call it
   /// last: releaseJob can launch queued work, which inserts records.

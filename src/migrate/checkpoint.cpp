@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 
 namespace lidc::migrate {
@@ -87,7 +88,7 @@ void CheckpointManager::writeEpoch(const std::shared_ptr<PlanState>& state) {
 
   const std::uint64_t epoch = ++state->epoch;
   const std::uint64_t bytes = payload.size();
-  const std::uint64_t digest = core::ckptDigest(payload);
+  const std::uint64_t digest = fnv1a(payload);
   const ndn::Name name = core::makeCkptName(state->jobId, epoch);
   if (Status put = store_.put(name, std::move(payload)); !put.ok()) {
     LIDC_FR_EVENT(recorder_, kWarn, "ckpt",

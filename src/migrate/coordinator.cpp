@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "k8s/job.hpp"
 
@@ -192,7 +193,7 @@ void MigrationCoordinator::resolveEpoch(const std::shared_ptr<TrackedJob>& job,
                           return;
                         }
                         prestageAndResubmit(job, reason, epoch,
-                                            core::ckptDigest(*payload));
+                                            fnv1a(*payload));
                       });
     return;
   }

@@ -42,7 +42,8 @@ sim::Duration Link::transitDelay(std::size_t bytes, int direction) {
   return (depart - sim_.now()) + serialization + params_.latency;
 }
 
-bool LinkFace::scheduleDelivery(std::size_t bytes, std::function<void()> deliver) {
+template <typename Deliver>
+bool LinkFace::scheduleDelivery(std::size_t bytes, Deliver&& deliver) {
   if (!link_->up_ || !isUp()) return false;
   if (link_->shouldDrop()) {
     ++link_->dropped_;
@@ -50,7 +51,7 @@ bool LinkFace::scheduleDelivery(std::size_t bytes, std::function<void()> deliver
   }
   const sim::Duration delay = link_->transitDelay(bytes, direction_);
   ++link_->delivered_;
-  link_->sim_.scheduleAfter(delay, std::move(deliver));
+  link_->sim_.scheduleAfter(delay, std::forward<Deliver>(deliver));
   return true;
 }
 

@@ -101,7 +101,9 @@ class LinkFace : public ndn::Face {
     return link_->ends_[1 - direction_];
   }
   /// Returns false (drop) or schedules `deliver` after the transit delay.
-  bool scheduleDelivery(std::size_t bytes, std::function<void()> deliver);
+  /// The closure is moved into its event slot.
+  template <typename Deliver>
+  bool scheduleDelivery(std::size_t bytes, Deliver&& deliver);
 
   std::shared_ptr<Link> link_;
   int direction_;  // 0 or 1; index into Link::ends_

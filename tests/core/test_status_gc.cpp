@@ -142,6 +142,8 @@ TEST(StatusGcTest, StatusAliasAnswersOldNameAndAgesOut) {
   rig.cc->gateway().addStatusAlias("west", "west-3", ack.jobId);
   rig.overlay->topology().installRoutesTo(makeStatusName("west", "west-3"),
                                           "east");
+  const ndn::Fib& gatewayFib = rig.overlay->topology().node("east")->fib();
+  EXPECT_NE(gatewayFib.findExact(makeStatusName("west", "west-3")), nullptr);
 
   auto aliased = rig.poll(makeStatusName("west", "west-3"));
   ASSERT_TRUE(aliased.ok()) << aliased.status();
@@ -159,6 +161,8 @@ TEST(StatusGcTest, StatusAliasAnswersOldNameAndAgesOut) {
   (void)rig.submitAndFinish();
   auto expired = rig.poll(makeStatusName("west", "west-3"));
   EXPECT_FALSE(expired.ok());
+  // The alias's exact route retired with it.
+  EXPECT_EQ(gatewayFib.findExact(makeStatusName("west", "west-3")), nullptr);
 }
 
 // A steady stream of short jobs for four retention windows, with a gray

@@ -23,6 +23,7 @@
 #include <optional>
 #include <string>
 
+#include "common/hash.hpp"
 #include "core/checkpoint_format.hpp"
 #include "core/client.hpp"
 #include "core/overlay.hpp"
@@ -268,7 +269,7 @@ TEST(MigrationIntegrationTest, RestoreFailuresColdStartAndRaiseAlert) {
   // the target holds is not the bytes the coordinator validated).
   const std::vector<std::uint8_t> payload(512, 0x11);
   ASSERT_TRUE(cc.store().put(core::makeCkptName("ghost-1", 3), payload).ok());
-  const std::uint64_t badPin = core::ckptDigest(payload) + 1;
+  const std::uint64_t badPin = fnv1a(payload) + 1;
 
   telemetry::AlertEngineOptions alertOptions;
   alertOptions.evaluateInterval = sim::Duration::millis(500);

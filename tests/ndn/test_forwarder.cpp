@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+
 #include "ndn/app_face.hpp"
 #include "net/link.hpp"
 
@@ -191,6 +195,30 @@ TEST_F(ForwarderTest, StrategyChoiceByLongestPrefix) {
                             std::make_unique<MulticastStrategy>(consumerNode_));
   EXPECT_EQ(consumerNode_.findStrategy(Name("/data/deep/name")).name(), "multicast");
   EXPECT_EQ(consumerNode_.findStrategy(Name("/other")).name(), "best-route");
+}
+
+TEST_F(ForwarderTest, SatisfiedInterestsLeaveNoTimersQueued) {
+  // One Interest per ms with a 4 s lifetime, each answered in 10 ms. A
+  // satisfied Interest cancels its two PIT timers and its AppFace timeout;
+  // if cancelled timers stayed queued until their lifetime ran out, about
+  // 3 x 4,000 of them would pile up here.
+  constexpr int kInterests = 5000;
+  int sent = 0;
+  int satisfied = 0;
+  std::size_t peakQueued = 0;
+  std::function<void()> sendNext = [&] {
+    peakQueued = std::max(peakQueued, sim_.pendingEvents());
+    Interest interest(Name("/data/probe/" + std::to_string(sent)));
+    interest.setLifetime(sim::Duration::seconds(4));
+    consumerApp_->expressInterest(interest,
+                                  [&](const Interest&, const Data&) { ++satisfied; });
+    if (++sent < kInterests) sim_.scheduleAfter(sim::Duration::millis(1), sendNext);
+  };
+  sim_.scheduleAfter(sim::Duration::millis(1), sendNext);
+  sim_.runUntil(sim::Time() + sim::Duration::millis(kInterests + 20));
+  EXPECT_EQ(satisfied, kInterests);
+  EXPECT_LT(peakQueued, 100u);
+  EXPECT_LT(sim_.pendingEvents(), 100u);
 }
 
 }  // namespace

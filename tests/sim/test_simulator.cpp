@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace lidc::sim {
@@ -84,6 +87,17 @@ TEST(SimulatorTest, CancelAfterFiringIsHarmless) {
   sim.run();
   EXPECT_FALSE(handle.pending());
   handle.cancel();  // no-op
+
+  // The next event reuses the freed slot; the stale handle must not reach it.
+  auto stale = sim.scheduleAfter(Duration::millis(1), [] {});
+  sim.run();
+  bool fired = false;
+  auto fresh = sim.scheduleAfter(Duration::millis(1), [&] { fired = true; });
+  stale.cancel();
+  EXPECT_FALSE(stale.pending());
+  EXPECT_TRUE(fresh.pending());
+  sim.run();
+  EXPECT_TRUE(fired);
 }
 
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
@@ -145,6 +159,167 @@ TEST(SimulatorTest, EmptyAfterRun) {
   EXPECT_FALSE(sim.empty());
   sim.run();
   EXPECT_TRUE(sim.empty());
+}
+
+TEST(SimulatorTest, CancellingOwnHandleInsideCallbackIsNoOp) {
+  Simulator sim;
+  EventHandle self;
+  bool pendingInside = true;
+  int fired = 0;
+  self = sim.scheduleAfter(Duration::millis(1), [&] {
+    ++fired;
+    pendingInside = self.pending();
+    self.cancel();
+    sim.scheduleAfter(Duration::millis(1), [&] { ++fired; });
+  });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(pendingInside);
+  EXPECT_FALSE(self.pending());
+}
+
+TEST(SimulatorTest, EarlierEventCancelsLaterOne) {
+  Simulator sim;
+  bool lateFired = false;
+  EventHandle late = sim.scheduleAfter(Duration::millis(20), [&] { lateFired = true; });
+  sim.scheduleAfter(Duration::millis(10), [&] { late.cancel(); });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_FALSE(lateFired);
+  EXPECT_EQ(sim.now().toNanos(), Duration::millis(10).toNanos());
+}
+
+TEST(SimulatorTest, HandleIsHarmlessAfterSimulatorIsDestroyed) {
+  EventHandle queued;
+  EventHandle fired;
+  {
+    Simulator sim;
+    fired = sim.scheduleAfter(Duration::millis(1), [] {});
+    sim.run();
+    queued = sim.scheduleAfter(Duration::millis(1), [] {});
+  }
+  // A later simulator may reuse the memory; the handles must not reach it.
+  Simulator next;
+  bool nextFired = false;
+  next.scheduleAfter(Duration::millis(1), [&] { nextFired = true; });
+  EXPECT_FALSE(queued.pending());
+  EXPECT_FALSE(fired.pending());
+  queued.cancel();
+  fired.cancel();
+  EXPECT_EQ(next.pendingEvents(), 1u);
+  next.run();
+  EXPECT_TRUE(nextFired);
+}
+
+TEST(SimulatorTest, MoveOnlyCaptureFires) {
+  Simulator sim;
+  int seen = 0;
+  auto value = std::make_unique<int>(42);
+  sim.scheduleAfter(Duration::millis(1), [&seen, value = std::move(value)] { seen = *value; });
+  sim.run();
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(SimulatorTest, CaptureLargerThanInlineBufferFires) {
+  Simulator sim;
+  std::array<std::uint64_t, 32> big{};
+  big.back() = 7;
+  static_assert(sizeof(big) > detail::kEventInlineBytes);
+  std::uint64_t seen = 0;
+  sim.scheduleAfter(Duration::millis(1), [&seen, big] { seen = big.back(); });
+  sim.run();
+  EXPECT_EQ(seen, 7u);
+}
+
+TEST(SimulatorTest, PendingEventsDropsOnCancel) {
+  Simulator sim;
+  sim.scheduleAfter(Duration::millis(1), [] {});
+  EventHandle middle = sim.scheduleAfter(Duration::millis(2), [] {});
+  sim.scheduleAfter(Duration::millis(3), [] {});
+  EXPECT_EQ(sim.pendingEvents(), 3u);
+  middle.cancel();
+  EXPECT_EQ(sim.pendingEvents(), 2u);
+  middle.cancel();
+  EXPECT_EQ(sim.pendingEvents(), 2u);
+  EXPECT_EQ(sim.run(), 2u);
+}
+
+TEST(SimulatorTest, CancelFromTheMiddleKeepsTimeOrder) {
+  // Cancelling from the middle of a large queue must keep (time, seq)
+  // order for everything left.
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 600; ++i) {
+    handles.push_back(sim.scheduleAfter(Duration::micros((i * 7919) % 600),
+                                        [&order, i] { order.push_back(i); }));
+  }
+  for (int i = 0; i < 600; i += 3) handles[static_cast<std::size_t>(i)].cancel();
+  for (int i = 0; i < 600; i += 3) {
+    sim.scheduleAfter(Duration::micros((i * 7919) % 600), [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(sim.pendingEvents(), 600u);
+  sim.run();
+  ASSERT_EQ(order.size(), 600u);
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    const int prev = (order[k - 1] * 7919) % 600;
+    const int cur = (order[k] * 7919) % 600;
+    EXPECT_LE(prev, cur);
+  }
+}
+
+/// Move-only callable that counts how often its one owning instance is
+/// destroyed; `Pad` bytes push it past the inline buffer.
+template <std::size_t Pad>
+struct CountingCallable {
+  explicit CountingCallable(int& destroyed) : destroyed(&destroyed) {}
+  CountingCallable(CountingCallable&& other) noexcept
+      : destroyed(std::exchange(other.destroyed, nullptr)) {}
+  CountingCallable& operator=(CountingCallable&&) = delete;
+  ~CountingCallable() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+  void operator()() const {}
+
+  int* destroyed;
+  std::array<char, Pad> pad{};
+};
+
+template <typename Callable>
+void expectDestroyedOnce() {
+  {
+    Simulator sim;
+    int destroyed = 0;
+    sim.scheduleAfter(Duration::millis(1), Callable(destroyed));
+    EXPECT_EQ(destroyed, 0);
+    sim.run();
+    EXPECT_EQ(destroyed, 1) << "fired";
+  }
+  {
+    Simulator sim;
+    int destroyed = 0;
+    EventHandle handle = sim.scheduleAfter(Duration::millis(1), Callable(destroyed));
+    handle.cancel();
+    EXPECT_EQ(destroyed, 1) << "cancelled";
+    sim.run();
+    EXPECT_EQ(destroyed, 1) << "cancelled, then run";
+  }
+  int destroyed = 0;
+  {
+    Simulator sim;
+    sim.scheduleAfter(Duration::millis(1), Callable(destroyed));
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1) << "queued when the simulator died";
+}
+
+TEST(SimulatorTest, InlineCallableIsDestroyedExactlyOnce) {
+  static_assert(detail::kFitsInline<CountingCallable<8>>);
+  expectDestroyedOnce<CountingCallable<8>>();
+}
+
+TEST(SimulatorTest, HeapCallableIsDestroyedExactlyOnce) {
+  static_assert(!detail::kFitsInline<CountingCallable<128>>);
+  expectDestroyedOnce<CountingCallable<128>>();
 }
 
 }  // namespace
