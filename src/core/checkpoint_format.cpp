@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "common/kv.hpp"
 #include "common/strings.hpp"
-#include "core/wire_format.hpp"
 
 namespace lidc::core {
 
@@ -72,12 +72,15 @@ Result<CkptRef> parseCkptName(const ndn::Name& name) {
 }
 
 std::string encodeCkptManifest(const CkptManifest& manifest) {
-  return encodeKv({{"app", manifest.app},
-                   {"bytes", std::to_string(manifest.bytes)},
-                   {"digest", std::to_string(manifest.digest)},
-                   {"epoch", std::to_string(manifest.epoch)},
-                   {"job", manifest.jobId},
-                   {"progress_pm", std::to_string(manifest.progressPermille)}});
+  std::string out;
+  kv::Writer(out)
+      .add("app", manifest.app)
+      .add("bytes", manifest.bytes)
+      .add("digest", manifest.digest)
+      .add("epoch", manifest.epoch)
+      .add("job", manifest.jobId)
+      .add("progress_pm", manifest.progressPermille);
+  return out;
 }
 
 Result<CkptManifest> decodeCkptManifest(std::string_view text) {
@@ -86,33 +89,24 @@ Result<CkptManifest> decodeCkptManifest(std::string_view text) {
   if (text.size() > 4096) {
     return Status::InvalidArgument("manifest too large");
   }
-  const KvMap fields = decodeKv(text);
-  CkptManifest manifest;
-  auto require = [&fields](const char* key) -> Result<std::string> {
-    auto it = fields.find(key);
-    if (it == fields.end()) {
-      return Status::InvalidArgument(std::string("manifest missing ") + key);
-    }
-    return it->second;
-  };
-  auto requireUint = [&require](const char* key) -> Result<std::uint64_t> {
-    auto raw = require(key);
-    if (!raw.ok()) return raw.status();
-    auto value = strings::parseUint(*raw);
-    if (!value || raw->empty() || raw->size() > 20) {
+  const kv::Reader fields(text);
+  if (!fields.ok()) return Status::InvalidArgument("malformed manifest");
+  auto requireUint = [&fields](const char* key) -> Result<std::uint64_t> {
+    const std::string_view raw = fields.get(key);
+    auto value = strings::parseUint(raw);
+    if (!value || raw.size() > 20) {
       return Status::InvalidArgument(std::string("manifest field ") + key +
-                                     " is not a number");
+                                     " is missing or not a number");
     }
     return *value;
   };
 
-  auto job = require("job");
-  if (!job.ok()) return job.status();
-  if (!validJobId(*job)) {
+  if (!validJobId(fields.get("job"))) {
     return Status::InvalidArgument("manifest carries a malformed job id");
   }
-  manifest.jobId = *job;
-  if (auto it = fields.find("app"); it != fields.end()) manifest.app = it->second;
+  CkptManifest manifest;
+  manifest.jobId = fields.get("job");
+  manifest.app = fields.get("app");
 
   auto epoch = requireUint("epoch");
   if (!epoch.ok()) return epoch.status();

@@ -60,7 +60,7 @@ struct CkptManifest {
   std::uint32_t progressPermille = 0;  // job progress at the write, 0..1000
 };
 
-/// Deterministic "k=v;k=v" encoding (sorted keys via KvMap).
+/// One k=v record (common/kv.hpp), fields in key order.
 std::string encodeCkptManifest(const CkptManifest& manifest);
 
 /// Strict decode: every numeric field must parse, the job id must pass

@@ -7,7 +7,7 @@
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
-#include "core/wire_format.hpp"
+#include "common/strings.hpp"
 
 namespace lidc::core {
 
@@ -63,44 +63,6 @@ Status nackStatus(ndn::NackReason reason, const std::string& what, int attempts)
     return Status::ResourceExhausted(detail);
   }
   return Status::Unavailable(detail);
-}
-
-Result<JobStatusSnapshot> decodeStatus(const ndn::Data& data) {
-  const KvMap fields = decodeKv(data.contentAsString());
-  JobStatusSnapshot snapshot;
-  if (auto it = fields.find("error");
-      it != fields.end() && fields.count("state") == 0) {
-    return Status::NotFound(it->second);
-  }
-  if (auto it = fields.find("state"); it != fields.end()) {
-    const std::string& state = it->second;
-    if (state == "Pending") {
-      snapshot.state = k8s::JobState::kPending;
-    } else if (state == "Running") {
-      snapshot.state = k8s::JobState::kRunning;
-    } else if (state == "Completed") {
-      snapshot.state = k8s::JobState::kCompleted;
-    } else {
-      snapshot.state = k8s::JobState::kFailed;
-    }
-  }
-  if (auto it = fields.find("cluster"); it != fields.end()) {
-    snapshot.cluster = it->second;
-  }
-  if (auto it = fields.find("result"); it != fields.end()) {
-    snapshot.resultPath = it->second;
-  }
-  if (auto it = fields.find("output_bytes"); it != fields.end()) {
-    snapshot.outputBytes = strings::parseUint(it->second).value_or(0);
-  }
-  if (auto it = fields.find("runtime_s"); it != fields.end()) {
-    snapshot.runtime =
-        sim::Duration::seconds(strings::parseDouble(it->second).value_or(0));
-  }
-  if (auto it = fields.find("error"); it != fields.end()) {
-    snapshot.error = it->second;
-  }
-  return snapshot;
 }
 }  // namespace
 
@@ -408,38 +370,18 @@ void LidcClient::onAck(const RunPtr& run, const Leg& leg, const ndn::Data& data)
   }
   const sim::Time now = forwarder_.simulator().now();
   recordAckLatency(now - leg.sentAt);
-  const KvMap fields = decodeKv(data.contentAsString());
-  if (auto it = fields.find("error"); it != fields.end()) {
+  Result<SubmitResult> ack = decodeAck(data.contentView());
+  if (!ack.ok()) {
     closeLegSpan(leg, "error");
-    onSubmitted(run, Status::InvalidArgument(it->second));
+    onSubmitted(run, std::move(ack));
     return;
   }
-  SubmitResult result;
-  if (auto it = fields.find("job_id"); it != fields.end()) {
-    result.jobId = it->second;
-  }
-  if (auto it = fields.find("cluster"); it != fields.end()) {
-    result.cluster = it->second;
-  }
-  if (auto it = fields.find("status_name"); it != fields.end()) {
-    result.statusName = it->second;
-  } else if (!result.jobId.empty() && !result.cluster.empty()) {
-    result.statusName = makeStatusName(result.cluster, result.jobId).toUri();
-  }
-  result.cached = fields.count("cached") > 0;
-  result.deduplicated = fields.count("deduplicated") > 0;
-  if (auto it = fields.find("result"); it != fields.end()) {
-    result.resultPath = it->second;
-  }
-  if (auto it = fields.find("output_bytes"); it != fields.end()) {
-    result.outputBytes = strings::parseUint(it->second).value_or(0);
-  }
-  result.placementLatency = now - run->startedAt;
-  closeLegSpan(leg, leg.hedge             ? "hedge-won"
-                    : result.cached       ? "cache-hit"
-                    : result.deduplicated ? "dedup"
-                                          : "ack");
-  onSubmitted(run, std::move(result));
+  ack->placementLatency = now - run->startedAt;
+  closeLegSpan(leg, leg.hedge           ? "hedge-won"
+                    : ack->cached       ? "cache-hit"
+                    : ack->deduplicated ? "dedup"
+                                        : "ack");
+  onSubmitted(run, std::move(ack));
 }
 
 void LidcClient::onLegFailed(const RunPtr& run, const Leg& leg,
@@ -590,7 +532,7 @@ void LidcClient::expressStatus(const ndn::Name& statusName,
   face_->expressInterest(
       std::move(interest),
       [onStatus](const ndn::Interest&, const ndn::Data& data) {
-        onStatus(decodeStatus(data));
+        onStatus(decodeStatus(data.contentView()));
       },
       [onStatus](const ndn::Interest&, const ndn::Nack& nack) {
         onStatus(Status::Unavailable("status query nacked: " +
@@ -828,19 +770,9 @@ void LidcClient::publishData(const std::string& path,
   face_->expressInterest(
       interest,
       [done, closeSpan](const ndn::Interest&, const ndn::Data& data) {
-        const KvMap fields = decodeKv(data.contentAsString());
-        if (auto it = fields.find("error"); it != fields.end()) {
-          closeSpan("error");
-          done(Status::InvalidArgument(it->second));
-          return;
-        }
-        if (auto it = fields.find("stored"); it != fields.end()) {
-          closeSpan("stored");
-          done(ndn::Name(it->second));
-          return;
-        }
-        closeSpan("malformed-ack");
-        done(Status::Internal("malformed publish ack"));
+        Result<ndn::Name> stored = decodePublished(data.contentView());
+        closeSpan(stored.ok() ? "stored" : "error");
+        done(std::move(stored));
       },
       [done, closeSpan](const ndn::Interest&, const ndn::Nack& nack) {
         closeSpan("nack");
@@ -862,35 +794,7 @@ void LidcClient::queryClusterInfo(const std::string& cluster, InfoCallback done)
   face_->expressInterest(
       interest,
       [done](const ndn::Interest&, const ndn::Data& data) {
-        const KvMap fields = decodeKv(data.contentAsString());
-        ClusterInfo info;
-        if (auto it = fields.find("cluster"); it != fields.end()) {
-          info.cluster = it->second;
-        }
-        if (auto it = fields.find("free_cpu_m"); it != fields.end()) {
-          info.freeCpu = MilliCpu(strings::parseUint(it->second).value_or(0));
-        }
-        if (auto it = fields.find("free_mem_bytes"); it != fields.end()) {
-          info.freeMemory = ByteSize(strings::parseUint(it->second).value_or(0));
-        }
-        if (auto it = fields.find("total_cpu_m"); it != fields.end()) {
-          info.totalCpu = MilliCpu(strings::parseUint(it->second).value_or(0));
-        }
-        if (auto it = fields.find("total_mem_bytes"); it != fields.end()) {
-          info.totalMemory = ByteSize(strings::parseUint(it->second).value_or(0));
-        }
-        if (auto it = fields.find("running_jobs"); it != fields.end()) {
-          info.runningJobs = strings::parseUint(it->second).value_or(0);
-        }
-        if (auto it = fields.find("nodes"); it != fields.end()) {
-          info.nodes = strings::parseUint(it->second).value_or(0);
-        }
-        if (auto it = fields.find("apps"); it != fields.end()) {
-          for (auto app : strings::splitSkipEmpty(it->second, ',')) {
-            info.apps.emplace_back(app);
-          }
-        }
-        done(std::move(info));
+        done(decodeInfo(data.contentView()));
       },
       [done](const ndn::Interest&, const ndn::Nack& nack) {
         done(Status::Unavailable("info query nacked: " +

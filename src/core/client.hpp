@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "core/circuit_breaker.hpp"
 #include "core/semantic_name.hpp"
+#include "core/wire_format.hpp"
 #include "datalake/retriever.hpp"
 #include "k8s/job.hpp"
 #include "ndn/app_face.hpp"
@@ -24,40 +25,6 @@
 #include "telemetry/trace.hpp"
 
 namespace lidc::core {
-
-/// Outcome of a compute submission.
-struct SubmitResult {
-  std::string jobId;
-  std::string cluster;       // which cluster took the job (informational)
-  std::string statusName;    // poll here
-  bool cached = false;       // answered from a result cache
-  bool deduplicated = false; // joined an in-flight identical job
-  std::string resultPath;    // set when cached
-  std::uint64_t outputBytes = 0;
-  sim::Duration placementLatency;  // Interest out -> ack back
-};
-
-/// One status poll answer.
-struct JobStatusSnapshot {
-  k8s::JobState state = k8s::JobState::kPending;
-  std::string cluster;
-  std::string resultPath;
-  std::uint64_t outputBytes = 0;
-  sim::Duration runtime;
-  std::string error;
-};
-
-/// A cluster's advertised capabilities (/ndn/k8s/info/<cluster>).
-struct ClusterInfo {
-  std::string cluster;
-  MilliCpu freeCpu;
-  ByteSize freeMemory;
-  MilliCpu totalCpu;
-  ByteSize totalMemory;
-  std::size_t runningJobs = 0;
-  std::size_t nodes = 0;
-  std::vector<std::string> apps;
-};
 
 /// Terminal outcome of runToCompletion().
 struct JobOutcome {

@@ -6,6 +6,7 @@
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
+#include "common/strings.hpp"
 #include "core/checkpoint_format.hpp"
 #include "core/wire_format.hpp"
 
@@ -21,6 +22,18 @@ constexpr sim::Duration kStatusFreshness = sim::Duration::millis(500);
 // Health gate: below this fraction of Ready nodes, compute Interests are
 // nacked kCongestion so the strategy fails over to a healthy cluster.
 constexpr double kMinHealthyNodeFraction = 0.5;
+
+/// The ack for a job this gateway runs, joins (`deduplicated`) or, when
+/// gray, pretends to run: the client polls its status name.
+std::string jobAck(const std::string& cluster, const std::string& jobId,
+                   bool deduplicated = false) {
+  SubmitResult ack;
+  ack.jobId = jobId;
+  ack.cluster = cluster;
+  ack.statusName = makeStatusName(cluster, jobId).toUri();
+  ack.deduplicated = deduplicated;
+  return encodeAck(ack);
+}
 
 // Erases `key` only while it still names `jobId`: a newer job may have
 // registered the same key since.
@@ -124,18 +137,17 @@ void Gateway::handleInterest(const ndn::Interest& interest) {
   }
 }
 
-void Gateway::replyKv(const ndn::Name& name, const KvMap& fields,
-                      sim::Duration freshness) {
+void Gateway::reply(const ndn::Name& name, std::string_view content,
+                    sim::Duration freshness) {
   ndn::Data data(name);
-  data.setContent(encodeKv(fields));
+  data.setContent(content);
   data.setFreshnessPeriod(freshness);
   data.sign();
   face_->putData(std::move(data));
 }
 
 void Gateway::replyError(const ndn::Interest& interest, const std::string& error) {
-  replyKv(interest.name(), {{"error", error}, {"cluster", cluster_name_}},
-          kAckFreshness);
+  reply(interest.name(), encodeError(error, cluster_name_), kAckFreshness);
 }
 
 // Gray failure: admit the job with a straight face — plausible ack,
@@ -149,11 +161,7 @@ void Gateway::grayAdmit(const ndn::Interest& interest) {
   record.since = forwarder_.simulator().now();
   LIDC_FR_EVENT(recorder_, kWarn, "gateway",
                 cluster_name_ + " gray-admit " + jobId);
-  replyKv(interest.name(),
-          {{"job_id", jobId},
-           {"cluster", cluster_name_},
-           {"status_name", makeStatusName(cluster_name_, jobId).toUri()}},
-          kAckFreshness);
+  reply(interest.name(), jobAck(cluster_name_, jobId), kAckFreshness);
 }
 
 void Gateway::onCompute(const ndn::Interest& interest) {
@@ -369,25 +377,21 @@ bool Gateway::processCompute(const ndn::Interest& interest,
     if (auto cached = cache_.get(canonical, forwarder_.simulator().now())) {
       ++counters_.cacheHits;
       admission("cache-hit", {{"job_id", cached->jobId}});
-      replyKv(interest.name(),
-              {{"cached", "1"},
-               {"job_id", cached->jobId},
-               {"cluster", cluster_name_},
-               {"result", cached->resultPath},
-               {"output_bytes", std::to_string(cached->outputBytes)}},
-              kAckFreshness);
+      SubmitResult ack;
+      ack.jobId = cached->jobId;
+      ack.cluster = cluster_name_;
+      ack.cached = true;
+      ack.resultPath = cached->resultPath;
+      ack.outputBytes = cached->outputBytes;
+      reply(interest.name(), encodeAck(ack), kAckFreshness);
       return false;
     }
     // In-flight dedup: join a running job for the same canonical name.
     if (auto it = inflight_.find(canonical); it != inflight_.end()) {
       ++counters_.inflightDedup;
       admission("dedup", {{"job_id", it->second}});
-      replyKv(interest.name(),
-              {{"job_id", it->second},
-               {"cluster", cluster_name_},
-               {"status_name", makeStatusName(cluster_name_, it->second).toUri()},
-               {"deduplicated", "1"}},
-              kAckFreshness);
+      reply(interest.name(), jobAck(cluster_name_, it->second, /*deduplicated=*/true),
+            kAckFreshness);
       return false;
     }
   }
@@ -467,11 +471,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
   log::ScopedTrace scopedTrace(traceCtx.trace);
   LIDC_LOG(kInfo, "gateway") << cluster_name_ << " launched " << *jobId << " for "
                              << interest.name().toUri();
-  replyKv(interest.name(),
-          {{"job_id", *jobId},
-           {"cluster", cluster_name_},
-           {"status_name", makeStatusName(cluster_name_, *jobId).toUri()}},
-          kAckFreshness);
+  reply(interest.name(), jobAck(cluster_name_, *jobId), kAckFreshness);
   return true;
 }
 
@@ -507,10 +507,9 @@ void Gateway::onStatus(const ndn::Interest& interest) {
   // signature a stalled-but-alive gateway shows, until the id retires.
   if (record != records_.end() &&
       record->second.phase == JobRecord::Phase::kGray) {
-    replyKv(interest.name(),
-            {{"state", std::string(k8s::jobStateName(k8s::JobState::kPending))},
-             {"cluster", cluster_name_}},
-            kStatusFreshness);
+    JobStatusSnapshot pending;
+    pending.cluster = cluster_name_;
+    reply(interest.name(), encodeStatus(pending), kStatusFreshness);
     return;
   }
   auto status = jobs_.status(jobKey);
@@ -524,8 +523,8 @@ void Gateway::onStatus(const ndn::Interest& interest) {
       ++counters_.vanishedEvicted;
       retire(jobKey);
     }
-    replyKv(interest.name(), {{"error", status.status().toString()}},
-            kStatusFreshness);
+    reply(interest.name(), encodeError(status.status().toString(), /*cluster=*/{}),
+          kStatusFreshness);
     return;
   }
 
@@ -536,24 +535,8 @@ void Gateway::onStatus(const ndn::Interest& interest) {
                       {"state", std::string(k8s::jobStateName(status->state))}});
   }
 
-  KvMap fields{{"state", std::string(k8s::jobStateName(status->state))},
-               {"cluster", cluster_name_}};
-  switch (status->state) {
-    case k8s::JobState::kCompleted:
-      // Paper SIV-A: "The response contains the information as to how to
-      // retrieve the results from the data lake."
-      fields["result"] = status->resultPath;
-      fields["output_bytes"] = std::to_string(status->outputBytes);
-      fields["runtime_s"] = std::to_string(status->runtime.toSeconds());
-      break;
-    case k8s::JobState::kFailed:
-      fields["error"] = status->message;
-      break;
-    case k8s::JobState::kRunning:
-    case k8s::JobState::kPending:
-      break;
-  }
-  replyKv(interest.name(), fields, kStatusFreshness);
+  status->cluster = cluster_name_;
+  reply(interest.name(), encodeStatus(*status), kStatusFreshness);
 }
 
 void Gateway::onInfo(const ndn::Interest& interest) {
@@ -562,21 +545,16 @@ void Gateway::onInfo(const ndn::Interest& interest) {
   ++counters_.infoReceived;
   const auto free = cluster_.totalFree();
   const auto total = cluster_.totalAllocatable();
-  std::string apps;
-  for (const auto& app : cluster_.appNames()) {
-    if (!apps.empty()) apps += ',';
-    apps += app;
-  }
-  replyKv(interest.name(),
-          {{"cluster", cluster_name_},
-           {"free_cpu_m", std::to_string(free.cpu.millicores())},
-           {"free_mem_bytes", std::to_string(free.memory.bytes())},
-           {"total_cpu_m", std::to_string(total.cpu.millicores())},
-           {"total_mem_bytes", std::to_string(total.memory.bytes())},
-           {"running_jobs", std::to_string(cluster_.runningJobCount())},
-           {"nodes", std::to_string(cluster_.nodeCount())},
-           {"apps", apps}},
-          kInfoFreshness);
+  ClusterInfo info;
+  info.cluster = cluster_name_;
+  info.freeCpu = free.cpu;
+  info.freeMemory = free.memory;
+  info.totalCpu = total.cpu;
+  info.totalMemory = total.memory;
+  info.runningJobs = cluster_.runningJobCount();
+  info.nodes = cluster_.nodeCount();
+  info.apps = cluster_.appNames();
+  reply(interest.name(), encodeInfo(info), kInfoFreshness);
 }
 
 void Gateway::onPublish(const ndn::Interest& interest) {
@@ -585,8 +563,7 @@ void Gateway::onPublish(const ndn::Interest& interest) {
   // unique per content version and lets the gateway verify integrity.
   auto reject = [this, &interest](const std::string& reason) {
     ++counters_.publishesRejected;
-    replyKv(interest.name(), {{"error", reason}, {"cluster", cluster_name_}},
-            kStatusFreshness);
+    reply(interest.name(), encodeError(reason, cluster_name_), kStatusFreshness);
   };
 
   if (publish_store_ == nullptr) {
@@ -658,11 +635,8 @@ void Gateway::onPublish(const ndn::Interest& interest) {
   ++counters_.publishesAccepted;
   LIDC_LOG(kInfo, "gateway") << cluster_name_ << " stored published object "
                              << objectName.toUri();
-  replyKv(interest.name(),
-          {{"stored", objectName.toUri()},
-           {"bytes", std::to_string(payload.size())},
-           {"cluster", cluster_name_}},
-          kStatusFreshness);
+  reply(interest.name(), encodePublished(objectName, payload.size(), cluster_name_),
+        kStatusFreshness);
 }
 
 void Gateway::onJobFinished(const k8s::Job& job) {

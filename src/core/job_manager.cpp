@@ -81,7 +81,7 @@ void JobManager::retire(const std::string& jobId) {
   job_namespaces_.erase(it);
 }
 
-Result<JobStatusInfo> JobManager::status(const std::string& jobId) const {
+Result<JobStatusSnapshot> JobManager::status(const std::string& jobId) const {
   auto it = job_namespaces_.find(jobId);
   if (it == job_namespaces_.end()) {
     return Status::NotFound("unknown job id " + jobId);
@@ -90,9 +90,9 @@ Result<JobStatusInfo> JobManager::status(const std::string& jobId) const {
   if (job == nullptr) return Status::NotFound("job object vanished: " + jobId);
 
   const auto& status = job->status();
-  JobStatusInfo info;
+  JobStatusSnapshot info;
   info.state = status.state;
-  info.message = status.message;
+  info.error = status.message;
   if (status.state == k8s::JobState::kCompleted) {
     info.resultPath = status.resultPath;
     info.outputBytes = status.outputBytes;

@@ -9,18 +9,10 @@
 
 #include "common/status.hpp"
 #include "core/semantic_name.hpp"
+#include "core/wire_format.hpp"
 #include "k8s/cluster.hpp"
 
 namespace lidc::core {
-
-/// LIDC job status as reported to clients.
-struct JobStatusInfo {
-  k8s::JobState state = k8s::JobState::kPending;
-  std::string message;
-  std::string resultPath;       // data name of the output when Completed
-  std::uint64_t outputBytes = 0;
-  sim::Duration runtime;        // start -> completion (terminal states)
-};
 
 class JobManager {
  public:
@@ -46,7 +38,9 @@ class JobManager {
   /// The namespace a request's job would run in.
   [[nodiscard]] std::string namespaceFor(const ComputeRequest& request) const;
 
-  [[nodiscard]] Result<JobStatusInfo> status(const std::string& jobId) const;
+  /// The job's status reply in LIDC's four states; the gateway fills in
+  /// its cluster name.
+  [[nodiscard]] Result<JobStatusSnapshot> status(const std::string& jobId) const;
 
   /// Forgets a job id and deletes its K8s Job and Pods: status() then
   /// returns NotFound. The gateway calls it when it retires the job's

@@ -1,36 +1,80 @@
-// Tiny "k=v;k=v" text format used in LIDC response payloads (job
-// submission acks, status reports). Human-readable, order-insensitive.
+// The gateway's replies, each one k=v record (common/kv.hpp) with one
+// encoder, which the gateway calls, and one decoder, which the client
+// calls: submit acks, status, cluster info and publish acks. Encoders
+// write their fields in key order.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
-#include "common/strings.hpp"
+#include "common/status.hpp"
+#include "common/units.hpp"
+#include "k8s/job.hpp"
+#include "ndn/name.hpp"
+#include "sim/time.hpp"
 
 namespace lidc::core {
 
-using KvMap = std::map<std::string, std::string>;
+/// Outcome of a compute submission: the ack's fields.
+struct SubmitResult {
+  std::string jobId;
+  std::string cluster;       // which cluster took the job (informational)
+  std::string statusName;    // poll here
+  bool cached = false;       // answered from a result cache
+  bool deduplicated = false; // joined an in-flight identical job
+  std::string resultPath;    // set when cached
+  std::uint64_t outputBytes = 0;
+  sim::Duration placementLatency;  // Interest out -> ack back; not on the wire
+};
 
-inline std::string encodeKv(const KvMap& fields) {
-  std::string out;
-  for (const auto& [key, value] : fields) {
-    if (!out.empty()) out += ';';
-    out += key;
-    out += '=';
-    out += value;
-  }
-  return out;
-}
+/// One status poll answer.
+struct JobStatusSnapshot {
+  k8s::JobState state = k8s::JobState::kPending;
+  std::string cluster;
+  std::string resultPath;
+  std::uint64_t outputBytes = 0;
+  sim::Duration runtime;
+  std::string error;
+};
 
-inline KvMap decodeKv(std::string_view text) {
-  KvMap fields;
-  for (auto pair : strings::splitSkipEmpty(text, ';')) {
-    const auto eq = pair.find('=');
-    if (eq == std::string_view::npos) continue;
-    fields.emplace(std::string(pair.substr(0, eq)), std::string(pair.substr(eq + 1)));
-  }
-  return fields;
-}
+/// A cluster's advertised capabilities (/ndn/k8s/info/<cluster>).
+struct ClusterInfo {
+  std::string cluster;
+  MilliCpu freeCpu;
+  ByteSize freeMemory;
+  MilliCpu totalCpu;
+  ByteSize totalMemory;
+  std::size_t runningJobs = 0;
+  std::size_t nodes = 0;
+  std::vector<std::string> apps;
+};
+
+/// A refusal in any reply; an empty cluster is left out.
+std::string encodeError(std::string_view error, std::string_view cluster);
+
+/// A cached ack carries the result, any other the status name.
+std::string encodeAck(const SubmitResult& ack);
+/// An error field is InvalidArgument. A malformed record, or one with
+/// neither job_id nor error, is Internal.
+Result<SubmitResult> decodeAck(std::string_view text);
+
+/// Completed carries the result fields, Failed the error.
+std::string encodeStatus(const JobStatusSnapshot& status);
+/// An error without a state is NotFound. A malformed record, an unknown
+/// state, or neither state nor error is Internal.
+Result<JobStatusSnapshot> decodeStatus(std::string_view text);
+
+std::string encodeInfo(const ClusterInfo& info);
+/// A malformed record is Internal; unparseable numbers read as 0.
+Result<ClusterInfo> decodeInfo(std::string_view text);
+
+/// The publish ack: where the object was stored, and its size.
+std::string encodePublished(const ndn::Name& stored, std::uint64_t bytes,
+                            std::string_view cluster);
+/// The stored name. An error field is InvalidArgument; anything else is
+/// Internal.
+Result<ndn::Name> decodePublished(std::string_view text);
 
 }  // namespace lidc::core

@@ -2,10 +2,44 @@
 
 #include <algorithm>
 
+#include "common/kv.hpp"
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 
 namespace lidc::datalake {
+
+std::string encodeLakeMeta(const LakeMeta& meta) {
+  std::string out;
+  kv::Writer(out)
+      .add("segments", meta.segments)
+      .add("size", meta.size)
+      .add("segment_size", meta.segmentSize);
+  return out;
+}
+
+Result<LakeMeta> decodeLakeMeta(std::string_view text) {
+  const kv::Reader fields(text);
+  if (!fields.ok()) return Status::Internal("malformed meta record");
+  auto number = [&fields](std::string_view key) {
+    return strings::parseUint(fields.get(key)).value_or(0);
+  };
+  const LakeMeta meta{number("segments"), number("size"), number("segment_size")};
+  if ((meta.segments == 0) != (meta.size == 0)) {
+    return Status::Internal("malformed meta: segments=" + std::to_string(meta.segments) +
+                            " but size=" + std::to_string(meta.size));
+  }
+  if (meta.segmentSize > 0 && meta.size > 0) {
+    const std::uint64_t implied = (meta.size + meta.segmentSize - 1) / meta.segmentSize;
+    if (implied != meta.segments) {
+      return Status::Internal("inconsistent meta: segments=" +
+                              std::to_string(meta.segments) + " but size=" +
+                              std::to_string(meta.size) + " with segment_size=" +
+                              std::to_string(meta.segmentSize) + " implies " +
+                              std::to_string(implied));
+    }
+  }
+  return meta;
+}
 
 FileServer::FileServer(ndn::Forwarder& forwarder, ObjectStore& store, ndn::Name prefix,
                        std::size_t segmentSize)
@@ -61,9 +95,7 @@ void FileServer::replyMeta(const ndn::Interest& interest, const ndn::Name& objec
   }
   const std::uint64_t segments = (*size + segment_size_ - 1) / segment_size_;
   ndn::Data data(dataName);
-  data.setContent("segments=" + std::to_string(segments) + ";size=" +
-                  std::to_string(*size) +
-                  ";segment_size=" + std::to_string(segment_size_));
+  data.setContent(encodeLakeMeta({segments, *size, segment_size_}));
   data.setFreshnessPeriod(freshness_);
   data.sign();
   ++served_;

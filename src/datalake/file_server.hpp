@@ -12,12 +12,27 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "datalake/object_store.hpp"
 #include "ndn/app_face.hpp"
 #include "ndn/forwarder.hpp"
 
 namespace lidc::datalake {
+
+/// The <object>/meta record; the retriever decodes what the server
+/// encodes.
+struct LakeMeta {
+  std::uint64_t segments = 0;
+  std::uint64_t size = 0;         // object bytes
+  std::uint64_t segmentSize = 0;  // 0 = not advertised
+};
+
+std::string encodeLakeMeta(const LakeMeta& meta);
+/// Absent or unparseable numbers read as 0. Internal when the record is
+/// malformed or its numbers contradict each other.
+Result<LakeMeta> decodeLakeMeta(std::string_view text);
 
 class FileServer {
  public:

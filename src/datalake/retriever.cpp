@@ -2,7 +2,7 @@
 
 #include <map>
 
-#include "common/strings.hpp"
+#include "datalake/file_server.hpp"
 
 namespace lidc::datalake {
 
@@ -66,47 +66,16 @@ void Retriever::fetchMeta(std::shared_ptr<Transfer> transfer, int attempt,
                                data.name().toUri()));
           return;
         }
-        // Parse "segments=N;size=M;segment_size=S".
-        std::uint64_t segments = 0;
-        std::uint64_t size = 0;
-        std::uint64_t segmentSize = 0;
-        const std::string meta = data.contentAsString();
-        for (auto field : strings::split(meta, ';')) {
-          const auto kv = strings::split(field, '=');
-          if (kv.size() != 2) continue;
-          if (kv[0] == "segments") {
-            segments = strings::parseUint(kv[1]).value_or(0);
-          } else if (kv[0] == "size") {
-            size = strings::parseUint(kv[1]).value_or(0);
-          } else if (kv[0] == "segment_size") {
-            segmentSize = strings::parseUint(kv[1]).value_or(0);
-          }
-        }
-        if ((segments == 0) != (size == 0)) {
-          finish(transfer,
-                 Status::Internal("malformed meta for " +
-                                  transfer->objectName.toUri() + ": segments=" +
-                                  std::to_string(segments) + " but size=" +
-                                  std::to_string(size)));
+        const Result<LakeMeta> meta = decodeLakeMeta(data.contentView());
+        if (!meta.ok()) {
+          finish(transfer, Status::Internal(meta.status().message() + " for " +
+                                            transfer->objectName.toUri()));
           return;
         }
-        if (segmentSize > 0 && size > 0) {
-          const std::uint64_t implied = (size + segmentSize - 1) / segmentSize;
-          if (implied != segments) {
-            finish(transfer,
-                   Status::Internal(
-                       "inconsistent meta for " + transfer->objectName.toUri() +
-                       ": segments=" + std::to_string(segments) + " but size=" +
-                       std::to_string(size) + " with segment_size=" +
-                       std::to_string(segmentSize) + " implies " +
-                       std::to_string(implied)));
-            return;
-          }
-        }
-        transfer->totalSegments = segments;
-        transfer->totalSize = size;
-        transfer->segmentSize = segmentSize;
-        if (segments == 0) {
+        transfer->totalSegments = meta->segments;
+        transfer->totalSize = meta->size;
+        transfer->segmentSize = meta->segmentSize;
+        if (meta->segments == 0) {
           finish(transfer, std::vector<std::uint8_t>{});
           return;
         }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 
+#include "common/kv.hpp"
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "genomics/aligner.hpp"
@@ -35,10 +36,9 @@ constexpr std::string_view kCkptApp = "magic-blast";
 std::vector<std::uint8_t> encodeBlastCheckpoint(std::size_t offset,
                                                 std::size_t total,
                                                 std::vector<std::uint8_t> report) {
-  std::string header = "app=";
-  header += kCkptApp;
-  header += ";offset=" + std::to_string(offset) +
-            ";total=" + std::to_string(total) + "\n";
+  std::string header;
+  kv::Writer(header).add("app", kCkptApp).add("offset", offset).add("total", total);
+  header += '\n';
   std::vector<std::uint8_t> payload(header.begin(), header.end());
   payload.insert(payload.end(), report.begin(), report.end());
   return payload;
@@ -49,29 +49,16 @@ std::optional<BlastCheckpoint> decodeBlastCheckpoint(
   const auto newline = std::find(payload.begin(), payload.end(),
                                  static_cast<std::uint8_t>('\n'));
   if (newline == payload.end()) return std::nullopt;
-  const std::string header(payload.begin(), newline);
-  std::size_t offset = 0;
-  std::size_t total = 0;
-  bool sawApp = false, sawOffset = false, sawTotal = false;
-  for (auto field : strings::splitSkipEmpty(header, ';')) {
-    const auto eq = field.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    const auto key = field.substr(0, eq);
-    const auto value = field.substr(eq + 1);
-    if (key == "app") {
-      if (value != kCkptApp) return std::nullopt;
-      sawApp = true;
-    } else if (key == "offset" || key == "total") {
-      auto parsed = strings::parseUint(value);
-      if (!parsed) return std::nullopt;
-      (key == "offset" ? offset : total) = static_cast<std::size_t>(*parsed);
-      (key == "offset" ? sawOffset : sawTotal) = true;
-    }
+  const kv::Reader fields(std::string_view(reinterpret_cast<const char*>(payload.data()),
+                                           static_cast<std::size_t>(newline - payload.begin())));
+  const auto offset = strings::parseUint(fields.get("offset"));
+  const auto total = strings::parseUint(fields.get("total"));
+  if (fields.get("app") != kCkptApp || !offset || !total || *offset > *total) {
+    return std::nullopt;
   }
-  if (!sawApp || !sawOffset || !sawTotal || offset > total) return std::nullopt;
   BlastCheckpoint ckpt;
-  ckpt.offset = offset;
-  ckpt.total = total;
+  ckpt.offset = *offset;
+  ckpt.total = *total;
   ckpt.partialReport.assign(newline + 1, payload.end());
   return ckpt;
 }

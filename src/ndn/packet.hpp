@@ -212,6 +212,11 @@ class Data {
   [[nodiscard]] std::string contentAsString() const {
     return {content().begin(), content().end()};
   }
+  /// The content as text, viewing this packet's bytes (same lifetime
+  /// rule as content()).
+  [[nodiscard]] std::string_view contentView() const noexcept {
+    return {reinterpret_cast<const char*>(content().data()), content().size()};
+  }
 
   [[nodiscard]] ContentType contentType() const noexcept { return content_type_; }
   Data& setContentType(ContentType type) noexcept {

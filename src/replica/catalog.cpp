@@ -1,5 +1,8 @@
 #include "replica/catalog.hpp"
 
+#include "common/kv.hpp"
+#include "common/strings.hpp"
+
 namespace lidc::replica {
 
 std::string_view replicaStateName(ReplicaState state) noexcept {
@@ -18,6 +21,21 @@ std::optional<ReplicaState> parseReplicaState(std::string_view text) noexcept {
   if (text == "stale") return ReplicaState::kStale;
   if (text == "lost") return ReplicaState::kLost;
   return std::nullopt;
+}
+
+std::map<std::string, ReplicaEntry> parseReplicaMap(std::string_view text) {
+  std::map<std::string, ReplicaEntry> entries;
+  for (auto line : strings::splitSkipEmpty(text, '\n')) {
+    const kv::Reader fields(line);
+    const std::optional<ReplicaState> state = parseReplicaState(fields.get("state"));
+    if (fields.get("dataset").empty() || !state) continue;
+    ReplicaEntry entry;
+    entry.bytes = strings::parseUint(fields.get("bytes")).value_or(0);
+    entry.version = strings::parseUint(fields.get("version")).value_or(0);
+    entry.state = *state;
+    entries.emplace(fields.get("dataset"), entry);
+  }
+  return entries;
 }
 
 ReplicaCatalog::ReplicaCatalog(ndn::Forwarder& forwarder, std::string clusterName)
@@ -75,9 +93,12 @@ std::string ReplicaCatalog::exportMap() const {
   // the snapshot text is deterministic for a given map state.
   std::string out;
   for (const auto& [uri, entry] : entries_) {
-    out += "dataset=" + uri + ";bytes=" + std::to_string(entry.bytes) +
-           ";version=" + std::to_string(entry.version) +
-           ";state=" + std::string(replicaStateName(entry.state)) + "\n";
+    kv::Writer(out)
+        .add("dataset", uri)
+        .add("bytes", entry.bytes)
+        .add("version", entry.version)
+        .add("state", replicaStateName(entry.state));
+    out += '\n';
   }
   return out;
 }

@@ -44,6 +44,12 @@ struct ReplicaEntry {
   ReplicaState state = ReplicaState::kStaging;
 };
 
+/// Parses one catalog snapshot (ReplicaCatalog::exportMap's lines) into
+/// a dataset-URI -> entry map. A line that is malformed or lacks a
+/// dataset or a known state is skipped; unparseable numbers read as 0.
+[[nodiscard]] std::map<std::string, ReplicaEntry> parseReplicaMap(
+    std::string_view text);
+
 class ReplicaCatalog {
  public:
   /// Attaches to the cluster's gateway forwarder, registering

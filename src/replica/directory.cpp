@@ -3,34 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "common/strings.hpp"
-
 namespace lidc::replica {
-
-std::map<std::string, ReplicaEntry> parseReplicaMap(std::string_view text) {
-  std::map<std::string, ReplicaEntry> entries;
-  for (auto line : strings::splitSkipEmpty(text, '\n')) {
-    std::string uri;
-    ReplicaEntry entry;
-    bool haveState = false;
-    for (auto field : strings::splitSkipEmpty(line, ';')) {
-      if (strings::startsWith(field, "dataset=")) {
-        uri = std::string(field.substr(8));
-      } else if (strings::startsWith(field, "bytes=")) {
-        if (auto v = strings::parseUint(field.substr(6))) entry.bytes = *v;
-      } else if (strings::startsWith(field, "version=")) {
-        if (auto v = strings::parseUint(field.substr(8))) entry.version = *v;
-      } else if (strings::startsWith(field, "state=")) {
-        if (auto s = parseReplicaState(field.substr(6))) {
-          entry.state = *s;
-          haveState = true;
-        }
-      }
-    }
-    if (!uri.empty() && haveState) entries.emplace(std::move(uri), entry);
-  }
-  return entries;
-}
 
 ReplicaDirectory::ReplicaDirectory(ndn::Forwarder& forwarder)
     : SnapshotScraper(forwarder, "app://replica-directory", /*nonceSeed=*/0x4e5d,

@@ -50,10 +50,4 @@ class ReplicaDirectory : public telemetry::SnapshotScraper {
   std::map<std::string, ReplicaMap> maps_;
 };
 
-/// Parses one catalog snapshot ("dataset=...;bytes=...;version=...;
-/// state=..." lines) into a dataset-URI -> entry map. Malformed lines
-/// are skipped.
-[[nodiscard]] std::map<std::string, ReplicaEntry> parseReplicaMap(
-    std::string_view text);
-
 }  // namespace lidc::replica

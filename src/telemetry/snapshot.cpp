@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/kv.hpp"
 #include "common/strings.hpp"
 
 namespace lidc::telemetry {
@@ -14,15 +15,15 @@ constexpr sim::Duration kSnapshotFreshness = sim::Duration::hours(1);
 /// How many historical snapshots per group stay answerable.
 constexpr std::size_t kRetainedSnapshots = 8;
 
-/// The manifest's seq, or 0 when it names none.
-std::uint64_t manifestSeq(const std::string& content) {
-  std::uint64_t seq = 0;
-  for (auto field : strings::splitSkipEmpty(content, ';')) {
-    if (strings::startsWith(field, "seq=")) {
-      if (auto parsed = strings::parseUint(field.substr(4))) seq = *parsed;
-    }
-  }
-  return seq;
+std::string encodeManifest(std::uint64_t seq, sim::Time generatedAt) {
+  std::string out;
+  kv::Writer(out).add("seq", seq).add("generated", std::to_string(generatedAt.toNanos()));
+  return out;
+}
+
+/// The manifest's seq, or 0 when it names none or is malformed.
+std::uint64_t manifestSeq(std::string_view content) {
+  return strings::parseUint(kv::Reader(content).get("seq")).value_or(0);
 }
 }  // namespace
 
@@ -70,10 +71,7 @@ void SnapshotPublisher::handleInterest(const ndn::Interest& interest) {
   const std::string selector = name[name.size() - 1].toString();
   if (selector == manifest_component_) {
     refresh(*group);
-    reply(interest,
-          "seq=" + std::to_string(group->seq) +
-              ";generated=" + std::to_string(group->generatedAt.toNanos()),
-          kManifestFreshness);
+    reply(interest, encodeManifest(group->seq, group->generatedAt), kManifestFreshness);
     return;
   }
   const auto seq = strings::parseUint(selector);
@@ -192,7 +190,7 @@ void SnapshotScraper::received(AttemptIt attempt, const ndn::Data& data) {
     settle(attempt, /*succeeded=*/true);
     return;
   }
-  const std::uint64_t seq = manifestSeq(data.contentAsString());
+  const std::uint64_t seq = manifestSeq(data.contentView());
   if (seq == 0) {
     settle(attempt, /*succeeded=*/false);
     return;

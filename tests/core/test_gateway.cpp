@@ -53,15 +53,22 @@ class GatewayTest : public ::testing::Test {
     return request;
   }
 
-  /// Sends a compute Interest; returns the decoded ack fields.
-  KvMap submit(const ComputeRequest& request) {
-    KvMap fields;
-    client_->expressInterest(ndn::Interest(request.toName()),
+  /// Sends a compute Interest; returns the decoded ack.
+  Result<SubmitResult> submit(const ComputeRequest& request) {
+    return express(ndn::Interest(request.toName()), decodeAck);
+  }
+
+  /// Sends one Interest and decodes the reply's content with `decode`.
+  template <typename Decode>
+  auto express(const ndn::Interest& interest, Decode decode)
+      -> decltype(decode(std::string_view())) {
+    decltype(decode(std::string_view())) reply = Status::Internal("no reply");
+    client_->expressInterest(interest,
                              [&](const ndn::Interest&, const ndn::Data& data) {
-                               fields = decodeKv(data.contentAsString());
+                               reply = decode(data.contentView());
                              });
     sim_.runUntil(sim_.now() + sim::Duration::millis(100));
-    return fields;
+    return reply;
   }
 
   sim::Simulator sim_;
@@ -73,23 +80,17 @@ class GatewayTest : public ::testing::Test {
 };
 
 TEST_F(GatewayTest, LaunchReturnsJobIdAndStatusName) {
-  const KvMap ack = submit(sleepRequest());
-  ASSERT_TRUE(ack.count("job_id"));
-  EXPECT_EQ(ack.at("cluster"), "cluster-x");
-  EXPECT_EQ(ack.at("status_name"),
-            "/ndn/k8s/status/cluster-x/" + ack.at("job_id"));
+  const auto ack = submit(sleepRequest());
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  EXPECT_EQ(ack->cluster, "cluster-x");
+  EXPECT_EQ(ack->statusName, "/ndn/k8s/status/cluster-x/" + ack->jobId);
   EXPECT_EQ(gateway_->counters().jobsLaunched, 1u);
 }
 
 TEST_F(GatewayTest, MalformedNameRejected) {
-  KvMap fields;
-  client_->expressInterest(
-      ndn::Interest(ndn::Name("/ndn/k8s/compute/not-a-kv-pair")),
-      [&](const ndn::Interest&, const ndn::Data& data) {
-        fields = decodeKv(data.contentAsString());
-      });
-  sim_.runUntil(sim_.now() + sim::Duration::millis(100));
-  EXPECT_TRUE(fields.count("error"));
+  const auto ack =
+      express(ndn::Interest(ndn::Name("/ndn/k8s/compute/not-a-kv-pair")), decodeAck);
+  EXPECT_EQ(ack.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(gateway_->counters().computeRejected, 1u);
 }
 
@@ -99,9 +100,9 @@ TEST_F(GatewayTest, ValidatorRejectionReported) {
   bad.cpu = MilliCpu::fromCores(2);
   bad.memory = ByteSize::fromGiB(4);
   bad.params["srr_id"] = "BOGUS";
-  const KvMap ack = submit(bad);
-  ASSERT_TRUE(ack.count("error"));
-  EXPECT_NE(ack.at("error").find("SRR"), std::string::npos);
+  const auto ack = submit(bad);
+  ASSERT_EQ(ack.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ack.status().message().find("SRR"), std::string::npos);
 }
 
 TEST_F(GatewayTest, CapacityExhaustionNacks) {
@@ -121,20 +122,20 @@ TEST_F(GatewayTest, CapacityExhaustionNacks) {
 
 TEST_F(GatewayTest, AdmissionControlCanBeDisabled) {
   gateway_->setAdmissionControl(false);
-  const KvMap ack = submit(sleepRequest(10.0, /*cores=*/16));
+  const auto ack = submit(sleepRequest(10.0, /*cores=*/16));
   // Job object is created and stays Pending (no nack).
-  EXPECT_TRUE(ack.count("job_id"));
+  EXPECT_TRUE(ack.ok());
   EXPECT_EQ(cluster_.pendingUnschedulable(), 1u);
 }
 
 TEST_F(GatewayTest, InFlightDedupJoinsSameJob) {
   // Two canonical (no request id) identical submissions: one job.
-  const KvMap first = submit(sleepRequest());
-  const KvMap second = submit(sleepRequest());
-  ASSERT_TRUE(first.count("job_id"));
-  ASSERT_TRUE(second.count("job_id"));
-  EXPECT_EQ(first.at("job_id"), second.at("job_id"));
-  EXPECT_TRUE(second.count("deduplicated"));
+  const auto first = submit(sleepRequest());
+  const auto second = submit(sleepRequest());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first->jobId, second->jobId);
+  EXPECT_TRUE(second->deduplicated);
   EXPECT_EQ(gateway_->counters().jobsLaunched, 1u);
   EXPECT_EQ(gateway_->counters().inflightDedup, 1u);
 }
@@ -144,22 +145,23 @@ TEST_F(GatewayTest, UniqueRequestIdsLaunchSeparateJobs) {
   a.requestId = "r1";
   ComputeRequest b = sleepRequest();
   b.requestId = "r2";
-  const KvMap ackA = submit(a);
-  const KvMap ackB = submit(b);
-  EXPECT_NE(ackA.at("job_id"), ackB.at("job_id"));
+  const auto ackA = submit(a);
+  const auto ackB = submit(b);
+  EXPECT_NE(ackA->jobId, ackB->jobId);
   EXPECT_EQ(gateway_->counters().jobsLaunched, 2u);
 }
 
 TEST_F(GatewayTest, CompletedJobServedFromResultCache) {
-  const KvMap first = submit(sleepRequest());
-  ASSERT_TRUE(first.count("job_id"));
+  const auto first = submit(sleepRequest());
+  ASSERT_TRUE(first.ok());
   sim_.run();  // job completes
 
-  const KvMap second = submit(sleepRequest());
-  ASSERT_TRUE(second.count("cached"));
-  EXPECT_EQ(second.at("job_id"), first.at("job_id"));
-  EXPECT_EQ(second.at("result"), "/ndn/k8s/data/results/out");
-  EXPECT_EQ(second.at("output_bytes"), "1234");
+  const auto second = submit(sleepRequest());
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(second->cached);
+  EXPECT_EQ(second->jobId, first->jobId);
+  EXPECT_EQ(second->resultPath, "/ndn/k8s/data/results/out");
+  EXPECT_EQ(second->outputBytes, 1234u);
   EXPECT_EQ(gateway_->counters().cacheHits, 1u);
   EXPECT_EQ(gateway_->counters().jobsLaunched, 1u);
 }
@@ -192,8 +194,7 @@ TEST_F(GatewayTest, CacheDisabledAlwaysLaunches) {
   for (int i = 0; i < 2; ++i) {
     client->expressInterest(ndn::Interest(request.toName()),
                             [&](const ndn::Interest&, const ndn::Data& data) {
-                              jobIds.push_back(
-                                  decodeKv(data.contentAsString()).at("job_id"));
+                              jobIds.push_back(decodeAck(data.contentView())->jobId);
                             });
     sim.run();  // complete each job fully
   }
@@ -203,43 +204,32 @@ TEST_F(GatewayTest, CacheDisabledAlwaysLaunches) {
 }
 
 TEST_F(GatewayTest, StatusLifecycle) {
-  const KvMap ack = submit(sleepRequest(100.0));
-  const ndn::Name statusName(ack.at("status_name"));
+  const auto ack = submit(sleepRequest(100.0));
+  const ndn::Name statusName(ack->statusName);
 
   auto poll = [&]() {
-    KvMap fields;
     ndn::Interest interest(statusName);
     interest.setMustBeFresh(true);
-    client_->expressInterest(interest,
-                             [&](const ndn::Interest&, const ndn::Data& data) {
-                               fields = decodeKv(data.contentAsString());
-                             });
-    sim_.runUntil(sim_.now() + sim::Duration::millis(100));
-    return fields;
+    return express(interest, decodeStatus);
   };
 
   // Immediately after submit: Pending (pod starting).
-  EXPECT_EQ(poll().at("state"), "Pending");
+  EXPECT_EQ(poll()->state, k8s::JobState::kPending);
   // After pod startup: Running.
   sim_.runUntil(sim_.now() + sim::Duration::seconds(5));
-  EXPECT_EQ(poll().at("state"), "Running");
+  EXPECT_EQ(poll()->state, k8s::JobState::kRunning);
   // After completion: Completed with result info.
   sim_.runUntil(sim_.now() + sim::Duration::seconds(120));
-  const KvMap done = poll();
-  EXPECT_EQ(done.at("state"), "Completed");
-  EXPECT_EQ(done.at("result"), "/ndn/k8s/data/results/out");
-  EXPECT_TRUE(done.count("runtime_s"));
+  const auto done = poll();
+  EXPECT_EQ(done->state, k8s::JobState::kCompleted);
+  EXPECT_EQ(done->resultPath, "/ndn/k8s/data/results/out");
+  EXPECT_GT(done->runtime.toSeconds(), 0.0);
 }
 
 TEST_F(GatewayTest, UnknownJobStatusIsError) {
-  KvMap fields;
-  client_->expressInterest(
-      ndn::Interest(makeStatusName("cluster-x", "job-ghost")),
-      [&](const ndn::Interest&, const ndn::Data& data) {
-        fields = decodeKv(data.contentAsString());
-      });
-  sim_.runUntil(sim_.now() + sim::Duration::millis(100));
-  EXPECT_TRUE(fields.count("error"));
+  const auto status =
+      express(ndn::Interest(makeStatusName("cluster-x", "job-ghost")), decodeStatus);
+  EXPECT_EQ(status.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(GatewayTest, StatusForOtherClusterNacked) {
@@ -271,20 +261,16 @@ TEST_F(GatewayTest, FailedJobReportsError) {
   request.app = "failer";
   request.cpu = MilliCpu::fromCores(1);
   request.memory = ByteSize::fromGiB(1);
-  const KvMap ack = submit(request);
-  ASSERT_TRUE(ack.count("status_name"));
+  const auto ack = submit(request);
+  ASSERT_TRUE(ack.ok());
   sim_.run();
 
-  KvMap fields;
-  ndn::Interest interest{ndn::Name(ack.at("status_name"))};
+  ndn::Interest interest{ndn::Name(ack->statusName)};
   interest.setMustBeFresh(true);
-  client_->expressInterest(interest,
-                           [&](const ndn::Interest&, const ndn::Data& data) {
-                             fields = decodeKv(data.contentAsString());
-                           });
-  sim_.runUntil(sim_.now() + sim::Duration::millis(100));
-  EXPECT_EQ(fields.at("state"), "Failed");
-  EXPECT_NE(fields.at("error").find("segfault"), std::string::npos);
+  const auto status = express(interest, decodeStatus);
+  ASSERT_TRUE(status.ok()) << status.status();
+  EXPECT_EQ(status->state, k8s::JobState::kFailed);
+  EXPECT_NE(status->error.find("segfault"), std::string::npos);
 }
 
 TEST_F(GatewayTest, FailedJobsAreNotCached) {
@@ -301,8 +287,8 @@ TEST_F(GatewayTest, FailedJobsAreNotCached) {
   (void)submit(request);
   sim_.run();
   // A repeat launches a fresh job rather than serving the failure.
-  const KvMap again = submit(request);
-  EXPECT_FALSE(again.count("cached"));
+  const auto again = submit(request);
+  EXPECT_FALSE(again->cached);
   EXPECT_EQ(gateway_->counters().jobsLaunched, 2u);
 }
 

@@ -130,8 +130,10 @@ TEST_F(PublishTest, TamperedDigestRejected) {
   std::optional<std::string> error;
   face->expressInterest(interest,
                         [&](const ndn::Interest&, const ndn::Data& data) {
-                          const KvMap fields = decodeKv(data.contentAsString());
-                          if (fields.count("error")) error = fields.at("error");
+                          const auto stored = decodePublished(data.contentView());
+                          if (stored.status().code() == StatusCode::kInvalidArgument) {
+                            error = stored.status().message();
+                          }
                         });
   sim_.run();
   ASSERT_TRUE(error.has_value());

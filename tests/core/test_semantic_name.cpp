@@ -1,5 +1,4 @@
 #include "core/semantic_name.hpp"
-#include "core/wire_format.hpp"
 
 #include <gtest/gtest.h>
 
@@ -110,18 +109,6 @@ TEST(SemanticNameTest, StatusNames) {
 TEST(SemanticNameTest, DataNames) {
   EXPECT_EQ(makeDataName("results/job-1").toUri(), "/ndn/k8s/data/results/job-1");
   EXPECT_EQ(makeDataName("/leading/slash/").toUri(), "/ndn/k8s/data/leading/slash");
-}
-
-TEST(WireFormatTest, KvRoundTrip) {
-  const KvMap fields{{"job_id", "j-1"}, {"state", "Running"}};
-  const std::string encoded = encodeKv(fields);
-  EXPECT_EQ(decodeKv(encoded), fields);
-  EXPECT_EQ(encodeKv({}), "");
-  EXPECT_TRUE(decodeKv("").empty());
-  // Tolerates stray separators.
-  EXPECT_EQ(decodeKv(";;a=1;;b=2;").size(), 2u);
-  // Entries without '=' are skipped.
-  EXPECT_EQ(decodeKv("a=1;junk;b=2").size(), 2u);
 }
 
 }  // namespace

@@ -177,14 +177,14 @@ TEST_F(SubmitFuzzTest, GatewaySurvivesMalformedSubmitStorm) {
   EXPECT_GT(gateway_->admission()->rejectedUnknownTenant(), 0u);
 
   // The gateway still serves a clean tenant-scoped submit.
-  KvMap ack;
+  Result<SubmitResult> ack = Status::Internal("no reply");
   client_->expressInterest(ndn::Interest(validTemplate),
                            [&](const ndn::Interest&, const ndn::Data& data) {
-                             ack = decodeKv(data.contentAsString());
+                             ack = decodeAck(data.contentView());
                            });
   sim_.run();
-  ASSERT_TRUE(ack.count("job_id")) << "valid submit must still be admitted";
-  EXPECT_EQ(ack.at("cluster"), "cluster-x");
+  ASSERT_TRUE(ack.ok()) << "valid submit must still be admitted";
+  EXPECT_EQ(ack->cluster, "cluster-x");
 }
 
 }  // namespace
