@@ -26,6 +26,11 @@ ROOT = Path(__file__).resolve().parent.parent
 EMPTY = hashlib.sha256(b"").hexdigest()
 # bench name -> sha256 of (stdout, stderr, BENCH_<name>.json)
 GOLDENS = {
+    # Before the client failed over on status replies it cannot read
+    # (DESIGN.md §6, "One k=v codec"), this JSON hashed to
+    # 9aa96b0ac433c7b54f205e0e74feefd7c57712583a1da106ed6015f1fcc2e42c; the
+    # one difference is "corrupted_off": 101 -> 99, from the undefended run's
+    # bit-flipped status replies. stdout and stderr did not change.
     "gray_failures": ("b3e85a78309b6b36f34aca7a95c29d398fb797935493560ee062ef29b1514a61",
                     EMPTY,
                     "ce6db2402133c7721990f13b949a57481110915741281328ec89e1ae4ec5de47"),

@@ -15,12 +15,13 @@
 
 namespace lidc::kv {
 
-/// Appends `key=value` fields to a string, joined by ';', in call order.
-/// Inside a value ';' is written as "%3B" and '\n' as "%0A" (Name::toUri's
-/// escape), so no value can split a field or end a record.
+/// Writes `key=value` fields, joined by ';', in call order, after
+/// whatever `out` holds. Inside a value ';' is written as "%3B" and '\n'
+/// as "%0A" (Name::toUri's escape), so no value can split a field or end
+/// a record.
 class Writer {
  public:
-  explicit Writer(std::string& out) noexcept : out_(out) {}
+  explicit Writer(std::string out = {}) noexcept : out_(std::move(out)) {}
 
   Writer& add(std::string_view key, std::string_view value) {
     if (!first_) out_ += ';';
@@ -40,9 +41,11 @@ class Writer {
     const char* end = std::to_chars(digits, digits + sizeof digits, value).ptr;
     return add(key, std::string_view(digits, static_cast<std::size_t>(end - digits)));
   }
+  /// The text written, moved out: call it last.
+  [[nodiscard]] std::string take() noexcept { return std::move(out_); }
 
  private:
-  std::string& out_;
+  std::string out_;
   bool first_ = true;
 };
 
@@ -64,14 +67,17 @@ class Reader {
       record.remove_prefix(std::min(field.size() + 1, record.size()));
       if (field.empty()) continue;
       const std::size_t eq = field.find('=');
-      ok_ = eq != 0 && eq != field.npos && size_ < kMaxFields && !has(field.substr(0, eq));
+      ok_ = eq != 0 && eq != field.npos && size_ < kMaxFields &&
+            !has(field.substr(0, eq));
       if (ok_) fields_[size_++] = {field.substr(0, eq), field.substr(eq + 1)};
     }
     if (!ok_) size_ = 0;
   }
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
-  [[nodiscard]] bool has(std::string_view key) const noexcept { return find(key) != end(); }
+  [[nodiscard]] bool has(std::string_view key) const noexcept {
+    return find(key) != end();
+  }
   /// The value of `key`; empty when the key is absent.
   [[nodiscard]] std::string_view get(std::string_view key) const noexcept {
     const Field* field = find(key);
@@ -82,7 +88,8 @@ class Reader {
 
  private:
   [[nodiscard]] const Field* find(std::string_view key) const noexcept {
-    return std::find_if(begin(), end(), [key](const Field& f) { return f.first == key; });
+    return std::find_if(begin(), end(),
+                        [key](const Field& f) { return f.first == key; });
   }
 
   std::array<Field, kMaxFields> fields_{};

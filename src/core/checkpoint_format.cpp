@@ -1,6 +1,7 @@
 #include "core/checkpoint_format.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/kv.hpp"
 #include "common/strings.hpp"
@@ -72,15 +73,14 @@ Result<CkptRef> parseCkptName(const ndn::Name& name) {
 }
 
 std::string encodeCkptManifest(const CkptManifest& manifest) {
-  std::string out;
-  kv::Writer(out)
+  return kv::Writer()
       .add("app", manifest.app)
       .add("bytes", manifest.bytes)
       .add("digest", manifest.digest)
       .add("epoch", manifest.epoch)
       .add("job", manifest.jobId)
-      .add("progress_pm", manifest.progressPermille);
-  return out;
+      .add("progress_pm", manifest.progressPermille)
+      .take();
 }
 
 Result<CkptManifest> decodeCkptManifest(std::string_view text) {
@@ -91,41 +91,33 @@ Result<CkptManifest> decodeCkptManifest(std::string_view text) {
   }
   const kv::Reader fields(text);
   if (!fields.ok()) return Status::InvalidArgument("malformed manifest");
-  auto requireUint = [&fields](const char* key) -> Result<std::uint64_t> {
-    const std::string_view raw = fields.get(key);
-    auto value = strings::parseUint(raw);
-    if (!value || raw.size() > 20) {
-      return Status::InvalidArgument(std::string("manifest field ") + key +
-                                     " is missing or not a number");
-    }
-    return *value;
-  };
-
   if (!validJobId(fields.get("job"))) {
     return Status::InvalidArgument("manifest carries a malformed job id");
   }
-  CkptManifest manifest;
-  manifest.jobId = fields.get("job");
-  manifest.app = fields.get("app");
-
-  auto epoch = requireUint("epoch");
-  if (!epoch.ok()) return epoch.status();
+  // parseUint takes leading zeros; a number is at most 20 digits.
+  auto number = [&fields](std::string_view key) -> std::optional<std::uint64_t> {
+    const std::string_view raw = fields.get(key);
+    return raw.size() > 20 ? std::nullopt : strings::parseUint(raw);
+  };
+  const auto epoch = number("epoch");
+  const auto bytes = number("bytes");
+  const auto digest = number("digest");
+  const auto progress = number("progress_pm");
+  if (!epoch || !bytes || !digest || !progress) {
+    return Status::InvalidArgument(
+        "manifest needs numeric epoch, bytes, digest and progress_pm");
+  }
   if (*epoch == 0) return Status::InvalidArgument("ckpt epochs start at 1");
-  manifest.epoch = *epoch;
-
-  auto bytes = requireUint("bytes");
-  if (!bytes.ok()) return bytes.status();
-  manifest.bytes = *bytes;
-
-  auto digest = requireUint("digest");
-  if (!digest.ok()) return digest.status();
-  manifest.digest = *digest;
-
-  auto progress = requireUint("progress_pm");
-  if (!progress.ok()) return progress.status();
   if (*progress > 1000) {
     return Status::InvalidArgument("manifest progress_pm out of range");
   }
+
+  CkptManifest manifest;
+  manifest.jobId = fields.get("job");
+  manifest.app = fields.get("app");
+  manifest.epoch = *epoch;
+  manifest.bytes = *bytes;
+  manifest.digest = *digest;
   manifest.progressPermille = static_cast<std::uint32_t>(*progress);
   return manifest;
 }

@@ -23,18 +23,6 @@ constexpr sim::Duration kStatusFreshness = sim::Duration::millis(500);
 // nacked kCongestion so the strategy fails over to a healthy cluster.
 constexpr double kMinHealthyNodeFraction = 0.5;
 
-/// The ack for a job this gateway runs, joins (`deduplicated`) or, when
-/// gray, pretends to run: the client polls its status name.
-std::string jobAck(const std::string& cluster, const std::string& jobId,
-                   bool deduplicated = false) {
-  SubmitResult ack;
-  ack.jobId = jobId;
-  ack.cluster = cluster;
-  ack.statusName = makeStatusName(cluster, jobId).toUri();
-  ack.deduplicated = deduplicated;
-  return encodeAck(ack);
-}
-
 // Erases `key` only while it still names `jobId`: a newer job may have
 // registered the same key since.
 template <typename Index, typename Key>
@@ -140,9 +128,7 @@ void Gateway::handleInterest(const ndn::Interest& interest) {
 void Gateway::reply(const ndn::Name& name, std::string_view content,
                     sim::Duration freshness) {
   ndn::Data data(name);
-  data.setContent(content);
-  data.setFreshnessPeriod(freshness);
-  data.sign();
+  data.setContent(content).setFreshnessPeriod(freshness).sign();
   face_->putData(std::move(data));
 }
 
@@ -161,7 +147,7 @@ void Gateway::grayAdmit(const ndn::Interest& interest) {
   record.since = forwarder_.simulator().now();
   LIDC_FR_EVENT(recorder_, kWarn, "gateway",
                 cluster_name_ + " gray-admit " + jobId);
-  reply(interest.name(), jobAck(cluster_name_, jobId), kAckFreshness);
+  reply(interest.name(), encodeJobAck(cluster_name_, jobId), kAckFreshness);
 }
 
 void Gateway::onCompute(const ndn::Interest& interest) {
@@ -377,20 +363,15 @@ bool Gateway::processCompute(const ndn::Interest& interest,
     if (auto cached = cache_.get(canonical, forwarder_.simulator().now())) {
       ++counters_.cacheHits;
       admission("cache-hit", {{"job_id", cached->jobId}});
-      SubmitResult ack;
-      ack.jobId = cached->jobId;
-      ack.cluster = cluster_name_;
-      ack.cached = true;
-      ack.resultPath = cached->resultPath;
-      ack.outputBytes = cached->outputBytes;
-      reply(interest.name(), encodeAck(ack), kAckFreshness);
+      reply(interest.name(), encodeCachedAck(cluster_name_, *cached), kAckFreshness);
       return false;
     }
     // In-flight dedup: join a running job for the same canonical name.
     if (auto it = inflight_.find(canonical); it != inflight_.end()) {
       ++counters_.inflightDedup;
       admission("dedup", {{"job_id", it->second}});
-      reply(interest.name(), jobAck(cluster_name_, it->second, /*deduplicated=*/true),
+      reply(interest.name(),
+            encodeJobAck(cluster_name_, it->second, /*deduplicated=*/true),
             kAckFreshness);
       return false;
     }
@@ -471,7 +452,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
   log::ScopedTrace scopedTrace(traceCtx.trace);
   LIDC_LOG(kInfo, "gateway") << cluster_name_ << " launched " << *jobId << " for "
                              << interest.name().toUri();
-  reply(interest.name(), jobAck(cluster_name_, *jobId), kAckFreshness);
+  reply(interest.name(), encodeJobAck(cluster_name_, *jobId), kAckFreshness);
   return true;
 }
 
@@ -535,7 +516,6 @@ void Gateway::onStatus(const ndn::Interest& interest) {
                       {"state", std::string(k8s::jobStateName(status->state))}});
   }
 
-  status->cluster = cluster_name_;
   reply(interest.name(), encodeStatus(*status), kStatusFreshness);
 }
 
@@ -543,18 +523,7 @@ void Gateway::onInfo(const ndn::Interest& interest) {
   // Freshness on /ndn/k8s/info/<cluster> capability advertisements.
   constexpr sim::Duration kInfoFreshness = sim::Duration::seconds(2);
   ++counters_.infoReceived;
-  const auto free = cluster_.totalFree();
-  const auto total = cluster_.totalAllocatable();
-  ClusterInfo info;
-  info.cluster = cluster_name_;
-  info.freeCpu = free.cpu;
-  info.freeMemory = free.memory;
-  info.totalCpu = total.cpu;
-  info.totalMemory = total.memory;
-  info.runningJobs = cluster_.runningJobCount();
-  info.nodes = cluster_.nodeCount();
-  info.apps = cluster_.appNames();
-  reply(interest.name(), encodeInfo(info), kInfoFreshness);
+  reply(interest.name(), encodeInfo(cluster_), kInfoFreshness);
 }
 
 void Gateway::onPublish(const ndn::Interest& interest) {

@@ -92,6 +92,7 @@ Result<JobStatusSnapshot> JobManager::status(const std::string& jobId) const {
   const auto& status = job->status();
   JobStatusSnapshot info;
   info.state = status.state;
+  info.cluster = cluster_.name();
   info.error = status.message;
   if (status.state == k8s::JobState::kCompleted) {
     info.resultPath = status.resultPath;

@@ -38,8 +38,7 @@ class JobManager {
   /// The namespace a request's job would run in.
   [[nodiscard]] std::string namespaceFor(const ComputeRequest& request) const;
 
-  /// The job's status reply in LIDC's four states; the gateway fills in
-  /// its cluster name.
+  /// The job's status reply, in LIDC's four states.
   [[nodiscard]] Result<JobStatusSnapshot> status(const std::string& jobId) const;
 
   /// Forgets a job id and deletes its K8s Job and Pods: status() then

@@ -6,35 +6,41 @@
 #include "common/kv.hpp"
 #include "common/strings.hpp"
 #include "core/semantic_name.hpp"
+#include "k8s/cluster.hpp"
 
 namespace lidc::core {
 
 std::string encodeError(std::string_view error, std::string_view cluster) {
-  std::string out;
-  kv::Writer writer(out);
+  kv::Writer writer;
   if (!cluster.empty()) writer.add("cluster", cluster);
-  writer.add("error", error);
-  return out;
+  return writer.add("error", error).take();
 }
 
-std::string encodeAck(const SubmitResult& ack) {
-  std::string out;
-  kv::Writer writer(out);
-  if (ack.cached) writer.add("cached", "1");
-  writer.add("cluster", ack.cluster);
-  if (ack.deduplicated) writer.add("deduplicated", "1");
-  writer.add("job_id", ack.jobId);
-  if (ack.cached) {
-    writer.add("output_bytes", ack.outputBytes).add("result", ack.resultPath);
-  } else {
-    writer.add("status_name", ack.statusName);
-  }
-  return out;
+std::string encodeJobAck(const std::string& cluster, const std::string& jobId,
+                         bool deduplicated) {
+  kv::Writer writer;
+  writer.add("cluster", cluster);
+  if (deduplicated) writer.add("deduplicated", "1");
+  return writer.add("job_id", jobId)
+      .add("status_name", makeStatusName(cluster, jobId).toUri())
+      .take();
+}
+
+std::string encodeCachedAck(std::string_view cluster, const CachedResult& cached) {
+  return kv::Writer()
+      .add("cached", "1")
+      .add("cluster", cluster)
+      .add("job_id", cached.jobId)
+      .add("output_bytes", cached.outputBytes)
+      .add("result", cached.resultPath)
+      .take();
 }
 
 Result<SubmitResult> decodeAck(std::string_view text) {
   const kv::Reader fields(text);
-  if (fields.has("error")) return Status::InvalidArgument(std::string(fields.get("error")));
+  if (fields.has("error")) {
+    return Status::InvalidArgument(std::string(fields.get("error")));
+  }
   if (!fields.has("job_id")) return Status::Internal("malformed ack");
   SubmitResult ack;
   ack.jobId = fields.get("job_id");
@@ -52,8 +58,7 @@ Result<SubmitResult> decodeAck(std::string_view text) {
 }
 
 std::string encodeStatus(const JobStatusSnapshot& status) {
-  std::string out;
-  kv::Writer writer(out);
+  kv::Writer writer;
   writer.add("cluster", status.cluster);
   if (status.state == k8s::JobState::kCompleted) {
     // Paper SIV-A: "The response contains the information as to how to
@@ -64,8 +69,7 @@ std::string encodeStatus(const JobStatusSnapshot& status) {
   } else if (status.state == k8s::JobState::kFailed) {
     writer.add("error", status.error);
   }
-  writer.add("state", k8s::jobStateName(status.state));
-  return out;
+  return writer.add("state", k8s::jobStateName(status.state)).take();
 }
 
 Result<JobStatusSnapshot> decodeStatus(std::string_view text) {
@@ -74,13 +78,10 @@ Result<JobStatusSnapshot> decodeStatus(std::string_view text) {
     if (fields.has("error")) return Status::NotFound(std::string(fields.get("error")));
     return Status::Internal("malformed status reply");
   }
-  constexpr k8s::JobState kStates[] = {k8s::JobState::kPending, k8s::JobState::kRunning,
-                                       k8s::JobState::kCompleted, k8s::JobState::kFailed};
+  using enum k8s::JobState;
+  constexpr k8s::JobState kStates[] = {kPending, kRunning, kCompleted, kFailed};
   const std::string_view state = fields.get("state");
-  const auto* known = std::find_if(std::begin(kStates), std::end(kStates),
-                                   [state](k8s::JobState s) {
-                                     return k8s::jobStateName(s) == state;
-                                   });
+  const auto* known = std::ranges::find(kStates, state, k8s::jobStateName);
   if (known == std::end(kStates)) {
     return Status::Internal("malformed status reply: state " + std::string(state));
   }
@@ -95,18 +96,19 @@ Result<JobStatusSnapshot> decodeStatus(std::string_view text) {
   return status;
 }
 
-std::string encodeInfo(const ClusterInfo& info) {
-  std::string out;
-  kv::Writer(out)
-      .add("apps", strings::join(info.apps, ","))
-      .add("cluster", info.cluster)
-      .add("free_cpu_m", info.freeCpu.millicores())
-      .add("free_mem_bytes", info.freeMemory.bytes())
-      .add("nodes", info.nodes)
-      .add("running_jobs", info.runningJobs)
-      .add("total_cpu_m", info.totalCpu.millicores())
-      .add("total_mem_bytes", info.totalMemory.bytes());
-  return out;
+std::string encodeInfo(const k8s::Cluster& cluster) {
+  const k8s::Resources free = cluster.totalFree();
+  const k8s::Resources total = cluster.totalAllocatable();
+  return kv::Writer()
+      .add("apps", strings::join(cluster.appNames(), ","))
+      .add("cluster", cluster.name())
+      .add("free_cpu_m", free.cpu.millicores())
+      .add("free_mem_bytes", free.memory.bytes())
+      .add("nodes", cluster.nodeCount())
+      .add("running_jobs", cluster.runningJobCount())
+      .add("total_cpu_m", total.cpu.millicores())
+      .add("total_mem_bytes", total.memory.bytes())
+      .take();
 }
 
 Result<ClusterInfo> decodeInfo(std::string_view text) {
@@ -131,15 +133,18 @@ Result<ClusterInfo> decodeInfo(std::string_view text) {
 
 std::string encodePublished(const ndn::Name& stored, std::uint64_t bytes,
                             std::string_view cluster) {
-  std::string out;
-  kv::Writer(out).add("bytes", bytes).add("cluster", cluster).add("stored",
-                                                                   stored.toUri());
-  return out;
+  return kv::Writer()
+      .add("bytes", bytes)
+      .add("cluster", cluster)
+      .add("stored", stored.toUri())
+      .take();
 }
 
 Result<ndn::Name> decodePublished(std::string_view text) {
   const kv::Reader fields(text);
-  if (fields.has("error")) return Status::InvalidArgument(std::string(fields.get("error")));
+  if (fields.has("error")) {
+    return Status::InvalidArgument(std::string(fields.get("error")));
+  }
   if (!fields.has("stored")) return Status::Internal("malformed publish ack");
   return ndn::Name(fields.get("stored"));
 }

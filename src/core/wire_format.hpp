@@ -11,9 +11,14 @@
 
 #include "common/status.hpp"
 #include "common/units.hpp"
+#include "core/result_cache.hpp"
 #include "k8s/job.hpp"
 #include "ndn/name.hpp"
 #include "sim/time.hpp"
+
+namespace lidc::k8s {
+class Cluster;
+}  // namespace lidc::k8s
 
 namespace lidc::core {
 
@@ -54,8 +59,12 @@ struct ClusterInfo {
 /// A refusal in any reply; an empty cluster is left out.
 std::string encodeError(std::string_view error, std::string_view cluster);
 
-/// A cached ack carries the result, any other the status name.
-std::string encodeAck(const SubmitResult& ack);
+/// The ack for a job the gateway runs, joins (`deduplicated`) or, when
+/// gray, pretends to run: the client polls its status name.
+std::string encodeJobAck(const std::string& cluster, const std::string& jobId,
+                         bool deduplicated = false);
+/// A result-cache hit carries the result instead of a status name.
+std::string encodeCachedAck(std::string_view cluster, const CachedResult& cached);
 /// An error field is InvalidArgument. A malformed record, or one with
 /// neither job_id nor error, is Internal.
 Result<SubmitResult> decodeAck(std::string_view text);
@@ -66,7 +75,7 @@ std::string encodeStatus(const JobStatusSnapshot& status);
 /// state, or neither state nor error is Internal.
 Result<JobStatusSnapshot> decodeStatus(std::string_view text);
 
-std::string encodeInfo(const ClusterInfo& info);
+std::string encodeInfo(const k8s::Cluster& cluster);
 /// A malformed record is Internal; unparseable numbers read as 0.
 Result<ClusterInfo> decodeInfo(std::string_view text);
 

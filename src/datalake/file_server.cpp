@@ -9,34 +9,28 @@
 namespace lidc::datalake {
 
 std::string encodeLakeMeta(const LakeMeta& meta) {
-  std::string out;
-  kv::Writer(out)
+  return kv::Writer()
       .add("segments", meta.segments)
       .add("size", meta.size)
-      .add("segment_size", meta.segmentSize);
-  return out;
+      .add("segment_size", meta.segmentSize)
+      .take();
 }
 
 Result<LakeMeta> decodeLakeMeta(std::string_view text) {
   const kv::Reader fields(text);
-  if (!fields.ok()) return Status::Internal("malformed meta record");
   auto number = [&fields](std::string_view key) {
     return strings::parseUint(fields.get(key)).value_or(0);
   };
   const LakeMeta meta{number("segments"), number("size"), number("segment_size")};
-  if ((meta.segments == 0) != (meta.size == 0)) {
-    return Status::Internal("malformed meta: segments=" + std::to_string(meta.segments) +
-                            " but size=" + std::to_string(meta.size));
+  if (!fields.ok() || (meta.segments == 0) != (meta.size == 0)) {
+    return Status::Internal("malformed meta " + std::string(text));
   }
-  if (meta.segmentSize > 0 && meta.size > 0) {
-    const std::uint64_t implied = (meta.size + meta.segmentSize - 1) / meta.segmentSize;
-    if (implied != meta.segments) {
-      return Status::Internal("inconsistent meta: segments=" +
-                              std::to_string(meta.segments) + " but size=" +
-                              std::to_string(meta.size) + " with segment_size=" +
-                              std::to_string(meta.segmentSize) + " implies " +
-                              std::to_string(implied));
-    }
+  const std::uint64_t segmentSize = meta.segmentSize;
+  const std::uint64_t implied =
+      segmentSize == 0 ? meta.segments : (meta.size + segmentSize - 1) / segmentSize;
+  if (implied != meta.segments) {
+    return Status::Internal("inconsistent meta " + std::string(text) +
+                            ": size implies " + std::to_string(implied) + " segments");
   }
   return meta;
 }

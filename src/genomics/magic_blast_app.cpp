@@ -36,9 +36,9 @@ constexpr std::string_view kCkptApp = "magic-blast";
 std::vector<std::uint8_t> encodeBlastCheckpoint(std::size_t offset,
                                                 std::size_t total,
                                                 std::vector<std::uint8_t> report) {
-  std::string header;
-  kv::Writer(header).add("app", kCkptApp).add("offset", offset).add("total", total);
-  header += '\n';
+  kv::Writer writer;
+  writer.add("app", kCkptApp).add("offset", offset).add("total", total);
+  const std::string header = writer.take() + '\n';
   std::vector<std::uint8_t> payload(header.begin(), header.end());
   payload.insert(payload.end(), report.begin(), report.end());
   return payload;
@@ -49,8 +49,9 @@ std::optional<BlastCheckpoint> decodeBlastCheckpoint(
   const auto newline = std::find(payload.begin(), payload.end(),
                                  static_cast<std::uint8_t>('\n'));
   if (newline == payload.end()) return std::nullopt;
-  const kv::Reader fields(std::string_view(reinterpret_cast<const char*>(payload.data()),
-                                           static_cast<std::size_t>(newline - payload.begin())));
+  const kv::Reader fields(
+      std::string_view(reinterpret_cast<const char*>(payload.data()),
+                       static_cast<std::size_t>(newline - payload.begin())));
   const auto offset = strings::parseUint(fields.get("offset"));
   const auto total = strings::parseUint(fields.get("total"));
   if (fields.get("app") != kCkptApp || !offset || !total || *offset > *total) {

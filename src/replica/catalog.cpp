@@ -93,11 +93,12 @@ std::string ReplicaCatalog::exportMap() const {
   // the snapshot text is deterministic for a given map state.
   std::string out;
   for (const auto& [uri, entry] : entries_) {
-    kv::Writer(out)
-        .add("dataset", uri)
-        .add("bytes", entry.bytes)
-        .add("version", entry.version)
-        .add("state", replicaStateName(entry.state));
+    out = kv::Writer(std::move(out))
+              .add("dataset", uri)
+              .add("bytes", entry.bytes)
+              .add("version", entry.version)
+              .add("state", replicaStateName(entry.state))
+              .take();
     out += '\n';
   }
   return out;

@@ -15,12 +15,6 @@ constexpr sim::Duration kSnapshotFreshness = sim::Duration::hours(1);
 /// How many historical snapshots per group stay answerable.
 constexpr std::size_t kRetainedSnapshots = 8;
 
-std::string encodeManifest(std::uint64_t seq, sim::Time generatedAt) {
-  std::string out;
-  kv::Writer(out).add("seq", seq).add("generated", std::to_string(generatedAt.toNanos()));
-  return out;
-}
-
 /// The manifest's seq, or 0 when it names none or is malformed.
 std::uint64_t manifestSeq(std::string_view content) {
   return strings::parseUint(kv::Reader(content).get("seq")).value_or(0);
@@ -71,7 +65,10 @@ void SnapshotPublisher::handleInterest(const ndn::Interest& interest) {
   const std::string selector = name[name.size() - 1].toString();
   if (selector == manifest_component_) {
     refresh(*group);
-    reply(interest, encodeManifest(group->seq, group->generatedAt), kManifestFreshness);
+    const std::string generated = std::to_string(group->generatedAt.toNanos());
+    reply(interest,
+          kv::Writer().add("seq", group->seq).add("generated", generated).take(),
+          kManifestFreshness);
     return;
   }
   const auto seq = strings::parseUint(selector);

@@ -1,6 +1,7 @@
 // The k=v codec every LIDC payload shares: the Writer's escape, the
-// Reader's one rule for malformed records, and a seeded fuzz over byte
-// soup and mutations of a valid record of every payload type.
+// Reader's one rule for malformed records, a seeded fuzz over byte soup
+// and mutations of a valid record of every payload type, and a seeded
+// fuzz of the escape itself.
 #include "common/kv.hpp"
 
 #include <gtest/gtest.h>
@@ -8,13 +9,16 @@
 #include <algorithm>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/checkpoint_format.hpp"
 #include "core/wire_format.hpp"
 #include "datalake/file_server.hpp"
+#include "k8s/cluster.hpp"
 #include "replica/catalog.hpp"
+#include "sim/simulator.hpp"
 
 namespace lidc::kv {
 namespace {
@@ -24,8 +28,8 @@ std::size_t fieldCount(const Reader& reader) {
 }
 
 TEST(KvTest, KvRoundTrip) {
-  std::string encoded;
-  Writer(encoded).add("job_id", "j-1").add("state", "Running");
+  const std::string encoded =
+      Writer().add("job_id", "j-1").add("state", "Running").take();
   EXPECT_EQ(encoded, "job_id=j-1;state=Running");
   const Reader fields(encoded);
   ASSERT_TRUE(fields.ok());
@@ -43,8 +47,10 @@ TEST(KvTest, KvRoundTrip) {
 }
 
 TEST(KvTest, WriterEscapesSeparatorsInValues) {
-  std::string out;
-  Writer(out).add("error", "unknown job id x;state=Completed\nnext").add("bytes", 42u);
+  const std::string out = Writer()
+                              .add("error", "unknown job id x;state=Completed\nnext")
+                              .add("bytes", 42u)
+                              .take();
   EXPECT_EQ(out, "error=unknown job id x%3Bstate=Completed%0Anext;bytes=42");
   const Reader fields(out);
   ASSERT_TRUE(fields.ok());
@@ -53,8 +59,8 @@ TEST(KvTest, WriterEscapesSeparatorsInValues) {
 
   // A value holding '=' round-trips unchanged: a field splits at its
   // first '='.
-  std::string withEquals;
-  Writer(withEquals).add("stored", "/ndn/k8s/data/x/sha=12").add("expr", "a=b=c");
+  const std::string withEquals =
+      Writer().add("stored", "/ndn/k8s/data/x/sha=12").add("expr", "a=b=c").take();
   const Reader read(withEquals);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.get("stored"), "/ndn/k8s/data/x/sha=12");
@@ -74,24 +80,24 @@ TEST(KvTest, ReaderAppliesOneRule) {
   EXPECT_FALSE(Reader("a=1\nb=2").ok());                       // raw newline
   EXPECT_FALSE(Reader("a=1;b=2;a=3").has("b"));  // malformed reads as empty
 
-  std::string full;
-  Writer writer(full);
+  Writer writer;
   for (std::size_t i = 0; i < Reader::kMaxFields; ++i) {
     writer.add(std::to_string(i), i);
   }
+  const std::string full = writer.take();
   EXPECT_TRUE(Reader(full).ok());
-  writer.add("one_more", "x");
-  EXPECT_FALSE(Reader(full).ok());
+  EXPECT_FALSE(Reader(full + ";one_more=x").ok());
+}
+
+TEST(KvTest, WriterAppendsAfterWhatTheStringHolds) {
+  const std::string line = Writer().add("a", "1").take() + '\n';
+  EXPECT_EQ(Writer(line).add("b", "2").add("c", "3").take(), "a=1\nb=2;c=3");
 }
 
 /// One valid record of every payload type the codec carries.
 std::vector<std::string> validRecords() {
-  core::SubmitResult ack;
-  ack.jobId = "job-near-7";
-  ack.cluster = "near";
-  ack.statusName = "/ndn/k8s/status/near/job-near-7";
-  core::SubmitResult cached = ack;
-  cached.cached = true;
+  core::CachedResult cached;
+  cached.jobId = "job-near-7";
   cached.resultPath = "/ndn/k8s/data/results/job-near-7";
   cached.outputBytes = 1234;
 
@@ -106,15 +112,11 @@ std::vector<std::string> validRecords() {
   failed.cluster = "near";
   failed.error = "segfault; core dumped";
 
-  core::ClusterInfo info;
-  info.cluster = "near";
-  info.freeCpu = MilliCpu(4000);
-  info.freeMemory = ByteSize(8 << 20);
-  info.totalCpu = MilliCpu(8000);
-  info.totalMemory = ByteSize(16 << 20);
-  info.runningJobs = 3;
-  info.nodes = 2;
-  info.apps = {"magic-blast", "sleep"};
+  sim::Simulator sim;
+  k8s::Cluster cluster("near", sim);
+  cluster.addNode("n0", k8s::Resources{MilliCpu::fromCores(4), ByteSize::fromGiB(8)});
+  cluster.registerApp("sleep", [](k8s::AppContext&) { return k8s::AppResult{}; });
+  cluster.registerApp("magic-blast", [](k8s::AppContext&) { return k8s::AppResult{}; });
 
   core::CkptManifest manifest;
   manifest.jobId = "east-42";
@@ -124,12 +126,12 @@ std::vector<std::string> validRecords() {
   manifest.digest = 0xdeadbeefcafeULL;
   manifest.progressPermille = 500;
 
-  return {core::encodeAck(ack),
-          core::encodeAck(cached),
+  return {core::encodeJobAck("near", "job-near-7"),
+          core::encodeCachedAck("near", cached),
           core::encodeError("payload digest mismatch", "near"),
           core::encodeStatus(completed),
           core::encodeStatus(failed),
-          core::encodeInfo(info),
+          core::encodeInfo(cluster),
           core::encodePublished(ndn::Name("/ndn/k8s/data/up/x"), 20000, "near"),
           datalake::encodeLakeMeta({3, 2560, 1024}),
           "dataset=/ndn/k8s/data/a;bytes=10;version=2;state=ready",  // replica line
@@ -201,9 +203,9 @@ TEST(KvTest, FuzzedRecordsReencodeToTheSameFields) {
       continue;
     }
     ++accepted;
-    std::string again;
-    Writer writer(again);
+    Writer writer;
     for (const auto& [key, value] : fields) writer.add(key, value);
+    const std::string again = writer.take();
     const Reader reread(again);
     ASSERT_TRUE(reread.ok()) << input;
     ASSERT_TRUE(std::equal(fields.begin(), fields.end(), reread.begin(), reread.end()))
@@ -211,6 +213,43 @@ TEST(KvTest, FuzzedRecordsReencodeToTheSameFields) {
   }
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+}
+
+/// What the Writer must make of a value: ';' and '\n' escaped, every
+/// other byte as it was.
+std::string escaped(std::string_view value) {
+  std::string out;
+  for (const char c : value) {
+    out += c == ';' ? "%3B" : c == '\n' ? "%0A" : std::string(1, c);
+  }
+  return out;
+}
+
+TEST(KvTest, FuzzedValuesComeBackEscaped) {
+  Rng rng(0x6b76f023ULL);
+  for (int i = 0; i < 2000; ++i) {
+    std::vector<std::pair<std::string, std::string>> written(
+        1 + rng.uniform(Reader::kMaxFields));
+    Writer writer;
+    for (std::size_t k = 0; k < written.size(); ++k) {
+      // Keys are the program's own names: unique, and free of ';', '='
+      // and '\n', which the Writer does not escape in a key.
+      std::string key(1, 'k');
+      key.append(std::to_string(k)).append(rng.uniform(3), 'x');
+      written[k] = {std::move(key), randomSoup(rng, 24)};
+      writer.add(written[k].first, written[k].second);
+    }
+    const std::string record = writer.take();
+    const Reader fields(record);
+    ASSERT_TRUE(fields.ok()) << record;
+    ASSERT_EQ(fieldCount(fields), written.size()) << record;
+    std::size_t k = 0;
+    for (const auto& [key, value] : fields) {
+      EXPECT_EQ(key, written[k].first) << record;
+      EXPECT_EQ(value, escaped(written[k].second)) << record;
+      ++k;
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/kv.hpp"
 #include "core/wire_format.hpp"
 #include "ndn/app_face.hpp"
 
@@ -58,13 +59,16 @@ class GatewayTest : public ::testing::Test {
     return express(ndn::Interest(request.toName()), decodeAck);
   }
 
-  /// Sends one Interest and decodes the reply's content with `decode`.
+  /// Sends one Interest and decodes the reply's content with `decode`;
+  /// the raw content stays in `lastReply_`.
   template <typename Decode>
   auto express(const ndn::Interest& interest, Decode decode)
       -> decltype(decode(std::string_view())) {
     decltype(decode(std::string_view())) reply = Status::Internal("no reply");
+    lastReply_.clear();
     client_->expressInterest(interest,
                              [&](const ndn::Interest&, const ndn::Data& data) {
+                               lastReply_ = data.contentView();
                                reply = decode(data.contentView());
                              });
     sim_.runUntil(sim_.now() + sim::Duration::millis(100));
@@ -77,12 +81,16 @@ class GatewayTest : public ::testing::Test {
   GatewayOptions options_;
   std::unique_ptr<Gateway> gateway_;
   std::shared_ptr<ndn::AppFace> client_;
+  std::string lastReply_;
 };
 
 TEST_F(GatewayTest, LaunchReturnsJobIdAndStatusName) {
   const auto ack = submit(sleepRequest());
   ASSERT_TRUE(ack.ok()) << ack.status();
   EXPECT_EQ(ack->cluster, "cluster-x");
+  // On the wire: decodeAck would rebuild a missing status_name.
+  EXPECT_EQ(kv::Reader(lastReply_).get("status_name"),
+            "/ndn/k8s/status/cluster-x/" + ack->jobId);
   EXPECT_EQ(ack->statusName, "/ndn/k8s/status/cluster-x/" + ack->jobId);
   EXPECT_EQ(gateway_->counters().jobsLaunched, 1u);
 }
@@ -147,6 +155,7 @@ TEST_F(GatewayTest, UniqueRequestIdsLaunchSeparateJobs) {
   b.requestId = "r2";
   const auto ackA = submit(a);
   const auto ackB = submit(b);
+  ASSERT_TRUE(ackA.ok() && ackB.ok());
   EXPECT_NE(ackA->jobId, ackB->jobId);
   EXPECT_EQ(gateway_->counters().jobsLaunched, 2u);
 }
@@ -194,7 +203,9 @@ TEST_F(GatewayTest, CacheDisabledAlwaysLaunches) {
   for (int i = 0; i < 2; ++i) {
     client->expressInterest(ndn::Interest(request.toName()),
                             [&](const ndn::Interest&, const ndn::Data& data) {
-                              jobIds.push_back(decodeAck(data.contentView())->jobId);
+                              const auto ack = decodeAck(data.contentView());
+                              ASSERT_TRUE(ack.ok()) << ack.status();
+                              jobIds.push_back(ack->jobId);
                             });
     sim.run();  // complete each job fully
   }
@@ -205,6 +216,7 @@ TEST_F(GatewayTest, CacheDisabledAlwaysLaunches) {
 
 TEST_F(GatewayTest, StatusLifecycle) {
   const auto ack = submit(sleepRequest(100.0));
+  ASSERT_TRUE(ack.ok()) << ack.status();
   const ndn::Name statusName(ack->statusName);
 
   auto poll = [&]() {
@@ -214,15 +226,21 @@ TEST_F(GatewayTest, StatusLifecycle) {
   };
 
   // Immediately after submit: Pending (pod starting).
-  EXPECT_EQ(poll()->state, k8s::JobState::kPending);
+  const auto pending = poll();
+  ASSERT_TRUE(pending.ok()) << pending.status();
+  EXPECT_EQ(pending->state, k8s::JobState::kPending);
   // After pod startup: Running.
   sim_.runUntil(sim_.now() + sim::Duration::seconds(5));
-  EXPECT_EQ(poll()->state, k8s::JobState::kRunning);
+  const auto running = poll();
+  ASSERT_TRUE(running.ok()) << running.status();
+  EXPECT_EQ(running->state, k8s::JobState::kRunning);
   // After completion: Completed with result info.
   sim_.runUntil(sim_.now() + sim::Duration::seconds(120));
   const auto done = poll();
+  ASSERT_TRUE(done.ok()) << done.status();
   EXPECT_EQ(done->state, k8s::JobState::kCompleted);
   EXPECT_EQ(done->resultPath, "/ndn/k8s/data/results/out");
+  EXPECT_TRUE(kv::Reader(lastReply_).has("runtime_s"));
   EXPECT_GT(done->runtime.toSeconds(), 0.0);
 }
 
@@ -262,7 +280,9 @@ TEST_F(GatewayTest, FailedJobReportsError) {
   request.cpu = MilliCpu::fromCores(1);
   request.memory = ByteSize::fromGiB(1);
   const auto ack = submit(request);
-  ASSERT_TRUE(ack.ok());
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  // On the wire: decodeAck would rebuild a missing status_name.
+  ASSERT_TRUE(kv::Reader(lastReply_).has("status_name"));
   sim_.run();
 
   ndn::Interest interest{ndn::Name(ack->statusName)};
@@ -288,6 +308,7 @@ TEST_F(GatewayTest, FailedJobsAreNotCached) {
   sim_.run();
   // A repeat launches a fresh job rather than serving the failure.
   const auto again = submit(request);
+  ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_FALSE(again->cached);
   EXPECT_EQ(gateway_->counters().jobsLaunched, 2u);
 }

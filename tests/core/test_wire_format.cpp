@@ -72,8 +72,9 @@ const char kGoodAck[] = "cluster=c1;job_id=j1;status_name=/ndn/k8s/status/c1/j1"
 Status queryStatusOf(const std::string& payload) {
   FakeGatewayWorld world(kGoodAck, payload);
   std::optional<Result<JobStatusSnapshot>> status;
-  world.client->queryStatus(makeStatusName("c1", "j1"),
-                            [&](Result<JobStatusSnapshot> r) { status = std::move(r); });
+  world.client->queryStatus(
+      makeStatusName("c1", "j1"),
+      [&](Result<JobStatusSnapshot> r) { status = std::move(r); });
   world.sim.run();
   if (!status.has_value()) return Status::Internal("no answer");
   return status->status();
@@ -92,7 +93,8 @@ TEST(WireFormatTest, StatusWithNeitherStateNorErrorIsMalformed) {
 TEST(WireFormatTest, AckWithNeitherJobIdNorErrorIsMalformed) {
   FakeGatewayWorld world("cluster=c1", "cluster=c1;state=Running");
   std::optional<Result<SubmitResult>> ack;
-  world.client->submit(sleepRequest(), [&](Result<SubmitResult> r) { ack = std::move(r); });
+  world.client->submit(sleepRequest(),
+                       [&](Result<SubmitResult> r) { ack = std::move(r); });
   world.sim.run();
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(ack->status().code(), StatusCode::kInternal) << ack->status();
