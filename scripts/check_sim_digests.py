@@ -36,9 +36,9 @@ EXPECTED = {
 }
 METRIC = "alloc.count_per_op"
 CEILINGS = {
-    "control_storm": 852,  # measured 774.4
-    "lake_fetch": 316,  # measured 286.9
-    "dag_observed": 871,  # measured 791.5
+    "control_storm": 361,  # measured 327.8
+    "lake_fetch": 156,  # measured 141.3
+    "dag_observed": 602,  # measured 547.2
 }
 
 

@@ -9,45 +9,57 @@
 #include <charconv>
 #include <concepts>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 namespace lidc::kv {
 
 /// Writes `key=value` fields, joined by ';', in call order, after
 /// whatever `out` holds. Inside a value ';' is written as "%3B" and '\n'
 /// as "%0A" (Name::toUri's escape), so no value can split a field or end
-/// a record.
-class Writer {
+/// a record. `Out` is std::string, or a byte vector for a record that
+/// becomes a Data packet's content as it stands.
+template <typename Out>
+class BasicWriter {
  public:
-  explicit Writer(std::string out = {}) noexcept : out_(std::move(out)) {}
+  explicit BasicWriter(Out out = {}) noexcept : out_(std::move(out)) {}
 
-  Writer& add(std::string_view key, std::string_view value) {
-    if (!first_) out_ += ';';
+  BasicWriter& add(std::string_view key, std::string_view value) {
+    if (!first_) out_.push_back(';');
     first_ = false;
-    out_.append(key).append(1, '=');
+    append(key);
+    out_.push_back('=');
     for (;;) {
       const std::size_t special = value.find_first_of(";\n");
-      out_ += value.substr(0, special);
+      append(value.substr(0, special));
       if (special == value.npos) return *this;
-      out_ += value[special] == ';' ? "%3B" : "%0A";
+      append(value[special] == ';' ? "%3B" : "%0A");
       value.remove_prefix(special + 1);
     }
   }
   /// Decimal, the digits std::to_string writes.
-  Writer& add(std::string_view key, std::unsigned_integral auto value) {
+  BasicWriter& add(std::string_view key, std::unsigned_integral auto value) {
     char digits[20];
     const char* end = std::to_chars(digits, digits + sizeof digits, value).ptr;
     return add(key, std::string_view(digits, static_cast<std::size_t>(end - digits)));
   }
-  /// The text written, moved out: call it last.
-  [[nodiscard]] std::string take() noexcept { return std::move(out_); }
+  /// The record written, moved out: call it last.
+  [[nodiscard]] Out take() noexcept { return std::move(out_); }
 
  private:
-  std::string out_;
+  void append(std::string_view text) {
+    out_.insert(out_.end(), text.begin(), text.end());
+  }
+
+  Out out_;
   bool first_ = true;
 };
+
+using Writer = BasicWriter<std::string>;
+using ByteWriter = BasicWriter<std::vector<std::uint8_t>>;
 
 /// One record, read in one pass into (key, value) views of the caller's
 /// bytes, which must outlive the reader. Empty fields are skipped and an

@@ -1,11 +1,9 @@
 #include "core/adaptive.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
 #include "common/logging.hpp"
-#include "replica/directory.hpp"
 
 namespace lidc::core {
 
@@ -75,26 +73,7 @@ std::uint64_t AdaptivePlacement::computeCost(const std::string& cluster) const {
   if (auto it = breaker_open_.find(cluster); it != breaker_open_.end() && it->second) {
     cost += options_.breakerCostUs;
   }
-  if (replica_directory_ != nullptr && options_.dataLocalityCostUs > 0.0 &&
-      !tracked_datasets_.empty()) {
-    std::size_t missing = 0;
-    for (const ndn::Name& dataset : tracked_datasets_) {
-      const auto holders = replica_directory_->holders(dataset);
-      if (std::find(holders.begin(), holders.end(), cluster) == holders.end()) {
-        ++missing;
-      }
-    }
-    cost += options_.dataLocalityCostUs * static_cast<double>(missing) /
-            static_cast<double>(tracked_datasets_.size());
-  }
   return static_cast<std::uint64_t>(std::llround(cost));
-}
-
-void AdaptivePlacement::trackDataset(const ndn::Name& dataset) {
-  if (std::find(tracked_datasets_.begin(), tracked_datasets_.end(), dataset) ==
-      tracked_datasets_.end()) {
-    tracked_datasets_.push_back(dataset);
-  }
 }
 
 int AdaptivePlacement::tick() {

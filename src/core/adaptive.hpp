@@ -18,15 +18,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "core/client.hpp"
 #include "core/overlay.hpp"
 #include "sim/time.hpp"
-
-namespace lidc::replica {
-class ReplicaDirectory;
-}
 
 namespace lidc::core {
 
@@ -55,12 +50,6 @@ struct AdaptiveOptions {
   /// gray clusters pass health probes, so only outcome-driven breakers
   /// catch them.
   double breakerCostUs = 2'000'000.0;
-  /// Data-locality bias (replica plane): extra cost paid by a cluster
-  /// per tracked dataset it does NOT hold a ready replica of (per the
-  /// ReplicaDirectory), scaled by the missing fraction. Clusters whose
-  /// lakes already hold the inputs win the compute route — "compute
-  /// goes to the data".
-  double dataLocalityCostUs = 0.0;
 };
 
 class AdaptivePlacement {
@@ -89,19 +78,6 @@ class AdaptivePlacement {
   /// True when the last observeBreaker() for the cluster reported open.
   [[nodiscard]] bool breakerOpen(const std::string& cluster) const;
 
-  /// Wires the replica plane into steering: clusters missing ready
-  /// replicas of tracked datasets pay dataLocalityCostUs on their
-  /// compute route (scaled by the missing fraction). Null detaches.
-  void setReplicaDirectory(const replica::ReplicaDirectory* directory) noexcept {
-    replica_directory_ = directory;
-  }
-  /// Adds a dataset to the locality-tracked set (typically the hot
-  /// inputs of the workload about to run). Duplicates are ignored.
-  void trackDataset(const ndn::Name& dataset);
-  [[nodiscard]] std::size_t trackedDatasets() const noexcept {
-    return tracked_datasets_.size();
-  }
-
   /// Feeds a cluster's /ndn/k8s/info advertisement. When info has been
   /// observed for a cluster, load costing uses the advertised free/total
   /// capacity instead of peeking at the cluster object — the pure
@@ -128,8 +104,6 @@ class AdaptivePlacement {
   std::map<std::string, double> observed_health_;     // from telemetry
   std::map<std::string, bool> breaker_open_;          // from client breakers
   std::map<std::string, std::uint64_t> applied_cost_us_;
-  const replica::ReplicaDirectory* replica_directory_ = nullptr;
-  std::vector<ndn::Name> tracked_datasets_;
   std::uint64_t updates_ = 0;
 };
 

@@ -40,7 +40,6 @@ class CentralizedController {
 
   /// Controller outage injection (the single point of failure).
   void setDown(bool down) noexcept { down_ = down; }
-  [[nodiscard]] bool isDown() const noexcept { return down_; }
 
   /// Cluster outage injection: the controller does NOT see this until
   /// its next heartbeat; meanwhile it keeps scheduling onto the corpse.

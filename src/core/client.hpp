@@ -190,13 +190,6 @@ class LidcClient {
   [[nodiscard]] std::uint64_t watchdogTimeouts() const noexcept {
     return watchdog_timeouts_;
   }
-  /// The breaker guarding `cluster`, or nullptr when none exists yet
-  /// (no job outcome has been recorded against it, or breakers are
-  /// disabled).
-  [[nodiscard]] CircuitBreaker* clusterBreaker(const std::string& cluster) noexcept {
-    auto it = breakers_.find(cluster);
-    return it == breakers_.end() ? nullptr : it->second.get();
-  }
 
   /// The simulator this client's forwarder runs on; layered components
   /// (e.g. the workflow engine) need it for timestamps and scheduling.

@@ -63,10 +63,6 @@ class ComputeCluster {
   /// latest-epoch pointer) and the gateway restores ckpt=<job>/<epoch>
   /// compute requests from it. Idempotent.
   void enableCheckpointServing();
-  /// Null until enableCheckpointServing().
-  [[nodiscard]] datalake::FileServer* ckptServer() noexcept {
-    return ckpt_server_.get();
-  }
 
   /// Hooks the whole cluster into `registry`: forwarder + gateway
   /// counters, K8s capacity gauges, and a TelemetryPublisher serving the

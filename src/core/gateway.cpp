@@ -125,10 +125,10 @@ void Gateway::handleInterest(const ndn::Interest& interest) {
   }
 }
 
-void Gateway::reply(const ndn::Name& name, std::string_view content,
+void Gateway::reply(const ndn::Name& name, ReplyBytes content,
                     sim::Duration freshness) {
   ndn::Data data(name);
-  data.setContent(content).setFreshnessPeriod(freshness).sign();
+  data.setContent(std::move(content)).setFreshnessPeriod(freshness).sign();
   face_->putData(std::move(data));
 }
 
@@ -325,7 +325,8 @@ bool Gateway::processCompute(const ndn::Interest& interest,
       std::optional<CkptManifest> manifest;
       if (const auto bytes =
               ckpt_store_->get(makeCkptManifestName(ref->jobId))) {
-        const std::string text(bytes->begin(), bytes->end());
+        const std::string_view text(reinterpret_cast<const char*>(bytes->data()),
+                                    bytes->size());
         if (auto decoded = decodeCkptManifest(text)) manifest = *decoded;
       }
       if (!manifest) {

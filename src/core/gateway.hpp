@@ -20,6 +20,7 @@
 #include "core/result_cache.hpp"
 #include "core/semantic_name.hpp"
 #include "core/validators.hpp"
+#include "core/wire_format.hpp"
 #include "ndn/app_face.hpp"
 #include "ndn/forwarder.hpp"
 #include "qos/admission.hpp"
@@ -186,7 +187,8 @@ class Gateway {
   void onStatus(const ndn::Interest& interest);
   void onInfo(const ndn::Interest& interest);
   void onPublish(const ndn::Interest& interest);
-  void reply(const ndn::Name& name, std::string_view content, sim::Duration freshness);
+  /// Signs and sends one encoded record as the Data content, uncopied.
+  void reply(const ndn::Name& name, ReplyBytes content, sim::Duration freshness);
   /// Terminal error answer to a compute or submit Interest.
   void replyError(const ndn::Interest& interest, const std::string& error);
   void onJobFinished(const k8s::Job& job);

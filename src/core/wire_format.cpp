@@ -10,15 +10,25 @@
 
 namespace lidc::core {
 
-std::string encodeError(std::string_view error, std::string_view cluster) {
-  kv::Writer writer;
+namespace {
+/// A writer whose buffer already has room for all but the longest
+/// replies, so most records take one heap block, not one per doubling.
+kv::ByteWriter replyWriter() {
+  ReplyBytes bytes;
+  bytes.reserve(128);
+  return kv::ByteWriter(std::move(bytes));
+}
+}  // namespace
+
+ReplyBytes encodeError(std::string_view error, std::string_view cluster) {
+  kv::ByteWriter writer = replyWriter();
   if (!cluster.empty()) writer.add("cluster", cluster);
   return writer.add("error", error).take();
 }
 
-std::string encodeJobAck(const std::string& cluster, const std::string& jobId,
-                         bool deduplicated) {
-  kv::Writer writer;
+ReplyBytes encodeJobAck(const std::string& cluster, const std::string& jobId,
+                        bool deduplicated) {
+  kv::ByteWriter writer = replyWriter();
   writer.add("cluster", cluster);
   if (deduplicated) writer.add("deduplicated", "1");
   return writer.add("job_id", jobId)
@@ -26,8 +36,8 @@ std::string encodeJobAck(const std::string& cluster, const std::string& jobId,
       .take();
 }
 
-std::string encodeCachedAck(std::string_view cluster, const CachedResult& cached) {
-  return kv::Writer()
+ReplyBytes encodeCachedAck(std::string_view cluster, const CachedResult& cached) {
+  return replyWriter()
       .add("cached", "1")
       .add("cluster", cluster)
       .add("job_id", cached.jobId)
@@ -57,8 +67,8 @@ Result<SubmitResult> decodeAck(std::string_view text) {
   return ack;
 }
 
-std::string encodeStatus(const JobStatusSnapshot& status) {
-  kv::Writer writer;
+ReplyBytes encodeStatus(const JobStatusSnapshot& status) {
+  kv::ByteWriter writer = replyWriter();
   writer.add("cluster", status.cluster);
   if (status.state == k8s::JobState::kCompleted) {
     // Paper SIV-A: "The response contains the information as to how to
@@ -96,10 +106,10 @@ Result<JobStatusSnapshot> decodeStatus(std::string_view text) {
   return status;
 }
 
-std::string encodeInfo(const k8s::Cluster& cluster) {
+ReplyBytes encodeInfo(const k8s::Cluster& cluster) {
   const k8s::Resources free = cluster.totalFree();
   const k8s::Resources total = cluster.totalAllocatable();
-  return kv::Writer()
+  return replyWriter()
       .add("apps", strings::join(cluster.appNames(), ","))
       .add("cluster", cluster.name())
       .add("free_cpu_m", free.cpu.millicores())
@@ -131,9 +141,9 @@ Result<ClusterInfo> decodeInfo(std::string_view text) {
   return info;
 }
 
-std::string encodePublished(const ndn::Name& stored, std::uint64_t bytes,
-                            std::string_view cluster) {
-  return kv::Writer()
+ReplyBytes encodePublished(const ndn::Name& stored, std::uint64_t bytes,
+                           std::string_view cluster) {
+  return replyWriter()
       .add("bytes", bytes)
       .add("cluster", cluster)
       .add("stored", stored.toUri())

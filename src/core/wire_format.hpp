@@ -1,7 +1,8 @@
 // The gateway's replies, each one k=v record (common/kv.hpp) with one
 // encoder, which the gateway calls, and one decoder, which the client
 // calls: submit acks, status, cluster info and publish acks. Encoders
-// write their fields in key order.
+// write their fields in key order, straight into the bytes that become
+// the reply's Data content.
 #pragma once
 
 #include <cstdint>
@@ -56,32 +57,35 @@ struct ClusterInfo {
   std::vector<std::string> apps;
 };
 
+/// One encoded reply record, as the Data content it is sent as.
+using ReplyBytes = std::vector<std::uint8_t>;
+
 /// A refusal in any reply; an empty cluster is left out.
-std::string encodeError(std::string_view error, std::string_view cluster);
+ReplyBytes encodeError(std::string_view error, std::string_view cluster);
 
 /// The ack for a job the gateway runs, joins (`deduplicated`) or, when
 /// gray, pretends to run: the client polls its status name.
-std::string encodeJobAck(const std::string& cluster, const std::string& jobId,
-                         bool deduplicated = false);
+ReplyBytes encodeJobAck(const std::string& cluster, const std::string& jobId,
+                        bool deduplicated = false);
 /// A result-cache hit carries the result instead of a status name.
-std::string encodeCachedAck(std::string_view cluster, const CachedResult& cached);
+ReplyBytes encodeCachedAck(std::string_view cluster, const CachedResult& cached);
 /// An error field is InvalidArgument. A malformed record, or one with
 /// neither job_id nor error, is Internal.
 Result<SubmitResult> decodeAck(std::string_view text);
 
 /// Completed carries the result fields, Failed the error.
-std::string encodeStatus(const JobStatusSnapshot& status);
+ReplyBytes encodeStatus(const JobStatusSnapshot& status);
 /// An error without a state is NotFound. A malformed record, an unknown
 /// state, or neither state nor error is Internal.
 Result<JobStatusSnapshot> decodeStatus(std::string_view text);
 
-std::string encodeInfo(const k8s::Cluster& cluster);
+ReplyBytes encodeInfo(const k8s::Cluster& cluster);
 /// A malformed record is Internal; unparseable numbers read as 0.
 Result<ClusterInfo> decodeInfo(std::string_view text);
 
 /// The publish ack: where the object was stored, and its size.
-std::string encodePublished(const ndn::Name& stored, std::uint64_t bytes,
-                            std::string_view cluster);
+ReplyBytes encodePublished(const ndn::Name& stored, std::uint64_t bytes,
+                           std::string_view cluster);
 /// The stored name. An error field is InvalidArgument; anything else is
 /// Internal.
 Result<ndn::Name> decodePublished(std::string_view text);

@@ -25,8 +25,6 @@ class ClusterDns {
     return it->second;
   }
 
-  [[nodiscard]] std::size_t recordCount() const noexcept { return records_.size(); }
-
  private:
   std::unordered_map<std::string, std::string> records_;
 };

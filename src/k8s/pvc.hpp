@@ -45,8 +45,6 @@ class PersistentVolumeClaim {
   /// Paths under a directory-like prefix.
   [[nodiscard]] std::vector<std::string> list(const std::string& prefix) const;
 
-  [[nodiscard]] std::size_t fileCount() const noexcept { return files_.size(); }
-
  private:
   std::string name_;
   ByteSize capacity_;

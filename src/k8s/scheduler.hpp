@@ -23,7 +23,6 @@ class Scheduler {
       : policy_(policy) {}
 
   [[nodiscard]] ScoringPolicy policy() const noexcept { return policy_; }
-  void setPolicy(ScoringPolicy policy) noexcept { policy_ = policy; }
 
   /// Picks the best node for the pod's requests; returns its name.
   /// Fails with kResourceExhausted when no node fits.

@@ -40,7 +40,6 @@ class Service {
   }
 
   [[nodiscard]] std::uint16_t nodePort() const noexcept { return spec_.nodePort; }
-  void setNodePort(std::uint16_t port) noexcept { spec_.nodePort = port; }
 
   [[nodiscard]] const std::string& clusterIp() const noexcept { return cluster_ip_; }
   void setClusterIp(std::string ip) { cluster_ip_ = std::move(ip); }

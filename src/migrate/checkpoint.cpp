@@ -104,16 +104,15 @@ void CheckpointManager::writeEpoch(const std::shared_ptr<PlanState>& state) {
   manifest.digest = digest;
   manifest.progressPermille = static_cast<std::uint32_t>(
       std::min(1000.0, std::max(0.0, progress * 1000.0)));
-  (void)store_.putText(core::makeCkptManifestName(state->jobId),
-                       core::encodeCkptManifest(manifest));
+  const std::string manifestText = core::encodeCkptManifest(manifest);
+  (void)store_.putText(core::makeCkptManifestName(state->jobId), manifestText);
 
   ++counters_.written;
   counters_.bytes += bytes;
   overhead_ += cost;
   if (catalog_ != nullptr) {
     catalog_->markReady(name, bytes);
-    catalog_->markReady(core::makeCkptManifestName(state->jobId),
-                        core::encodeCkptManifest(manifest).size());
+    catalog_->markReady(core::makeCkptManifestName(state->jobId), manifestText.size());
   }
   // Heat past the policy's hot threshold, so the repair loop keeps a
   // survivor copy of the live checkpoint.

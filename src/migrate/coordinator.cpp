@@ -207,8 +207,8 @@ void MigrationCoordinator::resolveEpoch(const std::shared_ptr<TrackedJob>& job,
           resubmitCold(job, reason + "/no-checkpoint");
           return;
         }
-        const std::string text(bytes->begin(), bytes->end());
-        auto manifest = core::decodeCkptManifest(text);
+        auto manifest = core::decodeCkptManifest(std::string_view(
+            reinterpret_cast<const char*>(bytes->data()), bytes->size()));
         if (!manifest || manifest->epoch == 0) {
           resubmitCold(job, reason + "/bad-manifest");
           return;

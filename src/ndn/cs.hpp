@@ -12,9 +12,8 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "ndn/packet.hpp"
 #include "sim/time.hpp"
@@ -41,19 +40,17 @@ class ContentStore {
   void erase(const Name& name);
   void clear();
 
-  [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   void setCapacity(std::size_t capacity);
 
   /// Admission-time integrity checking (on by default). Benches turn it
   /// off to measure the undefended baseline.
   void setVerification(bool enabled) noexcept { verify_inserts_ = enabled; }
-  [[nodiscard]] bool verificationEnabled() const noexcept { return verify_inserts_; }
 
   /// Chaos hook (kStaleReplay): a buggy cache that keeps serving entries
   /// past their freshness, ignoring MustBeFresh.
   void setServeStale(bool on) noexcept { serve_stale_ = on; }
-  [[nodiscard]] bool servesStale() const noexcept { return serve_stale_; }
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
@@ -65,23 +62,46 @@ class ContentStore {
   }
 
  private:
-  struct Entry {
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  /// One cached packet. Slots are reused: a refresh, or an insert into a
+  /// full store, copy-assigns into an existing slot and so reuses its
+  /// name buffer. `newer`/`older` thread the LRU list through the slots.
+  struct Slot {
     Data data;
     sim::Time arrival;
+    std::uint32_t newer = kNone;
+    std::uint32_t older = kNone;
   };
-  /// Points at the index's own keys, which std::map never moves.
-  using LruList = std::list<const Name*>;
 
-  void touch(LruList::iterator it);
+  /// The slot cached under `name`, or kNone.
+  [[nodiscard]] std::uint32_t lookup(const Name& name) const noexcept;
+  /// Stores `data` in a free slot, indexed and most recently used.
+  void add(const Data& data, sim::Time now);
+  /// Unindexes and unlinks a slot, drops its payload and frees it.
+  void remove(std::uint32_t slot);
+  void index(std::uint32_t slot);
+  void unindex(std::uint32_t slot) noexcept;
+  void linkNewest(std::uint32_t slot) noexcept;
+  void unlink(std::uint32_t slot) noexcept;
+  void touch(std::uint32_t slot) noexcept;
   void evictIfNeeded();
+  /// The best usable entry under a CanBePrefix Interest's name.
+  [[nodiscard]] std::optional<Data> findUnderPrefix(const Interest& interest,
+                                                    sim::Time now);
 
-  [[nodiscard]] bool isFreshEnough(const Entry& entry, const Interest& interest,
-                                   sim::Time now) const noexcept;
+  [[nodiscard]] bool usable(const Slot& slot, const Interest& interest,
+                            sim::Time now) const;
 
   std::size_t capacity_;
-  // Ordered index enables prefix scans for CanBePrefix lookups.
-  std::map<Name, std::pair<Entry, LruList::iterator>> index_;
-  LruList lru_;  // front = most recently used
+  std::size_t size_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  /// Open addressing with linear probing over Name::hash(): each cell
+  /// holds a slot index or kNone. At most half full.
+  std::vector<std::uint32_t> table_;
+  std::uint32_t newest_ = kNone;
+  std::uint32_t oldest_ = kNone;
   bool verify_inserts_ = true;
   bool serve_stale_ = false;
   std::uint64_t hits_ = 0;

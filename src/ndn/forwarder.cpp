@@ -10,7 +10,7 @@ namespace lidc::ndn {
 Forwarder::Forwarder(std::string name, sim::Simulator& sim)
     : name_(std::move(name)), sim_(sim) {
   // Default strategy for the whole namespace, as in NFD.
-  strategies_.emplace(Name("/"), std::make_unique<BestRouteStrategy>(*this));
+  strategies_.push_back({Name("/"), std::make_unique<BestRouteStrategy>(*this)});
 }
 
 Forwarder::~Forwarder() = default;
@@ -46,18 +46,25 @@ void Forwarder::unregisterPrefix(const Name& prefix, FaceId face) {
 
 void Forwarder::setStrategy(const Name& prefix, std::unique_ptr<Strategy> strategy) {
   assert(strategy);
-  strategies_[prefix] = std::move(strategy);
+  for (auto& choice : strategies_) {
+    if (choice.prefix == prefix) {
+      choice.strategy = std::move(strategy);
+      return;
+    }
+  }
+  strategies_.push_back({prefix, std::move(strategy)});
 }
 
 Strategy& Forwarder::findStrategy(const Name& name) {
-  // Longest-prefix match over the strategy-choice table; prefixes come
-  // shortest first, and the root entry always exists.
-  Strategy* longest = nullptr;
-  name.forEachPrefix([&](const NamePrefix& prefix) {
-    auto it = strategies_.find(prefix);
-    if (it != strategies_.end()) longest = it->second.get();
-  });
-  return *longest;
+  // The root entry always exists and is a prefix of every name.
+  const StrategyChoice* longest = &strategies_.front();
+  for (const auto& choice : strategies_) {
+    if (choice.prefix.size() > longest->prefix.size() &&
+        choice.prefix.isPrefixOf(name)) {
+      longest = &choice;
+    }
+  }
+  return *longest->strategy;
 }
 
 void Forwarder::attachTelemetry(telemetry::MetricsRegistry& registry,
@@ -154,7 +161,7 @@ void Forwarder::attributeData(Face& outFace, const Interest& interest,
 
 void Forwarder::hopInstant(const Interest& interest, const char* decision,
                            telemetry::SpanAttrs extra) {
-  if (!telemetry_ || telemetry_->tracer == nullptr) return;
+  if (!tracing()) return;
   const telemetry::TraceContext ctx = interest.traceContext();
   if (!ctx) return;
   telemetry::SpanAttrs attrs{{"decision", decision}};
@@ -322,14 +329,13 @@ void Forwarder::sendInterest(const std::shared_ptr<PitEntry>& entry, FaceId upst
   auto* outFace = face(upstream);
   if (outFace == nullptr || !outFace->isUp()) return;
 
-  Interest interest = entry->interest();
-  // Decrement hop limit on the wire.
-  if (interest.hopLimit() > 0) interest.setHopLimit(interest.hopLimit() - 1);
-
+  // The face gets the PIT entry's own Interest: the hop limit is
+  // decremented on the wire, in the copy a link face puts in flight.
+  const Interest& interest = entry->interest();
   entry->insertOutRecord(upstream, interest.nonce(), sim_.now());
   ++counters_.nOutInterests;
   if (telemetry_) telemetry_->outInterests->inc();
-  hopInstant(interest, "forward", {{"face", std::to_string(upstream)}});
+  if (tracing()) hopInstant(interest, "forward", {{"face", std::to_string(upstream)}});
   LIDC_LOG(kTrace, "forwarder") << name_ << " -> Interest " << interest.name().toUri()
                                 << " via face " << upstream;
   outFace->sendInterest(interest);
@@ -342,8 +348,10 @@ void Forwarder::sendNackDownstream(const std::shared_ptr<PitEntry>& entry,
   LIDC_FR_EVENT(recorder_, kWarn, "forwarder",
                 name_ + " nack " + std::string(nackReasonName(reason)) + " " +
                     entry->interest().name().toUri());
-  hopInstant(entry->interest(), "nack",
-             {{"reason", std::string(nackReasonName(reason))}});
+  if (tracing()) {
+    hopInstant(entry->interest(), "nack",
+               {{"reason", std::string(nackReasonName(reason))}});
+  }
   for (const auto& in : entry->inRecords()) {
     if (auto* downstream = face(in.face); downstream != nullptr) {
       downstream->sendNack(Nack(entry->interest(), reason));

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ndn/cs.hpp"
@@ -71,7 +72,6 @@ class Forwarder {
   [[nodiscard]] Fib& fib() noexcept { return fib_; }
   [[nodiscard]] const Fib& fib() const noexcept { return fib_; }
   [[nodiscard]] ContentStore& cs() noexcept { return cs_; }
-  [[nodiscard]] DeadNonceList& deadNonceList() noexcept { return dnl_; }
   [[nodiscard]] RttMeasurements& measurements() noexcept { return measurements_; }
   [[nodiscard]] const ForwarderCounters& counters() const noexcept { return counters_; }
 
@@ -83,9 +83,6 @@ class Forwarder {
   void setDataVerification(bool enabled) noexcept {
     verify_data_ = enabled;
     cs_.setVerification(enabled);
-  }
-  [[nodiscard]] bool dataVerificationEnabled() const noexcept {
-    return verify_data_;
   }
 
   // --- telemetry ---
@@ -160,6 +157,11 @@ class Forwarder {
     telemetry::Tracer* tracer = nullptr;
   };
 
+  /// True when a tracer is attached; callers build hopInstant's extra
+  /// attributes only then.
+  [[nodiscard]] bool tracing() const noexcept {
+    return telemetry_ && telemetry_->tracer != nullptr;
+  }
   /// Records one "forwarder-hop" instant for a traced Interest.
   void hopInstant(const Interest& interest, const char* decision,
                   telemetry::SpanAttrs extra = {});
@@ -178,8 +180,15 @@ class Forwarder {
   std::unique_ptr<TelemetryHooks> telemetry_;
   telemetry::FlightRecorder* recorder_ = nullptr;
   telemetry::FlowAccountant* flow_ = nullptr;
-  // Strategy-choice table, resolved by longest-prefix match.
-  std::unordered_map<Name, std::unique_ptr<Strategy>, NameHash, NameEqual> strategies_;
+  /// One strategy-choice entry: the strategy for names under `prefix`.
+  struct StrategyChoice {
+    Name prefix;
+    std::unique_ptr<Strategy> strategy;
+  };
+  /// Strategy-choice table, resolved by longest-prefix match. It holds a
+  /// handful of prefixes (the root first, then e.g. the compute prefix),
+  /// so a scan beats probing every prefix of each name.
+  std::vector<StrategyChoice> strategies_;
 };
 
 }  // namespace lidc::ndn

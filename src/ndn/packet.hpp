@@ -84,8 +84,9 @@ class Interest {
   }
 
   [[nodiscard]] std::uint8_t hopLimit() const noexcept { return hop_limit_; }
-  /// The hop limit is a 1-byte field whatever its value, so the
-  /// forwarder's per-hop decrement keeps the cached wire size.
+  /// The hop limit is a 1-byte field whatever its value, so the per-hop
+  /// decrement (in a link face's copy on the wire) keeps the cached
+  /// wire size.
   Interest& setHopLimit(std::uint8_t limit) noexcept {
     hop_limit_ = limit;
     return *this;
@@ -218,7 +219,6 @@ class Data {
     return {reinterpret_cast<const char*>(content().data()), content().size()};
   }
 
-  [[nodiscard]] ContentType contentType() const noexcept { return content_type_; }
   Data& setContentType(ContentType type) noexcept {
     content_type_ = type;
     fieldsChanged();

@@ -35,7 +35,7 @@ OutRecord* PitEntry::findOutRecord(FaceId face) noexcept {
 }
 
 void PitEntry::deleteInRecord(FaceId face) {
-  std::erase_if(in_records_, [face](const InRecord& r) { return r.face == face; });
+  erase_if(in_records_, [face](const InRecord& r) { return r.face == face; });
 }
 
 bool PitEntry::isDuplicateNonce(std::uint32_t nonce, FaceId face) const noexcept {
@@ -67,8 +67,8 @@ std::shared_ptr<PitEntry> Pit::find(const Interest& interest) const {
   return it == entries_.end() ? nullptr : it->second;
 }
 
-std::vector<std::shared_ptr<PitEntry>> Pit::findMatches(const Data& data) const {
-  std::vector<std::shared_ptr<PitEntry>> matches;
+Pit::Matches Pit::findMatches(const Data& data) const {
+  Matches matches;
   // Exact-name entries (CanBePrefix false or true), then every proper
   // prefix with CanBePrefix set. Probing prefixes keeps this O(name length)
   // rather than O(table size), and probing by view copies no prefix.

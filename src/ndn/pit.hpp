@@ -7,8 +7,8 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
+#include "common/small_vector.hpp"
 #include "ndn/face.hpp"
 #include "ndn/packet.hpp"
 #include "sim/simulator.hpp"
@@ -31,6 +31,11 @@ struct OutRecord {
 
 class PitEntry {
  public:
+  /// Room for two records inline: an entry is usually asked for by one
+  /// downstream and forwarded to one upstream.
+  using InRecords = SmallVector<InRecord, 2>;
+  using OutRecords = SmallVector<OutRecord, 2>;
+
   /// The Interest never changes after construction: the PIT's key for
   /// this entry is a view into its name.
   explicit PitEntry(Interest interest) : interest_(std::move(interest)) {}
@@ -38,14 +43,10 @@ class PitEntry {
   [[nodiscard]] const Interest& interest() const noexcept { return interest_; }
   [[nodiscard]] const Name& name() const noexcept { return interest_.name(); }
 
-  [[nodiscard]] std::vector<InRecord>& inRecords() noexcept { return in_records_; }
-  [[nodiscard]] const std::vector<InRecord>& inRecords() const noexcept {
-    return in_records_;
-  }
-  [[nodiscard]] std::vector<OutRecord>& outRecords() noexcept { return out_records_; }
-  [[nodiscard]] const std::vector<OutRecord>& outRecords() const noexcept {
-    return out_records_;
-  }
+  [[nodiscard]] InRecords& inRecords() noexcept { return in_records_; }
+  [[nodiscard]] const InRecords& inRecords() const noexcept { return in_records_; }
+  [[nodiscard]] OutRecords& outRecords() noexcept { return out_records_; }
+  [[nodiscard]] const OutRecords& outRecords() const noexcept { return out_records_; }
 
   /// Adds or refreshes the in-record for a downstream face.
   void insertInRecord(FaceId face, std::uint32_t nonce, sim::Time expiry);
@@ -69,8 +70,8 @@ class PitEntry {
 
  private:
   Interest interest_;
-  std::vector<InRecord> in_records_;
-  std::vector<OutRecord> out_records_;
+  InRecords in_records_;
+  OutRecords out_records_;
 };
 
 /// The table itself, keyed by (name, canBePrefix, mustBeFresh).
@@ -80,6 +81,8 @@ class Pit {
     std::shared_ptr<PitEntry> entry;
     bool isNew = false;
   };
+  /// The entries one Data satisfies; rarely more than one.
+  using Matches = SmallVector<std::shared_ptr<PitEntry>, 4>;
 
   /// Finds or creates the entry for this Interest.
   InsertResult insert(const Interest& interest);
@@ -91,8 +94,7 @@ class Pit {
   /// Interest allows it): shorter prefixes first; within one prefix,
   /// MustBeFresh false before true, and for the exact name the
   /// CanBePrefix-false entry before the CanBePrefix one.
-  [[nodiscard]] std::vector<std::shared_ptr<PitEntry>> findMatches(
-      const Data& data) const;
+  [[nodiscard]] Matches findMatches(const Data& data) const;
 
   void erase(const std::shared_ptr<PitEntry>& entry);
 

@@ -1,7 +1,6 @@
 #include "ndn/strategy.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "ndn/forwarder.hpp"
 
@@ -71,31 +70,24 @@ const FibEntry* Strategy::lookupFib(const Interest& interest) const {
 RttMeasurements& Strategy::measurements() { return forwarder_.measurements(); }
 
 bool Strategy::faceIsUp(FaceId face) const {
-  const auto* f = const_cast<Forwarder&>(forwarder_).face(face);
+  const auto* f = forwarder_.face(face);
   return f != nullptr && f->isUp();
 }
 
-namespace {
-
-/// Next hops that are up and not the ingress face, cheapest first.
-std::vector<NextHop> viableNextHops(const FibEntry* fibEntry, FaceId ingress,
-                                    const Strategy& /*strategy*/,
-                                    const std::function<bool(FaceId)>& isUp) {
-  std::vector<NextHop> hops;
+SmallVector<NextHop, 8> Strategy::viableNextHops(const FibEntry* fibEntry,
+                                                 FaceId ingress) const {
+  SmallVector<NextHop, 8> hops;
   if (fibEntry == nullptr) return hops;
   for (const auto& hop : fibEntry->nextHops()) {
-    if (hop.face != ingress && isUp(hop.face)) hops.push_back(hop);
+    if (hop.face != ingress && faceIsUp(hop.face)) hops.push_back(hop);
   }
   return hops;
 }
 
-}  // namespace
-
 void BestRouteStrategy::afterReceiveInterest(const Interest& interest, Face& inFace,
                                              const std::shared_ptr<PitEntry>& entry) {
   const auto* fibEntry = lookupFib(interest);
-  auto hops = viableNextHops(fibEntry, inFace.id(), *this,
-                             [this](FaceId f) { return faceIsUp(f); });
+  auto hops = viableNextHops(fibEntry, inFace.id());
   if (hops.empty()) {
     sendNackDownstream(entry, NackReason::kNoRoute);
     return;
@@ -120,8 +112,7 @@ void BestRouteStrategy::afterReceiveNack(const Nack& nack, Face& inFace,
 
   // Failover: try the cheapest upstream that has not been tried or nacked.
   const auto* fibEntry = lookupFib(entry->interest());
-  auto hops = viableNextHops(fibEntry, kInvalidFaceId, *this,
-                             [this](FaceId f) { return faceIsUp(f); });
+  auto hops = viableNextHops(fibEntry, kInvalidFaceId);
   for (const auto& hop : hops) {
     const auto* out = entry->findOutRecord(hop.face);
     if (out == nullptr || !out->nacked) {
@@ -140,8 +131,7 @@ void BestRouteStrategy::afterReceiveNack(const Nack& nack, Face& inFace,
 void MulticastStrategy::afterReceiveInterest(const Interest& interest, Face& inFace,
                                              const std::shared_ptr<PitEntry>& entry) {
   const auto* fibEntry = lookupFib(interest);
-  auto hops = viableNextHops(fibEntry, inFace.id(), *this,
-                             [this](FaceId f) { return faceIsUp(f); });
+  auto hops = viableNextHops(fibEntry, inFace.id());
   if (hops.empty()) {
     sendNackDownstream(entry, NackReason::kNoRoute);
     return;
@@ -154,8 +144,7 @@ void MulticastStrategy::afterReceiveInterest(const Interest& interest, Face& inF
 void LoadBalanceStrategy::afterReceiveInterest(const Interest& interest, Face& inFace,
                                                const std::shared_ptr<PitEntry>& entry) {
   const auto* fibEntry = lookupFib(interest);
-  auto hops = viableNextHops(fibEntry, inFace.id(), *this,
-                             [this](FaceId f) { return faceIsUp(f); });
+  auto hops = viableNextHops(fibEntry, inFace.id());
   if (hops.empty()) {
     sendNackDownstream(entry, NackReason::kNoRoute);
     return;
@@ -167,13 +156,14 @@ void LoadBalanceStrategy::afterReceiveInterest(const Interest& interest, Face& i
 
   // Weight each hop by 1/SRTT; faces without samples get the average
   // measured weight so fresh clusters still attract probe traffic.
-  std::vector<double> weights(hops.size(), 0.0);
+  SmallVector<double, 8> weights;
   double measured_sum = 0.0;
   std::size_t measured_count = 0;
-  for (std::size_t i = 0; i < hops.size(); ++i) {
-    if (auto srtt = measurements().srtt(hops[i].face)) {
-      weights[i] = 1.0 / std::max(srtt->toSeconds(), 1e-6);
-      measured_sum += weights[i];
+  for (const auto& hop : hops) {
+    double& weight = weights.emplace_back(0.0);
+    if (auto srtt = measurements().srtt(hop.face)) {
+      weight = 1.0 / std::max(srtt->toSeconds(), 1e-6);
+      measured_sum += weight;
       ++measured_count;
     }
   }
@@ -202,8 +192,7 @@ void LoadBalanceStrategy::afterReceiveNack(const Nack& nack, Face& inFace,
     out->nackReason = nack.reason();
   }
   const auto* fibEntry = lookupFib(entry->interest());
-  auto hops = viableNextHops(fibEntry, kInvalidFaceId, *this,
-                             [this](FaceId f) { return faceIsUp(f); });
+  auto hops = viableNextHops(fibEntry, kInvalidFaceId);
   for (const auto& hop : hops) {
     if (entry->findOutRecord(hop.face) == nullptr) {
       sendInterestTo(entry, hop.face);
@@ -218,8 +207,7 @@ void LoadBalanceStrategy::afterReceiveNack(const Nack& nack, Face& inFace,
 void AsfStrategy::afterReceiveInterest(const Interest& interest, Face& inFace,
                                        const std::shared_ptr<PitEntry>& entry) {
   const auto* fibEntry = lookupFib(interest);
-  auto hops = viableNextHops(fibEntry, inFace.id(), *this,
-                             [this](FaceId f) { return faceIsUp(f); });
+  auto hops = viableNextHops(fibEntry, inFace.id());
   if (hops.empty()) {
     sendNackDownstream(entry, NackReason::kNoRoute);
     return;
@@ -231,7 +219,7 @@ void AsfStrategy::afterReceiveInterest(const Interest& interest, Face& inFace,
   const NextHop* best = nullptr;
   double bestSrtt = 0.0;
   const NextHop* bestUnmeasured = nullptr;
-  std::vector<const NextHop*> unmeasured;
+  SmallVector<const NextHop*, 8> unmeasured;
   for (const auto& hop : hops) {
     if (auto srtt = measurements().srtt(hop.face)) {
       if (best == nullptr || srtt->toSeconds() < bestSrtt) {
@@ -272,8 +260,7 @@ void AsfStrategy::afterReceiveNack(const Nack& nack, Face& inFace,
     out->nackReason = nack.reason();
   }
   const auto* fibEntry = lookupFib(entry->interest());
-  auto hops = viableNextHops(fibEntry, kInvalidFaceId, *this,
-                             [this](FaceId f) { return faceIsUp(f); });
+  auto hops = viableNextHops(fibEntry, kInvalidFaceId);
   for (const auto& hop : hops) {
     if (entry->findOutRecord(hop.face) == nullptr) {
       sendInterestTo(entry, hop.face);
@@ -288,8 +275,7 @@ void AsfStrategy::afterReceiveNack(const Nack& nack, Face& inFace,
 void RoundRobinStrategy::afterReceiveInterest(const Interest& interest, Face& inFace,
                                               const std::shared_ptr<PitEntry>& entry) {
   const auto* fibEntry = lookupFib(interest);
-  auto hops = viableNextHops(fibEntry, inFace.id(), *this,
-                             [this](FaceId f) { return faceIsUp(f); });
+  auto hops = viableNextHops(fibEntry, inFace.id());
   if (hops.empty()) {
     sendNackDownstream(entry, NackReason::kNoRoute);
     return;

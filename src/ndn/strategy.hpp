@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "common/rng.hpp"
+#include "common/small_vector.hpp"
 #include "ndn/face.hpp"
 #include "ndn/fib.hpp"
 #include "ndn/packet.hpp"
@@ -70,6 +71,9 @@ class Strategy {
   [[nodiscard]] static NackReason leastSevereNackReason(
       const std::shared_ptr<PitEntry>& entry, NackReason fallback);
   [[nodiscard]] const FibEntry* lookupFib(const Interest& interest) const;
+  /// Next hops that are up and not the ingress face, cheapest first.
+  [[nodiscard]] SmallVector<NextHop, 8> viableNextHops(const FibEntry* fibEntry,
+                                                       FaceId ingress) const;
   [[nodiscard]] RttMeasurements& measurements();
   [[nodiscard]] bool faceIsUp(FaceId face) const;
 

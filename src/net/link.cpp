@@ -1,6 +1,7 @@
 #include "net/link.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace lidc::net {
 
@@ -42,66 +43,92 @@ sim::Duration Link::transitDelay(std::size_t bytes, int direction) {
   return (depart - sim_.now()) + serialization + params_.latency;
 }
 
-template <typename Deliver>
-bool LinkFace::scheduleDelivery(std::size_t bytes, Deliver&& deliver) {
-  if (!link_->up_ || !isUp()) return false;
+template <typename Packet>
+void LinkFace::transmit(std::uint32_t slot) {
+  InFlight<Packet>& inFlight = link_->inFlight<Packet>(direction_);
+  if (!link_->up_ || !isUp()) {
+    inFlight.release(slot);
+    return;
+  }
   if (link_->shouldDrop()) {
     ++link_->dropped_;
-    return false;
+    inFlight.release(slot);
+    return;
+  }
+  std::size_t bytes = 0;
+  if constexpr (std::is_same_v<Packet, ndn::Nack>) {
+    // Nacks are small control packets; use the Interest's wire size.
+    bytes = inFlight[slot].interest().wireSize();
+  } else {
+    bytes = inFlight[slot].wireSize();
   }
   const sim::Duration delay = link_->transitDelay(bytes, direction_);
   ++link_->delivered_;
-  link_->sim_.scheduleAfter(delay, std::forward<Deliver>(deliver));
-  return true;
+  link_->sim_.scheduleAfter(delay, [link = link_.get(), direction = direction_, slot] {
+    link->deliver<Packet>(direction, slot);
+  });
+}
+
+template <typename Packet>
+void Link::deliver(int direction, std::uint32_t slot) {
+  InFlight<Packet>& inFlight = this->inFlight<Packet>(direction);
+  LinkFace& remote = *ends_[1 - direction];
+  const Packet& packet = inFlight[slot];
+  if constexpr (std::is_same_v<Packet, ndn::Interest>) {
+    remote.receiveInterest(packet);
+  } else if constexpr (std::is_same_v<Packet, ndn::Data>) {
+    remote.receiveData(packet);
+  } else {
+    remote.receiveNack(packet);
+  }
+  inFlight.release(slot);
 }
 
 void LinkFace::sendInterest(const ndn::Interest& interest) {
   countOutInterest(interest);
-  LinkFace* remote = peer();
-  if (remote == nullptr) return;
-  scheduleDelivery(interest.wireSize(), [remote, interest] {
-    remote->receiveInterest(interest);
-  });
+  if (peer() == nullptr) return;
+  InFlight<ndn::Interest>& inFlight = link_->inFlight<ndn::Interest>(direction_);
+  const std::uint32_t slot = inFlight.park(interest);
+  // The wire carries the decremented hop limit (Forwarder::sendInterest
+  // hands over its PIT entry's Interest unchanged).
+  ndn::Interest& parked = inFlight[slot];
+  if (parked.hopLimit() > 0) parked.setHopLimit(parked.hopLimit() - 1);
+  transmit<ndn::Interest>(slot);
 }
 
-ndn::Data Link::maybeCorrupt(const ndn::Data& data) {
+void Link::maybeCorrupt(ndn::Data& data) {
   if (params_.corruptRate <= 0 || data.content().empty() ||
       !corrupt_rng_.bernoulli(params_.corruptRate)) {
-    return data;
+    return;
   }
-  ndn::Data damaged = data;
   // The flip goes into a fresh buffer: the sender's copy (and every
   // cache holding the shared original) keeps the intact bytes.
-  std::vector<std::uint8_t> content = damaged.content();
+  std::vector<std::uint8_t> content = data.content();
   const std::size_t byte = corrupt_rng_.uniform(content.size());
   content[byte] ^= static_cast<std::uint8_t>(1u << corrupt_rng_.uniform(8));
   // setContent leaves any existing signature untouched but drops the
   // memoized digest, so the stale signature travels with the damaged
   // payload and the next verify() recomputes — exactly what a bit-flip
   // below the signature does on a real wire.
-  damaged.setContent(std::move(content));
+  data.setContent(std::move(content));
   ++corrupted_;
-  return damaged;
 }
 
 void LinkFace::sendData(const ndn::Data& data) {
   countOutData(data);
-  LinkFace* remote = peer();
-  if (remote == nullptr) return;
-  ndn::Data delivered = link_->maybeCorrupt(data);
-  const std::size_t bytes = delivered.wireSize();
-  scheduleDelivery(bytes, [remote, delivered = std::move(delivered)] {
-    remote->receiveData(delivered);
-  });
+  if (peer() == nullptr) return;
+  InFlight<ndn::Data>& inFlight = link_->inFlight<ndn::Data>(direction_);
+  const std::uint32_t slot = inFlight.park(data);
+  // The corruption draw comes before the link-up check and the loss
+  // draw; moving it would shift every seeded run.
+  link_->maybeCorrupt(inFlight[slot]);
+  transmit<ndn::Data>(slot);
 }
 
 void LinkFace::sendNack(const ndn::Nack& nack) {
   countOutNack();
-  LinkFace* remote = peer();
-  if (remote == nullptr) return;
-  // Nacks are small control packets; use the Interest's wire size.
-  scheduleDelivery(nack.interest().wireSize(),
-                   [remote, nack] { remote->receiveNack(nack); });
+  if (peer() == nullptr) return;
+  transmit<ndn::Nack>(link_->inFlight<ndn::Nack>(direction_).park(nack));
 }
 
 }  // namespace lidc::net

@@ -5,8 +5,12 @@
 // link parameters (e.g. 5 ms campus hop vs 70 ms transcontinental hop).
 #pragma once
 
+#include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ndn/face.hpp"
@@ -27,6 +31,39 @@ struct LinkParams {
 };
 
 class LinkFace;
+
+/// The packets of one type in flight in one direction of a link. A send
+/// parks a copy in a free slot, and the delivery event names only the
+/// slot, so it fits the simulator's inline event storage. Slots are
+/// reused: the copy reuses an earlier packet's name buffer. A released
+/// slot holds no payload.
+template <typename Packet>
+class InFlight {
+ public:
+  std::uint32_t park(const Packet& packet) {
+    auto slot = static_cast<std::uint32_t>(slots_.size());
+    if (free_.empty()) {
+      slots_.emplace_back(packet);
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      slots_[slot] = packet;
+    }
+    return slot;
+  }
+  /// Stays valid while other packets are parked (deque growth never
+  /// moves an element), so a delivery may send on the same link.
+  [[nodiscard]] Packet& operator[](std::uint32_t slot) noexcept { return slots_[slot]; }
+  void release(std::uint32_t slot) {
+    static const Packet kReleased;
+    slots_[slot] = kReleased;  // copy-assigned: keeps the name buffer
+    free_.push_back(slot);
+  }
+
+ private:
+  std::deque<Packet> slots_;
+  std::vector<std::uint32_t> free_;
+};
 
 /// Shared state of one bidirectional link.
 class Link {
@@ -68,9 +105,19 @@ class Link {
   /// (serialization is FIFO per direction).
   sim::Duration transitDelay(std::size_t bytes, int direction);
   bool shouldDrop() { return params_.lossRate > 0 && loss_rng_.bernoulli(params_.lossRate); }
-  /// Returns `data` as the wire delivers it: usually verbatim, with one
-  /// seeded bit flipped in the payload when the corruption draw fires.
-  ndn::Data maybeCorrupt(const ndn::Data& data);
+  /// Turns a parked Data into what the wire delivers: usually left as
+  /// is, with one seeded bit flipped in the payload when the corruption
+  /// draw fires.
+  void maybeCorrupt(ndn::Data& data);
+
+  template <typename Packet>
+  [[nodiscard]] InFlight<Packet>& inFlight(int direction) noexcept {
+    return std::get<InFlight<Packet>>(in_flight_[direction]);
+  }
+  /// Hands a parked packet to the face at the far end of `direction`,
+  /// then releases its slot.
+  template <typename Packet>
+  void deliver(int direction, std::uint32_t slot);
 
   sim::Simulator& sim_;
   LinkParams params_;
@@ -82,6 +129,8 @@ class Link {
   std::uint64_t delivered_ = 0;
   std::uint64_t corrupted_ = 0;
   LinkFace* ends_[2] = {nullptr, nullptr};
+  std::tuple<InFlight<ndn::Interest>, InFlight<ndn::Data>, InFlight<ndn::Nack>>
+      in_flight_[2];
 };
 
 /// One endpoint of a Link.
@@ -100,10 +149,10 @@ class LinkFace : public ndn::Face {
   [[nodiscard]] LinkFace* peer() const noexcept {
     return link_->ends_[1 - direction_];
   }
-  /// Returns false (drop) or schedules `deliver` after the transit delay.
-  /// The closure is moved into its event slot.
-  template <typename Deliver>
-  bool scheduleDelivery(std::size_t bytes, Deliver&& deliver);
+  /// Drops the parked packet in `slot` (link or face down, or the loss
+  /// draw), or schedules its delivery after the transit delay.
+  template <typename Packet>
+  void transmit(std::uint32_t slot);
 
   std::shared_ptr<Link> link_;
   int direction_;  // 0 or 1; index into Link::ends_

@@ -87,7 +87,6 @@ class TransferScheduler {
     return cluster_name_;
   }
   [[nodiscard]] std::size_t queuedCount() const noexcept { return queue_.size(); }
-  [[nodiscard]] std::size_t activeCount() const noexcept { return active_; }
   [[nodiscard]] std::uint64_t staged() const noexcept { return staged_; }
   [[nodiscard]] std::uint64_t bytesMoved() const noexcept { return bytes_moved_; }
   [[nodiscard]] std::uint64_t localHits() const noexcept { return local_hits_; }

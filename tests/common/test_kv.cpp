@@ -126,13 +126,17 @@ std::vector<std::string> validRecords() {
   manifest.digest = 0xdeadbeefcafeULL;
   manifest.progressPermille = 500;
 
-  return {core::encodeJobAck("near", "job-near-7"),
-          core::encodeCachedAck("near", cached),
-          core::encodeError("payload digest mismatch", "near"),
-          core::encodeStatus(completed),
-          core::encodeStatus(failed),
-          core::encodeInfo(cluster),
-          core::encodePublished(ndn::Name("/ndn/k8s/data/up/x"), 20000, "near"),
+  // The reply encoders write Data content bytes.
+  auto text = [](const core::ReplyBytes& bytes) {
+    return std::string(bytes.begin(), bytes.end());
+  };
+  return {text(core::encodeJobAck("near", "job-near-7")),
+          text(core::encodeCachedAck("near", cached)),
+          text(core::encodeError("payload digest mismatch", "near")),
+          text(core::encodeStatus(completed)),
+          text(core::encodeStatus(failed)),
+          text(core::encodeInfo(cluster)),
+          text(core::encodePublished(ndn::Name("/ndn/k8s/data/up/x"), 20000, "near")),
           datalake::encodeLakeMeta({3, 2560, 1024}),
           "dataset=/ndn/k8s/data/a;bytes=10;version=2;state=ready",  // replica line
           core::encodeCkptManifest(manifest),

@@ -162,6 +162,53 @@ TEST_F(ForwarderTest, HopLimitZeroIsDropped) {
   EXPECT_EQ(producerInterests_, 0);
 }
 
+TEST_F(ForwarderTest, HopLimitCountsTheForwardersCrossed) {
+  // consumer app -> first -> second -> third, whose producer app serves
+  // /hop. Each forwarder that sends the Interest on spends one hop.
+  Forwarder first("first", sim_);
+  Forwarder second("second", sim_);
+  Forwarder third("third", sim_);
+  const auto [firstToSecond, secondToFirst] =
+      net::Link::connect(sim_, first, second, net::LinkParams{});
+  const auto [secondToThird, thirdToSecond] =
+      net::Link::connect(sim_, second, third, net::LinkParams{});
+  auto consumer = std::make_shared<AppFace>("app://hop-consumer", sim_, 5);
+  first.addFace(consumer);
+  auto producer = std::make_shared<AppFace>("app://hop-producer", sim_, 6);
+  third.addFace(producer);
+  first.registerPrefix(Name("/hop"), firstToSecond);
+  second.registerPrefix(Name("/hop"), secondToThird);
+  third.registerPrefix(Name("/hop"), producer->id());
+  int produced = 0;
+  producer->setInterestHandler([&](const Interest& interest) {
+    ++produced;
+    Data data(interest.name());
+    data.setContent("hop");
+    producer->putData(std::move(data));
+  });
+
+  // Limit 2: first and second forward it, and third drops it on arrival.
+  Interest limited = makeInterest("/hop/2");
+  limited.setHopLimit(2);
+  consumer->expressInterest(limited, [](const Interest&, const Data&) {});
+  sim_.run();
+  EXPECT_EQ(first.counters().nOutInterests, 1u);
+  EXPECT_EQ(second.counters().nOutInterests, 1u);
+  EXPECT_EQ(third.counters().nInInterests, 1u);
+  EXPECT_EQ(third.counters().nOutInterests, 0u);
+  EXPECT_EQ(produced, 0);
+
+  // Limit 3 leaves one hop for the producer's own forwarder.
+  int received = 0;
+  Interest enough = makeInterest("/hop/3");
+  enough.setHopLimit(3);
+  consumer->expressInterest(enough,
+                            [&](const Interest&, const Data&) { ++received; });
+  sim_.run();
+  EXPECT_EQ(produced, 1);
+  EXPECT_EQ(received, 1);
+}
+
 TEST_F(ForwarderTest, UnsolicitedDataDropped) {
   Data data(Name("/data/unsolicited"));
   data.sign();

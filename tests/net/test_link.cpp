@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ndn/app_face.hpp"
 
 namespace lidc::net {
@@ -136,6 +139,76 @@ TEST_F(LinkTest, DownLinkNacksImmediatelyUpRestores) {
                              });
   sim_.run();
   EXPECT_TRUE(got);
+}
+
+TEST_F(LinkTest, SeededLossAndCorruptionFollowOnePinnedSequence) {
+  // Both faces talk straight to the link: their receive handlers log
+  // what arrives instead of forwarding it. Each send is logged as its
+  // kind and outcome: d delivered, x lost, - not sent (link down), with
+  // * when the corruption draw fired. The corruption draw comes first,
+  // so it fires even for a Data that the loss draw or the down link
+  // then stops.
+  const auto [aToB, bToA] =
+      Link::connect(sim_, a_, b_, LinkParams{sim::Duration::millis(1), 0.0, 0.3, 0.3},
+                    &link_, /*lossSeed=*/11);
+  ndn::Face& faceA = *a_.face(aToB);
+  ndn::Face& faceB = *b_.face(bToA);
+  std::string arrivals;
+  faceB.onReceiveInterest = [&](ndn::Face&, const ndn::Interest& interest) {
+    arrivals += " I" + interest.name().at(1).toString();
+  };
+  faceB.onReceiveNack = [&](ndn::Face&, const ndn::Nack& nack) {
+    arrivals += " N" + nack.interest().name().at(1).toString();
+  };
+  faceA.onReceiveData = [&](ndn::Face&, const ndn::Data& data) {
+    arrivals += " D" + data.name().at(1).toString() + (data.verify() ? "" : "*");
+  };
+
+  std::string sends;
+  auto send = [&](char kind, auto&& transmit) {
+    const std::uint64_t delivered = link_->packetsDelivered();
+    const std::uint64_t dropped = link_->packetsDropped();
+    const std::uint64_t corrupted = link_->packetsCorrupted();
+    transmit();
+    sends += ' ';
+    sends += kind;
+    sends += link_->packetsDelivered() > delivered ? 'd'
+             : link_->packetsDropped() > dropped   ? 'x'
+                                                   : '-';
+    if (link_->packetsCorrupted() > corrupted) sends += '*';
+  };
+  std::vector<ndn::Interest> interests;
+  std::vector<ndn::Data> data;
+  for (int i = 0; i < 12; ++i) {
+    const ndn::Name name("/p/" + std::to_string(i));
+    interests.emplace_back(name);
+    interests.back().setApplicationParameters("params-" + std::to_string(i));
+    data.emplace_back(name);
+    data.back().setContent(std::string(16, static_cast<char>('a' + i))).sign();
+  }
+  for (int i = 0; i < 12; ++i) {
+    if (i == 4) link_->setUp(false);
+    if (i == 8) link_->setUp(true);
+    send('I', [&] { faceA.sendInterest(interests[i]); });
+    send('D', [&] { faceB.sendData(data[i]); });
+    send('N', [&] {
+      faceA.sendNack(ndn::Nack(interests[i], ndn::NackReason::kCongestion));
+    });
+  }
+  sim_.run();
+
+  EXPECT_EQ(sends,
+            " Ix Dx* Nx Id Dx Nd Id Dd Nd Ix Dx Nd I- D- N- I- D- N- I- D- N- I- D-* N-"
+            " Id Dx Nd Id Dx Nx Ix Dd Nx Id Dx* Nd");
+  EXPECT_EQ(arrivals, " I1 N1 I2 D2 N2 N3 I8 N8 I9 D10 I11 N11");
+  // The sender's packets are untouched: a flip goes into the copy on
+  // the wire, never into the shared payload.
+  for (int i = 0; i < 12; ++i) {
+    EXPECT_EQ(data[i].contentAsString(), std::string(16, static_cast<char>('a' + i)));
+    EXPECT_TRUE(data[i].verify()) << i;
+    const auto& params = interests[i].applicationParameters();
+    EXPECT_EQ(std::string(params.begin(), params.end()), "params-" + std::to_string(i));
+  }
 }
 
 }  // namespace

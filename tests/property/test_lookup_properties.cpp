@@ -2,15 +2,23 @@
 // probe every prefix of a name by view and hash; these seeded sweeps
 // check the answers against linear scans with isPrefixOf, including the
 // order of Pit::findMatches, which decides the order Data is sent
-// downstream and so the simulated event sequence.
+// downstream and so the simulated event sequence. The Content Store and
+// the Dead Nonce List are checked against plain reference models: every
+// answer and every counter must agree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
+#include <optional>
+#include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "ndn/cs.hpp"
+#include "ndn/dead_nonce_list.hpp"
 #include "ndn/fib.hpp"
 #include "ndn/pit.hpp"
 
@@ -110,6 +118,208 @@ TEST_P(LookupProperty, PitFindMatchesIsTheBruteForceSetInOrder) {
         EXPECT_EQ(got.name(), expected[i]->name()) << data.name() << " #" << i;
         EXPECT_EQ(got.canBePrefix(), expected[i]->canBePrefix()) << data.name() << " #" << i;
         EXPECT_EQ(got.mustBeFresh(), expected[i]->mustBeFresh()) << data.name() << " #" << i;
+      }
+    }
+  }
+}
+
+/// The Content Store as a sorted list of entries, each stamped with its
+/// last use; the least recently used is the smallest stamp.
+class ReferenceCs {
+ public:
+  struct Entry {
+    Data data;
+    sim::Time arrival;
+    std::uint64_t lastUse;
+  };
+
+  void insert(const Data& data, sim::Time now) {
+    if (capacity == 0) return;
+    if (verify && poisoned(data)) {
+      ++poisonedRejects;
+      return;
+    }
+    auto it = findExact(data.name());
+    if (it != entries_.end()) {
+      *it = Entry{data, now, ++clock_};
+    } else {
+      entries_.push_back(Entry{data, now, ++clock_});
+      std::sort(entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
+        return a.data.name() < b.data.name();
+      });
+    }
+    evict();
+  }
+
+  std::optional<Data> find(const Interest& interest, sim::Time now) {
+    std::vector<Name> candidates;  // in canonical order
+    for (const Entry& entry : entries_) {
+      const bool under = interest.canBePrefix()
+                             ? interest.name().isPrefixOf(entry.data.name())
+                             : interest.name() == entry.data.name();
+      if (under) candidates.push_back(entry.data.name());
+    }
+    for (const Name& name : candidates) {
+      auto it = findExact(name);
+      if (poisoned(it->data)) {
+        ++poisonedEvictions;
+        entries_.erase(it);
+        continue;
+      }
+      const bool fresh = !interest.mustBeFresh() || serveStale ||
+                         (it->data.freshnessPeriod() != sim::Duration() &&
+                          now < it->arrival + it->data.freshnessPeriod());
+      const bool excluded = interest.excludeDigest().has_value() &&
+                            *interest.excludeDigest() == it->data.contentDigest();
+      if (fresh && !excluded) {
+        it->lastUse = ++clock_;
+        ++hits;
+        return it->data;
+      }
+    }
+    ++misses;
+    return std::nullopt;
+  }
+
+  void erase(const Name& name) {
+    if (auto it = findExact(name); it != entries_.end()) entries_.erase(it);
+  }
+  void clear() { entries_.clear(); }
+  void setCapacity(std::size_t c) {
+    capacity = c;
+    evict();
+  }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+
+  std::size_t capacity = 0;
+  bool verify = true;
+  bool serveStale = false;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t poisonedRejects = 0;
+  std::uint64_t poisonedEvictions = 0;
+
+ private:
+  static bool poisoned(const Data& data) {
+    return data.hasSignature() && !data.verify();
+  }
+  std::vector<Entry>::iterator findExact(const Name& name) {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [&name](const Entry& e) { return e.data.name() == name; });
+  }
+  void evict() {
+    while (entries_.size() > capacity) {
+      entries_.erase(std::min_element(
+          entries_.begin(), entries_.end(),
+          [](const Entry& a, const Entry& b) { return a.lastUse < b.lastUse; }));
+    }
+  }
+
+  std::vector<Entry> entries_;
+  std::uint64_t clock_ = 0;
+};
+
+TEST_P(LookupProperty, ContentStoreAgreesWithAReferenceModel) {
+  Rng rng(GetParam() ^ 0xc5c5);
+  const std::size_t capacity = 1 + rng.uniform(12);
+  ContentStore cs(capacity);
+  ReferenceCs ref;
+  ref.capacity = capacity;
+  sim::Time now;
+  std::uint64_t version = 0;  // makes each inserted payload distinct
+  for (int op = 0; op < 4000; ++op) {
+    now = now + sim::Duration::millis(static_cast<std::int64_t>(rng.uniform(400)));
+    const std::uint64_t kind = rng.uniform(100);
+    if (kind < 45) {
+      Data data(randomName(rng, 3));
+      data.setContent("v" + std::to_string(++version));
+      constexpr std::int64_t kFreshnessMs[] = {0, 500, 2000, 10000};
+      data.setFreshnessPeriod(sim::Duration::millis(kFreshnessMs[rng.uniform(4)]));
+      if (rng.uniform(10) != 0) data.sign();  // some stay unsigned
+      if (data.hasSignature() && rng.uniform(6) == 0) {
+        // Poisoned: the payload no longer matches its signature.
+        auto bytes = data.content();
+        bytes[0] ^= 0x01;
+        data.setContent(std::move(bytes));
+      }
+      cs.insert(data, now);
+      ref.insert(data, now);
+    } else if (kind < 90) {
+      Interest interest(randomName(rng, 3));
+      interest.setCanBePrefix(rng.bernoulli(0.5)).setMustBeFresh(rng.bernoulli(0.5));
+      if (rng.uniform(4) == 0 && ref.size() > 0) {
+        const Data& victim = ref.entries()[rng.uniform(ref.size())].data;
+        interest.setExcludeDigest(victim.contentDigest());
+      }
+      const std::optional<Data> got = cs.find(interest, now);
+      const std::optional<Data> want = ref.find(interest, now);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << "op " << op << " " << interest.name();
+      if (want) {
+        EXPECT_EQ(got->name(), want->name()) << "op " << op;
+        EXPECT_EQ(got->content(), want->content()) << "op " << op;
+      }
+    } else if (kind < 94) {
+      const Name name = randomName(rng, 3);
+      cs.erase(name);
+      ref.erase(name);
+    } else if (kind < 97) {
+      const std::size_t c = rng.uniform(13);
+      cs.setCapacity(c);
+      ref.setCapacity(c);
+    } else if (kind < 98) {
+      cs.clear();
+      ref.clear();
+    } else {
+      // Let poisoned entries in for a while, or replay stale ones.
+      if (rng.bernoulli(0.5)) {
+        ref.verify = !ref.verify;
+        cs.setVerification(ref.verify);
+      } else {
+        ref.serveStale = !ref.serveStale;
+        cs.setServeStale(ref.serveStale);
+      }
+    }
+    ASSERT_EQ(cs.size(), ref.size()) << "op " << op;
+    ASSERT_EQ(cs.hits(), ref.hits) << "op " << op;
+    ASSERT_EQ(cs.misses(), ref.misses) << "op " << op;
+    ASSERT_EQ(cs.poisonedRejects(), ref.poisonedRejects) << "op " << op;
+    ASSERT_EQ(cs.poisonedEvictions(), ref.poisonedEvictions) << "op " << op;
+  }
+  // Every op kind ran, and the cache did more than miss.
+  EXPECT_GT(ref.hits, 100u);
+  EXPECT_GT(ref.poisonedEvictions + ref.poisonedRejects, 10u);
+}
+
+TEST_P(LookupProperty, DeadNonceListAgreesWithADequeAndMultiset) {
+  Rng rng(GetParam() ^ 0xd41);
+  for (const int ringSize : {0, 1, 7, 64}) {
+    const auto capacity = static_cast<std::size_t>(ringSize);
+    DeadNonceList dnl(capacity);
+    std::deque<std::pair<Name, std::uint32_t>> fifo;
+    std::multiset<std::pair<Name, std::uint32_t>> live;
+    // A small universe of (name, nonce) pairs: the same pair recurs, so
+    // equal hashes share a count, and ~20 ring wrap-arounds pass.
+    for (std::size_t i = 0; i < 20 * capacity + 50; ++i) {
+      const std::pair<Name, std::uint32_t> entry{
+          randomName(rng, 2), static_cast<std::uint32_t>(rng.uniform(4))};
+      dnl.add(entry.first, entry.second);
+      if (capacity > 0) {
+        fifo.push_back(entry);
+        live.insert(entry);
+        if (fifo.size() > capacity) {
+          live.erase(live.find(fifo.front()));
+          fifo.pop_front();
+        }
+      }
+      ASSERT_EQ(dnl.size(), fifo.size());
+      for (int probe = 0; probe < 8; ++probe) {
+        const std::pair<Name, std::uint32_t> query{
+            randomName(rng, 2), static_cast<std::uint32_t>(rng.uniform(4))};
+        ASSERT_EQ(dnl.has(query.first, query.second), live.count(query) > 0)
+            << "capacity " << capacity << " step " << i << " " << query.first << "/"
+            << query.second;
       }
     }
   }
