@@ -1,10 +1,9 @@
 // Flow-accounting cost and accuracy: what one LinkFlowStats tap costs
 // per packet (the forwarder hot path), what full attribute() costs per
 // Data at a link face, how the Space-Saving + Count-Min top-k tracks
-// exact counting on a Zipf workload (deterministic, so the JSON gates
-// regressions), and what flow accounting does to two-node forwarder
-// throughput. Under -DLIDC_DISABLE_TELEMETRY=ON the taps compile away
-// and the hot-path rows read ~0. Results go to BENCH_flow_accounting.json.
+// exact counting on a Zipf workload (deterministic, so the bench fails
+// on a missed claim), and what flow accounting does to two-node
+// forwarder throughput. Results go to BENCH_flow_accounting.json.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -232,7 +231,7 @@ int main() {
       "N/capacity and the true heavy hitters survive the 16-slot sketch.\n");
   report.write();
   // The sketch claims are deterministic (fixed seeds), so they gate
-  // here directly — the regression script skips zero baselines.
+  // here directly.
   if (accuracy.topkMisses > 0) {
     std::fprintf(stderr, "FAIL: true top-k keys missing from the sketch\n");
     return 1;

@@ -1,9 +1,9 @@
 // Telemetry hot-path cost: what one counter increment costs in each
-// mode (plain uint64, compiled-in NoopCounter, atomic Counter, and the
-// worst case of a per-increment family lookup), what one flight-recorder
-// record() costs against the ring, how many rule evaluations per second
-// the AlertEngine sustains, and what attaching the full registry +
-// tracer instrumentation does to forwarder throughput.
+// mode (plain uint64, atomic Counter, and the worst case of a
+// per-increment family lookup), what one flight-recorder record() costs
+// against the ring, how many rule evaluations per second the
+// AlertEngine sustains, and what attaching the full registry + tracer
+// instrumentation does to forwarder throughput.
 // Results go to BENCH_telemetry.json.
 #include <chrono>
 #include <cstdint>
@@ -49,8 +49,8 @@ struct ThroughputResult {
 enum class Mode { kOff, kCounters, kCountersAndTracing };
 
 /// Full consumer->forwarder->producer->consumer exchanges on one node;
-/// optionally with the registry mirror attached, and optionally with a
-/// trace context on every Interest (per-hop span recording).
+/// optionally with the forwarder bound into a registry, and optionally
+/// with a trace context on every Interest (per-hop span recording).
 ThroughputResult forwarderThroughput(Mode mode, std::uint64_t exchanges) {
   sim::Simulator sim;
   ndn::Forwarder node("bench", sim);
@@ -108,11 +108,6 @@ int main() {
   const double plainNs = measureNs(kIncrements, [&plain](std::uint64_t) { ++plain; });
   sink(plain);
   bench::printRow({"plain-uint64", bench::fmt(plainNs, "%.3f")});
-
-  telemetry::NoopCounter noop;
-  const double noopNs = measureNs(kIncrements, [&noop](std::uint64_t) { noop.inc(); });
-  sink(noop.value());
-  bench::printRow({"noop-counter", bench::fmt(noopNs, "%.3f")});
 
   telemetry::MetricsRegistry registry;
   telemetry::Counter& counter = registry.counter("lidc_bench_events");
@@ -201,15 +196,14 @@ int main() {
 
   std::printf(
       "shape check: a held Counter& costs one relaxed fetch_add (~plain\n"
-      "increment); NoopCounter compiles away entirely; only the per-call\n"
-      "family lookup pays for hashing. The forwarder mirrors hold\n"
-      "references, so counters-only throughput stays within a few percent\n"
-      "of uninstrumented; per-hop span recording costs more and is only\n"
+      "increment); only the per-call family lookup pays for hashing. The\n"
+      "forwarder counts in its own plain cells, which the registry reads\n"
+      "only at export, so counters-only throughput stays within noise of\n"
+      "uninstrumented; per-hop span recording costs more and is only\n"
       "paid by Interests that actually carry a trace context.\n");
 
   bench::JsonReport report("telemetry");
   report.add("plain_uint64_inc_ns", plainNs);
-  report.add("noop_counter_inc_ns", noopNs);
   report.add("atomic_counter_inc_ns", counterNs);
   report.add("family_lookup_inc_ns", lookupNs);
   report.add("flight_recorder_record_ns", recordNs);

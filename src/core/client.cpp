@@ -127,28 +127,17 @@ void LidcClient::attachTelemetry(telemetry::MetricsRegistry& registry,
                                  telemetry::Tracer* tracer) {
   telemetry_ = std::make_unique<Telemetry>();
   const telemetry::Labels labels{{"client", name_}};
-  telemetry_->submits = &registry.counter("lidc_client_submits", labels);
-  telemetry_->submits->set(submits_);
-  telemetry_->retries = &registry.counter("lidc_client_retries", labels);
-  telemetry_->failovers = &registry.counter("lidc_client_failovers", labels);
-  telemetry_->polls = &registry.counter("lidc_client_status_polls", labels);
-  telemetry_->hedgesIssued = &registry.counter("lidc_hedges_issued_total", labels);
-  telemetry_->hedgesIssued->set(hedges_issued_);
-  telemetry_->hedgesWon = &registry.counter("lidc_hedges_won_total", labels);
-  telemetry_->hedgesWon->set(hedges_won_);
-  telemetry_->hedgesCancelled =
-      &registry.counter("lidc_hedges_cancelled_total", labels);
-  telemetry_->hedgesCancelled->set(hedges_cancelled_);
-  telemetry_->breakerTrips = &registry.counter("lidc_breaker_trips_total", labels);
-  telemetry_->breakerTrips->set(breaker_trips_);
-  telemetry_->breakerSteered =
-      &registry.counter("lidc_breaker_steered_total", labels);
-  telemetry_->breakerSteered->set(breaker_steered_);
-  telemetry_->watchdogTimeouts =
-      &registry.counter("lidc_watchdog_timeouts_total", labels);
-  telemetry_->watchdogTimeouts->set(watchdog_timeouts_);
-  telemetry_->jobLatencyUs =
-      &registry.histogram("lidc_client_job_latency_us", labels);
+  registry.bindCounter("lidc_client_submits", labels, submits_);
+  registry.bindCounter("lidc_client_retries", labels, retries_);
+  registry.bindCounter("lidc_client_failovers", labels, failovers_);
+  registry.bindCounter("lidc_client_status_polls", labels, polls_);
+  registry.bindCounter("lidc_hedges_issued_total", labels, hedges_issued_);
+  registry.bindCounter("lidc_hedges_won_total", labels, hedges_won_);
+  registry.bindCounter("lidc_hedges_cancelled_total", labels, hedges_cancelled_);
+  registry.bindCounter("lidc_breaker_trips_total", labels, breaker_trips_);
+  registry.bindCounter("lidc_breaker_steered_total", labels, breaker_steered_);
+  registry.bindCounter("lidc_watchdog_timeouts_total", labels, watchdog_timeouts_);
+  telemetry_->jobLatencyUs = &registry.histogram("lidc_client_job_latency_us", labels);
   telemetry_->tracer = tracer;
   telemetry_->registry = &registry;
 }
@@ -160,11 +149,8 @@ CircuitBreaker* LidcClient::breakerFor(const std::string& cluster) {
     auto breaker =
         std::make_unique<CircuitBreaker>(options_.breaker, seed_ ^ fnv1a(cluster));
     breaker->setListener([this, cluster](BreakerState state) {
-      if (state == BreakerState::kOpen) {
-        ++breaker_trips_;
-        if (telemetry_) telemetry_->breakerTrips->inc();
-      }
-      if (telemetry_ && telemetry_->registry != nullptr) {
+      if (state == BreakerState::kOpen) ++breaker_trips_;
+      if (telemetry_) {
         // 0 = closed, 1 = half-open, 2 = open.
         const double encoded = state == BreakerState::kClosed     ? 0.0
                                : state == BreakerState::kHalfOpen ? 1.0
@@ -297,12 +283,9 @@ void LidcClient::submitAttempt(const RunPtr& run) {
     if (run->race != race || run->settled) return;
     if (forwarder_.simulator().now() >= run->deadlineAt) return;
     ++hedges_issued_;
-    if (telemetry_) {
-      telemetry_->hedgesIssued->inc();
-      if (telemetry_->tracer != nullptr) {
-        telemetry_->tracer->instant("hedge", "client:" + name_, run->root,
-                                    {{"delay_ms", std::to_string(delay.toMillis())}});
-      }
+    if (telemetry::Tracer* tracer = this->tracer()) {
+      tracer->instant("hedge", "client:" + name_, run->root,
+                      {{"delay_ms", std::to_string(delay.toMillis())}});
     }
     LIDC_FR_EVENT(recorder_, kWarn, "client",
                   name_ + " hedge after " + std::to_string(delay.toMillis()) +
@@ -320,7 +303,6 @@ void LidcClient::submitAttempt(const RunPtr& run) {
 void LidcClient::sendLeg(const RunPtr& run, const ComputeRequest& request,
                          bool hedge) {
   ++submits_;
-  if (telemetry_) telemetry_->submits->inc();
   const sim::Time now = forwarder_.simulator().now();
   submit_attempt_log_.push_back(now);
   ++run->outstanding;
@@ -358,16 +340,12 @@ void LidcClient::onAck(const RunPtr& run, const Leg& leg, const ndn::Data& data)
   if (leg.race != run->race || run->settled) {
     // Another leg already won: this is the cancelled loser.
     ++hedges_cancelled_;
-    if (telemetry_) telemetry_->hedgesCancelled->inc();
     closeLegSpan(leg, "hedge-lost");
     return;
   }
   run->settled = true;
   --run->outstanding;
-  if (leg.hedge) {
-    ++hedges_won_;
-    if (telemetry_) telemetry_->hedgesWon->inc();
-  }
+  if (leg.hedge) ++hedges_won_;
   const sim::Time now = forwarder_.simulator().now();
   recordAckLatency(now - leg.sentAt);
   Result<SubmitResult> ack = decodeAck(data.contentView());
@@ -424,13 +402,11 @@ void LidcClient::retryOrGiveUp(const RunPtr& run, Status why) {
                                      " submit attempts (" + why.toString() + ")"));
     return;
   }
-  if (telemetry_) {
-    telemetry_->retries->inc();
-    if (telemetry_->tracer != nullptr) {
-      telemetry_->tracer->instant("backoff", "client:" + name_, run->root,
-                                  {{"delay_ms", std::to_string(delay.toMillis())},
-                                   {"after", why.toString()}});
-    }
+  ++retries_;
+  if (telemetry::Tracer* tracer = this->tracer()) {
+    tracer->instant("backoff", "client:" + name_, run->root,
+                    {{"delay_ms", std::to_string(delay.toMillis())},
+                     {"after", why.toString()}});
   }
   LIDC_FR_EVENT(recorder_, kWarn, "client",
                 name_ + " backoff attempt=" + std::to_string(attempt + 1) +
@@ -503,7 +479,6 @@ void LidcClient::onSubmitted(const RunPtr& run, Result<SubmitResult> ack) {
   if (CircuitBreaker* breaker = breakerFor(ack->cluster);
       breaker != nullptr && canFailOver && !breaker->allowRequest(now)) {
     ++breaker_steered_;
-    if (telemetry_) telemetry_->breakerSteered->inc();
     LIDC_FR_EVENT(recorder_, kWarn, "client",
                   name_ + " breaker open, steering off " + ack->cluster);
     failOver(run, Status::Unavailable("circuit breaker open for " + ack->cluster));
@@ -523,7 +498,7 @@ void LidcClient::onSubmitted(const RunPtr& run, Result<SubmitResult> ack) {
 template <typename OnStatus>
 void LidcClient::expressStatus(const ndn::Name& statusName,
                                telemetry::TraceContext parent, OnStatus onStatus) {
-  if (telemetry_) telemetry_->polls->inc();
+  ++polls_;
   ndn::Interest interest(statusName);
   interest.setTraceContext(parent);
   interest.setMustBeFresh(true);  // never accept a stale cached state
@@ -592,7 +567,6 @@ void LidcClient::onPolled(const RunPtr& run, Result<JobStatusSnapshot> status) {
       run->progressSince = now;  // Running counts as progress
     } else if (now - run->progressSince >= options_.pendingProgressTtl) {
       ++watchdog_timeouts_;
-      if (telemetry_) telemetry_->watchdogTimeouts->inc();
       LIDC_FR_EVENT(recorder_, kWarn, "client",
                     name_ + " watchdog: no progress on " + run->statusName.toUri());
       onPollDone(run, Status::Unavailable(
@@ -661,12 +635,10 @@ void LidcClient::failOver(const RunPtr& run, Status why,
     }
     return;
   }
-  if (telemetry_) {
-    telemetry_->failovers->inc();
-    if (telemetry_->tracer != nullptr) {
-      telemetry_->tracer->instant("failover", "client:" + name_, run->root,
-                                  {{"after", why.toString()}});
-    }
+  ++failovers_;
+  if (telemetry::Tracer* tracer = this->tracer()) {
+    tracer->instant("failover", "client:" + name_, run->root,
+                    {{"after", why.toString()}});
   }
   const int failover = ++run->failovers;
   log::ScopedTrace scopedTrace(run->root.trace);
@@ -709,7 +681,7 @@ void LidcClient::fetchData(const ndn::Name& objectName, FetchCallback done,
                            telemetry::TraceContext parent,
                            std::string flowTag) {
   telemetry::FlowLabel label{options_.tenant, std::move(flowTag)};
-  telemetry::Tracer* tracer = telemetry_ ? telemetry_->tracer : nullptr;
+  telemetry::Tracer* tracer = this->tracer();
   if (tracer == nullptr || !parent) {
     retriever_->fetch(objectName, std::move(done), {}, std::move(label));
     return;
@@ -746,7 +718,7 @@ void LidcClient::publishData(const std::string& path,
   for (auto part : strings::splitSkipEmpty(path, '/')) name.append(part);
   name.append("sha=" + std::to_string(digest));
 
-  telemetry::Tracer* tracer = telemetry_ ? telemetry_->tracer : nullptr;
+  telemetry::Tracer* tracer = this->tracer();
   telemetry::TraceContext span;
   if (tracer != nullptr && parent) {
     span = tracer->startSpan("data-publish", "client:" + name_, parent,

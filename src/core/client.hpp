@@ -159,9 +159,11 @@ class LidcClient {
                    PublishCallback done, telemetry::TraceContext parent = {},
                    std::string flowTag = {});
 
-  /// Mirrors client activity into `registry` (submits, retries,
-  /// failovers, end-to-end latency histogram) and — with a tracer —
-  /// records the client-side span tree for every runToCompletion().
+  /// Binds the client's counters into `registry` (submits, retries,
+  /// failovers, polls, hedges, breakers, watchdog), adds its end-to-end
+  /// latency histogram and — with a tracer — records the client-side
+  /// span tree for every runToCompletion(). The client must outlive any
+  /// snapshot of the registry.
   void attachTelemetry(telemetry::MetricsRegistry& registry,
                        telemetry::Tracer* tracer = nullptr);
   [[nodiscard]] telemetry::Tracer* tracer() noexcept {
@@ -259,16 +261,6 @@ class LidcClient {
 
   /// Registry handles + tracer; null until attachTelemetry().
   struct Telemetry {
-    telemetry::Counter* submits = nullptr;
-    telemetry::Counter* retries = nullptr;
-    telemetry::Counter* failovers = nullptr;
-    telemetry::Counter* polls = nullptr;
-    telemetry::Counter* hedgesIssued = nullptr;
-    telemetry::Counter* hedgesWon = nullptr;
-    telemetry::Counter* hedgesCancelled = nullptr;
-    telemetry::Counter* breakerTrips = nullptr;
-    telemetry::Counter* breakerSteered = nullptr;
-    telemetry::Counter* watchdogTimeouts = nullptr;
     telemetry::Histogram* jobLatencyUs = nullptr;
     telemetry::Tracer* tracer = nullptr;
     /// Kept for the lazily created per-cluster lidc_breaker_state gauge.
@@ -287,6 +279,9 @@ class LidcClient {
   std::shared_ptr<ndn::AppFace> face_;
   std::unique_ptr<datalake::Retriever> retriever_;
   std::uint64_t submits_ = 0;
+  std::uint64_t retries_ = 0;
+  std::uint64_t failovers_ = 0;
+  std::uint64_t polls_ = 0;
   std::uint64_t next_request_id_ = 1;
   std::vector<sim::Time> submit_attempt_log_;
   std::unique_ptr<Telemetry> telemetry_;

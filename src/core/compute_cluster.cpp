@@ -115,11 +115,9 @@ void ComputeCluster::attachTelemetry(telemetry::MetricsRegistry& registry,
   wireFlowExports();
 }
 
-telemetry::FlowAccountant& ComputeCluster::enableFlowAccounting(
-    telemetry::FlowAccountantOptions options) {
+telemetry::FlowAccountant& ComputeCluster::enableFlowAccounting() {
   if (!flow_) {
-    flow_ = std::make_unique<telemetry::FlowAccountant>(forwarder_.simulator(),
-                                                        options);
+    flow_ = std::make_unique<telemetry::FlowAccountant>(forwarder_.simulator());
     forwarder_.attachFlowAccounting(*flow_);
     if (auto* admission = gateway_->admission()) {
       admission->setFlowAccountant(flow_.get());

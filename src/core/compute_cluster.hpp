@@ -86,8 +86,7 @@ class ComputeCluster {
   /// combined with attachTelemetry(), in either order — the accountant
   /// is mirrored into the registry and served as the
   /// /ndn/k8s/telemetry/<name>/flow/ content group. Idempotent.
-  telemetry::FlowAccountant& enableFlowAccounting(
-      telemetry::FlowAccountantOptions options = {});
+  telemetry::FlowAccountant& enableFlowAccounting();
   /// Null until enableFlowAccounting().
   [[nodiscard]] telemetry::FlowAccountant* flowAccountant() noexcept {
     return flow_.get();

@@ -129,9 +129,8 @@ void ClusterOverlay::attachFlightRecorder(telemetry::FlightRecorder* recorder) {
   }
 }
 
-void ClusterOverlay::enableFlowAccounting(
-    telemetry::FlowAccountantOptions options) {
-  for (auto& [name, host] : clusters_) host->enableFlowAccounting(options);
+void ClusterOverlay::enableFlowAccounting() {
+  for (auto& [name, host] : clusters_) host->enableFlowAccounting();
   // Capacities come from the topology: each directional face URI
   // belongs to the accountant of the cluster at its near end.
   for (const auto& edge : topology_.edges()) {

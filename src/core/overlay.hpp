@@ -99,7 +99,7 @@ class ClusterOverlay {
   /// faces), and per-link capacities are learned from the topology's
   /// edge bandwidths so utilization is computable. Like
   /// attachTelemetry(), clusters/links added later need another call.
-  void enableFlowAccounting(telemetry::FlowAccountantOptions options = {});
+  void enableFlowAccounting();
 
  private:
   net::Topology topology_;

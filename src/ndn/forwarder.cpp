@@ -69,32 +69,23 @@ Strategy& Forwarder::findStrategy(const Name& name) {
 
 void Forwarder::attachTelemetry(telemetry::MetricsRegistry& registry,
                                 telemetry::Tracer* tracer) {
-  telemetry_ = std::make_unique<TelemetryHooks>();
+  tracer_ = tracer;
   const telemetry::Labels labels{{"node", name_}};
-  auto mirror = [&](const char* metric, std::uint64_t seed) {
-    telemetry::Counter& c = registry.counter(metric, labels);
-    c.set(seed);  // carry over increments from before the attach
-    return &c;
-  };
-  telemetry_->inInterests = mirror("lidc_forwarder_in_interests", counters_.nInInterests);
-  telemetry_->outInterests = mirror("lidc_forwarder_out_interests", counters_.nOutInterests);
-  telemetry_->inData = mirror("lidc_forwarder_in_data", counters_.nInData);
-  telemetry_->outData = mirror("lidc_forwarder_out_data", counters_.nOutData);
-  telemetry_->csHits = mirror("lidc_forwarder_cs_hits", counters_.nCsHits);
-  telemetry_->csMisses = mirror("lidc_forwarder_cs_misses", counters_.nCsMisses);
-  telemetry_->satisfied = mirror("lidc_forwarder_satisfied", counters_.nSatisfied);
-  telemetry_->unsatisfied = mirror("lidc_forwarder_unsatisfied", counters_.nUnsatisfied);
-  telemetry_->duplicateNonce =
-      mirror("lidc_forwarder_duplicate_nonce", counters_.nDuplicateNonce);
-  telemetry_->noRoute = mirror("lidc_forwarder_no_route", counters_.nNoRoute);
-  telemetry_->unsolicitedData =
-      mirror("lidc_forwarder_unsolicited_data", counters_.nUnsolicitedData);
-  telemetry_->integrityDrops =
-      mirror("lidc_integrity_drops_total", counters_.nIntegrityDrops);
-  telemetry_->tracer = tracer;
+  const ForwarderCounters& c = counters_;
+  registry.bindCounter("lidc_forwarder_in_interests", labels, c.nInInterests);
+  registry.bindCounter("lidc_forwarder_out_interests", labels, c.nOutInterests);
+  registry.bindCounter("lidc_forwarder_in_data", labels, c.nInData);
+  registry.bindCounter("lidc_forwarder_out_data", labels, c.nOutData);
+  registry.bindCounter("lidc_forwarder_cs_hits", labels, c.nCsHits);
+  registry.bindCounter("lidc_forwarder_cs_misses", labels, c.nCsMisses);
+  registry.bindCounter("lidc_forwarder_satisfied", labels, c.nSatisfied);
+  registry.bindCounter("lidc_forwarder_unsatisfied", labels, c.nUnsatisfied);
+  registry.bindCounter("lidc_forwarder_duplicate_nonce", labels, c.nDuplicateNonce);
+  registry.bindCounter("lidc_forwarder_no_route", labels, c.nNoRoute);
+  registry.bindCounter("lidc_forwarder_unsolicited_data", labels, c.nUnsolicitedData);
+  registry.bindCounter("lidc_integrity_drops_total", labels, c.nIntegrityDrops);
 
-  // Per-face counters and table occupancy change too often to mirror
-  // live; bound series read the aggregates at snapshot time.
+  // Per-face counters and table occupancy are aggregated at export.
   const auto faceTotal = [this](std::uint64_t FaceCounters::*field) {
     return [this, field] {
       std::uint64_t total = 0;
@@ -166,8 +157,7 @@ void Forwarder::hopInstant(const Interest& interest, const char* decision,
   if (!ctx) return;
   telemetry::SpanAttrs attrs{{"decision", decision}};
   attrs.insert(attrs.end(), extra.begin(), extra.end());
-  telemetry_->tracer->instant("forwarder-hop", "forwarder:" + name_, ctx,
-                              std::move(attrs));
+  tracer_->instant("forwarder-hop", "forwarder:" + name_, ctx, std::move(attrs));
 }
 
 void Forwarder::installHandlers(Face& face) {
@@ -184,7 +174,6 @@ void Forwarder::installHandlers(Face& face) {
 
 void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
   ++counters_.nInInterests;
-  if (telemetry_) telemetry_->inInterests->inc();
   LIDC_LOG(kTrace, "forwarder") << name_ << " <- Interest " << interest.name().toUri()
                                 << " via face " << inFace.id();
 
@@ -209,17 +198,14 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
   // Content Store lookup.
   if (auto cached = cs_.find(interest, sim_.now())) {
     ++counters_.nCsHits;
-    if (telemetry_) telemetry_->csHits->inc();
     hopInstant(interest, "cs-hit");
     if (isNew) pit_.erase(entry);
     ++counters_.nOutData;
-    if (telemetry_) telemetry_->outData->inc();
     attributeData(inFace, interest, *cached, /*fromCache=*/true);
     inFace.sendData(*cached);
     return;
   }
   ++counters_.nCsMisses;
-  if (telemetry_) telemetry_->csMisses->inc();
 
   const sim::Time expiry = sim_.now() + interest.lifetime();
   entry->insertInRecord(inFace.id(), interest.nonce(), expiry);
@@ -242,14 +228,12 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
 
 void Forwarder::nackDuplicate(Face& inFace, const Interest& interest) {
   ++counters_.nDuplicateNonce;
-  if (telemetry_) telemetry_->duplicateNonce->inc();
   hopInstant(interest, "nack-duplicate");
   inFace.sendNack(Nack(interest, NackReason::kDuplicate));
 }
 
 void Forwarder::onIncomingData(Face& inFace, const Data& data) {
   ++counters_.nInData;
-  if (telemetry_) telemetry_->inData->inc();
   LIDC_LOG(kTrace, "forwarder") << name_ << " <- Data " << data.name().toUri()
                                 << " via face " << inFace.id();
 
@@ -260,7 +244,6 @@ void Forwarder::onIncomingData(Face& inFace, const Data& data) {
   // path ever stores the bad copy.
   if (verify_data_ && data.hasSignature() && !data.verify()) {
     ++counters_.nIntegrityDrops;
-    if (telemetry_) telemetry_->integrityDrops->inc();
     LIDC_FR_EVENT(recorder_, kWarn, "forwarder",
                   name_ + " integrity-drop " + data.name().toUri());
     return;
@@ -269,7 +252,6 @@ void Forwarder::onIncomingData(Face& inFace, const Data& data) {
   auto matches = pit_.findMatches(data);
   if (matches.empty()) {
     ++counters_.nUnsolicitedData;
-    if (telemetry_) telemetry_->unsolicitedData->inc();
     return;  // unsolicited Data is dropped, as in NFD's default policy
   }
 
@@ -282,14 +264,12 @@ void Forwarder::onIncomingData(Face& inFace, const Data& data) {
       if (in.face == inFace.id()) continue;
       if (auto* downstream = face(in.face); downstream != nullptr) {
         ++counters_.nOutData;
-        if (telemetry_) telemetry_->outData->inc();
         attributeData(*downstream, entry->interest(), data,
                       /*fromCache=*/false);
         downstream->sendData(data);
       }
     }
     ++counters_.nSatisfied;
-    if (telemetry_) telemetry_->satisfied->inc();
     recordDeadNonces(*entry);
     pit_.erase(entry);
   }
@@ -316,7 +296,6 @@ void Forwarder::onInterestExpiry(std::weak_ptr<PitEntry> weakEntry) {
   auto entry = weakEntry.lock();
   if (!entry) return;
   ++counters_.nUnsatisfied;
-  if (telemetry_) telemetry_->unsatisfied->inc();
   LIDC_FR_EVENT(recorder_, kWarn, "forwarder",
                 name_ + " unsatisfied " + entry->interest().name().toUri());
   hopInstant(entry->interest(), "expire");
@@ -334,7 +313,6 @@ void Forwarder::sendInterest(const std::shared_ptr<PitEntry>& entry, FaceId upst
   const Interest& interest = entry->interest();
   entry->insertOutRecord(upstream, interest.nonce(), sim_.now());
   ++counters_.nOutInterests;
-  if (telemetry_) telemetry_->outInterests->inc();
   if (tracing()) hopInstant(interest, "forward", {{"face", std::to_string(upstream)}});
   LIDC_LOG(kTrace, "forwarder") << name_ << " -> Interest " << interest.name().toUri()
                                 << " via face " << upstream;
@@ -344,7 +322,6 @@ void Forwarder::sendInterest(const std::shared_ptr<PitEntry>& entry, FaceId upst
 void Forwarder::sendNackDownstream(const std::shared_ptr<PitEntry>& entry,
                                    NackReason reason) {
   ++counters_.nNoRoute;
-  if (telemetry_) telemetry_->noRoute->inc();
   LIDC_FR_EVENT(recorder_, kWarn, "forwarder",
                 name_ + " nack " + std::string(nackReasonName(reason)) + " " +
                     entry->interest().name().toUri());

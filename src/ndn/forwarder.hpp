@@ -86,18 +86,15 @@ class Forwarder {
   }
 
   // --- telemetry ---
-  /// Mirrors every ForwarderCounters increment into `registry` as
-  /// lidc_forwarder_*{node=<name>} (live, one extra relaxed add per
-  /// event), binds the per-face aggregate FaceCounters plus CS/PIT
-  /// gauges (read at snapshot time), and — when a
-  /// tracer is given — records per-hop "forwarder-hop" instants for
-  /// Interests carrying a TraceContext. The forwarder must outlive any
-  /// snapshot of the registry.
+  /// Binds every ForwarderCounters cell into `registry` as
+  /// lidc_forwarder_*{node=<name>}, plus the per-face aggregate
+  /// FaceCounters and CS/PIT gauges (all read at export time), and —
+  /// when a tracer is given — records per-hop "forwarder-hop" instants
+  /// for Interests carrying a TraceContext. The forwarder must outlive
+  /// any snapshot of the registry.
   void attachTelemetry(telemetry::MetricsRegistry& registry,
                        telemetry::Tracer* tracer = nullptr);
-  [[nodiscard]] telemetry::Tracer* tracer() noexcept {
-    return telemetry_ ? telemetry_->tracer : nullptr;
-  }
+  [[nodiscard]] telemetry::Tracer* tracer() noexcept { return tracer_; }
 
   /// Records forwarding failures (unsatisfied expiry, no-route nacks)
   /// into `recorder` for post-mortem alert windows. Null detaches.
@@ -139,29 +136,9 @@ class Forwarder {
   void attributeData(Face& outFace, const Interest& interest,
                      const Data& data, bool fromCache);
 
-  /// Live-mirror handles into an attached MetricsRegistry; null when
-  /// telemetry is not attached (the common fast path).
-  struct TelemetryHooks {
-    telemetry::Counter* inInterests = nullptr;
-    telemetry::Counter* outInterests = nullptr;
-    telemetry::Counter* inData = nullptr;
-    telemetry::Counter* outData = nullptr;
-    telemetry::Counter* csHits = nullptr;
-    telemetry::Counter* csMisses = nullptr;
-    telemetry::Counter* satisfied = nullptr;
-    telemetry::Counter* unsatisfied = nullptr;
-    telemetry::Counter* duplicateNonce = nullptr;
-    telemetry::Counter* noRoute = nullptr;
-    telemetry::Counter* unsolicitedData = nullptr;
-    telemetry::Counter* integrityDrops = nullptr;
-    telemetry::Tracer* tracer = nullptr;
-  };
-
   /// True when a tracer is attached; callers build hopInstant's extra
   /// attributes only then.
-  [[nodiscard]] bool tracing() const noexcept {
-    return telemetry_ && telemetry_->tracer != nullptr;
-  }
+  [[nodiscard]] bool tracing() const noexcept { return tracer_ != nullptr; }
   /// Records one "forwarder-hop" instant for a traced Interest.
   void hopInstant(const Interest& interest, const char* decision,
                   telemetry::SpanAttrs extra = {});
@@ -177,7 +154,7 @@ class Forwarder {
   RttMeasurements measurements_;
   ForwarderCounters counters_;
   bool verify_data_ = true;
-  std::unique_ptr<TelemetryHooks> telemetry_;
+  telemetry::Tracer* tracer_ = nullptr;
   telemetry::FlightRecorder* recorder_ = nullptr;
   telemetry::FlowAccountant* flow_ = nullptr;
   /// One strategy-choice entry: the strategy for names under `prefix`.

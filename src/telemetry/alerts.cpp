@@ -10,6 +10,9 @@ namespace lidc::telemetry {
 
 namespace {
 
+/// Cap on serializedLog() transition lines (oldest dropped).
+constexpr std::size_t kMaxLogLines = 256;
+
 /// Deterministic short double rendering for logs and reasons.
 std::string num(double value) {
   char buf[32];
@@ -188,7 +191,7 @@ void AlertEngine::appendLog(const Alert& alert, bool fired) {
   line += " events=" + std::to_string(alert.events.size());
   if (fired && !alert.reason.empty()) line += " reason=" + alert.reason;
   log_lines_.push_back(std::move(line));
-  while (log_lines_.size() > options_.maxLogLines) {
+  while (log_lines_.size() > kMaxLogLines) {
     log_lines_.erase(log_lines_.begin());
   }
 }
@@ -249,7 +252,7 @@ std::string AlertEngine::Rule::describe() const {
     }
     case Kind::kAnomaly: {
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.6g", detector->options().zThreshold);
+      std::snprintf(buf, sizeof(buf), "%.6g", EwmaDetector::kZThreshold);
       return "anomaly " + series + " |z| >= " + buf;
     }
   }

@@ -34,8 +34,6 @@ enum class AlertComparison { kAbove, kBelow };
 struct AlertEngineOptions {
   /// Flight-recorder events snapshotted into each fired alert.
   std::size_t eventWindow = 32;
-  /// Cap on serializedLog() transition lines (oldest dropped).
-  std::size_t maxLogLines = 256;
   /// Period of start()ed background evaluation.
   sim::Duration evaluateInterval = sim::Duration::seconds(1);
 };
@@ -103,7 +101,7 @@ class AlertEngine {
 
   /// Cumulative transition log ("t=..s alert=N rule=... state=fired
   /// series=... value=... events=K reason=..."), one line per
-  /// transition, capped at maxLogLines.
+  /// transition, capped at kMaxLogLines (oldest dropped).
   [[nodiscard]] std::string serializedLog() const;
 
   /// Binds lidc_alerts_* counters/gauges into `registry`.

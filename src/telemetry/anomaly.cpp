@@ -17,16 +17,16 @@ AnomalyPoint EwmaDetector::observe(double value) noexcept {
     variance_ = 0.0;
     samples_ = 1;
     point.mean = value;
-    point.stddev = options_.minStdDev;
+    point.stddev = kMinStdDev;
     return point;
   }
 
   point.mean = mean_;
-  point.stddev = std::max(options_.minStdDev, std::sqrt(variance_));
+  point.stddev = std::max(kMinStdDev, std::sqrt(variance_));
   point.z = (value - mean_) / point.stddev;
   if (samples_ >= options_.warmupSamples) {
-    const bool high = options_.flagHigh && point.z >= options_.zThreshold;
-    const bool low = options_.flagLow && point.z <= -options_.zThreshold;
+    const bool high = options_.flagHigh && point.z >= kZThreshold;
+    const bool low = options_.flagLow && point.z <= -kZThreshold;
     point.anomalous = high || low;
   }
 

@@ -12,21 +12,14 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 
 namespace lidc::telemetry {
 
 struct AnomalyOptions {
   /// EWMA smoothing factor for mean and variance (higher = adapts faster).
   double alpha = 0.3;
-  /// Samples at least this many standard deviations from the mean flag.
-  double zThreshold = 3.0;
   /// No flags until this many samples have been observed.
   std::uint64_t warmupSamples = 8;
-  /// Floor on the standard deviation, so a perfectly flat series does
-  /// not flag on its first micro-wiggle.
-  double minStdDev = 1e-3;
   bool flagHigh = true;
   bool flagLow = true;
 };
@@ -41,6 +34,12 @@ struct AnomalyPoint {
 
 class EwmaDetector {
  public:
+  /// Samples at least this many standard deviations from the mean flag.
+  static constexpr double kZThreshold = 3.0;
+  /// Floor on the standard deviation, so a perfectly flat series does
+  /// not flag on its first micro-wiggle.
+  static constexpr double kMinStdDev = 1e-3;
+
   explicit EwmaDetector(AnomalyOptions options = {}) : options_(options) {}
 
   /// Scores `value` against the current estimate, then folds it in.
@@ -54,38 +53,12 @@ class EwmaDetector {
 
   [[nodiscard]] std::uint64_t samples() const noexcept { return samples_; }
   [[nodiscard]] double mean() const noexcept { return mean_; }
-  [[nodiscard]] const AnomalyOptions& options() const noexcept { return options_; }
 
  private:
   AnomalyOptions options_;
   double mean_ = 0.0;
   double variance_ = 0.0;
   std::uint64_t samples_ = 0;
-};
-
-/// Find-or-create family of detectors keyed by series name, all sharing
-/// default options — what AlertEngine anomaly rules use per series.
-class AnomalyBank {
- public:
-  explicit AnomalyBank(AnomalyOptions defaults = {}) : defaults_(defaults) {}
-
-  EwmaDetector& detector(const std::string& series) {
-    auto it = detectors_.find(series);
-    if (it == detectors_.end()) {
-      it = detectors_.emplace(series, EwmaDetector(defaults_)).first;
-    }
-    return it->second;
-  }
-
-  AnomalyPoint observe(const std::string& series, double value) {
-    return detector(series).observe(value);
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return detectors_.size(); }
-
- private:
-  AnomalyOptions defaults_;
-  std::map<std::string, EwmaDetector> detectors_;
 };
 
 }  // namespace lidc::telemetry

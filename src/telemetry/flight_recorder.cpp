@@ -45,8 +45,6 @@ FlightRecorder::FlightRecorder(sim::Simulator& sim, std::size_t capacity)
 
 FlightRecorder::~FlightRecorder() { releaseLogs(); }
 
-#if !defined(LIDC_TELEMETRY_DISABLED)
-
 void FlightRecorder::record(std::string_view component, log::Level severity,
                             std::string_view message) noexcept {
   const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
@@ -67,8 +65,6 @@ void FlightRecorder::captureLogs(log::Level minLevel) {
     if (level >= minLevel) record(component, level, message);
   });
 }
-
-#endif  // !LIDC_TELEMETRY_DISABLED
 
 void FlightRecorder::releaseLogs() noexcept {
   if (!capturing_) return;

@@ -13,10 +13,6 @@
 // the copy, so torn slots are skipped instead of locked around. In the
 // single-threaded simulator this never skips; under real threads it
 // degrades to dropping in-flight slots, never to blocking a writer.
-//
-// With LIDC_TELEMETRY_DISABLED defined (-DLIDC_DISABLE_TELEMETRY=ON),
-// record() is an inline no-op and LIDC_FR_EVENT() compiles away without
-// evaluating its message expression.
 #pragma once
 
 #include <atomic>
@@ -51,10 +47,6 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-#if defined(LIDC_TELEMETRY_DISABLED)
-  void record(std::string_view, log::Level, std::string_view) noexcept {}
-  void captureLogs(log::Level = log::Level::kWarn) noexcept {}
-#else
   /// Appends one event, stamped with the sim clock. Wait-free for
   /// writers; oldest events are overwritten once the ring is full.
   void record(std::string_view component, log::Level severity,
@@ -64,7 +56,6 @@ class FlightRecorder {
   /// (via log::setSink — the already-formatted message is reused, no
   /// second formatting pass). One recorder may capture at a time.
   void captureLogs(log::Level minLevel = log::Level::kWarn);
-#endif
 
   /// Uninstalls the log sink if this recorder installed it. Safe to
   /// call unconditionally; the destructor does this too.
@@ -99,15 +90,9 @@ class FlightRecorder {
   bool capturing_ = false;
 };
 
-/// Event-recording call site that disappears entirely (message
-/// expression unevaluated) when the recorder is null or telemetry is
-/// compiled out:
+/// Event-recording call site that does nothing (message expression
+/// unevaluated) when the recorder is null:
 ///   LIDC_FR_EVENT(recorder_, kWarn, "gateway", "reject job=" + id);
-#if defined(LIDC_TELEMETRY_DISABLED)
-#define LIDC_FR_EVENT(recorder, severity, component, message_expr) \
-  do {                                                             \
-  } while (0)
-#else
 #define LIDC_FR_EVENT(recorder, severity, component, message_expr)        \
   do {                                                                    \
     if ((recorder) != nullptr) {                                          \
@@ -115,6 +100,5 @@ class FlightRecorder {
                          (message_expr));                                 \
     }                                                                     \
   } while (0)
-#endif
 
 }  // namespace lidc::telemetry

@@ -24,6 +24,13 @@ std::uint64_t hashKey(std::string_view key, std::uint64_t seed) noexcept {
   return mix64(h);
 }
 
+/// Width of one utilization bucket; the trailing window spans
+/// (LinkFlowStats::kBuckets - 1) complete buckets.
+constexpr std::uint64_t kBucketWidthNs = sim::Duration::seconds(1).toNanos();
+/// Heavy-hitter slots per link (each backed by SpaceSaving's default
+/// Count-Min sketch).
+constexpr std::size_t kTopK = 8;
+
 bool safeLabelChar(char c) noexcept {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
          (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '=' ||
@@ -175,7 +182,6 @@ std::vector<TopKEntry> SpaceSaving::top() const {
 LinkFlowStats::LinkFlowStats(sim::Simulator& sim, std::uint64_t bucketWidthNs)
     : sim_(sim), bucket_width_ns_(std::max<std::uint64_t>(bucketWidthNs, 1)) {}
 
-#if !defined(LIDC_TELEMETRY_DISABLED)
 void LinkFlowStats::addBytes(std::uint64_t wireBytes) noexcept {
   bytes_.fetch_add(wireBytes, std::memory_order_relaxed);
   const std::uint64_t epoch =
@@ -192,7 +198,6 @@ void LinkFlowStats::addBytes(std::uint64_t wireBytes) noexcept {
   }
   b.bytes.fetch_add(wireBytes, std::memory_order_relaxed);
 }
-#endif
 
 std::uint64_t LinkFlowStats::trailingWindowBytes() const noexcept {
   const std::uint64_t nowEpoch =
@@ -217,10 +222,6 @@ std::uint64_t LinkFlowStats::trailingWindowNs() const noexcept {
 
 // --- FlowAccountant ----------------------------------------------------
 
-FlowAccountant::FlowAccountant(sim::Simulator& sim,
-                               FlowAccountantOptions options)
-    : sim_(sim), options_(options) {}
-
 LinkFlowStats* FlowAccountant::registerLink(const std::string& link) {
   LinkEntry* created = nullptr;
   MetricsRegistry* registry = nullptr;
@@ -230,10 +231,8 @@ LinkFlowStats* FlowAccountant::registerLink(const std::string& link) {
     auto it = links_.find(link);
     if (it == links_.end()) {
       LinkEntry entry;
-      entry.stats = std::make_unique<LinkFlowStats>(
-          sim_, static_cast<std::uint64_t>(options_.bucketWidth.toNanos()));
-      entry.talkers = std::make_unique<SpaceSaving>(
-          options_.topK, options_.sketchWidth, options_.sketchDepth);
+      entry.stats = std::make_unique<LinkFlowStats>(sim_, kBucketWidthNs);
+      entry.talkers = std::make_unique<SpaceSaving>(kTopK);
       it = links_.emplace(link, std::move(entry)).first;
       created = &it->second;
       registry = registry_;
@@ -267,12 +266,6 @@ const FlowAccountant::LinkEntry* FlowAccountant::find(
 
 void FlowAccountant::attribute(const std::string& link, const FlowKey& key,
                                std::uint64_t bytes, bool fromCache) {
-#if defined(LIDC_TELEMETRY_DISABLED)
-  (void)link;
-  (void)key;
-  (void)bytes;
-  (void)fromCache;
-#else
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = links_.find(link);
   if (it == links_.end()) return;
@@ -286,19 +279,13 @@ void FlowAccountant::attribute(const std::string& link, const FlowKey& key,
   entry.tenantBytes[key.tenant] += bytes;
   entry.attributedBytes += bytes;
   revision_.fetch_add(1, std::memory_order_relaxed);
-#endif
 }
 
 void FlowAccountant::recordTransfer(const FlowKey& key, std::uint64_t bytes) {
-#if defined(LIDC_TELEMETRY_DISABLED)
-  (void)key;
-  (void)bytes;
-#else
   std::lock_guard<std::mutex> lock(mutex_);
   staged_[key] += bytes;
   staged_total_ += bytes;
   revision_.fetch_add(1, std::memory_order_relaxed);
-#endif
 }
 
 std::uint64_t FlowAccountant::stagedBytes() const {

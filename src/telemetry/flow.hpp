@@ -169,13 +169,6 @@ class LinkFlowStats {
   LinkFlowStats(const LinkFlowStats&) = delete;
   LinkFlowStats& operator=(const LinkFlowStats&) = delete;
 
-#if defined(LIDC_TELEMETRY_DISABLED)
-  void onInterest(std::uint64_t) noexcept {}
-  void onData(std::uint64_t) noexcept {}
-  void onNack() noexcept {}
-  void onCsBytes(std::uint64_t) noexcept {}
-  void onUpstreamBytes(std::uint64_t) noexcept {}
-#else
   void onInterest(std::uint64_t wireBytes) noexcept {
     interests_.fetch_add(1, std::memory_order_relaxed);
     addBytes(wireBytes);
@@ -193,7 +186,6 @@ class LinkFlowStats {
   void onUpstreamBytes(std::uint64_t bytes) noexcept {
     upstream_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
-#endif
 
   [[nodiscard]] std::uint64_t interests() const noexcept {
     return interests_.load(std::memory_order_relaxed);
@@ -240,17 +232,6 @@ class LinkFlowStats {
   std::atomic<std::uint64_t> upstream_bytes_{0};
 };
 
-struct FlowAccountantOptions {
-  /// Width of one utilization bucket; the trailing window spans
-  /// (kBuckets - 1) complete buckets.
-  sim::Duration bucketWidth = sim::Duration::seconds(1);
-  /// Heavy-hitter slots per link.
-  std::size_t topK = 8;
-  /// Count-Min backing dimensions (error <= 2N/width w.p. 1 - 2^-depth).
-  std::size_t sketchWidth = 512;
-  std::size_t sketchDepth = 4;
-};
-
 /// The cluster-local flow ledger: one LinkFlowStats per registered
 /// link (faces register by URI), per-link heavy-hitter sketches and
 /// per-tenant byte shares, plus a "staged bytes" ledger that the
@@ -259,7 +240,7 @@ struct FlowAccountantOptions {
 /// the /ndn/k8s/telemetry/<cluster>/flow/ payload.
 class FlowAccountant {
  public:
-  explicit FlowAccountant(sim::Simulator& sim, FlowAccountantOptions options = {});
+  explicit FlowAccountant(sim::Simulator& sim) : sim_(sim) {}
 
   /// Finds or creates the per-link stats; the pointer stays valid for
   /// the accountant's lifetime (faces keep it as their tap).
@@ -312,9 +293,6 @@ class FlowAccountant {
   void attachTelemetry(MetricsRegistry& registry);
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
-  [[nodiscard]] const FlowAccountantOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   struct LinkEntry {
@@ -333,7 +311,6 @@ class FlowAccountant {
                 const LinkEntry& entry);
 
   sim::Simulator& sim_;
-  FlowAccountantOptions options_;
   mutable std::mutex mutex_;
   std::map<std::string, LinkEntry> links_;
   // (tenant, group, tag) -> staged bytes, from recordTransfer().

@@ -202,9 +202,15 @@ void MetricsRegistry::refreshLocked() {
     bindings_.push_back(Binding{&entry, std::move(p.source)});
   }
   pending_.clear();
+  // A counter series bound to several cells exports their sum. The lock
+  // is held, so a plain load and store add without a read-modify-write.
+  for (const Binding& b : bindings_) {
+    if (b.source.count) b.entry->counter->set(0);
+  }
   for (const Binding& b : bindings_) {
     if (b.source.count) {
-      b.entry->counter->set(b.source.count());
+      Counter& counter = *b.entry->counter;
+      counter.set(counter.value() + b.source.count());
     } else {
       b.entry->gauge->set(b.source.level());
     }

@@ -3,14 +3,13 @@
 // and log2-bucketed Histograms with p50/p90/p99 — grouped into labeled
 // families (e.g. lidc_forwarder_in_interests{node="gw-east"}).
 //
-// Hot-path discipline: handles returned by counter()/gauge()/histogram()
-// are stable for the registry's lifetime, and incrementing one is a
-// single relaxed atomic add — no lock, no lookup. Registration and
-// snapshotting take a mutex. Components that keep their own counter
-// structs instead *bind* each series once to the value that owns it (a
-// counter cell, or a callable for computed values); the registry reads
-// every bound series right before each snapshot/export, with no name or
-// label lookup.
+// Components count in plain cells they own and *bind* each series once
+// to the value that owns it (a counter cell, or a callable for computed
+// values); the registry reads every bound series right before each
+// snapshot/export, with no name or label lookup. Handles returned by
+// counter()/gauge()/histogram() are stable for the registry's lifetime,
+// and incrementing one is a single relaxed atomic add — no lock, no
+// lookup. Registration and snapshotting take a mutex.
 //
 // Exporters: toJson() (machine-readable, stable ordering) and
 // toPrometheus() (text exposition format; histograms as summaries),
@@ -46,8 +45,7 @@ class Counter {
   void inc(std::uint64_t n = 1) noexcept {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Absolute sync, used when a bound series is refreshed at snapshot
-  /// time and when a live mirror carries over an earlier count.
+  /// Absolute sync, used when a bound series is refreshed at export.
   void set(std::uint64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -55,15 +53,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Compiled-in no-op drop-in for Counter: every call is an empty inline
-/// the optimizer deletes. bench_telemetry uses it to measure the cost
-/// of instrumentation against a build with telemetry compiled out.
-struct NoopCounter {
-  void inc(std::uint64_t = 1) noexcept {}
-  void set(std::uint64_t) noexcept {}
-  [[nodiscard]] std::uint64_t value() const noexcept { return 0; }
 };
 
 /// Point-in-time value (queue depth, free cores, health fraction).
@@ -184,13 +173,17 @@ class MetricsRegistry {
   /// snapshot()/export after the call and takes the cell's value at
   /// that and every later snapshot/export, never in between. Binding a
   /// series that already exists reuses it, so counter(name, labels)
-  /// still returns the same Counter.
+  /// still returns the same Counter. A series bound to several cells
+  /// exports their sum (every engine on a registry counts into the same
+  /// unlabeled lidc_workflow_* series), so attaching one component twice
+  /// to one registry counts it twice.
   void bindCounter(std::string name, Labels labels, const std::uint64_t& cell);
   void bindCounter(std::string name, Labels labels, const std::uint64_t&& cell) = delete;
   /// As above, for a count computed at export time.
   void bindCounter(std::string name, Labels labels,
                    std::function<std::uint64_t()> read);
-  /// Binds a gauge series to a value computed at export time.
+  /// Binds a gauge series to a value computed at export time; of several
+  /// bindings of one gauge series, the last one made wins.
   void bindGauge(std::string name, Labels labels, std::function<double()> read);
 
   /// Refreshes bound series, then returns every metric whose name starts
@@ -242,8 +235,9 @@ class MetricsRegistry {
   void bind(std::string name, Labels labels, MetricKind kind, Source source);
   Entry& findOrCreateLocked(const std::string& name, Labels labels, MetricKind kind);
   /// Creates the series of pending bindings, then reads every bound
-  /// value into its instrument. Bound sources run under the lock, so
-  /// they must not call back into the registry.
+  /// value into its instrument: a counter gets the sum of its sources, a
+  /// gauge the value of its last one. Bound sources run under the lock,
+  /// so they must not call back into the registry.
   void refreshLocked();
   /// The entries whose name starts with `prefix`: one contiguous run.
   [[nodiscard]] std::pair<Entries::iterator, Entries::iterator> rangeLocked(

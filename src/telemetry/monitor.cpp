@@ -30,8 +30,7 @@ void TelemetryPublisher::addContentGroup(const std::string& group,
 TelemetryCollector::TelemetryCollector(ndn::Forwarder& forwarder,
                                        TelemetryCollectorOptions options)
     : SnapshotScraper(forwarder, "app://telemetry-collector", /*nonceSeed=*/0x7e1e,
-                      kTelemetryPrefix, options.group, "_latest", options),
-      health_(std::move(options.health)) {}
+                      kTelemetryPrefix, options.group, "_latest", options) {}
 
 void TelemetryCollector::onWatched(const std::string& cluster) {
   if (registry_ != nullptr) bindHealthGauge(cluster);
@@ -63,6 +62,23 @@ void TelemetryCollector::invalidate(const std::string& cluster) {
 
 namespace {
 
+/// Score of a cluster never scraped or past its freshness window (a
+/// blacked-out gateway lands here).
+constexpr double kStaleScore = 0.0;
+/// Gauge series (before the {cluster=...} label) carrying the gateway's
+/// ready-node fraction; a missing series counts as healthy.
+const std::string kHealthyFractionSeries = "lidc_gateway_healthy_node_fraction";
+/// Weight of the refused-work ratio (admission rejections + blackout
+/// drops since the previous snapshot, over compute Interests received)
+/// in the score.
+constexpr double kRejectionWeight = 1.0;
+/// A raw score below this arms the hold-down: the cluster keeps reporting
+/// its degraded score for kHoldDown even after steering has moved traffic
+/// away (so no new evidence accumulates), instead of flapping healthy and
+/// luring jobs back into the fault.
+constexpr double kDegradedThreshold = 0.5;
+constexpr sim::Duration kHoldDown = sim::Duration::seconds(10);
+
 double clamp01(double v) { return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v); }
 
 /// Series lookup that tolerates both labeled ("name{cluster=\"x\"}")
@@ -85,14 +101,12 @@ double seriesDelta(const TelemetryCollector::ClusterView& view,
 }  // namespace
 
 double TelemetryCollector::rawHealthScore(const std::string& cluster) const {
-  const HealthPolicy& policy = health_;
-  if (isStale(cluster)) return policy.staleScore;
+  if (isStale(cluster)) return kStaleScore;
   const ClusterView* v = view(cluster);
-  if (v == nullptr) return policy.staleScore;
+  if (v == nullptr) return kStaleScore;
 
   // Base: the gateway's own view of how many nodes are ready.
-  double score =
-      clamp01(seriesValue(v->values, policy.healthyFractionSeries, cluster, 1.0));
+  double score = clamp01(seriesValue(v->values, kHealthyFractionSeries, cluster, 1.0));
 
   // Discount by refused-work pressure since the last snapshot: a
   // gateway shedding load (health gate, capacity) or dropping Interests
@@ -105,7 +119,7 @@ double TelemetryCollector::rawHealthScore(const std::string& cluster) const {
   const double received = seriesDelta(*v, "lidc_gateway_compute_received", cluster);
   if (rejected > 0.0) {
     const double pressure = rejected / std::max(1.0, received);
-    score *= clamp01(1.0 - policy.rejectionWeight * pressure);
+    score *= clamp01(1.0 - kRejectionWeight * pressure);
   }
   return clamp01(score);
 }
@@ -127,11 +141,10 @@ void TelemetryCollector::onSettled(const std::string& cluster) {
   // Every settled scrape reports the (possibly degraded) health score,
   // so a blackout is announced as soon as the scrape fails — the
   // steering loop must not wait for a hard job failure.
-  const HealthPolicy& policy = health_;
   ClusterView& view = views_[cluster];
   const double raw = rawHealthScore(cluster);
-  if (raw < policy.degradedThreshold) {
-    view.degradedUntil = sim_.now() + policy.holdDown;
+  if (raw < kDegradedThreshold) {
+    view.degradedUntil = sim_.now() + kHoldDown;
     view.degradedScore = raw;
   }
   if (health_listener_) health_listener_(cluster, healthScore(cluster));

@@ -68,30 +68,9 @@ class TelemetryPublisher {
   SnapshotPublisher publisher_;
 };
 
-struct HealthPolicy {
-  /// Score assigned to clusters never scraped or past their freshness
-  /// window (a blacked-out gateway lands here).
-  double staleScore = 0.0;
-  /// Gauge series (before the {cluster=...} label) carrying the
-  /// gateway's ready-node fraction; missing series counts as healthy.
-  std::string healthyFractionSeries = "lidc_gateway_healthy_node_fraction";
-  /// Weight of the refused-work ratio (admission rejections + blackout
-  /// drops since the previous snapshot, over compute Interests
-  /// received) in the score.
-  double rejectionWeight = 1.0;
-  /// A raw score below this arms the hold-down: the cluster keeps
-  /// reporting its degraded score for `holdDown` even after steering
-  /// has moved traffic away (so no new evidence accumulates), instead
-  /// of flapping healthy and luring jobs back into the fault.
-  double degradedThreshold = 0.5;
-  sim::Duration holdDown = sim::Duration::seconds(10);
-};
-
 struct TelemetryCollectorOptions : ScrapeTiming {
   /// Metric group to scrape.
   std::string group = "all";
-  /// How scraped series aggregate into healthScore().
-  HealthPolicy health;
 };
 
 class TelemetryCollector : public SnapshotScraper {
@@ -109,7 +88,7 @@ class TelemetryCollector : public SnapshotScraper {
     SeriesTable prevValues;
     /// The latest snapshot's text (the text `values` decodes).
     const std::string& rawText = values.text();
-    /// Hold-down state (see HealthPolicy::holdDown).
+    /// Hold-down state (see kHoldDown in monitor.cpp).
     sim::Time degradedUntil;
     double degradedScore = 1.0;
   };
@@ -130,10 +109,11 @@ class TelemetryCollector : public SnapshotScraper {
   [[nodiscard]] double metric(const std::string& cluster,
                               const std::string& series) const;
 
-  /// Aggregated cluster health in [0, 1]: staleScore when stale or
-  /// never scraped; otherwise the gateway's healthy-node fraction
-  /// discounted by admission-rejection pressure since the previous
-  /// snapshot. 1.0 = route work here, 0.0 = steer away.
+  /// Aggregated cluster health in [0, 1]: 0 when stale or never
+  /// scraped; otherwise the gateway's healthy-node fraction discounted
+  /// by admission-rejection pressure since the previous snapshot, held
+  /// down for a while after it degrades. 1.0 = route work here, 0.0 =
+  /// steer away.
   [[nodiscard]] double healthScore(const std::string& cluster) const;
 
   void setHealthListener(HealthListener listener) {
@@ -159,7 +139,6 @@ class TelemetryCollector : public SnapshotScraper {
   [[nodiscard]] double rawHealthScore(const std::string& cluster) const;
   void bindHealthGauge(const std::string& cluster);
 
-  HealthPolicy health_;
   std::map<std::string, ClusterView> views_;
   HealthListener health_listener_;
   MetricsRegistry* registry_ = nullptr;

@@ -61,13 +61,11 @@ std::pair<std::string, std::map<std::string, std::string>> parseSeriesKey(
 }
 
 Weathermap::Weathermap(ndn::Forwarder& forwarder, WeathermapOptions options)
-    : options_(std::move(options)),
-      collector_(forwarder,
-                 [&] {
-                   TelemetryCollectorOptions c = options_.collector;
-                   c.group = "flow";
-                   return c;
-                 }()) {
+    : collector_(forwarder, [&] {
+        TelemetryCollectorOptions c = std::move(options.collector);
+        c.group = "flow";
+        return c;
+      }()) {
   // Scrape settlements drive the hot-link flight-recorder events.
   collector_.setHealthListener(
       [this](const std::string& cluster, double) { afterScrape(cluster); });
@@ -282,7 +280,7 @@ AlertEngine::ValueSource Weathermap::valueSource() const {
       for (const auto& [link, lv] : links) {
         maxUtil = std::max(maxUtil, lv.utilization);
         maxShare = std::max(maxShare, lv.dominantShare);
-        if (lv.utilization > options_.saturationWarn) ++hot;
+        if (lv.utilization > kSaturationWarn) ++hot;
       }
     }
     if (key == "fleet/max_utilization") return maxUtil;
@@ -294,12 +292,12 @@ AlertEngine::ValueSource Weathermap::valueSource() const {
 void Weathermap::afterScrape(const std::string& cluster) {
   if (recorder_ == nullptr) return;
   for (const auto& [link, lv] : buildCluster(cluster)) {
-    if (lv.utilization > options_.saturationWarn) {
+    if (lv.utilization > kSaturationWarn) {
       LIDC_FR_EVENT(recorder_, kWarn, "weathermap",
                     cluster + " hot-link " + link +
                         " util=" + fmt3(lv.utilization));
     }
-    if (lv.dominantShare > options_.dominanceWarn) {
+    if (lv.dominantShare > kDominanceWarn) {
       LIDC_FR_EVENT(recorder_, kWarn, "weathermap",
                     cluster + " dominated-link " + link + " tenant=" +
                         (lv.talkers.empty() ? std::string("-")

@@ -62,11 +62,6 @@ struct LinkView {
 struct WeathermapOptions {
   /// Embedded collector configuration; `group` is forced to "flow".
   TelemetryCollectorOptions collector;
-  /// Utilization above this drops a flight-recorder event at scrape
-  /// time (and is the natural threshold for a saturation alert rule).
-  double saturationWarn = 0.8;
-  /// Dominant-tenant share above this drops a flight-recorder event.
-  double dominanceWarn = 0.5;
 };
 
 class Weathermap {
@@ -103,7 +98,7 @@ class Weathermap {
   /// AlertEngine value source: everything collectorValueSource()
   /// answers ("<cluster>/<series>") plus fleet aggregates
   /// "fleet/max_utilization", "fleet/max_dominant_share", and
-  /// "fleet/hot_links" (count of links over saturationWarn), computed
+  /// "fleet/hot_links" (count of links over kSaturationWarn), computed
   /// when asked for.
   [[nodiscard]] AlertEngine::ValueSource valueSource() const;
 
@@ -111,9 +106,12 @@ class Weathermap {
   [[nodiscard]] const TelemetryCollector& collector() const noexcept {
     return collector_;
   }
-  [[nodiscard]] const WeathermapOptions& options() const noexcept {
-    return options_;
-  }
+
+  /// Utilization above this drops a flight-recorder event at scrape time
+  /// (and is the natural threshold for a saturation alert rule).
+  static constexpr double kSaturationWarn = 0.8;
+  /// Dominant-tenant share above this drops a flight-recorder event.
+  static constexpr double kDominanceWarn = 0.5;
 
  private:
   /// Rebuilds one cluster's link views from its scraped series.
@@ -124,7 +122,6 @@ class Weathermap {
       const std::string& cluster) const;
   void afterScrape(const std::string& cluster);
 
-  WeathermapOptions options_;
   TelemetryCollector collector_;
   FlightRecorder* recorder_ = nullptr;
 };

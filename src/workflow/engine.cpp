@@ -76,13 +76,11 @@ void WorkflowEngine::run(WorkflowSpec spec, DoneCallback done) {
   run->startedAt = client_.simulator().now();
   run->done = std::move(done);
   run->stageCtx.resize(run->spec.stages.size());
-  if (telemetry_) {
-    telemetry_->runs->inc();
-    if (telemetry_->tracer != nullptr) {
-      run->rootCtx = telemetry_->tracer->startTrace(
-          "workflow", "workflow:" + run->spec.id,
-          {{"stages", std::to_string(run->spec.stages.size())}});
-    }
+  ++runs_;
+  if (telemetry_ && telemetry_->tracer != nullptr) {
+    run->rootCtx = telemetry_->tracer->startTrace(
+        "workflow", "workflow:" + run->spec.id,
+        {{"stages", std::to_string(run->spec.stages.size())}});
   }
   trace(run, "start workflow " + run->spec.id + " stages=" +
                  std::to_string(run->spec.stages.size()));
@@ -197,15 +195,12 @@ void WorkflowEngine::dispatchStage(const std::shared_ptr<Run>& run,
   ++stages_dispatched_;
   const StageSpec& stage = run->spec.stages[index];
   trace(run, "dispatch " + stage.name + " app=" + stage.app);
-  if (telemetry_) {
-    telemetry_->stagesDispatched->inc();
-    if (telemetry_->tracer != nullptr) {
-      run->stageCtx[index] = telemetry_->tracer->startSpan(
-          "stage", "workflow:" + run->spec.id, run->rootCtx,
-          {{"stage", stage.name},
-           {"app", stage.app},
-           {"attempt", std::to_string(st.retries)}});
-    }
+  if (telemetry_ && telemetry_->tracer != nullptr) {
+    run->stageCtx[index] = telemetry_->tracer->startSpan(
+        "stage", "workflow:" + run->spec.id, run->rootCtx,
+        {{"stage", stage.name},
+         {"app", stage.app},
+         {"attempt", std::to_string(st.retries)}});
   }
 
   auto request =
@@ -300,7 +295,6 @@ void WorkflowEngine::armStageHedge(const std::shared_ptr<Run>& run,
     if (race->settled || run->finished) return;
     if (run->statuses[index].state != StageState::kRunning) return;
     ++stage_hedges_;
-    if (telemetry_) telemetry_->stageHedges->inc();
     trace(run, "hedge " + run->spec.stages[index].name);
     launchStageLeg(run, index, request, race, /*isHedge=*/true);
   });
@@ -338,7 +332,6 @@ void WorkflowEngine::launchStageLeg(const std::shared_ptr<Run>& run,
         if (completed) {
           if (isHedge) {
             ++stage_hedges_won_;
-            if (telemetry_) telemetry_->stageHedgesWon->inc();
             trace(run, "hedge-won " + run->spec.stages[index].name);
           }
           predictor_.record(*request, result->finalStatus.runtime);
@@ -382,7 +375,6 @@ void WorkflowEngine::stageIntermediate(const std::shared_ptr<Run>& run,
         const std::uint64_t size = fetched->size();
         bytes_moved_ += size;
         run->outcome.intermediateBytesMoved += size;
-        if (telemetry_) telemetry_->bytesMoved->inc(size);
         client_.publishData(
             intermediatePath(run->spec.id, name), std::move(fetched).value(),
             [this, run, index, size](Result<ndn::Name> published) {
@@ -395,7 +387,6 @@ void WorkflowEngine::stageIntermediate(const std::shared_ptr<Run>& run,
               }
               bytes_moved_ += size;
               run->outcome.intermediateBytesMoved += size;
-              if (telemetry_) telemetry_->bytesMoved->inc(size);
               completeStage(run, index);
             },
             run->stageCtx[index], "wf/" + run->spec.id);
@@ -431,12 +422,10 @@ void WorkflowEngine::handleStageFailure(const std::shared_ptr<Run>& run,
     ++st.retries;
     st.state = StageState::kPending;
     --run->running;
-    if (telemetry_) {
-      telemetry_->stageRetries->inc();
-      if (telemetry_->tracer != nullptr) {
-        telemetry_->tracer->setAttr(run->stageCtx[index], "outcome", "retry");
-        telemetry_->tracer->endSpan(run->stageCtx[index]);
-      }
+    ++stage_retries_;
+    if (telemetry_ && telemetry_->tracer != nullptr) {
+      telemetry_->tracer->setAttr(run->stageCtx[index], "outcome", "retry");
+      telemetry_->tracer->endSpan(run->stageCtx[index]);
     }
     trace(run, "retry " + name + " (" + std::to_string(st.retries) + "/" +
                    std::to_string(options_.maxStageRetries) + ")");
@@ -474,7 +463,7 @@ void WorkflowEngine::probeInputsAndRecover(const std::shared_ptr<Run>& run,
                 pst.state = StageState::kPending;
                 pst.error.clear();
                 ++run->outcome.lineageRecoveries;
-                if (telemetry_) telemetry_->lineageRecoveries->inc();
+                ++lineage_recoveries_;
                 trace(run, "reset " + producer +
                                " (lineage: intermediate unreachable)");
               }
@@ -559,8 +548,8 @@ void WorkflowEngine::maybeFinish(const std::shared_ptr<Run>& run) {
   }
   run->outcome.succeeded = succeeded;
   run->outcome.makespan = client_.simulator().now() - run->startedAt;
+  ++(succeeded ? runs_succeeded_ : runs_failed_);
   if (telemetry_) {
-    (succeeded ? telemetry_->runsSucceeded : telemetry_->runsFailed)->inc();
     telemetry_->makespanUs->observe(
         static_cast<double>(run->outcome.makespan.toNanos()) / 1e3);
     if (telemetry_->tracer != nullptr) {
@@ -581,22 +570,15 @@ void WorkflowEngine::maybeFinish(const std::shared_ptr<Run>& run) {
 void WorkflowEngine::attachTelemetry(telemetry::MetricsRegistry& registry,
                                      telemetry::Tracer* tracer) {
   telemetry_ = std::make_unique<Telemetry>();
-  telemetry_->runs = &registry.counter("lidc_workflow_runs");
-  telemetry_->runsSucceeded = &registry.counter("lidc_workflow_runs_succeeded");
-  telemetry_->runsFailed = &registry.counter("lidc_workflow_runs_failed");
-  telemetry_->stagesDispatched =
-      &registry.counter("lidc_workflow_stages_dispatched");
-  telemetry_->stagesDispatched->set(stages_dispatched_);
-  telemetry_->stageRetries = &registry.counter("lidc_workflow_stage_retries");
-  telemetry_->stageHedges = &registry.counter("lidc_workflow_stage_hedges");
-  telemetry_->stageHedges->set(stage_hedges_);
-  telemetry_->stageHedgesWon =
-      &registry.counter("lidc_workflow_stage_hedges_won");
-  telemetry_->stageHedgesWon->set(stage_hedges_won_);
-  telemetry_->lineageRecoveries =
-      &registry.counter("lidc_workflow_lineage_recoveries");
-  telemetry_->bytesMoved = &registry.counter("lidc_workflow_bytes_moved");
-  telemetry_->bytesMoved->set(bytes_moved_);
+  registry.bindCounter("lidc_workflow_runs", {}, runs_);
+  registry.bindCounter("lidc_workflow_runs_succeeded", {}, runs_succeeded_);
+  registry.bindCounter("lidc_workflow_runs_failed", {}, runs_failed_);
+  registry.bindCounter("lidc_workflow_stages_dispatched", {}, stages_dispatched_);
+  registry.bindCounter("lidc_workflow_stage_retries", {}, stage_retries_);
+  registry.bindCounter("lidc_workflow_stage_hedges", {}, stage_hedges_);
+  registry.bindCounter("lidc_workflow_stage_hedges_won", {}, stage_hedges_won_);
+  registry.bindCounter("lidc_workflow_lineage_recoveries", {}, lineage_recoveries_);
+  registry.bindCounter("lidc_workflow_bytes_moved", {}, bytes_moved_);
   telemetry_->makespanUs = &registry.histogram("lidc_workflow_makespan_us");
   telemetry_->tracer = tracer;
 }

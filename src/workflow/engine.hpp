@@ -195,10 +195,13 @@ class WorkflowEngine {
     return stage_hedges_won_;
   }
 
-  /// Mirrors engine activity into `registry` (runs, stage dispatches/
-  /// retries, lineage recoveries, bytes moved, makespan histogram). With
-  /// a tracer every run() opens a root "workflow" span; stage spans and
-  /// the client/forwarder/gateway/K8s spans beneath them all share it.
+  /// Binds the engine's counters into `registry` (runs, stage dispatches/
+  /// retries/hedges, lineage recoveries, bytes moved) and adds its makespan
+  /// histogram. The lidc_workflow_* series are unlabeled, so every engine
+  /// on one registry counts into them and they export the fleet's totals;
+  /// the engine must outlive any snapshot of the registry. With a tracer
+  /// every run() opens a root "workflow" span; stage spans and the
+  /// client/forwarder/gateway/K8s spans beneath them all share it.
   void attachTelemetry(telemetry::MetricsRegistry& registry,
                        telemetry::Tracer* tracer = nullptr);
 
@@ -238,15 +241,6 @@ class WorkflowEngine {
 
   /// Registry handles + tracer; null until attachTelemetry().
   struct Telemetry {
-    telemetry::Counter* runs = nullptr;
-    telemetry::Counter* runsSucceeded = nullptr;
-    telemetry::Counter* runsFailed = nullptr;
-    telemetry::Counter* stagesDispatched = nullptr;
-    telemetry::Counter* stageRetries = nullptr;
-    telemetry::Counter* stageHedges = nullptr;
-    telemetry::Counter* stageHedgesWon = nullptr;
-    telemetry::Counter* lineageRecoveries = nullptr;
-    telemetry::Counter* bytesMoved = nullptr;
     telemetry::Histogram* makespanUs = nullptr;
     telemetry::Tracer* tracer = nullptr;
   };
@@ -254,10 +248,15 @@ class WorkflowEngine {
   core::LidcClient& client_;
   WorkflowOptions options_;
   core::CompletionTimePredictor predictor_;
+  std::uint64_t runs_ = 0;
+  std::uint64_t runs_succeeded_ = 0;
+  std::uint64_t runs_failed_ = 0;
   std::uint64_t bytes_moved_ = 0;
   std::uint64_t stages_dispatched_ = 0;
+  std::uint64_t stage_retries_ = 0;
   std::uint64_t stage_hedges_ = 0;
   std::uint64_t stage_hedges_won_ = 0;
+  std::uint64_t lineage_recoveries_ = 0;
   std::unique_ptr<Telemetry> telemetry_;
 };
 

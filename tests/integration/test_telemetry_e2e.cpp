@@ -253,12 +253,14 @@ TEST(TelemetryE2eTest, CollectorScrapesBothClustersAndRepeatHitsContentStore) {
   // Forget the views and scrape again past the manifest freshness: the
   // immutable snapshot Data is re-fetched, but the collector host's own
   // Content Store answers it — visible in the registry's CS-hit metric
-  // for that node (its forwarder counters are live-mirrored).
-  telemetry::Counter& csHits = scenario.registry.counter(
-      "lidc_forwarder_cs_hits", {{"node", "client-host"}});
+  // for that node (flatten() exports, which reads the forwarder's cells).
+  const auto csHits = [&scenario] {
+    return scenario.registry.flatten("lidc_forwarder_cs_hits")
+        .at("lidc_forwarder_cs_hits{node=\"client-host\"}");
+  };
   const std::uint64_t fetchedBefore =
       scenario.collector->counters().snapshotsFetched;
-  const std::uint64_t csHitsBefore = csHits.value();
+  const double csHitsBefore = csHits();
   scenario.collector->invalidate("east");
   scenario.collector->invalidate("west");
   scenario.sim.scheduleAfter(sim::Duration::millis(600),
@@ -268,7 +270,7 @@ TEST(TelemetryE2eTest, CollectorScrapesBothClustersAndRepeatHitsContentStore) {
   EXPECT_EQ(scenario.collector->counters().snapshotsFetched, fetchedBefore + 2);
   EXPECT_FALSE(scenario.collector->isStale("east"));
   EXPECT_FALSE(scenario.collector->isStale("west"));
-  EXPECT_GE(csHits.value(), csHitsBefore + 2);
+  EXPECT_GE(csHits(), csHitsBefore + 2);
 }
 
 }  // namespace

@@ -231,6 +231,32 @@ TEST(WorkflowEngineTest, SequentialModeIsSlowerThanDagConcurrent) {
             sequential.outcome->value().makespan.toSeconds());
 }
 
+TEST(WorkflowEngineTest, EnginesSharingARegistryExportFleetTotals) {
+  WorkflowScenario scenario;
+  workflow::WorkflowEngine second(*scenario.client);
+  telemetry::MetricsRegistry registry;
+  scenario.engine->attachTelemetry(registry);
+  second.attachTelemetry(registry);
+
+  scenario.run(diamondSpec("wfa"));
+  ASSERT_TRUE(scenario.outcome->ok()) << scenario.outcome->status();
+  std::optional<Result<workflow::WorkflowOutcome>> secondOutcome;
+  second.run(diamondSpec("wfb"), [&secondOutcome](Result<workflow::WorkflowOutcome> r) {
+    secondOutcome = std::move(r);
+  });
+  scenario.sim.run();
+  ASSERT_TRUE(secondOutcome.has_value());
+  ASSERT_TRUE(secondOutcome->ok()) << secondOutcome->status();
+
+  // The unlabeled lidc_workflow_* series add up every engine's cells.
+  const auto exported = registry.flatten("lidc_workflow");
+  EXPECT_EQ(exported.at("lidc_workflow_runs"), 2.0);
+  EXPECT_EQ(exported.at("lidc_workflow_stages_dispatched"), 8.0);
+  EXPECT_EQ(exported.at("lidc_workflow_stages_dispatched"),
+            static_cast<double>(scenario.engine->stagesDispatched() +
+                                second.stagesDispatched()));
+}
+
 TEST(WorkflowEngineTest, InvalidSpecFailsWithoutDispatching) {
   WorkflowScenario scenario;
   workflow::WorkflowSpec bad;

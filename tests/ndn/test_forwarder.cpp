@@ -237,6 +237,65 @@ TEST_F(ForwarderTest, CountersTrackTraffic) {
   EXPECT_EQ(producerNode_.counters().nSatisfied, 1u);
 }
 
+TEST_F(ForwarderTest, RegistryExportsCountersAndFaceTotals) {
+  telemetry::MetricsRegistry registry;
+  consumerNode_.attachTelemetry(registry);
+  // An exchange, a timeout and a no-route nack.
+  consumerApp_->expressInterest(makeInterest("/data/x"),
+                                [](const Interest&, const Data&) {});
+  sim_.run();
+  respond_ = false;
+  consumerApp_->expressInterest(makeInterest("/data/silent"),
+                                [](const Interest&, const Data&) {});
+  consumerApp_->expressInterest(makeInterest("/unrouted/name"),
+                                [](const Interest&, const Data&) {});
+  sim_.run();
+
+  const ForwarderCounters& c = consumerNode_.counters();
+  ASSERT_EQ(c.nUnsatisfied, 1u);
+  ASSERT_EQ(c.nNoRoute, 1u);
+  const auto exported = registry.flatten();
+  const auto value = [&exported](const std::string& name) {
+    return static_cast<std::uint64_t>(exported.at(name + "{node=\"consumer\"}"));
+  };
+  EXPECT_EQ(value("lidc_forwarder_in_interests"), c.nInInterests);
+  EXPECT_EQ(value("lidc_forwarder_out_interests"), c.nOutInterests);
+  EXPECT_EQ(value("lidc_forwarder_in_data"), c.nInData);
+  EXPECT_EQ(value("lidc_forwarder_out_data"), c.nOutData);
+  EXPECT_EQ(value("lidc_forwarder_cs_hits"), c.nCsHits);
+  EXPECT_EQ(value("lidc_forwarder_cs_misses"), c.nCsMisses);
+  EXPECT_EQ(value("lidc_forwarder_satisfied"), c.nSatisfied);
+  EXPECT_EQ(value("lidc_forwarder_unsatisfied"), c.nUnsatisfied);
+  EXPECT_EQ(value("lidc_forwarder_duplicate_nonce"), c.nDuplicateNonce);
+  EXPECT_EQ(value("lidc_forwarder_no_route"), c.nNoRoute);
+  EXPECT_EQ(value("lidc_forwarder_unsolicited_data"), c.nUnsolicitedData);
+  EXPECT_EQ(value("lidc_integrity_drops_total"), c.nIntegrityDrops);
+
+  // The node's faces: its link face (id 1) and the consumer app.
+  ASSERT_EQ(consumerNode_.faceCount(), 2u);
+  FaceCounters faces;
+  for (const FaceId id : {FaceId{1}, consumerApp_->id()}) {
+    const FaceCounters& f = consumerNode_.face(id)->counters();
+    faces.nInInterests += f.nInInterests;
+    faces.nOutInterests += f.nOutInterests;
+    faces.nInData += f.nInData;
+    faces.nOutData += f.nOutData;
+    faces.nInNacks += f.nInNacks;
+    faces.nOutNacks += f.nOutNacks;
+    faces.nInBytes += f.nInBytes;
+    faces.nOutBytes += f.nOutBytes;
+  }
+  EXPECT_EQ(value("lidc_face_in_interests"), faces.nInInterests);
+  EXPECT_EQ(value("lidc_face_out_interests"), faces.nOutInterests);
+  EXPECT_EQ(value("lidc_face_in_data"), faces.nInData);
+  EXPECT_EQ(value("lidc_face_out_data"), faces.nOutData);
+  EXPECT_EQ(value("lidc_face_in_nacks"), faces.nInNacks);
+  EXPECT_EQ(value("lidc_face_out_nacks"), faces.nOutNacks);
+  EXPECT_EQ(value("lidc_face_in_bytes"), faces.nInBytes);
+  EXPECT_EQ(value("lidc_face_out_bytes"), faces.nOutBytes);
+  EXPECT_GT(faces.nOutNacks, 0u);
+}
+
 TEST_F(ForwarderTest, StrategyChoiceByLongestPrefix) {
   consumerNode_.setStrategy(Name("/data"),
                             std::make_unique<MulticastStrategy>(consumerNode_));

@@ -325,7 +325,6 @@ TEST_F(TransferSchedulerTest, FlowLedgerMatchesBytesMovedExactly) {
   EXPECT_EQ(scheduler_->staged(), 2u);
   EXPECT_EQ(scheduler_->localHits(), 1u);
   EXPECT_EQ(scheduler_->bytesMoved(), 4096u);
-#if !defined(LIDC_TELEMETRY_DISABLED)
   std::uint64_t ledgered = 0;
   for (const auto& [key, bytes] : flow.stagedLedger()) {
     EXPECT_EQ(key.group, "staging");
@@ -339,7 +338,6 @@ TEST_F(TransferSchedulerTest, FlowLedgerMatchesBytesMovedExactly) {
   tagKey.tenant = "astro";
   tagKey.tag = "plan-42";
   EXPECT_EQ(flow.stagedLedger().at(tagKey), 2048u);
-#endif
 }
 
 TEST_F(TransferSchedulerTest, UnreachableDatasetFailsLoudly) {

@@ -88,18 +88,14 @@ TEST_F(AlertEngineTest, FiredAlertSnapshotsFlightRecorderWindow) {
   ASSERT_EQ(engine.evaluate(), 1);
 
   const Alert& alert = engine.alerts()[0];
-#if !defined(LIDC_TELEMETRY_DISABLED)
   ASSERT_EQ(alert.events.size(), 4u);
   EXPECT_EQ(alert.events.front().message, "event-2");
   EXPECT_EQ(alert.events.back().message, "event-5");
-#endif
 
   const std::string post = engine.explainAlert(alert.id);
   EXPECT_NE(post.find("rule=r"), std::string::npos);
   EXPECT_NE(post.find("series: x"), std::string::npos);
-#if !defined(LIDC_TELEMETRY_DISABLED)
   EXPECT_NE(post.find("event-5"), std::string::npos);
-#endif
   EXPECT_TRUE(engine.explainAlert(9999).empty());
 }
 

@@ -29,10 +29,10 @@ TEST(EwmaDetectorTest, SpikeAfterStableBaselineFlags) {
     EXPECT_FALSE(detector.observe(10.0).anomalous);
   }
   const auto spike = detector.observe(10.5);
-  // Flat series: stddev is floored at minStdDev, so even a small jump
+  // Flat series: stddev is floored at kMinStdDev, so even a small jump
   // is many sigmas out.
   EXPECT_TRUE(spike.anomalous);
-  EXPECT_GT(spike.z, detector.options().zThreshold);
+  EXPECT_GT(spike.z, EwmaDetector::kZThreshold);
   EXPECT_NEAR(spike.mean, 10.0, 1e-9);
 }
 
@@ -83,16 +83,6 @@ TEST(EwmaDetectorTest, ResetForgetsHistory) {
   EXPECT_EQ(detector.samples(), 0u);
   // Post-reset it is warming up again: no flags.
   EXPECT_FALSE(detector.observe(1000.0).anomalous);
-}
-
-TEST(AnomalyBankTest, KeysDetectorsBySeries) {
-  AnomalyBank bank;
-  bank.observe("a", 1.0);
-  bank.observe("a", 2.0);
-  bank.observe("b", 5.0);
-  EXPECT_EQ(bank.size(), 2u);
-  EXPECT_EQ(bank.detector("a").samples(), 2u);
-  EXPECT_EQ(bank.detector("b").samples(), 1u);
 }
 
 }  // namespace

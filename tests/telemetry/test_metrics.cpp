@@ -149,6 +149,21 @@ TEST(MetricsTest, BindingReusesSeriesCounterAlreadyCreated) {
   EXPECT_EQ(existing.value(), 9u);
 }
 
+TEST(MetricsTest, SeriesBoundToSeveralCellsExportsTheirSum) {
+  MetricsRegistry registry;
+  std::uint64_t first = 3;
+  std::uint64_t second = 4;
+  registry.bindCounter("lidc_fleet_total", {}, first);
+  registry.bindCounter("lidc_fleet_total", {}, second);
+  EXPECT_EQ(registry.toPrometheus(),
+            "# TYPE lidc_fleet_total counter\n"
+            "lidc_fleet_total 7\n");
+
+  second = 10;
+  EXPECT_EQ(registry.flatten().at("lidc_fleet_total"), 13.0);
+  EXPECT_EQ(registry.size(), 1u);
+}
+
 TEST(MetricsTest, FamilyMemberBoundAfterExportAppearsAtNextExport) {
   MetricsRegistry registry;
   std::uint64_t first = 1;

@@ -240,7 +240,7 @@ TEST(MonitorTest, CollectorTelemetryGaugesTrackStaleAndFailures) {
 
 TEST(MonitorTest, HealthScoreFollowsGatewayFractionAndStaleness) {
   MonitorWorld world;
-  // Never scraped: staleScore.
+  // Never scraped: the stale score, 0.
   EXPECT_DOUBLE_EQ(world.collector->healthScore("east"), 0.0);
 
   world.collector->scrapeOnce();
@@ -329,7 +329,7 @@ TEST(MonitorTest, HealthListenerFiresAfterEveryScrapeSettles) {
   world.sim.run();
 
   ASSERT_EQ(notified.size(), 2u);
-  // Success and failure both notify: east healthy, ghost at staleScore.
+  // Success and failure both notify: east healthy, ghost at the stale score.
   std::map<std::string, double> byCluster(notified.begin(), notified.end());
   EXPECT_DOUBLE_EQ(byCluster.at("east"), 1.0);
   EXPECT_DOUBLE_EQ(byCluster.at("ghost"), 0.0);
