@@ -709,15 +709,6 @@ void LidcClient::publishData(const std::string& path,
                              PublishCallback done,
                              telemetry::TraceContext parent,
                              std::string flowTag) {
-  // Digest binds the command name to the exact payload bytes.
-  const std::uint64_t digest = fnv1a(bytes);
-  ndn::Name name = kPublishPrefix;
-  // Tenant attribution: QoS gateways charge the publish against the
-  // tenant's byte quota and strip the component from the stored name.
-  if (!options_.tenant.empty()) name.append("tenant=" + options_.tenant);
-  for (auto part : strings::splitSkipEmpty(path, '/')) name.append(part);
-  name.append("sha=" + std::to_string(digest));
-
   telemetry::Tracer* tracer = this->tracer();
   telemetry::TraceContext span;
   if (tracer != nullptr && parent) {
@@ -732,10 +723,19 @@ void LidcClient::publishData(const std::string& path,
     }
   };
 
-  ndn::Interest interest(name);
+  ndn::Interest interest;
+  interest.setApplicationParameters(std::move(bytes));
+  ndn::Name name = kPublishPrefix;
+  // Tenant attribution: QoS gateways charge the publish against the
+  // tenant's byte quota and strip the component from the stored name.
+  if (!options_.tenant.empty()) name.append("tenant=" + options_.tenant);
+  for (auto part : strings::splitSkipEmpty(path, '/')) name.append(part);
+  // The digest binds the command name to the exact payload bytes. Copies
+  // carry the memo, so the gateway's check does not hash them again.
+  name.append("sha=" + std::to_string(interest.applicationParametersDigest()));
+  interest.setName(std::move(name));
   interest.setMustBeFresh(true);
   interest.setLifetime(options_.interestLifetime);
-  interest.setApplicationParameters(std::move(bytes));
   interest.setTraceContext(span);
   interest.setFlowLabel({options_.tenant, std::move(flowTag)});
 

@@ -579,7 +579,7 @@ void Gateway::onPublish(const ndn::Interest& interest) {
     return;
   }
   // Integrity: the digest in the name must match the payload.
-  if (last != "sha=" + std::to_string(fnv1a(payload))) {
+  if (last != "sha=" + std::to_string(interest.applicationParametersDigest())) {
     reject("payload digest mismatch");
     return;
   }

@@ -1,6 +1,7 @@
 #include "datalake/file_server.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/kv.hpp"
 #include "common/logging.hpp"
@@ -8,8 +9,11 @@
 
 namespace lidc::datalake {
 
-std::string encodeLakeMeta(const LakeMeta& meta) {
-  return kv::Writer()
+std::vector<std::uint8_t> encodeLakeMeta(const LakeMeta& meta) {
+  // Room for three 20-digit numbers, so the record never reallocates.
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(96);
+  return kv::ByteWriter(std::move(bytes))
       .add("segments", meta.segments)
       .add("size", meta.size)
       .add("segment_size", meta.segmentSize)
@@ -81,15 +85,16 @@ void FileServer::handleInterest(const ndn::Interest& interest) {
 
 void FileServer::replyMeta(const ndn::Interest& interest, const ndn::Name& objectName,
                            const ndn::Name& dataName) {
-  const auto size = store_.sizeOf(objectName);
-  if (!size) {
+  const std::vector<std::uint8_t>* object = store_.find(objectName);
+  if (object == nullptr) {
     ++rejected_;
     face_->putNack(interest, ndn::NackReason::kNoRoute);
     return;
   }
-  const std::uint64_t segments = (*size + segment_size_ - 1) / segment_size_;
+  const std::uint64_t size = object->size();
+  const std::uint64_t segments = (size + segment_size_ - 1) / segment_size_;
   ndn::Data data(dataName);
-  data.setContent(encodeLakeMeta({segments, *size, segment_size_}));
+  data.setContent(encodeLakeMeta({segments, size, segment_size_}));
   data.setFreshnessPeriod(freshness_);
   data.sign();
   ++served_;
@@ -99,21 +104,25 @@ void FileServer::replyMeta(const ndn::Interest& interest, const ndn::Name& objec
 void FileServer::replySegment(const ndn::Interest& interest,
                               const ndn::Name& objectName,
                               std::uint64_t segmentIndex) {
-  const auto size = store_.sizeOf(objectName);
+  const std::vector<std::uint8_t>* object = store_.find(objectName);
   // Bound the index before multiplying, so a hostile seg= cannot wrap
   // around to a valid offset. An empty object still has a segment 0.
   const std::uint64_t segments =
-      size ? std::max<std::uint64_t>(1, (*size + segment_size_ - 1) / segment_size_)
-           : 0;
+      object == nullptr
+          ? 0
+          : std::max<std::uint64_t>(1, (object->size() + segment_size_ - 1) /
+                                           segment_size_);
   if (segmentIndex >= segments) {
     ++rejected_;
     face_->putNack(interest, ndn::NackReason::kNoRoute);
     return;
   }
   // Only the segment's range is copied out of the store.
-  auto bytes = store_.get(objectName, segmentIndex * segment_size_, segment_size_);
+  const std::size_t offset = segmentIndex * segment_size_;
+  const std::span<const std::uint8_t> segment = std::span(*object).subspan(
+      offset, std::min(segment_size_, object->size() - offset));
   ndn::Data data(interest.name());
-  data.setContent(std::move(*bytes));
+  data.setContent(std::vector<std::uint8_t>(segment.begin(), segment.end()));
   data.setFreshnessPeriod(freshness_);
   data.sign();
   ++served_;

@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "datalake/object_store.hpp"
 #include "ndn/app_face.hpp"
@@ -29,7 +30,7 @@ struct LakeMeta {
   std::uint64_t segmentSize = 0;  // 0 = not advertised
 };
 
-std::string encodeLakeMeta(const LakeMeta& meta);
+std::vector<std::uint8_t> encodeLakeMeta(const LakeMeta& meta);
 /// Absent or unparseable numbers read as 0. Internal when the record is
 /// malformed or its numbers contradict each other.
 Result<LakeMeta> decodeLakeMeta(std::string_view text);

@@ -39,10 +39,8 @@ std::optional<std::vector<std::uint8_t>> ObjectStore::get(const ndn::Name& name)
   return pvc_.read(pathFor(name));
 }
 
-std::optional<std::vector<std::uint8_t>> ObjectStore::get(const ndn::Name& name,
-                                                         std::uint64_t offset,
-                                                         std::uint64_t length) const {
-  return pvc_.read(pathFor(name), offset, length);
+const std::vector<std::uint8_t>* ObjectStore::find(const ndn::Name& name) const {
+  return pvc_.find(pathFor(name));
 }
 
 bool ObjectStore::contains(const ndn::Name& name) const {

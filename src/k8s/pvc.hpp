@@ -31,10 +31,9 @@ class PersistentVolumeClaim {
 
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> read(
       const std::string& path) const;
-  /// Reads at most `length` bytes starting at `offset` (empty when the
-  /// offset is at or past the end), copying only that range.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> read(
-      const std::string& path, std::uint64_t offset, std::uint64_t length) const;
+  /// The file's bytes in place, or null when there is no such file;
+  /// valid until the next write or remove.
+  [[nodiscard]] const std::vector<std::uint8_t>* find(const std::string& path) const;
   [[nodiscard]] bool exists(const std::string& path) const {
     return files_.count(path) > 0;
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/hash.hpp"
+
 namespace lidc::ndn {
 
 namespace {
@@ -137,24 +139,21 @@ Result<Interest> Interest::wireDecode(std::span<const std::uint8_t> wire) {
   return interest;
 }
 
+std::uint64_t Interest::applicationParametersDigest() const {
+  if (!app_parameters_digest_) app_parameters_digest_ = fnv1a(app_parameters_.get());
+  return *app_parameters_digest_;
+}
+
 std::uint64_t Data::computeDigest() const {
-  // FNV-1a over name + metainfo + content; stands in for DigestSha256.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint8_t byte) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  };
-  for (const ComponentView component : name_) {
-    for (std::uint8_t byte : component.value()) mix(byte);
-    mix(0xFF);
-  }
-  mix(static_cast<std::uint8_t>(content_type_));
-  const auto freshness = static_cast<std::uint64_t>(freshness_.toNanos());
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    mix(static_cast<std::uint8_t>(freshness >> shift));
-  }
-  for (std::uint8_t byte : content()) mix(byte);
-  return h;
+  // XXH64 over the content, seeded with the name's memoized hash and the
+  // metainfo; stands in for DigestSha256. Each fold (xor, then multiply
+  // by an odd constant) is a bijection in the value it adds, so a new
+  // name hash, content type or freshness period always moves the seed.
+  constexpr std::uint64_t kFold = 0x9E3779B185EBCA87ULL;
+  std::uint64_t seed = name_.hash();
+  seed = (seed ^ static_cast<std::uint64_t>(content_type_)) * kFold;
+  seed = (seed ^ static_cast<std::uint64_t>(freshness_.toNanos())) * kFold;
+  return xxh64(content(), seed);
 }
 
 std::uint64_t Data::contentDigest() const {

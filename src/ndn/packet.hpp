@@ -112,6 +112,7 @@ class Interest {
   }
   Interest& setApplicationParameters(std::vector<std::uint8_t> params) {
     app_parameters_ = SharedBytes(std::move(params));
+    app_parameters_digest_.reset();
     wire_size_cache_ = 0;
     return *this;
   }
@@ -119,6 +120,11 @@ class Interest {
     return setApplicationParameters(
         std::vector<std::uint8_t>(text.begin(), text.end()));
   }
+  /// fnv1a() of the ApplicationParameters (common/hash.hpp), the value a
+  /// publish name's `sha=` component carries. Memoized like Data's
+  /// digest: computed once however many sites ask, carried by copies,
+  /// reset by setApplicationParameters.
+  [[nodiscard]] std::uint64_t applicationParametersDigest() const;
 
   /// Trace context carried alongside the packet (like an NDNLPv2
   /// hop-by-hop header): not part of the name, the wire encoding, or
@@ -168,6 +174,9 @@ class Interest {
   std::uint8_t hop_limit_ = 64;
   std::optional<std::uint64_t> exclude_digest_;
   SharedBytes app_parameters_;
+  /// Memoized applicationParametersDigest(); kept here rather than in
+  /// the shared buffer, which every Data content also uses.
+  mutable std::optional<std::uint64_t> app_parameters_digest_;
   telemetry::TraceContext trace_;
   telemetry::FlowLabel flow_label_;
   /// 0 = unknown (a TLV encoding is never empty).
@@ -233,7 +242,8 @@ class Data {
     return *this;
   }
 
-  /// Computes and attaches the (simulated DigestSha256-style) signature.
+  /// Computes and attaches the (simulated DigestSha256-style) signature:
+  /// XXH64 of the content, seeded from the name and the metainfo.
   Data& sign();
   /// True if a signature is present and matches the payload.
   [[nodiscard]] bool verify() const;

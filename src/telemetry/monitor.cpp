@@ -1,6 +1,8 @@
 #include "telemetry/monitor.hpp"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 
 namespace lidc::telemetry {
 
@@ -67,7 +69,14 @@ namespace {
 constexpr double kStaleScore = 0.0;
 /// Gauge series (before the {cluster=...} label) carrying the gateway's
 /// ready-node fraction; a missing series counts as healthy.
-const std::string kHealthyFractionSeries = "lidc_gateway_healthy_node_fraction";
+constexpr std::string_view kHealthyFractionSeries =
+    "lidc_gateway_healthy_node_fraction";
+/// Counter series of refused work (rejected or dropped compute
+/// Interests) and of the compute Interests received.
+constexpr std::string_view kHealthRejectedSeries = "lidc_gateway_health_rejected";
+constexpr std::string_view kCapacityRejectedSeries = "lidc_gateway_capacity_rejected";
+constexpr std::string_view kBlackoutDroppedSeries = "lidc_gateway_blackout_dropped";
+constexpr std::string_view kComputeReceivedSeries = "lidc_gateway_compute_received";
 /// Weight of the refused-work ratio (admission rejections + blackout
 /// drops since the previous snapshot, over compute Interests received)
 /// in the score.
@@ -82,17 +91,18 @@ constexpr sim::Duration kHoldDown = sim::Duration::seconds(10);
 double clamp01(double v) { return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v); }
 
 /// Series lookup that tolerates both labeled ("name{cluster=\"x\"}")
-/// and bare ("name") exports.
-double seriesValue(const SeriesTable& values, const std::string& name,
-                   const std::string& cluster, double fallback) {
-  if (const auto labeled = values.find(name + "{cluster=\"" + cluster + "\"}")) {
-    return *labeled;
-  }
+/// and bare ("name") exports. The labeled key is built in one buffer
+/// that every lookup reuses, so once it has grown none allocates.
+double seriesValue(const SeriesTable& values, std::string_view name,
+                   std::string_view cluster, double fallback) {
+  thread_local std::string key;
+  key.assign(name).append("{cluster=\"").append(cluster).append("\"}");
+  if (const auto labeled = values.find(key)) return *labeled;
   return values.find(name).value_or(fallback);
 }
 
 double seriesDelta(const TelemetryCollector::ClusterView& view,
-                   const std::string& name, const std::string& cluster) {
+                   std::string_view name, std::string_view cluster) {
   const double now = seriesValue(view.values, name, cluster, 0.0);
   const double before = seriesValue(view.prevValues, name, cluster, 0.0);
   return now > before ? now - before : 0.0;
@@ -112,11 +122,10 @@ double TelemetryCollector::rawHealthScore(const std::string& cluster) const {
   // gateway shedding load (health gate, capacity) or dropping Interests
   // dark (blackout) is degraded even while its nodes still report
   // ready — and even while its telemetry publisher keeps answering.
-  const double rejected =
-      seriesDelta(*v, "lidc_gateway_health_rejected", cluster) +
-      seriesDelta(*v, "lidc_gateway_capacity_rejected", cluster) +
-      seriesDelta(*v, "lidc_gateway_blackout_dropped", cluster);
-  const double received = seriesDelta(*v, "lidc_gateway_compute_received", cluster);
+  const double rejected = seriesDelta(*v, kHealthRejectedSeries, cluster) +
+                          seriesDelta(*v, kCapacityRejectedSeries, cluster) +
+                          seriesDelta(*v, kBlackoutDroppedSeries, cluster);
+  const double received = seriesDelta(*v, kComputeReceivedSeries, cluster);
   if (rejected > 0.0) {
     const double pressure = rejected / std::max(1.0, received);
     score *= clamp01(1.0 - kRejectionWeight * pressure);

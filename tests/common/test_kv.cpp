@@ -126,7 +126,7 @@ std::vector<std::string> validRecords() {
   manifest.digest = 0xdeadbeefcafeULL;
   manifest.progressPermille = 500;
 
-  // The reply encoders write Data content bytes.
+  // The reply and lake-meta encoders write Data content bytes.
   auto text = [](const core::ReplyBytes& bytes) {
     return std::string(bytes.begin(), bytes.end());
   };
@@ -137,7 +137,7 @@ std::vector<std::string> validRecords() {
           text(core::encodeStatus(failed)),
           text(core::encodeInfo(cluster)),
           text(core::encodePublished(ndn::Name("/ndn/k8s/data/up/x"), 20000, "near")),
-          datalake::encodeLakeMeta({3, 2560, 1024}),
+          text(datalake::encodeLakeMeta({3, 2560, 1024})),
           "dataset=/ndn/k8s/data/a;bytes=10;version=2;state=ready",  // replica line
           core::encodeCkptManifest(manifest),
           "seq=3;generated=1500000000",          // snapshot manifest

@@ -117,28 +117,44 @@ TEST_F(PublishTest, PayloadAtExactLimitAccepted) {
 }
 
 TEST_F(PublishTest, TamperedDigestRejected) {
-  // Hand-craft a publish Interest whose digest does not match.
+  // Hand-craft publish Interests whose digest does not match.
   auto face = std::make_shared<ndn::AppFace>(
       "app://raw", sim_, 5);
   overlay_->topology().node("client-host")->addFace(face);
+  auto rejection = [&](const ndn::Interest& interest) {
+    std::optional<std::string> error;
+    face->expressInterest(interest, [&](const ndn::Interest&, const ndn::Data& data) {
+      const auto stored = decodePublished(data.contentView());
+      if (stored.status().code() == StatusCode::kInvalidArgument) {
+        error = stored.status().message();
+      }
+    });
+    sim_.run();
+    return error;
+  };
+
   ndn::Name name = kPublishPrefix;
   name.append("evil").append("sha=12345");
   ndn::Interest interest(name);
   interest.setMustBeFresh(true);
   interest.setApplicationParameters("payload");
-
-  std::optional<std::string> error;
-  face->expressInterest(interest,
-                        [&](const ndn::Interest&, const ndn::Data& data) {
-                          const auto stored = decodePublished(data.contentView());
-                          if (stored.status().code() == StatusCode::kInvalidArgument) {
-                            error = stored.status().message();
-                          }
-                        });
-  sim_.run();
+  const auto error = rejection(interest);
   ASSERT_TRUE(error.has_value());
   EXPECT_NE(error->find("digest"), std::string::npos);
   EXPECT_FALSE(cluster_->store().contains(ndn::Name("/ndn/k8s/data/evil")));
+
+  // A name digested from the memo, then new parameters: the gateway must
+  // check the bytes that arrive, not a digest of the old ones.
+  ndn::Interest swapped;
+  swapped.setApplicationParameters("payload");
+  ndn::Name swappedName = kPublishPrefix;
+  swappedName.append("swapped").append(
+      "sha=" + std::to_string(swapped.applicationParametersDigest()));
+  swapped.setName(std::move(swappedName));
+  swapped.setMustBeFresh(true);
+  swapped.setApplicationParameters("payloaD");
+  EXPECT_EQ(rejection(swapped), "payload digest mismatch");
+  EXPECT_FALSE(cluster_->store().contains(ndn::Name("/ndn/k8s/data/swapped")));
 }
 
 TEST_F(PublishTest, PublishThenComputeOnIt) {

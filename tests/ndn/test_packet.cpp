@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <string_view>
 #include <vector>
+
+#include "common/hash.hpp"
 
 namespace lidc::ndn {
 namespace {
@@ -136,6 +139,50 @@ TEST(DataTest, EveryDigestedSetterBreaksTheSignatureOfACopyOnly) {
   }
 }
 
+TEST(DataTest, EverySingleBitFlipBreaksTheSignature) {
+  // Sizes on both sides of each XXH64 step (1-, 4- and 8-byte tails,
+  // the 32-byte stripe) and one segment's worth of stripes.
+  for (const std::size_t size : {0, 1, 7, 8, 31, 32, 33, 63, 64, 65, 8197}) {
+    std::vector<std::uint8_t> content(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      content[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    }
+    Data original(Name("/ndn/k8s/data/obj/seg=3"));
+    original.setContent(content).setFreshnessPeriod(sim::Duration::seconds(10));
+    original.sign();
+    ASSERT_TRUE(original.verify());
+
+    for (std::size_t bit = 0; bit < size * 8; ++bit) {
+      std::vector<std::uint8_t> flipped = content;
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));
+      Data copy = original;
+      copy.setContent(std::move(flipped));
+      ASSERT_FALSE(copy.verify()) << "size " << size << ", content bit " << bit;
+      ASSERT_NE(copy.contentDigest(), original.contentDigest())
+          << "size " << size << ", content bit " << bit;
+    }
+
+    const Name& name = original.name();
+    for (std::size_t flip = 0; flip < name.size(); ++flip) {
+      for (std::size_t bit = 0; bit < name[flip].size() * 8; ++bit) {
+        Name tampered;
+        for (std::size_t i = 0; i < name.size(); ++i) {
+          const std::span<const std::uint8_t> bytes = name[i].value();
+          std::vector<std::uint8_t> value(bytes.begin(), bytes.end());
+          if (i == flip) value[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));
+          tampered.append(ComponentView(value));
+        }
+        Data copy = original;
+        copy.setName(std::move(tampered));
+        ASSERT_FALSE(copy.verify())
+            << "size " << size << ", component " << flip << " bit " << bit;
+        ASSERT_NE(copy.contentDigest(), original.contentDigest())
+            << "size " << size << ", component " << flip << " bit " << bit;
+      }
+    }
+  }
+}
+
 TEST(DataTest, CopiesShareDigestAndPayload) {
   const Data original = signedSegment();
   const Data copy = original;
@@ -201,12 +248,25 @@ TEST(DataTest, DecodedNameIsReEncodedMinimally) {
 }
 
 TEST(InterestTest, ApplicationParametersAreSharedByCopies) {
+  const std::vector<std::uint8_t> params(4096, 7);
   Interest interest(Name("/ndn/k8s/publish/obj"));
-  interest.setApplicationParameters(std::vector<std::uint8_t>(4096, 7));
+  interest.setApplicationParameters(params);
+  EXPECT_EQ(interest.applicationParametersDigest(), fnv1a(params));
   const Interest copy = interest;
   EXPECT_EQ(copy.applicationParameters().data(), interest.applicationParameters().data());
+  EXPECT_EQ(copy.applicationParametersDigest(), fnv1a(params));
+
+  // New parameters drop the memo; the copy keeps its bytes and digest.
   interest.setApplicationParameters("other");
-  EXPECT_EQ(copy.applicationParameters(), std::vector<std::uint8_t>(4096, 7));
+  EXPECT_EQ(interest.applicationParametersDigest(), fnv1a("other"));
+  EXPECT_EQ(copy.applicationParameters(), params);
+  EXPECT_EQ(copy.applicationParametersDigest(), fnv1a(params));
+
+  // A decoded Interest hashes the bytes it was given.
+  auto decoded = Interest::wireDecode(interest.wireEncode());
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->applicationParametersDigest(), fnv1a("other"));
+  EXPECT_EQ(Interest().applicationParametersDigest(), fnv1a(""));
 }
 
 TEST(NackTest, CarriesInterestAndReason) {

@@ -262,6 +262,15 @@ TEST(MonitorTest, HealthScoreFollowsGatewayFractionAndStaleness) {
   EXPECT_DOUBLE_EQ(world.collector->healthScore("east"), 0.0);
 }
 
+TEST(MonitorTest, HealthScoreReadsAnUnlabeledSeries) {
+  MonitorWorld world;
+  // A gateway that exports the fraction without the cluster label.
+  world.registry.gauge("lidc_gateway_healthy_node_fraction", {}).set(0.25);
+  world.collector->scrapeOnce();
+  world.sim.run();
+  EXPECT_DOUBLE_EQ(world.collector->healthScore("east"), 0.25);
+}
+
 TEST(MonitorTest, RejectionPressureDiscountsHealth) {
   MonitorWorld world;
   world.registry.counter("lidc_gateway_compute_received", {{"cluster", "east"}})
