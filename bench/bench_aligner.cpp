@@ -1,14 +1,24 @@
-// Ablation I — MiniBlast alignment kernel (google-benchmark).
+// Ablation I — MiniBlast alignment kernel.
 //
 // Host-time throughput of the real compute kernel behind the magic-blast
-// application: index construction and read alignment, across thread
-// counts and seed lengths. Demonstrates why more CPUs barely help the
-// end-to-end BLAST runtime in Table I: seeding is memory-bound and the
-// per-read work is small relative to I/O at testbed scale.
-#include <benchmark/benchmark.h>
+// application: k-mer index construction across seed lengths, read
+// alignment across thread counts, and the compressed-report encode.
+// Table I's simulated runtimes come from the app's runtime model, which
+// credits each extra core with +1.5% throughput; this bench measures
+// what the kernel itself gains from threads on the host.
+//
+// Each figure is the median of kRuns runs with its quartiles. Index
+// builds and the encode are single-threaded and timed in thread CPU
+// time; alignAll is timed in wall time, because one thread's CPU time
+// would hide the parallelism it measures. Results go to
+// BENCH_aligner.json.
+#include <chrono>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "bench_gbench_util.hpp"
-
+#include "bench_util.hpp"
 #include "genomics/aligner.hpp"
 #include "genomics/datasets.hpp"
 
@@ -17,62 +27,107 @@ namespace {
 using namespace lidc;
 using namespace lidc::genomics;
 
-const std::string& reference() {
-  static const std::string ref = [] {
-    Rng rng(42);
-    return randomBases(rng, 200'000);
-  }();
-  return ref;
+constexpr int kRuns = 7;
+constexpr int kWidth = 20;
+
+/// Keeps the compiler from deleting the measured work.
+inline void sink(std::uint64_t value) {
+  asm volatile("" : : "r"(value) : "memory");
 }
 
-const std::vector<Sequence>& reads() {
-  static const std::vector<Sequence> all = [] {
-    Rng rng(43);
-    return generateReads(rng, reference(), 2'000, 100, 0.42, 0.04, "BENCH");
-  }();
-  return all;
+double wallSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
-void BM_KmerIndexBuild(benchmark::State& state) {
-  const auto k = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    KmerIndex index(reference(), k);
-    benchmark::DoNotOptimize(index.distinctKmers());
+/// Seconds per call of `body` over kRuns runs, read from `clock`.
+template <typename Clock, typename Body>
+bench::Summary timeRuns(Clock clock, Body body) {
+  std::vector<double> seconds;
+  for (int run = 0; run < kRuns; ++run) {
+    const double start = clock();
+    body();
+    seconds.push_back(clock() - start);
   }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(reference().size()));
+  return bench::summarize(std::move(seconds));
 }
-BENCHMARK(BM_KmerIndexBuild)->Arg(9)->Arg(11)->Arg(15);
 
-void BM_AlignReads(benchmark::State& state) {
-  AlignerOptions options;
-  options.threads = static_cast<std::size_t>(state.range(0));
-  const MiniBlastAligner aligner(reference(), options);
-  for (auto _ : state) {
-    std::vector<Alignment> out;
-    auto stats = aligner.alignAll(reads(), out);
-    benchmark::DoNotOptimize(stats.readsAligned);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(reads().size()));
+void addQuartiles(bench::JsonReport& report, const std::string& key,
+                  const bench::Summary& q, double scale) {
+  report.add(key, q.p50 * scale);
+  report.add(key + "_q1", q.q1 * scale);
+  report.add(key + "_q3", q.q3 * scale);
 }
-BENCHMARK(BM_AlignReads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void BM_CompressReport(benchmark::State& state) {
-  const MiniBlastAligner aligner(reference());
-  std::vector<Alignment> alignments;
-  (void)aligner.alignAll(reads(), alignments);
-  for (auto _ : state) {
-    auto compressed = encodeCompressedReport(alignments);
-    benchmark::DoNotOptimize(compressed);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(alignments.size()));
-}
-BENCHMARK(BM_CompressReport);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return lidc::bench::runBenchmarksWithJsonReport(argc, argv, "aligner");
+int main() {
+  Rng referenceRng(42);
+  const std::string reference = randomBases(referenceRng, 200'000);
+  Rng readRng(43);
+  const std::vector<Sequence> reads =
+      generateReads(readRng, reference, 2'000, 100, 0.42, 0.04, "BENCH");
+  bench::JsonReport report("aligner");
+
+  bench::printHeader("k-mer index build (200 kbp reference, thread CPU time)");
+  bench::printRow({"k", "ms/build", "[q1, q3]", "MB/s"}, kWidth);
+  bench::printRule(4, kWidth);
+  for (const unsigned k : {9u, 11u, 15u}) {
+    const bench::Summary q = timeRuns(bench::threadCpuSeconds, [&] {
+      const KmerIndex index(reference, k);
+      sink(index.distinctKmers());
+    });
+    const double mbPerSec = static_cast<double>(reference.size()) / q.p50 / 1e6;
+    bench::printRow({std::to_string(k), bench::fmt(q.p50 * 1e3, "%.3f"),
+                     bench::fmtSpread(q, "%.3f", 1e3), bench::fmt(mbPerSec, "%.1f")},
+                    kWidth);
+    addQuartiles(report, "kmer_index_build_k" + std::to_string(k) + "_ms", q, 1e3);
+  }
+
+  bench::printHeader("alignAll, 2,000 reads x 100 bp (wall time)");
+  bench::printRow({"threads", "ms/pass", "[q1, q3]", "reads/s", "speedup"}, kWidth);
+  bench::printRule(5, kWidth);
+  double serialMedian = 0;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    AlignerOptions options;
+    options.threads = threads;
+    const MiniBlastAligner aligner(reference, options);
+    const bench::Summary q = timeRuns(wallSeconds, [&] {
+      std::vector<Alignment> out;
+      sink(aligner.alignAll(reads, out).readsAligned);
+    });
+    if (threads == 1) serialMedian = q.p50;
+    const double readsPerSec = static_cast<double>(reads.size()) / q.p50;
+    bench::printRow({std::to_string(threads), bench::fmt(q.p50 * 1e3, "%.3f"),
+                     bench::fmtSpread(q, "%.3f", 1e3), bench::fmt(readsPerSec, "%.0f"),
+                     bench::fmt(serialMedian / q.p50, "%.2f")},
+                    kWidth);
+    addQuartiles(report, "align_all_t" + std::to_string(threads) + "_ms", q, 1e3);
+    report.add("align_all_t" + std::to_string(threads) + "_reads_per_s", readsPerSec);
+  }
+
+  bench::printHeader("Compressed report encode (thread CPU time)");
+  const MiniBlastAligner aligner(reference);
+  std::vector<Alignment> alignments;
+  (void)aligner.alignAll(reads, alignments);
+  std::size_t reportBytes = 0;
+  const bench::Summary encode = timeRuns(bench::threadCpuSeconds, [&] {
+    const auto compressed = encodeCompressedReport(alignments);
+    reportBytes = compressed.size();
+    sink(compressed.size());
+  });
+  bench::printRow({"alignments", "us/encode", "[q1, q3]", "bytes"}, kWidth);
+  bench::printRule(4, kWidth);
+  bench::printRow({std::to_string(alignments.size()),
+                   bench::fmt(encode.p50 * 1e6, "%.1f"),
+                   bench::fmtSpread(encode, "%.1f", 1e6),
+                   std::to_string(reportBytes)},
+                  kWidth);
+  addQuartiles(report, "compress_report_us", encode, 1e6);
+  report.add("compress_report_alignments", static_cast<double>(alignments.size()));
+  report.add("compress_report_bytes", static_cast<double>(reportBytes));
+
+  report.write();
+  return 0;
 }

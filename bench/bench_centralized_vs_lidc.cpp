@@ -80,7 +80,7 @@ RunStats runLidc(bool controllerOutage) {
 RunStats runCentralized(bool controllerOutage) {
   sim::Simulator sim;
   core::ClusterOverlay overlay(sim);
-  core::CentralizedController controller(sim, core::CentralizedOptions{});
+  core::CentralizedController controller(sim);
   for (int i = 0; i < kClusters; ++i) {
     core::ComputeClusterConfig config;
     config.name = "cluster-" + std::to_string(i);

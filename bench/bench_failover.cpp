@@ -96,9 +96,7 @@ FailoverResult runLidc() {
 FailoverResult runCentralized() {
   sim::Simulator sim;
   core::ClusterOverlay overlay(sim);
-  core::CentralizedOptions options;
-  options.heartbeatInterval = sim::Duration::seconds(10);
-  core::CentralizedController controller(sim, options);
+  core::CentralizedController controller(sim);
 
   core::ComputeClusterConfig nearConfig;
   nearConfig.name = "near";

@@ -3,7 +3,10 @@
 // Data at a link face, how the Space-Saving + Count-Min top-k tracks
 // exact counting on a Zipf workload (deterministic, so the bench fails
 // on a missed claim), and what flow accounting does to two-node
-// forwarder throughput. Results go to BENCH_flow_accounting.json.
+// forwarder throughput: the off and on legs run in thread CPU time, in
+// kRounds pairs of alternating order, and the overhead is reported as
+// the median of its per-pair values with the quartiles. Results go to
+// BENCH_flow_accounting.json.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -114,9 +117,10 @@ SketchAccuracy sketchAccuracyOnZipf() {
   return result;
 }
 
-/// Full consumer->A->link->B->producer exchanges (distinct names, no
-/// caching), optionally with both forwarders' link faces tapped.
-double linkThroughput(bool withFlow, std::uint64_t exchanges) {
+/// Thread CPU seconds of `exchanges` full consumer->A->link->B->producer
+/// exchanges (distinct names, no caching), optionally with both
+/// forwarders' link faces tapped.
+double linkCpuSeconds(bool withFlow, std::uint64_t exchanges) {
   sim::Simulator sim;
   net::Topology topology(sim);
   ndn::Forwarder& a = topology.addNode("a");
@@ -144,7 +148,7 @@ double linkThroughput(bool withFlow, std::uint64_t exchanges) {
     producer->putData(std::move(data));
   });
 
-  const double start = nowSeconds();
+  const double start = bench::threadCpuSeconds();
   for (std::uint64_t i = 0; i < exchanges; ++i) {
     bool done = false;
     consumer->expressInterest(
@@ -153,7 +157,7 @@ double linkThroughput(bool withFlow, std::uint64_t exchanges) {
     sim.run();
     sink(done ? 1 : 0);
   }
-  return static_cast<double>(exchanges) / (nowSeconds() - start);
+  return bench::threadCpuSeconds() - start;
 }
 
 }  // namespace
@@ -203,26 +207,40 @@ int main() {
   report.add("sketch_max_error_pct", accuracy.maxErrorPct);
 
   bench::printHeader("Two-node forwarder throughput: flow tap on vs off");
-  bench::printRow({"mode", "exchanges/s"});
-  bench::printRule(2);
-  // Alternate modes and keep the best of each: a single 20k-exchange
-  // run is ~250 ms, well inside scheduler-noise territory, and the
-  // best-of estimate converges on the unloaded cost of each mode.
-  constexpr std::uint64_t kExchanges = 20'000;
-  constexpr int kRounds = 5;
-  double off = 0.0;
-  double on = 0.0;
+  bench::printRow({"mode", "exchanges/cpu-s", "[q1, q3]"}, 18);
+  bench::printRule(3, 18);
+  // Pairs alternate which leg runs first, so drift on the host hits
+  // both alike. The overhead is 1 - off/on in CPU time per exchange,
+  // taken within one pair.
+  constexpr std::uint64_t kExchanges = 5'000;
+  constexpr int kRounds = 21;
+  std::vector<double> offRates;
+  std::vector<double> onRates;
+  std::vector<double> overheads;
   for (int round = 0; round < kRounds; ++round) {
-    off = std::max(off, linkThroughput(false, kExchanges));
-    on = std::max(on, linkThroughput(true, kExchanges));
+    const bool flowFirst = round % 2 == 1;
+    const double first = linkCpuSeconds(flowFirst, kExchanges);
+    const double second = linkCpuSeconds(!flowFirst, kExchanges);
+    const double offSeconds = flowFirst ? second : first;
+    const double onSeconds = flowFirst ? first : second;
+    offRates.push_back(static_cast<double>(kExchanges) / offSeconds);
+    onRates.push_back(static_cast<double>(kExchanges) / onSeconds);
+    overheads.push_back(100.0 * (onSeconds - offSeconds) / onSeconds);
   }
-  bench::printRow({"off", bench::fmt(off, "%.0f")});
-  bench::printRow({"flow", bench::fmt(on, "%.0f")});
-  const double overheadPct = 100.0 * (off - on) / off;
-  std::printf("flow-accounting overhead: %.1f%%\n", overheadPct);
-  report.add("throughput_off_per_sec", off);
-  report.add("throughput_flow_per_sec", on);
-  report.add("flow_overhead_pct", overheadPct);
+  const bench::Summary off = bench::summarize(offRates);
+  const bench::Summary on = bench::summarize(onRates);
+  const bench::Summary overhead = bench::summarize(overheads);
+  bench::printRow(
+      {"off", bench::fmt(off.p50, "%.0f"), bench::fmtSpread(off, "%.0f")}, 18);
+  bench::printRow(
+      {"flow", bench::fmt(on.p50, "%.0f"), bench::fmtSpread(on, "%.0f")}, 18);
+  std::printf("flow-accounting overhead: %.1f%% %s (median [q1, q3] of %d pairs)\n",
+              overhead.p50, bench::fmtSpread(overhead, "%.1f").c_str(), kRounds);
+  report.add("throughput_off_per_sec", off.p50);
+  report.add("throughput_flow_per_sec", on.p50);
+  report.add("flow_overhead_pct", overhead.p50);
+  report.add("flow_overhead_pct_q1", overhead.q1);
+  report.add("flow_overhead_pct_q3", overhead.q3);
 
   std::printf(
       "shape check: the per-packet tap is two relaxed fetch_adds plus a\n"

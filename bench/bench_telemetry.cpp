@@ -3,13 +3,16 @@
 // per-increment family lookup), what one flight-recorder record() costs
 // against the ring, how many rule evaluations per second the
 // AlertEngine sustains, and what attaching the full registry + tracer
-// instrumentation does to forwarder throughput.
-// Results go to BENCH_telemetry.json.
+// instrumentation does to forwarder throughput. The throughput legs run
+// in thread CPU time, in kRounds rounds of alternating order, and each
+// overhead is reported as the median of its per-round values with the
+// quartiles. Results go to BENCH_telemetry.json.
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "ndn/app_face.hpp"
@@ -42,16 +45,13 @@ double measureNs(std::uint64_t iters, Body body) {
   return (nowSeconds() - start) * 1e9 / static_cast<double>(iters);
 }
 
-struct ThroughputResult {
-  double exchangesPerSec = 0;
-};
-
 enum class Mode { kOff, kCounters, kCountersAndTracing };
 
-/// Full consumer->forwarder->producer->consumer exchanges on one node;
-/// optionally with the forwarder bound into a registry, and optionally
-/// with a trace context on every Interest (per-hop span recording).
-ThroughputResult forwarderThroughput(Mode mode, std::uint64_t exchanges) {
+/// Thread CPU seconds of `exchanges` full consumer->forwarder->producer
+/// ->consumer exchanges on one node; optionally with the forwarder bound
+/// into a registry, and optionally with a trace context on every
+/// Interest (per-hop span recording).
+double forwarderCpuSeconds(Mode mode, std::uint64_t exchanges) {
   sim::Simulator sim;
   ndn::Forwarder node("bench", sim);
   node.cs().setCapacity(0);  // measure the full path, not cache hits
@@ -75,7 +75,7 @@ ThroughputResult forwarderThroughput(Mode mode, std::uint64_t exchanges) {
     producer->putData(std::move(data));
   });
 
-  const double start = nowSeconds();
+  const double start = bench::threadCpuSeconds();
   for (std::uint64_t i = 0; i < exchanges; ++i) {
     ndn::Interest interest(ndn::Name("/svc").appendNumber(i));
     if (mode == Mode::kCountersAndTracing) {
@@ -88,17 +88,15 @@ ThroughputResult forwarderThroughput(Mode mode, std::uint64_t exchanges) {
     sim.run();
     sink(done ? 1 : 0);
   }
-  ThroughputResult result;
-  result.exchangesPerSec =
-      static_cast<double>(exchanges) / (nowSeconds() - start);
-  return result;
+  return bench::threadCpuSeconds() - start;
 }
 
 }  // namespace
 
 int main() {
   constexpr std::uint64_t kIncrements = 20'000'000;
-  constexpr std::uint64_t kExchanges = 20'000;
+  constexpr std::uint64_t kExchanges = 5'000;
+  constexpr int kRounds = 21;
 
   bench::printHeader("Telemetry hot path: counter increment cost");
   bench::printRow({"mode", "ns/inc"});
@@ -175,24 +173,41 @@ int main() {
   }
 
   bench::printHeader("Forwarder throughput: instrumentation on vs off");
-  bench::printRow({"mode", "exchanges/s"});
-  bench::printRule(2);
-  const ThroughputResult off = forwarderThroughput(Mode::kOff, kExchanges);
-  bench::printRow({"off", bench::fmt(off.exchangesPerSec, "%.0f")});
-  const ThroughputResult counters =
-      forwarderThroughput(Mode::kCounters, kExchanges);
-  bench::printRow({"counters", bench::fmt(counters.exchangesPerSec, "%.0f")});
-  const ThroughputResult traced =
-      forwarderThroughput(Mode::kCountersAndTracing, kExchanges);
-  bench::printRow({"counters+trace", bench::fmt(traced.exchangesPerSec, "%.0f")});
-  const double counterOverheadPct =
-      100.0 * (off.exchangesPerSec - counters.exchangesPerSec) /
-      off.exchangesPerSec;
-  const double tracingOverheadPct =
-      100.0 * (off.exchangesPerSec - traced.exchangesPerSec) /
-      off.exchangesPerSec;
-  std::printf("counter overhead: %.1f%%, counter+tracing overhead: %.1f%%\n",
-              counterOverheadPct, tracingOverheadPct);
+  bench::printRow({"mode", "exchanges/cpu-s", "[q1, q3]"}, 18);
+  bench::printRule(3, 18);
+  // Rounds alternate the order of the three legs, so drift on the host
+  // hits every mode alike. An overhead is 1 - off/on in CPU time per
+  // exchange, taken within one round.
+  const char* const kModeNames[] = {"off", "counters", "counters+trace"};
+  std::vector<double> rates[3];
+  std::vector<double> counterPct;
+  std::vector<double> tracingPct;
+  for (int round = 0; round < kRounds; ++round) {
+    double seconds[3] = {};
+    for (int leg = 0; leg < 3; ++leg) {
+      const int mode = round % 2 == 0 ? leg : 2 - leg;
+      seconds[mode] = forwarderCpuSeconds(static_cast<Mode>(mode), kExchanges);
+    }
+    for (int mode = 0; mode < 3; ++mode) {
+      rates[mode].push_back(static_cast<double>(kExchanges) / seconds[mode]);
+    }
+    counterPct.push_back(100.0 * (seconds[1] - seconds[0]) / seconds[1]);
+    tracingPct.push_back(100.0 * (seconds[2] - seconds[0]) / seconds[2]);
+  }
+  bench::Summary rate[3];
+  for (int mode = 0; mode < 3; ++mode) {
+    rate[mode] = bench::summarize(rates[mode]);
+    bench::printRow({kModeNames[mode], bench::fmt(rate[mode].p50, "%.0f"),
+                     bench::fmtSpread(rate[mode], "%.0f")},
+                    18);
+  }
+  const bench::Summary counterOverhead = bench::summarize(counterPct);
+  const bench::Summary tracingOverhead = bench::summarize(tracingPct);
+  std::printf("counter overhead: %.1f%% %s, counter+tracing overhead: %.1f%% %s\n"
+              "(median [q1, q3] of %d rounds)\n",
+              counterOverhead.p50, bench::fmtSpread(counterOverhead, "%.1f").c_str(),
+              tracingOverhead.p50, bench::fmtSpread(tracingOverhead, "%.1f").c_str(),
+              kRounds);
 
   std::printf(
       "shape check: a held Counter& costs one relaxed fetch_add (~plain\n"
@@ -209,11 +224,15 @@ int main() {
   report.add("flight_recorder_record_ns", recordNs);
   report.add("flight_recorder_null_site_ns", nullRecordNs);
   report.add("alert_rule_evals_per_s", alertEvalsPerSec);
-  report.add("forwarder_exchanges_per_s_off", off.exchangesPerSec);
-  report.add("forwarder_exchanges_per_s_counters", counters.exchangesPerSec);
-  report.add("forwarder_exchanges_per_s_traced", traced.exchangesPerSec);
-  report.add("counter_overhead_pct", counterOverheadPct);
-  report.add("tracing_overhead_pct", tracingOverheadPct);
+  report.add("forwarder_exchanges_per_s_off", rate[0].p50);
+  report.add("forwarder_exchanges_per_s_counters", rate[1].p50);
+  report.add("forwarder_exchanges_per_s_traced", rate[2].p50);
+  report.add("counter_overhead_pct", counterOverhead.p50);
+  report.add("counter_overhead_pct_q1", counterOverhead.q1);
+  report.add("counter_overhead_pct_q3", counterOverhead.q3);
+  report.add("tracing_overhead_pct", tracingOverhead.p50);
+  report.add("tracing_overhead_pct_q1", tracingOverhead.q1);
+  report.add("tracing_overhead_pct_q3", tracingOverhead.q3);
   report.write();
   return 0;
 }

@@ -3,6 +3,8 @@
 // paper's tables/figures report; EXPERIMENTS.md records paper-vs-measured.
 #pragma once
 
+#include <time.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -29,10 +31,13 @@ inline void printHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
 
-/// Mean / p50 / p95 over a sample set.
+/// Mean / quartiles / p95 over a sample set (nearest rank). Repeated
+/// host timings are reported as p50 with [q1, q3], never as one run.
 struct Summary {
   double mean = 0;
+  double q1 = 0;
   double p50 = 0;
+  double q3 = 0;
   double p95 = 0;
   double min = 0;
   double max = 0;
@@ -44,7 +49,9 @@ inline Summary summarize(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
   s.mean = std::accumulate(samples.begin(), samples.end(), 0.0) /
            static_cast<double>(samples.size());
+  s.q1 = samples[samples.size() / 4];
   s.p50 = samples[samples.size() / 2];
+  s.q3 = samples[samples.size() * 3 / 4];
   s.p95 = samples[std::min(samples.size() - 1,
                            static_cast<std::size_t>(samples.size() * 0.95))];
   s.min = samples.front();
@@ -52,10 +59,25 @@ inline Summary summarize(std::vector<double> samples) {
   return s;
 }
 
+/// CPU time of the calling thread, in seconds. Unlike wall time it does
+/// not count the time the thread spends descheduled on a shared host.
+inline double threadCpuSeconds() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
 inline std::string fmt(double value, const char* format = "%.2f") {
   char buf[64];
   std::snprintf(buf, sizeof(buf), format, value);
   return buf;
+}
+
+/// "[q1, q3]" of `q` scaled by `scale`.
+inline std::string fmtSpread(const Summary& q, const char* format,
+                             double scale = 1.0) {
+  return "[" + fmt(q.q1 * scale, format) + ", " + fmt(q.q3 * scale, format) +
+         "]";
 }
 
 /// Machine-readable bench output: collects metric name -> value pairs

@@ -7,6 +7,15 @@
 
 namespace lidc::apps {
 
+namespace {
+/// Single-core compression throughput at testbed scale.
+constexpr double kBytesPerSecondPerCore = 80e6;
+/// Parallel efficiency per additional core (near-linear).
+constexpr double kScalingEfficiency = 0.9;
+/// Cores beyond this add no throughput.
+constexpr std::size_t kMaxCores = 16;
+}  // namespace
+
 std::vector<std::uint8_t> rleCompress(const std::vector<std::uint8_t>& input) {
   std::vector<std::uint8_t> out;
   out.reserve(input.size() / 2 + 16);
@@ -82,14 +91,14 @@ k8s::AppRunner makeCompressRunner(datalake::ObjectStore& store,
     // Runtime model: streaming compression parallelises nearly linearly
     // (contrast with Magic-BLAST's flat profile in Table I).
     const std::size_t cores = std::min<std::size_t>(
-        config.maxCores,
+        kMaxCores,
         std::max<std::size_t>(1, static_cast<std::size_t>(
                                      context.spec.requests.cpu.cores())));
     const double effectiveCores =
-        1.0 + config.scalingEfficiency * static_cast<double>(cores - 1);
+        1.0 + kScalingEfficiency * static_cast<double>(cores - 1);
     result.runtime = sim::Duration::seconds(
         static_cast<double>(inputSize) /
-        (config.bytesPerSecondPerCore * effectiveCores));
+        (kBytesPerSecondPerCore * effectiveCores));
     result.resultPath = outName.toUri();
     result.outputBytes = outputSize;
     result.message = "compressed " + std::to_string(inputSize) + " -> " +

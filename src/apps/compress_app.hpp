@@ -23,11 +23,6 @@ namespace lidc::apps {
 
 struct CompressConfig {
   ndn::Name dataPrefix{"/ndn/k8s/data"};
-  /// Single-core compression throughput at testbed scale.
-  double bytesPerSecondPerCore = 80e6;
-  /// Parallel efficiency per additional core (near-linear).
-  double scalingEfficiency = 0.9;
-  std::size_t maxCores = 16;
 };
 
 /// Byte-level RLE compression/decompression (real work, lossless).

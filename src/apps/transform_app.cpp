@@ -10,6 +10,9 @@ namespace lidc::apps {
 
 namespace {
 
+/// Cores beyond this add no throughput.
+constexpr std::size_t kMaxCores = 16;
+
 ndn::Name objectName(const ndn::Name& dataPrefix, const std::string& path) {
   ndn::Name name = dataPrefix;
   for (auto part : strings::splitSkipEmpty(path, '/')) name.append(part);
@@ -73,7 +76,7 @@ k8s::AppRunner makeTransformRunner(datalake::ObjectStore& store,
     }
 
     const std::size_t cores = std::min<std::size_t>(
-        config.maxCores,
+        kMaxCores,
         std::max<std::size_t>(1, static_cast<std::size_t>(
                                      context.spec.requests.cpu.cores())));
     const double effectiveCores =

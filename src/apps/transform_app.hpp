@@ -25,7 +25,6 @@ struct TransformConfig {
   double bytesPerSecondPerCore = 120e6;
   /// Parallel efficiency per additional core.
   double scalingEfficiency = 0.9;
-  std::size_t maxCores = 16;
 };
 
 /// Arguments understood by the runner (JobSpec::args):

@@ -2,9 +2,12 @@
 
 namespace lidc::core {
 
-CentralizedController::CentralizedController(sim::Simulator& sim,
-                                             CentralizedOptions options)
-    : sim_(sim), options_(options) {}
+namespace {
+/// One-way latency of a client <-> controller RPC.
+constexpr sim::Duration kClientRpcLatency = sim::Duration::millis(20);
+/// A client gives up on an RPC the controller does not answer.
+constexpr sim::Duration kRpcTimeout = sim::Duration::seconds(5);
+}  // namespace
 
 void CentralizedController::registerCluster(ComputeCluster& cluster,
                                             sim::Duration rpcLatency) {
@@ -27,7 +30,7 @@ void CentralizedController::setClusterReachable(const std::string& name,
 }
 
 void CentralizedController::refreshBelief(ClusterEntry& entry) {
-  if (sim_.now() - entry.lastChange >= options_.heartbeatInterval) {
+  if (sim_.now() - entry.lastChange >= kHeartbeatInterval) {
     entry.believedAlive = entry.reachable;
   }
 }
@@ -65,18 +68,18 @@ void CentralizedController::submit(const ComputeRequest& request,
                                    SubmitCallback done) {
   const sim::Time startedAt = sim_.now();
   // Client -> controller RPC leg.
-  sim_.scheduleAfter(options_.clientRpcLatency, [this, request, done, startedAt] {
+  sim_.scheduleAfter(kClientRpcLatency, [this, request, done, startedAt] {
     if (down_) {
       // The controller is the single point of failure: the client's RPC
       // just times out.
-      sim_.scheduleAfter(options_.rpcTimeout, [done] {
+      sim_.scheduleAfter(kRpcTimeout, [done] {
         done(Status::Unavailable("controller unreachable (RPC timeout)"));
       });
       return;
     }
     ClusterEntry* entry = pickCluster(request);
     if (entry == nullptr) {
-      sim_.scheduleAfter(options_.clientRpcLatency, [done] {
+      sim_.scheduleAfter(kClientRpcLatency, [done] {
         done(Status::ResourceExhausted("no registered cluster can fit the job"));
       });
       return;
@@ -91,14 +94,14 @@ void CentralizedController::submit(const ComputeRequest& request,
         // The controller believed the cluster alive; the job is lost and
         // the client RPC fails only after the timeout.
         ++lost_;
-        sim_.scheduleAfter(options_.rpcTimeout, [done] {
+        sim_.scheduleAfter(kRpcTimeout, [done] {
           done(Status::Unavailable("selected cluster did not respond"));
         });
         return;
       }
       auto jobId = it->second.cluster->gateway().jobs().submit(request);
       // Reply legs: cluster -> controller -> client.
-      const sim::Duration replyLatency = toCluster + options_.clientRpcLatency;
+      const sim::Duration replyLatency = toCluster + kClientRpcLatency;
       if (!jobId.ok()) {
         const Status failure = jobId.status();
         sim_.scheduleAfter(replyLatency, [done, failure] { done(failure); });
@@ -116,30 +119,30 @@ void CentralizedController::submit(const ComputeRequest& request,
 
 void CentralizedController::queryStatus(const std::string& jobId,
                                         StatusCallback done) {
-  sim_.scheduleAfter(options_.clientRpcLatency, [this, jobId, done] {
+  sim_.scheduleAfter(kClientRpcLatency, [this, jobId, done] {
     if (down_) {
-      sim_.scheduleAfter(options_.rpcTimeout, [done] {
+      sim_.scheduleAfter(kRpcTimeout, [done] {
         done(Status::Unavailable("controller unreachable"));
       });
       return;
     }
     auto locationIt = job_locations_.find(jobId);
     if (locationIt == job_locations_.end()) {
-      sim_.scheduleAfter(options_.clientRpcLatency, [done, jobId] {
+      sim_.scheduleAfter(kClientRpcLatency, [done, jobId] {
         done(Status::NotFound("unknown job " + jobId));
       });
       return;
     }
     auto clusterIt = clusters_.find(locationIt->second);
     if (clusterIt == clusters_.end() || !clusterIt->second.reachable) {
-      sim_.scheduleAfter(options_.rpcTimeout, [done] {
+      sim_.scheduleAfter(kRpcTimeout, [done] {
         done(Status::Unavailable("cluster holding the job is unreachable"));
       });
       return;
     }
     auto status = clusterIt->second.cluster->gateway().jobs().status(jobId);
     const sim::Duration replyLatency =
-        clusterIt->second.rpcLatency * 2.0 + options_.clientRpcLatency;
+        clusterIt->second.rpcLatency * 2.0 + kClientRpcLatency;
     if (!status.ok()) {
       const Status failure = status.status();
       sim_.scheduleAfter(replyLatency, [done, failure] { done(failure); });

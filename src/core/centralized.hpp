@@ -23,15 +23,12 @@
 
 namespace lidc::core {
 
-struct CentralizedOptions {
-  sim::Duration clientRpcLatency = sim::Duration::millis(20);
-  sim::Duration heartbeatInterval = sim::Duration::seconds(10);
-  sim::Duration rpcTimeout = sim::Duration::seconds(5);
-};
-
 class CentralizedController {
  public:
-  CentralizedController(sim::Simulator& sim, CentralizedOptions options = {});
+  /// How long a change in a cluster's reachability stays unseen.
+  static constexpr sim::Duration kHeartbeatInterval = sim::Duration::seconds(10);
+
+  explicit CentralizedController(sim::Simulator& sim) : sim_(sim) {}
 
   /// Manual operator step: add a cluster with its controller<->cluster
   /// RPC latency.
@@ -83,7 +80,6 @@ class CentralizedController {
   [[nodiscard]] ClusterEntry* pickCluster(const ComputeRequest& request);
 
   sim::Simulator& sim_;
-  CentralizedOptions options_;
   bool down_ = false;
   std::map<std::string, ClusterEntry> clusters_;
   std::map<std::string, std::string> job_locations_;  // jobId -> cluster

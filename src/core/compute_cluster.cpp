@@ -9,6 +9,11 @@
 
 namespace lidc::core {
 
+namespace {
+/// Capacity of each cluster's data-lake PVC.
+constexpr ByteSize kPvcCapacity = ByteSize::fromGiB(4);
+}  // namespace
+
 ComputeCluster::ComputeCluster(ndn::Forwarder& forwarder, ComputeClusterConfig config)
     : config_(std::move(config)), forwarder_(forwarder) {
   assert(!config_.name.empty());
@@ -20,7 +25,7 @@ ComputeCluster::ComputeCluster(ndn::Forwarder& forwarder, ComputeClusterConfig c
   // The data lake: a PVC, its object store, and the NDN file server
   // exposed under /ndn/k8s/data (paper SIV: "a Kubernetes PVC ...
   // mounts it to an NFS server, which functions like a remote data lake").
-  auto pvcResult = cluster_->createPvc("datalake-pvc", config_.pvcCapacity);
+  auto pvcResult = cluster_->createPvc("datalake-pvc", kPvcCapacity);
   assert(pvcResult.ok());
   pvc_ = *pvcResult;
   store_ = std::make_unique<datalake::ObjectStore>(*pvc_);

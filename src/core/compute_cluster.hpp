@@ -27,7 +27,6 @@ struct ComputeClusterConfig {
   std::string name;
   int nodeCount = 1;  // the paper's default deployment is single-node
   k8s::Resources perNode{MilliCpu::fromCores(8), ByteSize::fromGiB(16)};
-  ByteSize pvcCapacity = ByteSize::fromGiB(4);
   GatewayOptions gateway;
   genomics::MagicBlastConfig blast;
   /// Multi-tenant QoS: when set, the gateway registers the tenant-scoped

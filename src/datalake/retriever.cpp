@@ -6,6 +6,14 @@
 
 namespace lidc::datalake {
 
+namespace {
+/// Extra attempts for a meta/segment whose Data failed verification.
+/// The retry carries the poisoned packet's digest as an exclusion hint
+/// (and MustBeFresh), so content stores skip the bad entry instead of
+/// re-serving it forever.
+constexpr int kMaxIntegrityRetries = 2;
+}  // namespace
+
 struct Retriever::Transfer {
   ndn::Name objectName;
   CompletionCallback done;
@@ -55,7 +63,7 @@ void Retriever::fetchMeta(std::shared_ptr<Transfer> transfer, int attempt,
         if (options_.verifySignatures && !data.verify()) {
           // Poisoned meta (bit-flipped in flight or served from a bad
           // cache entry): re-fetch, telling caches to skip this digest.
-          if (transfer->metaIntegrityAttempts < options_.maxIntegrityRetries) {
+          if (transfer->metaIntegrityAttempts < kMaxIntegrityRetries) {
             ++transfer->metaIntegrityAttempts;
             ++integrity_retries_;
             fetchMeta(transfer, attempt, data.contentDigest());
@@ -129,7 +137,7 @@ void Retriever::fetchSegment(std::shared_ptr<Transfer> transfer, std::uint64_t i
           // The in-flight slot stays held: the re-fetch replaces this
           // delivery rather than opening the window.
           int& tries = transfer->integrityAttempts[index];
-          if (tries < options_.maxIntegrityRetries) {
+          if (tries < kMaxIntegrityRetries) {
             ++tries;
             ++integrity_retries_;
             fetchSegment(transfer, index, attempt, data.contentDigest());

@@ -27,13 +27,9 @@ struct RetrieveOptions {
   /// integrity"): Data packets failing signature verification are
   /// rejected — on by default, and the regression tests pin it that
   /// way. Failed packets are re-fetched (below) before the transfer
-  /// aborts with PERMISSION_DENIED.
+  /// aborts with PERMISSION_DENIED (after kMaxIntegrityRetries in
+  /// retriever.cpp).
   bool verifySignatures = true;
-  /// Extra attempts for a meta/segment whose Data failed verification.
-  /// The retry carries the poisoned packet's digest as an exclusion
-  /// hint (and MustBeFresh), so content stores skip the bad entry
-  /// instead of re-serving it forever.
-  int maxIntegrityRetries = 2;
 };
 
 class Retriever {

@@ -10,6 +10,16 @@
 
 namespace lidc::genomics {
 
+namespace {
+constexpr unsigned kSeedLength = 11;
+constexpr int kMatchScore = 1;
+constexpr int kMismatchPenalty = 3;
+/// Extension stops once the score drops this far below its best.
+constexpr int kXDrop = 12;
+/// Best diagonals tried per strand.
+constexpr std::size_t kMaxDiagonalsPerRead = 8;
+}  // namespace
+
 std::string Alignment::toRecord() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf), "%s\t%u\t%u\t%u\t%u\t%u\t%c\t%d\t%.4f", readId.c_str(),
@@ -21,17 +31,17 @@ std::string Alignment::toRecord() const {
 MiniBlastAligner::MiniBlastAligner(std::string reference, AlignerOptions options)
     : reference_(std::move(reference)),
       options_(options),
-      index_(reference_, options.k, options.maxSeedOccurrences) {}
+      index_(reference_, kSeedLength) {}
 
 Alignment MiniBlastAligner::extend(std::string_view read, std::uint32_t readPos,
                                    std::uint32_t refPos, AlignerStats& stats) const {
-  const int match = options_.matchScore;
-  const int mismatch = -options_.mismatchPenalty;
+  const int match = kMatchScore;
+  const int mismatch = -kMismatchPenalty;
 
   // Seed region scores as all-match (the seed is exact by construction).
   std::uint32_t left = 0;   // bases extended to the left of the seed start
   std::uint32_t right = 0;  // bases extended past the seed end
-  const unsigned k = options_.k;
+  const unsigned k = kSeedLength;
 
   int score = static_cast<int>(k) * match;
   std::uint32_t matches = k;
@@ -64,7 +74,7 @@ Alignment MiniBlastAligner::extend(std::string_view read, std::uint32_t readPos,
         bestMatches = m;
         bestMismatches = mm;
       }
-      if (best - current > options_.xDrop) break;
+      if (best - current > kXDrop) break;
     }
     score = best;
     right = bestRight;
@@ -98,7 +108,7 @@ Alignment MiniBlastAligner::extend(std::string_view read, std::uint32_t readPos,
         bestMatches = m;
         bestMismatches = mm;
       }
-      if (best - current > options_.xDrop) break;
+      if (best - current > kXDrop) break;
     }
     score = best;
     left = bestLeft;
@@ -119,7 +129,7 @@ Alignment MiniBlastAligner::extend(std::string_view read, std::uint32_t readPos,
 void MiniBlastAligner::alignStrand(const std::string& readId, std::string_view bases,
                                    bool reverseStrand, std::vector<Alignment>& out,
                                    AlignerStats& stats) const {
-  const unsigned k = options_.k;
+  const unsigned k = kSeedLength;
   if (bases.size() < k) return;
 
   // Seed: collect hits binned by diagonal (refPos - readPos).
@@ -153,7 +163,7 @@ void MiniBlastAligner::alignStrand(const std::string& readId, std::string_view b
 
   Alignment best;
   bool haveBest = false;
-  const std::size_t tryCount = std::min(ranked.size(), options_.maxDiagonalsPerRead);
+  const std::size_t tryCount = std::min(ranked.size(), kMaxDiagonalsPerRead);
   for (std::size_t r = 0; r < tryCount; ++r) {
     const auto& hits = diagonals[ranked[r].second];
     // Extend from the first seed on the diagonal.
@@ -166,7 +176,7 @@ void MiniBlastAligner::alignStrand(const std::string& readId, std::string_view b
     }
   }
 
-  if (haveBest && best.score >= options_.minScore &&
+  if (haveBest && best.score >= kMinScore &&
       best.identity() >= options_.minIdentity) {
     best.readId = readId;
     best.reverseStrand = reverseStrand;

@@ -33,14 +33,7 @@ struct Alignment {
 };
 
 struct AlignerOptions {
-  unsigned k = 11;                  // seed length
-  std::size_t maxSeedOccurrences = 64;
-  int matchScore = 1;
-  int mismatchPenalty = 3;
-  int xDrop = 12;                   // stop extension after score drops this much
-  int minScore = 20;                // report threshold
   double minIdentity = 0.80;
-  std::size_t maxDiagonalsPerRead = 8;  // best diagonals tried per strand
   std::size_t threads = 1;          // parallelism across reads
 };
 
@@ -56,6 +49,9 @@ struct AlignerStats {
 
 class MiniBlastAligner {
  public:
+  /// Report threshold: an alignment scoring below this is dropped.
+  static constexpr int kMinScore = 20;
+
   MiniBlastAligner(std::string reference, AlignerOptions options = {});
 
   /// Aligns every read (both strands); thread-parallel when

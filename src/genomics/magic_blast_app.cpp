@@ -8,6 +8,7 @@
 #include "common/kv.hpp"
 #include "common/logging.hpp"
 #include "common/strings.hpp"
+#include "common/units.hpp"
 #include "genomics/aligner.hpp"
 #include "genomics/fasta.hpp"
 #include "k8s/cluster.hpp"
@@ -15,6 +16,18 @@
 namespace lidc::genomics {
 
 namespace {
+
+/// +1.5% throughput per extra core (nearly flat).
+constexpr double kThreadBenefitPerExtraCpu = 0.015;
+/// The human-ref DB working set; a job given less memory thrashes.
+constexpr ByteSize kWorkingSet = ByteSize::fromGiB(3);
+constexpr double kThrashPenalty = 2.4;
+/// Baseline extension work per read used to normalise workRatio;
+/// calibrated so the catalog's default datasets land on Table I's
+/// absolute runtimes (rice ~8h at 4GB/2cpu).
+constexpr double kBaselineBasesPerRead = 41.0;
+/// Aligner threads are capped at this (real threads used for real work).
+constexpr std::size_t kMaxAlignerThreads = 4;
 
 /// Looks up an arg with a default.
 std::string argOr(const std::map<std::string, std::string>& args,
@@ -141,7 +154,7 @@ k8s::AppRunner makeMagicBlastRunner(datalake::ObjectStore& store,
     const std::size_t cores =
         std::max<std::size_t>(1, static_cast<std::size_t>(
                                      context.spec.requests.cpu.cores()));
-    options.threads = std::min(cores, config.maxAlignerThreads);
+    options.threads = std::min(cores, kMaxAlignerThreads);
     MiniBlastAligner aligner(refSequences->front().bases, options);
     auto pending = std::make_shared<std::vector<Sequence>>(
         reads->begin() + static_cast<std::ptrdiff_t>(
@@ -172,18 +185,18 @@ k8s::AppRunner makeMagicBlastRunner(datalake::ObjectStore& store,
 
     const double basesPerRead =
         stats.readsProcessed == 0
-            ? config.baselineBasesPerRead
+            ? kBaselineBasesPerRead
             : static_cast<double>(stats.basesExamined) /
                   static_cast<double>(stats.readsProcessed);
     const double workRatio =
-        std::clamp(basesPerRead / config.baselineBasesPerRead, 0.25, 4.0);
+        std::clamp(basesPerRead / kBaselineBasesPerRead, 0.25, 4.0);
 
     const double threadBenefit =
-        1.0 + config.threadBenefitPerExtraCpu * static_cast<double>(cores - 1);
+        1.0 + kThreadBenefitPerExtraCpu * static_cast<double>(cores - 1);
     double seconds = static_cast<double>(testbedBytes) /
                      (config.throughputBytesPerSec * threadBenefit) * workRatio;
-    if (context.spec.requests.memory < config.workingSet) {
-      seconds *= config.thrashPenalty;
+    if (context.spec.requests.memory < kWorkingSet) {
+      seconds *= kThrashPenalty;
     }
     // A resumed run only re-does the reads past the checkpoint.
     const double remainingFraction =

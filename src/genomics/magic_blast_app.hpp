@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/units.hpp"
 #include "datalake/object_store.hpp"
 #include "genomics/datasets.hpp"
 #include "k8s/job.hpp"
@@ -34,15 +33,6 @@ struct MagicBlastConfig {
   ndn::Name dataPrefix{"/ndn/k8s/data"};
   std::string referenceObject = "human-ref";  // under dataPrefix
   double throughputBytesPerSec = 120e3;       // single-thread testbed rate
-  double threadBenefitPerExtraCpu = 0.015;    // +1.5% per extra core (nearly flat)
-  ByteSize workingSet = ByteSize::fromGiB(3); // human-ref DB working set
-  double thrashPenalty = 2.4;                 // mem below working set
-  /// Baseline extension work per read used to normalise workRatio;
-  /// calibrated so the catalog's default datasets land on Table I's
-  /// absolute runtimes (rice ~8h at 4GB/2cpu).
-  double baselineBasesPerRead = 41.0;
-  /// Aligner threads are capped at this (real threads used for real work).
-  std::size_t maxAlignerThreads = 4;
   /// Checkpoint namespace the runner resolves ckpt= args against (the
   /// migration plane's /ndn/k8s/ckpt; payloads live in the same lake).
   ndn::Name ckptPrefix{"/ndn/k8s/ckpt"};

@@ -8,6 +8,19 @@
 
 namespace lidc::migrate {
 
+namespace {
+/// Epochs kept in the lake per job; older ones are removed (and erased
+/// from the catalog) as new epochs land.
+constexpr std::uint64_t kRetainEpochs = 2;
+/// Bandwidth part of the modeled write cost.
+constexpr double kWriteBandwidthBytesPerSec = 50e6;
+/// Access heat fed to the PlacementPolicy per write: a live checkpoint
+/// is hot from its first write, so the repair loop keeps a survivor
+/// copy of it.
+constexpr double kHeatWeight = 4.0;
+static_assert(kHeatWeight >= replica::PlacementPolicy::kHotAccessThreshold);
+}  // namespace
+
 CheckpointManager::CheckpointManager(k8s::Cluster& cluster,
                                      datalake::ObjectStore& store,
                                      CheckpointOptions options,
@@ -54,7 +67,7 @@ void CheckpointManager::scheduleNext(std::shared_ptr<PlanState> state) {
 sim::Duration CheckpointManager::writeCost(std::size_t bytes) const {
   return options_.writeFixedCost +
          sim::Duration::seconds(static_cast<double>(bytes) /
-                                options_.writeBandwidthBytesPerSec);
+                                kWriteBandwidthBytesPerSec);
 }
 
 void CheckpointManager::writeEpoch(const std::shared_ptr<PlanState>& state) {
@@ -74,7 +87,7 @@ void CheckpointManager::writeEpoch(const std::shared_ptr<PlanState>& state) {
   const sim::Duration cost = writeCost(payload.size());
   const sim::Duration remaining = (state->start + state->runtime) - now;
   char line[160];
-  if (options_.costAware && remaining < cost) {
+  if (remaining < cost) {
     // Endgame: re-running the tail is cheaper than writing it out. All
     // later writes would be even deeper in the endgame — stop here.
     ++counters_.skippedEndgame;
@@ -114,14 +127,11 @@ void CheckpointManager::writeEpoch(const std::shared_ptr<PlanState>& state) {
     catalog_->markReady(name, bytes);
     catalog_->markReady(core::makeCkptManifestName(state->jobId), manifestText.size());
   }
-  // Heat past the policy's hot threshold, so the repair loop keeps a
-  // survivor copy of the live checkpoint.
-  if (policy_ != nullptr) policy_->recordAccess(name, options_.heatWeight);
+  if (policy_ != nullptr) policy_->recordAccess(name, kHeatWeight);
 
   // Retention: drop epochs older than the window from lake + catalog.
-  if (epoch > options_.retainEpochs) {
-    const ndn::Name old =
-        core::makeCkptName(state->jobId, epoch - options_.retainEpochs);
+  if (epoch > kRetainEpochs) {
+    const ndn::Name old = core::makeCkptName(state->jobId, epoch - kRetainEpochs);
     (void)store_.remove(old);
     if (catalog_ != nullptr) catalog_->erase(old);
   }

@@ -36,21 +36,11 @@ namespace lidc::migrate {
 struct CheckpointOptions {
   /// Simulated time between checkpoint writes of one job.
   sim::Duration interval = sim::Duration::minutes(10);
-  /// Epochs kept in the lake per job; older ones are removed (and
-  /// erased from the catalog) as new epochs land.
-  std::size_t retainEpochs = 2;
-  /// Modeled write cost: bytes / writeBandwidth + fixed. Drives both
-  /// the cost-aware endgame skip and the overhead accounting benches
-  /// report against the <5% budget.
-  double writeBandwidthBytesPerSec = 50e6;
+  /// Fixed part of the modeled write cost, bytes /
+  /// kWriteBandwidthBytesPerSec (checkpoint.cpp) + fixed. The cost drives
+  /// both the endgame skip and the overhead accounting benches report
+  /// against the <5% budget.
   sim::Duration writeFixedCost = sim::Duration::millis(50);
-  /// Skip a write (and stop checkpointing the job) once the predicted
-  /// remaining runtime is below the write cost.
-  bool costAware = true;
-  /// Access heat fed to the PlacementPolicy per write; the default
-  /// crosses the policy's hotAccessThreshold (3.0) on the first write,
-  /// so live checkpoints get hotReplicas copies.
-  double heatWeight = 4.0;
 };
 
 struct CheckpointCounters {

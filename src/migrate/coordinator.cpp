@@ -11,6 +11,16 @@ namespace lidc::migrate {
 
 namespace {
 
+/// Cadence of status probes on tracked jobs (lazy timer: armed only
+/// while at least one job is active, so idle simulations drain).
+constexpr sim::Duration kProbeInterval = sim::Duration::seconds(1);
+/// Consecutive failed probes before a job counts as dark.
+constexpr int kProbeFailureThreshold = 2;
+/// Observed health below this triggers migration off the cluster.
+constexpr double kHealthFloor = 0.3;
+/// Per-job migration budget (flapping guard).
+constexpr int kMaxMigrationsPerJob = 2;
+
 std::string fmtTime(sim::Time t) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "t=%.6fs", t.toSeconds());
@@ -21,12 +31,8 @@ std::string fmtTime(sim::Time t) {
 
 MigrationCoordinator::MigrationCoordinator(core::LidcClient& client,
                                            core::AdaptivePlacement* placement,
-                                           replica::ReplicaDirectory* directory,
-                                           MigrationOptions options)
-    : client_(client),
-      placement_(placement),
-      directory_(directory),
-      options_(options) {}
+                                           replica::ReplicaDirectory* directory)
+    : client_(client), placement_(placement), directory_(directory) {}
 
 void MigrationCoordinator::addScheduler(const std::string& cluster,
                                         replica::TransferScheduler* scheduler) {
@@ -68,7 +74,7 @@ ndn::Name MigrationCoordinator::currentStatusName(
 void MigrationCoordinator::armProbe() {
   if (probe_pending_ || activeJobs() == 0) return;
   probe_pending_ = true;
-  client_.simulator().scheduleAfter(options_.probeInterval, [this] {
+  client_.simulator().scheduleAfter(kProbeInterval, [this] {
     probe_pending_ = false;
     probeAll();
   });
@@ -84,7 +90,7 @@ void MigrationCoordinator::probeAll() {
           if (!status) {
             trace(fmtTime(client_.simulator().now()) + " probe-fail job=" +
                   job->jobId + " err=" + status.status().toString());
-            if (++job->consecutiveFailures >= options_.probeFailureThreshold) {
+            if (++job->consecutiveFailures >= kProbeFailureThreshold) {
               migrate(job, "status-dark");
             }
             return;
@@ -123,7 +129,7 @@ void MigrationCoordinator::drainCluster(const std::string& cluster) {
 void MigrationCoordinator::observeHealth(const std::string& cluster,
                                          double score) {
   observed_health_[cluster] = score;
-  if (score >= options_.healthFloor) return;
+  if (score >= kHealthFloor) return;
   for (auto& [id, job] : jobs_) {
     if (job->active && !job->migrating && job->cluster == cluster) {
       migrate(job, "health-floor");
@@ -145,7 +151,7 @@ void MigrationCoordinator::observeBreaker(const std::string& cluster,
 void MigrationCoordinator::migrate(const std::shared_ptr<TrackedJob>& job,
                                    const std::string& reason) {
   if (!job->active || job->migrating) return;
-  if (job->migrations >= options_.maxMigrationsPerJob) {
+  if (job->migrations >= kMaxMigrationsPerJob) {
     ++counters_.failed;
     job->active = false;
     trace(fmtTime(client_.simulator().now()) + " fail job=" + job->jobId +
@@ -239,7 +245,7 @@ void MigrationCoordinator::prestageAndResubmit(
   trace(line);
   replica::TransferScheduler* scheduler = schedulers_[target];
   replica::TransferRequest staging;
-  staging.priority = options_.prestagePriority;
+  staging.priority = replica::kMigrationPriority;
   staging.tag = "migrate/" + job->originalJobId;
   scheduler->enqueue(
       core::makeCkptName(job->jobId, epoch), staging,
@@ -339,12 +345,12 @@ std::string MigrationCoordinator::pickTarget(const std::string& exclude) const {
       continue;
     }
     if (auto it = observed_health_.find(cluster);
-        it != observed_health_.end() && it->second < options_.healthFloor) {
+        it != observed_health_.end() && it->second < kHealthFloor) {
       continue;
     }
     if (placement_ != nullptr) {
       if (placement_->breakerOpen(cluster)) continue;
-      if (placement_->observedHealth(cluster) < options_.healthFloor) continue;
+      if (placement_->observedHealth(cluster) < kHealthFloor) continue;
     }
     const std::uint64_t cost =
         placement_ == nullptr ? 0 : placement_->extraCostUs(cluster);

@@ -42,20 +42,6 @@
 
 namespace lidc::migrate {
 
-struct MigrationOptions {
-  /// Cadence of status probes on tracked jobs (lazy timer: armed only
-  /// while at least one job is active, so idle simulations drain).
-  sim::Duration probeInterval = sim::Duration::seconds(1);
-  /// Consecutive failed probes before a job counts as dark.
-  int probeFailureThreshold = 2;
-  /// observeHealth() below this triggers migration off the cluster.
-  double healthFloor = 0.3;
-  /// Per-job migration budget (flapping guard).
-  int maxMigrationsPerJob = 2;
-  /// Priority of checkpoint pre-stage transfers (repairs run at 10).
-  int prestagePriority = 100;
-};
-
 struct MigrationCounters {
   std::uint64_t planned = 0;    // migrations triggered
   std::uint64_t completed = 0;  // resumed on a new cluster
@@ -70,8 +56,7 @@ class MigrationCoordinator {
   /// *surviving* checkpoint epoch after a crash.
   MigrationCoordinator(core::LidcClient& client,
                        core::AdaptivePlacement* placement = nullptr,
-                       replica::ReplicaDirectory* directory = nullptr,
-                       MigrationOptions options = {});
+                       replica::ReplicaDirectory* directory = nullptr);
   MigrationCoordinator(const MigrationCoordinator&) = delete;
   MigrationCoordinator& operator=(const MigrationCoordinator&) = delete;
 
@@ -91,7 +76,7 @@ class MigrationCoordinator {
   /// kDrain wires here). The cluster stays healthy; when a placement is
   /// attached its breaker cost is applied so new work also steers away.
   void drainCluster(const std::string& cluster);
-  /// Telemetry health feed; below the floor, jobs migrate off.
+  /// Telemetry health feed; below the floor (0.3), jobs migrate off.
   void observeHealth(const std::string& cluster, double score);
   /// Circuit-breaker feed; an opening breaker migrates jobs off.
   void observeBreaker(const std::string& cluster, bool open);
@@ -171,7 +156,6 @@ class MigrationCoordinator {
   core::LidcClient& client_;
   core::AdaptivePlacement* placement_;
   replica::ReplicaDirectory* directory_;
-  MigrationOptions options_;
   std::map<std::string, replica::TransferScheduler*> schedulers_;
   /// original job id -> tracked state (deterministic iteration).
   std::map<std::string, std::shared_ptr<TrackedJob>> jobs_;

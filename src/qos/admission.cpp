@@ -6,6 +6,16 @@
 
 namespace lidc::qos {
 
+namespace {
+/// Deficit gained per DRR head visit is tenant weight * quantum (jobs).
+constexpr double kQuantum = 1.0;
+/// Backstop re-drain period while work is queued (releases and new
+/// offers drain eagerly; the timer catches external capacity changes
+/// such as health recovery). Lazy-armed so an empty queue costs no
+/// simulator events.
+constexpr sim::Duration kDrainInterval = sim::Duration::millis(100);
+}  // namespace
+
 std::string_view admitDecisionName(AdmitDecision decision) noexcept {
   switch (decision) {
     case AdmitDecision::kQueued:
@@ -222,10 +232,9 @@ void AdmissionController::drain() {
       continue;
     }
     if (!st.headAccrued) {
-      // Clamp: a zero accrual would keep the head rotating forever
-      // without ever reaching launch cost.
-      const double quantum =
-          std::max(1e-6, st.spec->weight * options_.quantum);
+      // Clamp: a tenant weight of zero (or below) would keep the head
+      // rotating forever without ever reaching launch cost.
+      const double quantum = std::max(1e-6, st.spec->weight * kQuantum);
       // The cap never drops below one job, or low-weight tenants could
       // never bank enough to reach launch cost.
       const double cap = std::max(1.0, quantum * options_.deficitCap);
@@ -281,7 +290,7 @@ bool AdmissionController::tryPreemptFor(const TenantSpec& incoming) {
 void AdmissionController::armTimer() {
   if (timer_armed_) return;
   timer_armed_ = true;
-  sim_.scheduleAfter(options_.drainInterval, [this] {
+  sim_.scheduleAfter(kDrainInterval, [this] {
     timer_armed_ = false;
     drain();
   });

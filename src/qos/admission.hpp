@@ -33,19 +33,11 @@
 namespace lidc::qos {
 
 struct AdmissionOptions {
-  /// Deficit gained per DRR head visit is weight * quantum (jobs).
-  /// Must be > 0; non-positive values are clamped at drain time.
-  double quantum = 1.0;
   /// Deficit ceiling in quanta; bounds how large a burst an idle tenant
   /// can bank. The effective cap never drops below one job.
   double deficitCap = 4.0;
   std::size_t maxQueuePerTenant = 64;
   std::size_t maxQueueTotal = 256;
-  /// Backstop re-drain period while work is queued (releases and new
-  /// offers drain eagerly; the timer catches external capacity changes
-  /// such as health recovery). Lazy-armed so an empty queue costs no
-  /// simulator events.
-  sim::Duration drainInterval = sim::Duration::millis(100);
 };
 
 enum class AdmitDecision {

@@ -4,6 +4,13 @@
 
 namespace lidc::replica {
 
+namespace {
+/// Replicas every known dataset should have.
+constexpr std::size_t kBaseReplicas = 1;
+/// Clusters below this health score are not placement candidates.
+constexpr double kMinHealth = 0.5;
+}  // namespace
+
 void PlacementPolicy::recordAccess(const ndn::Name& dataset, double weight) {
   heat_[dataset.toUri()] += weight;
 }
@@ -23,8 +30,7 @@ void PlacementPolicy::observeFreeBytes(const std::string& cluster,
 }
 
 std::size_t PlacementPolicy::targetReplicas(const ndn::Name& dataset) const {
-  return heat(dataset) >= options_.hotAccessThreshold ? options_.hotReplicas
-                                                      : options_.baseReplicas;
+  return heat(dataset) >= kHotAccessThreshold ? hot_replicas_ : kBaseReplicas;
 }
 
 std::vector<PlacementAction> PlacementPolicy::plan(
@@ -49,7 +55,7 @@ std::vector<PlacementAction> PlacementPolicy::plan(
     if (directory.isStale(cluster)) continue;
     auto healthIt = health_.find(cluster);
     const double health = healthIt == health_.end() ? 1.0 : healthIt->second;
-    if (health < options_.minHealth) continue;
+    if (health < kMinHealth) continue;
     auto freeIt = free_bytes_.find(cluster);
     const std::uint64_t freeBytes =
         freeIt == free_bytes_.end() ? UINT64_MAX : freeIt->second;
@@ -79,7 +85,7 @@ std::vector<PlacementAction> PlacementPolicy::plan(
         continue;
       }
       if (size && candidate.freeBytes != UINT64_MAX &&
-          candidate.freeBytes < *size + options_.freeBytesHeadroom) {
+          candidate.freeBytes < *size) {
         continue;
       }
       actions.push_back({dataset, candidate.name, priority});

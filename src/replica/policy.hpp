@@ -18,20 +18,6 @@
 
 namespace lidc::replica {
 
-struct PlacementPolicyOptions {
-  /// Replicas every known dataset should have.
-  std::size_t baseReplicas = 1;
-  /// Replicas once a dataset's weighted access count crosses the
-  /// threshold (hot data is worth the lake space).
-  std::size_t hotReplicas = 2;
-  double hotAccessThreshold = 3.0;
-  /// Clusters below this health score are not placement candidates.
-  double minHealth = 0.5;
-  /// Candidates must advertise at least the dataset's size free (when
-  /// the size is known) plus this headroom.
-  std::uint64_t freeBytesHeadroom = 0;
-};
-
 /// One planned transfer: stage `dataset` onto `destination`.
 struct PlacementAction {
   ndn::Name dataset;
@@ -41,8 +27,13 @@ struct PlacementAction {
 
 class PlacementPolicy {
  public:
-  explicit PlacementPolicy(PlacementPolicyOptions options = {})
-      : options_(options) {}
+  /// A dataset whose weighted access count reaches this is hot.
+  static constexpr double kHotAccessThreshold = 3.0;
+
+  /// Every known dataset wants one replica; a hot one wants
+  /// `hotReplicas` (hot data is worth the lake space).
+  explicit PlacementPolicy(std::size_t hotReplicas = 2)
+      : hot_replicas_(hotReplicas) {}
 
   /// Feeds one access to a dataset; `weight` carries the tenant's
   /// fair-share weight (1.0 for untenanted access).
@@ -59,7 +50,8 @@ class PlacementPolicy {
   /// Diffs desired replication against the directory's observed state.
   /// Under-replicated datasets get one action per missing replica,
   /// destinations chosen from non-stale watched clusters that pass the
-  /// health bar, best-first by (health desc, free bytes desc, name
+  /// health bar and advertise at least the dataset's size free (when
+  /// both are known), best-first by (health desc, free bytes desc, name
   /// asc). Deterministic for a given (policy, directory) state; every
   /// call appends to planLog().
   [[nodiscard]] std::vector<PlacementAction> plan(
@@ -75,7 +67,7 @@ class PlacementPolicy {
   [[nodiscard]] const std::string& planLog() const noexcept { return plan_log_; }
 
  private:
-  PlacementPolicyOptions options_;
+  std::size_t hot_replicas_;
   std::map<std::string, double> heat_;               // dataset URI -> weight sum
   std::map<std::string, double> health_;             // cluster -> score
   std::map<std::string, std::uint64_t> free_bytes_;  // cluster -> free lake bytes

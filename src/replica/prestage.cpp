@@ -6,14 +6,13 @@ void PrestageCoordinator::prestage(const std::string& consumerStage,
                                    const std::vector<std::string>& inputs) {
   for (const std::string& input : inputs) {
     const ndn::Name name(input);
-    if (policy_) policy_->recordAccess(name, options_.accessWeight);
+    if (policy_) policy_->recordAccess(name);
     if (store_.contains(name)) {
       ++local_hits_;
       continue;
     }
     ++prestages_requested_;
-    TransferRequest request;
-    request.priority = options_.prestagePriority;
+    TransferRequest request;  // at kPrestagePriority
     request.tag = "prestage:" + consumerStage;
     scheduler_.enqueue(name, std::move(request));
   }
@@ -27,7 +26,7 @@ void PrestageCoordinator::ensureLocal(const std::string& stage,
   std::vector<ndn::Name> missing;
   for (const std::string& input : inputs) {
     const ndn::Name name(input);
-    if (policy_) policy_->recordAccess(name, options_.accessWeight);
+    if (policy_) policy_->recordAccess(name);
     if (store_.contains(name)) {
       ++local_hits_;
     } else {
@@ -47,7 +46,7 @@ void PrestageCoordinator::ensureLocal(const std::string& stage,
   for (const ndn::Name& name : missing) {
     ++dispatch_fetches_;
     TransferRequest request;
-    request.priority = options_.dispatchPriority;
+    request.priority = kDispatchPriority;
     request.tag = "dispatch:" + stage;
     scheduler_.enqueue(
         name, std::move(request),

@@ -10,9 +10,9 @@
 //     those dispatch-time transfers actually moved. With lookahead on
 //     this is 0 — the acceptance check for predictive pre-staging.
 //
-// Every input access feeds the placement policy's heat (weighted by
-// the tenant's share), so repeatedly-read datasets graduate to a
-// higher target replication factor.
+// Every input access feeds the placement policy's heat (one untenanted
+// access each), so repeatedly-read datasets graduate to a higher
+// target replication factor.
 #pragma once
 
 #include <cstdint>
@@ -26,21 +26,12 @@
 
 namespace lidc::replica {
 
-struct PrestageOptions {
-  int prestagePriority = 0;
-  int dispatchPriority = 5;
-  /// Heat weight per recorded access (a tenant's fair-share weight).
-  double accessWeight = 1.0;
-};
-
 class PrestageCoordinator {
  public:
   /// `policy` may be null (no heat accounting).
   PrestageCoordinator(TransferScheduler& scheduler, datalake::ObjectStore& store,
-                      PlacementPolicy* policy = nullptr,
-                      PrestageOptions options = {})
-      : scheduler_(scheduler), store_(store), policy_(policy),
-        options_(options) {}
+                      PlacementPolicy* policy = nullptr)
+      : scheduler_(scheduler), store_(store), policy_(policy) {}
 
   /// Lookahead: stage `inputs` of the named consumer toward this
   /// cluster while its producer is still running.
@@ -66,7 +57,6 @@ class PrestageCoordinator {
   TransferScheduler& scheduler_;
   datalake::ObjectStore& store_;
   PlacementPolicy* policy_;
-  PrestageOptions options_;
   std::uint64_t prestages_requested_ = 0;
   std::uint64_t dispatch_fetches_ = 0;
   std::uint64_t local_hits_ = 0;

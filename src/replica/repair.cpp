@@ -2,9 +2,14 @@
 
 namespace lidc::replica {
 
+namespace {
+/// Period of start()ed anti-entropy passes.
+constexpr sim::Duration kRepairInterval = sim::Duration::seconds(2);
+}  // namespace
+
 RepairLoop::RepairLoop(sim::Simulator& sim, ReplicaDirectory& directory,
-                       PlacementPolicy& policy, RepairOptions options)
-    : sim_(sim), directory_(directory), policy_(policy), options_(options) {}
+                       PlacementPolicy& policy)
+    : sim_(sim), directory_(directory), policy_(policy) {}
 
 void RepairLoop::addScheduler(const std::string& cluster,
                               TransferScheduler* scheduler) {
@@ -14,7 +19,7 @@ void RepairLoop::addScheduler(const std::string& cluster,
 std::size_t RepairLoop::tick() {
   ++passes_;
   const std::string tag = "repair#" + std::to_string(passes_);
-  if (options_.supersedePreviousPass && passes_ > 1) {
+  if (passes_ > 1) {
     const std::string previous = "repair#" + std::to_string(passes_ - 1);
     for (auto& [cluster, scheduler] : schedulers_) {
       scheduler->cancelTag(previous);
@@ -36,7 +41,7 @@ std::size_t RepairLoop::tick() {
     ++enqueued;
     ++repairs_enqueued_;
     TransferRequest request;
-    request.priority = options_.priority + action.priority;
+    request.priority = kRepairPriority + action.priority;
     request.tag = tag;
     it->second->enqueue(
         action.dataset, std::move(request),
@@ -56,7 +61,7 @@ std::size_t RepairLoop::tick() {
 void RepairLoop::start() {
   if (running_) return;
   running_ = true;
-  tick_ = sim_.scheduleAfter(options_.interval, [this] {
+  tick_ = sim_.scheduleAfter(kRepairInterval, [this] {
     if (!running_) return;
     tick();
     running_ = false;

@@ -23,29 +23,22 @@
 
 namespace lidc::replica {
 
-struct RepairOptions {
-  /// Period of start()ed anti-entropy passes.
-  sim::Duration interval = sim::Duration::seconds(2);
-  /// Priority of repair transfers (above default-0 pre-stages).
-  int priority = 10;
-  /// Cancel the previous pass's still-queued repairs before enqueuing a
-  /// new plan (the new plan reflects newer truth).
-  bool supersedePreviousPass = true;
-};
-
 class RepairLoop {
  public:
   RepairLoop(sim::Simulator& sim, ReplicaDirectory& directory,
-             PlacementPolicy& policy, RepairOptions options = {});
+             PlacementPolicy& policy);
 
   /// Registers the scheduler that stages data onto `cluster`. Plans
   /// targeting clusters without a scheduler are logged and skipped.
   void addScheduler(const std::string& cluster, TransferScheduler* scheduler);
 
-  /// Runs one anti-entropy pass; returns repairs enqueued.
+  /// Runs one anti-entropy pass; returns repairs enqueued. The previous
+  /// pass's tag is cancelled first (the new plan reflects newer truth):
+  /// its queued repairs abort, its in-flight ones discard their bytes.
   std::size_t tick();
 
-  /// Periodic passes on the sim clock; stop() before draining the sim.
+  /// Periodic passes on the sim clock (kRepairInterval in repair.cpp);
+  /// stop() before draining the sim.
   void start();
   void stop();
   [[nodiscard]] bool running() const noexcept { return running_; }
@@ -76,7 +69,6 @@ class RepairLoop {
   sim::Simulator& sim_;
   ReplicaDirectory& directory_;
   PlacementPolicy& policy_;
-  RepairOptions options_;
   std::map<std::string, TransferScheduler*> schedulers_;
   telemetry::FlightRecorder* recorder_ = nullptr;
   bool running_ = false;

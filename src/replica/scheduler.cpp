@@ -21,7 +21,7 @@ TransferScheduler::TransferScheduler(ndn::Forwarder& forwarder,
       "app://replica-stager/" + cluster_name_, forwarder_.simulator(),
       std::hash<std::string>{}(cluster_name_) | 1);
   forwarder_.addFace(face_);
-  retriever_ = std::make_unique<datalake::Retriever>(*face_, options_.retrieve);
+  retriever_ = std::make_unique<datalake::Retriever>(*face_);
 }
 
 void TransferScheduler::trace(const std::string& line) {

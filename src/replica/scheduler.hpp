@@ -48,14 +48,24 @@ struct TransferOptions {
   std::uint64_t bandwidthBytesPerSec = 0;
   /// Tenant charged for staged bytes when a request names none.
   std::string tenant;
-  datalake::RetrieveOptions retrieve;
 };
+
+/// Transfer priorities of the planes that stage data, lowest first: a
+/// lookahead pre-stage, a stage's dispatch-time fetch, an anti-entropy
+/// repair, and a migration's checkpoint pre-stage.
+inline constexpr int kPrestagePriority = 0;
+inline constexpr int kDispatchPriority = 5;
+inline constexpr int kRepairPriority = 10;
+inline constexpr int kMigrationPriority = 100;
+static_assert(kPrestagePriority < kDispatchPriority &&
+              kDispatchPriority < kRepairPriority &&
+              kRepairPriority < kMigrationPriority);
 
 /// Per-enqueue parameters.
 struct TransferRequest {
-  int priority = 0;    // higher dequeues first
-  std::string tag;     // plan label; cancelTag() sweeps it
-  std::string tenant;  // overrides TransferOptions::tenant when set
+  int priority = kPrestagePriority;  // higher dequeues first
+  std::string tag;                   // plan label; cancelTag() sweeps it
+  std::string tenant;                // overrides TransferOptions::tenant when set
 };
 
 class TransferScheduler {

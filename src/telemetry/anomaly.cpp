@@ -4,6 +4,11 @@
 
 namespace lidc::telemetry {
 
+namespace {
+/// EWMA smoothing factor for mean and variance (higher = adapts faster).
+constexpr double kAlpha = 0.3;
+}  // namespace
+
 AnomalyPoint EwmaDetector::observe(double value) noexcept {
   AnomalyPoint point;
   point.value = value;
@@ -32,8 +37,8 @@ AnomalyPoint EwmaDetector::observe(double value) noexcept {
 
   // Standard EWMA mean/variance update (West's incremental form).
   const double delta = value - mean_;
-  mean_ += options_.alpha * delta;
-  variance_ = (1.0 - options_.alpha) * (variance_ + options_.alpha * delta * delta);
+  mean_ += kAlpha * delta;
+  variance_ = (1.0 - kAlpha) * (variance_ + kAlpha * delta * delta);
   ++samples_;
   return point;
 }

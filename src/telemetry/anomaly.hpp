@@ -16,8 +16,6 @@
 namespace lidc::telemetry {
 
 struct AnomalyOptions {
-  /// EWMA smoothing factor for mean and variance (higher = adapts faster).
-  double alpha = 0.3;
   /// No flags until this many samples have been observed.
   std::uint64_t warmupSamples = 8;
   bool flagHigh = true;

@@ -135,9 +135,7 @@ std::uint64_t CountMinSketch::estimate(std::string_view key) const noexcept {
 
 // --- SpaceSaving -------------------------------------------------------
 
-SpaceSaving::SpaceSaving(std::size_t k, std::size_t sketchWidth,
-                         std::size_t sketchDepth)
-    : k_(std::max<std::size_t>(k, 1)), cms_(sketchWidth, sketchDepth) {}
+SpaceSaving::SpaceSaving(std::size_t k) : k_(std::max<std::size_t>(k, 1)) {}
 
 void SpaceSaving::add(const std::string& key, std::uint64_t n) noexcept {
   cms_.add(key, n);

@@ -128,17 +128,17 @@ struct TopKEntry {
 
 /// Space-Saving top-k (Metwally et al.): k monitored entries; an
 /// unmonitored arrival evicts the current minimum, inheriting its
-/// count as error. A Count-Min backing sketch gates evictions — an
-/// arrival whose estimated frequency cannot beat the minimum leaves
-/// the monitored set alone, which keeps one-off keys (hostile name
-/// soup) from churning real heavy hitters out.
+/// count as error. A Count-Min backing sketch of the default size
+/// (512 x 4) gates evictions — an arrival whose estimated frequency
+/// cannot beat the minimum leaves the monitored set alone, which keeps
+/// one-off keys (hostile name soup) from churning real heavy hitters
+/// out.
 ///
 /// Deterministic: eviction picks the (smallest count, lexicographically
 /// smallest key) entry; top() sorts by (count desc, key asc).
 class SpaceSaving {
  public:
-  explicit SpaceSaving(std::size_t k, std::size_t sketchWidth = 512,
-                       std::size_t sketchDepth = 4);
+  explicit SpaceSaving(std::size_t k);
 
   void add(const std::string& key, std::uint64_t n) noexcept;
   [[nodiscard]] std::vector<TopKEntry> top() const;

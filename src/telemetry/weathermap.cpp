@@ -60,12 +60,8 @@ std::pair<std::string, std::map<std::string, std::string>> parseSeriesKey(
   return out;
 }
 
-Weathermap::Weathermap(ndn::Forwarder& forwarder, WeathermapOptions options)
-    : collector_(forwarder, [&] {
-        TelemetryCollectorOptions c = std::move(options.collector);
-        c.group = "flow";
-        return c;
-      }()) {
+Weathermap::Weathermap(ndn::Forwarder& forwarder, ScrapeTiming timing)
+    : collector_(forwarder, TelemetryCollectorOptions{timing, "flow"}) {
   // Scrape settlements drive the hot-link flight-recorder events.
   collector_.setHealthListener(
       [this](const std::string& cluster, double) { afterScrape(cluster); });

@@ -59,15 +59,10 @@ struct LinkView {
   std::vector<TopTalker> talkers;  // rank order
 };
 
-struct WeathermapOptions {
-  /// Embedded collector configuration; `group` is forced to "flow".
-  TelemetryCollectorOptions collector;
-};
-
 class Weathermap {
  public:
-  /// Attaches to the ops host's forwarder.
-  explicit Weathermap(ndn::Forwarder& forwarder, WeathermapOptions options = {});
+  /// Attaches to the ops host's forwarder; scrapes the "flow" group.
+  explicit Weathermap(ndn::Forwarder& forwarder, ScrapeTiming timing = {});
 
   void watchCluster(const std::string& cluster);
   void scrapeOnce(std::function<void()> done = nullptr);

@@ -9,6 +9,12 @@
 
 namespace lidc::workflow {
 
+namespace {
+/// A Running stage is a straggler past this multiple of its predicted
+/// runtime (WorkflowOptions::enableHedging).
+constexpr double kHedgeMultiplier = 3.0;
+}  // namespace
+
 std::string_view stageStateName(StageState state) noexcept {
   switch (state) {
     case StageState::kPending: return "Pending";
@@ -282,14 +288,14 @@ void WorkflowEngine::armStageHedge(const std::shared_ptr<Run>& run,
                                    std::shared_ptr<StageRace> race) {
   if (!options_.enableHedging) return;
   // Arm the straggler watchdog: if the stage is still Running past
-  // hedgeMultiplier x the predicted runtime (or the floor, whichever is
+  // kHedgeMultiplier x the predicted runtime (or the floor, whichever is
   // larger), race a backup dispatch against it. The backup's fresh
   // request id frees the forwarding strategy to place it on a
   // different — hopefully non-limping — cluster.
   const auto predicted = predictor_.predict(*request);
   sim::Duration delay = options_.hedgeFloor;
   if (predicted.has_value()) {
-    delay = std::max(delay, *predicted * options_.hedgeMultiplier);
+    delay = std::max(delay, *predicted * kHedgeMultiplier);
   }
   client_.simulator().scheduleAfter(delay, [this, run, index, request, race] {
     if (race->settled || run->finished) return;

@@ -77,13 +77,13 @@ struct WorkflowOptions {
   std::function<double()> fleetHealth;
   double minFleetHealth = 0.0;
   sim::Duration healthRecheckInterval = sim::Duration::millis(500);
-  /// Straggler hedging: a Running stage that exceeds hedgeMultiplier x
-  /// its predicted runtime (floored at hedgeFloor; the floor alone when
-  /// the predictor has no estimate) gets a backup dispatch with a fresh
-  /// request id. First terminal leg settles the stage; a slow-node
-  /// straggler loses the race instead of stretching the makespan.
+  /// Straggler hedging: a Running stage that exceeds 3x its predicted
+  /// runtime (kHedgeMultiplier in engine.cpp; floored at hedgeFloor, the
+  /// floor alone when the predictor has no estimate) gets a backup
+  /// dispatch with a fresh request id. First terminal leg settles the
+  /// stage; a slow-node straggler loses the race instead of stretching
+  /// the makespan.
   bool enableHedging = false;
-  double hedgeMultiplier = 3.0;
   sim::Duration hedgeFloor = sim::Duration::seconds(30);
   /// Tenant context carried by every stage request. When set, each
   /// submit is stamped with params["tenant"] so a tenant-aware client

@@ -13,7 +13,7 @@ class CentralizedTest : public ::testing::Test {
  protected:
   void SetUp() override {
     overlay_ = std::make_unique<ClusterOverlay>(sim_);
-    controller_ = std::make_unique<CentralizedController>(sim_, options_);
+    controller_ = std::make_unique<CentralizedController>(sim_);
   }
 
   ComputeCluster& addSleepCluster(const std::string& name,
@@ -43,7 +43,6 @@ class CentralizedTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  CentralizedOptions options_;
   std::unique_ptr<ClusterOverlay> overlay_;
   std::unique_ptr<CentralizedController> controller_;
 };
@@ -120,11 +119,11 @@ TEST_F(CentralizedTest, DeadClusterKeepsReceivingJobsUntilHeartbeat) {
                           }
                         });
   }
-  sim_.runUntil(sim_.now() + options_.heartbeatInterval * 0.5);
+  sim_.runUntil(sim_.now() + CentralizedController::kHeartbeatInterval * 0.5);
   EXPECT_GT(controller_->jobsLost() + static_cast<std::uint64_t>(successes), 0u);
 
   // After a heartbeat, the controller routes around the corpse.
-  sim_.runUntil(sim_.now() + options_.heartbeatInterval);
+  sim_.runUntil(sim_.now() + CentralizedController::kHeartbeatInterval);
   std::optional<CentralizedController::SubmitAck> ack;
   controller_->submit(sleepRequest(), [&](Result<CentralizedController::SubmitAck> r) {
     ASSERT_TRUE(r.ok()) << r.status();

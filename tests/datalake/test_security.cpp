@@ -159,13 +159,11 @@ TEST_F(SecurityTest, IntegrityRetryWithExclusionRecoversPoisonedCacheEntry) {
 }
 
 // Bounded attempts: a producer that only ever serves poison exhausts
-// maxIntegrityRetries and the transfer fails PERMISSION_DENIED instead
-// of looping forever.
+// the retriever's two integrity retries and the transfer fails
+// PERMISSION_DENIED instead of looping forever.
 TEST_F(SecurityTest, IntegrityRetriesAreBounded) {
   serveObject(/*tamperSegment=*/true);
-  RetrieveOptions options;
-  options.maxIntegrityRetries = 2;
-  Retriever retriever(*clientApp_, options);
+  Retriever retriever(*clientApp_);
   std::optional<Status> failure;
   retriever.fetch(ndn::Name("/ndn/k8s/data/obj"),
                   [&](Result<std::vector<std::uint8_t>> r) {

@@ -74,12 +74,10 @@ struct FlowScenario {
     recorder = std::make_unique<telemetry::FlightRecorder>(sim, 4096);
     overlay->attachFlightRecorder(recorder.get());
 
-    telemetry::WeathermapOptions mapOptions;
-    mapOptions.collector.interestLifetime = sim::Duration::millis(500);
-    mapOptions.collector.freshnessWindow = sim::Duration::seconds(5);
-    mapOptions.collector.scrapeInterval = sim::Duration::seconds(2);
+    telemetry::ScrapeTiming mapTiming;
+    mapTiming.interestLifetime = sim::Duration::millis(500);
     weathermap = std::make_unique<telemetry::Weathermap>(
-        *overlay->topology().node("ops"), mapOptions);
+        *overlay->topology().node("ops"), mapTiming);
     weathermap->watchCluster("east");
     weathermap->setFlightRecorder(recorder.get());
 

@@ -71,7 +71,6 @@ TEST(CheckpointManagerTest, WritesPeriodicEpochsWithManifestAndRetention) {
   CheckpointRig rig;
   CheckpointOptions options;
   options.interval = sim::Duration::seconds(10);
-  options.retainEpochs = 2;
   CheckpointManager manager(rig.cc->cluster(), rig.cc->store(), options);
 
   const std::string jobId = rig.runJob();
@@ -139,7 +138,6 @@ TEST(CheckpointManagerTest, RegistersEpochsInCatalogAndHeatsPolicy) {
   replica::PlacementPolicy policy;
   CheckpointOptions options;
   options.interval = sim::Duration::seconds(10);
-  options.retainEpochs = 2;
   CheckpointManager manager(rig.cc->cluster(), rig.cc->store(), options,
                             &catalog, &policy);
 

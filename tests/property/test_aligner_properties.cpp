@@ -35,7 +35,7 @@ TEST_P(AlignerProperty, ReportsRespectThresholdsAndCounters) {
   EXPECT_GE(stats.seedHits, stats.extensions);
 
   for (const auto& alignment : out) {
-    EXPECT_GE(alignment.score, options.minScore) << alignment.toRecord();
+    EXPECT_GE(alignment.score, MiniBlastAligner::kMinScore) << alignment.toRecord();
     EXPECT_GE(alignment.identity(), options.minIdentity) << alignment.toRecord();
     EXPECT_EQ(alignment.matches + alignment.mismatches, alignment.length);
     EXPECT_LE(alignment.refStart + alignment.length, reference.size());

@@ -83,9 +83,7 @@ std::string runScenario(std::uint64_t seed) {
   for (const auto& [name, site] : sites) directory.watchCluster(name);
   // Hot datasets want a replica on every cluster, so both west's and
   // south's schedulers stage (and west's path is the flapped one).
-  PlacementPolicyOptions policyOptions;
-  policyOptions.hotReplicas = 3;
-  PlacementPolicy policy(policyOptions);
+  PlacementPolicy policy(/*hotReplicas=*/3);
   for (const char* name : {"/ndn/k8s/data/ref", "/ndn/k8s/data/reads"}) {
     for (int i = 0; i < 3; ++i) policy.recordAccess(ndn::Name(name));
   }

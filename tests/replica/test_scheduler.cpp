@@ -2,7 +2,9 @@
 // a level, join-dedup of concurrent requests, cancellation of queued
 // and in-flight transfers, capacity rejection surfaced as
 // ResourceExhausted, tenant attribution through the store's quota
-// charger, and the bandwidth budget serializing starts.
+// charger, and the bandwidth budget serializing starts. Also the repair
+// loop's use of tags: a new pass cancels the previous pass's queued
+// repairs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -14,6 +16,9 @@
 #include "datalake/file_server.hpp"
 #include "k8s/pvc.hpp"
 #include "net/topology.hpp"
+#include "replica/directory.hpp"
+#include "replica/policy.hpp"
+#include "replica/repair.hpp"
 #include "replica/scheduler.hpp"
 
 namespace lidc::replica {
@@ -351,6 +356,60 @@ TEST_F(TransferSchedulerTest, UnreachableDatasetFailsLoudly) {
   EXPECT_EQ(scheduler_->failures(), 1u);
   EXPECT_NE(scheduler_->eventLog().find("fail /ndn/k8s/data/ghost"),
             std::string::npos);
+}
+
+/// The scheduler world with the replica plane's control loop on top.
+class RepairLoopTest : public TransferSchedulerTest {};
+
+TEST_F(RepairLoopTest, NewPassCancelsThePreviousPassesQueuedRepairs) {
+  ReplicaCatalog srcCatalog(*topology_.node("src"), "src");
+  ReplicaCatalog dstCatalog(*topology_.node("dst"), "dst");
+  ndn::Name srcReplicas = kReplicaPrefix;
+  topology_.installRoutesTo(srcReplicas.append("src"), "src");
+  srcCatalog.syncFromStore(srcStore_, kDataPrefix);
+  ReplicaDirectory directory(*topology_.node("dst"));
+  directory.watchCluster("src");
+  directory.watchCluster("dst");
+  // Each scrape waits out the 500 ms a cached manifest stays fresh.
+  auto scrape = [&] {
+    sim_.runUntil(sim_.now() + sim::Duration::seconds(1));
+    directory.scrapeOnce();
+    sim_.run();
+  };
+  TransferOptions options;
+  options.maxConcurrent = 1;
+  makeScheduler(options, ByteSize::fromMiB(8), &dstCatalog);
+  PlacementPolicy policy;
+  RepairLoop repair(sim_, directory, policy);
+  repair.addScheduler("dst", scheduler_.get());
+  const ndn::Name hot("/ndn/k8s/data/a");
+  for (int i = 0; i < 3; ++i) policy.recordAccess(hot);
+  scrape();
+  ASSERT_EQ(directory.replicationFactor(hot), 1u);
+  ASSERT_EQ(policy.targetReplicas(hot), 2u);
+
+  // dst's one lane is busy, so the first pass's repair of `hot` waits in
+  // the queue. A watcher joins that queued transfer to see how it ends.
+  scheduler_->enqueue(ndn::Name("/ndn/k8s/data/b"));
+  EXPECT_EQ(repair.tick(), 1u);
+  std::optional<Status> firstPass;
+  scheduler_->enqueue(hot, {},
+                      [&firstPass](Status s, std::uint64_t) { firstPass = s; });
+  ASSERT_EQ(scheduler_->joined(), 1u);
+
+  // The second pass plans from the same view and cancels the first
+  // pass's queued repair before it enqueues its own.
+  EXPECT_EQ(repair.tick(), 1u);
+  ASSERT_TRUE(firstPass.has_value());
+  EXPECT_EQ(firstPass->code(), StatusCode::kAborted);
+  EXPECT_EQ(scheduler_->cancelled(), 1u);
+
+  sim_.run();
+  EXPECT_EQ(repair.repairsFailed(), 0u);
+  EXPECT_EQ(repair.repairsCompleted(), 1u);
+  scrape();
+  EXPECT_EQ(directory.replicationFactor(hot), 2u);
+  EXPECT_EQ(repair.tick(), 0u);
 }
 
 }  // namespace

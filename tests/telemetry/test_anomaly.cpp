@@ -37,9 +37,7 @@ TEST(EwmaDetectorTest, SpikeAfterStableBaselineFlags) {
 }
 
 TEST(EwmaDetectorTest, LevelShiftFlagsThenReconverges) {
-  AnomalyOptions options;
-  options.alpha = 0.3;
-  EwmaDetector detector(options);
+  EwmaDetector detector;
   for (int i = 0; i < 20; ++i) detector.observe(10.0);
 
   EXPECT_TRUE(detector.observe(50.0).anomalous);

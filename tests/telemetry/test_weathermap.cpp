@@ -54,11 +54,9 @@ struct WeathermapWorld {
     prefix.append("east");
     topology.installRoutesTo(prefix, "east");
 
-    WeathermapOptions options;
-    options.collector.interestLifetime = sim::Duration::millis(500);
-    options.collector.freshnessWindow = sim::Duration::seconds(5);
-    options.collector.scrapeInterval = sim::Duration::seconds(2);
-    weathermap = std::make_unique<Weathermap>(*topology.node("ops"), options);
+    ScrapeTiming timing;
+    timing.interestLifetime = sim::Duration::millis(500);
+    weathermap = std::make_unique<Weathermap>(*topology.node("ops"), timing);
     weathermap->watchCluster("east");
   }
 
