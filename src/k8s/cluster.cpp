@@ -7,10 +7,6 @@
 
 namespace lidc::k8s {
 
-namespace {
-constexpr std::size_t kMaxEvents = 4096;
-}  // namespace
-
 Cluster::Cluster(std::string name, sim::Simulator& sim, std::uint64_t seed)
     : name_(std::move(name)), sim_(sim), rng_(seed) {}
 
@@ -20,8 +16,9 @@ Node& Cluster::addNode(const std::string& nodeName, Resources allocatable) {
   auto [it, inserted] =
       nodes_.emplace(nodeName, std::make_unique<Node>(nodeName, allocatable));
   assert(inserted && "duplicate node");
-  recordEvent("NodeAdded", nodeName, "allocatable cpu=" + allocatable.cpu.toString() +
-                                         " mem=" + allocatable.memory.toString());
+  LIDC_LOG(kDebug, "k8s") << name_ << " NodeAdded " << nodeName
+                          << " allocatable cpu=" << allocatable.cpu.toString()
+                          << " mem=" << allocatable.memory.toString();
   retryUnschedulable();
   return *it->second;
 }
@@ -34,7 +31,8 @@ Node* Cluster::node(const std::string& nodeName) {
 void Cluster::setNodeReady(const std::string& nodeName, bool ready) {
   if (auto* n = node(nodeName)) {
     n->setReady(ready);
-    recordEvent(ready ? "NodeReady" : "NodeNotReady", nodeName, "");
+    LIDC_LOG(kDebug, "k8s") << name_ << (ready ? " NodeReady " : " NodeNotReady ")
+                            << nodeName << ' ';
     if (ready) retryUnschedulable();
   }
 }
@@ -42,8 +40,9 @@ void Cluster::setNodeReady(const std::string& nodeName, bool ready) {
 void Cluster::setNodeSlowdown(const std::string& nodeName, double factor) {
   if (auto* n = node(nodeName)) {
     n->setSlowdownFactor(factor);
-    recordEvent(factor > 1.0 ? "NodeSlowdown" : "NodeSpeedRestored", nodeName,
-                "factor=" + std::to_string(factor));
+    LIDC_LOG(kDebug, "k8s") << name_
+                            << (factor > 1.0 ? " NodeSlowdown " : " NodeSpeedRestored ")
+                            << nodeName << " factor=" << std::to_string(factor);
   }
 }
 
@@ -51,7 +50,7 @@ void Cluster::failNode(const std::string& nodeName) {
   auto* failed = node(nodeName);
   if (failed == nullptr) return;
   failed->setReady(false);
-  recordEvent("NodeFailed", nodeName, "evicting pods");
+  LIDC_LOG(kDebug, "k8s") << name_ << " NodeFailed " << nodeName << " evicting pods";
 
   // Copy the victims' keys first: eviction mutates the node's pod set,
   // which holds the same ns/name keys as pods_, in the same order.
@@ -75,7 +74,7 @@ void Cluster::failNode(const std::string& nodeName) {
     // A bound pod is never queued, so it cannot be queued twice.
     releasePod(*pod);
     pod->setPhase(PodPhase::kPending);
-    recordEvent("PodEvicted", podKey, "node failure");
+    LIDC_LOG(kDebug, "k8s") << name_ << " PodEvicted " << podKey << " node failure";
     unschedulable_.push_back(podKey);
   }
   retryUnschedulable();
@@ -120,8 +119,9 @@ Resources Cluster::totalFree() const {
 
 void Cluster::setNamespaceQuota(const std::string& ns, Resources quota) {
   namespace_quotas_[ns] = quota;
-  recordEvent("QuotaSet", ns, "cpu=" + quota.cpu.toString() +
-                                  " mem=" + quota.memory.toString());
+  LIDC_LOG(kDebug, "k8s") << name_ << " QuotaSet " << ns
+                          << " cpu=" << quota.cpu.toString()
+                          << " mem=" << quota.memory.toString();
 }
 
 std::optional<Resources> Cluster::namespaceQuota(const std::string& ns) const {
@@ -155,7 +155,8 @@ Result<Pod*> Cluster::createPod(const std::string& ns, const std::string& podNam
   if (auto quota = namespaceQuota(ns)) {
     const Resources projected = namespaceUsage(ns) + spec.requests;
     if (!projected.fitsWithin(*quota)) {
-      recordEvent("QuotaExceeded", k, "namespace " + ns + " over quota");
+      LIDC_LOG(kDebug, "k8s") << name_ << " QuotaExceeded " << k << " namespace " << ns
+                              << " over quota";
       return Status::ResourceExhausted("namespace " + ns +
                                        " ResourceQuota exceeded");
     }
@@ -165,7 +166,8 @@ Result<Pod*> Cluster::createPod(const std::string& ns, const std::string& podNam
   pods_.emplace(k, std::move(pod));
   if (!trySchedulePod(*raw)) {
     unschedulable_.push_back(k);
-    recordEvent("FailedScheduling", k, "insufficient resources; pod stays Pending");
+    LIDC_LOG(kDebug, "k8s") << name_ << " FailedScheduling " << k
+                            << " insufficient resources; pod stays Pending";
   }
   return raw;
 }
@@ -206,8 +208,8 @@ bool Cluster::trySchedulePod(Pod& pod) {
   target->allocate(key(pod.namespaceName(), pod.name()), pod.spec().requests);
   pod.bindToNode(*selected);
   pod.setPodIp("10.1.0." + std::to_string(next_pod_ip_++));
-  recordEvent("PodScheduled", key(pod.namespaceName(), pod.name()),
-              "bound to " + *selected);
+  LIDC_LOG(kDebug, "k8s") << name_ << " PodScheduled " << pod.namespaceName() << '/'
+                          << pod.name() << " bound to " << *selected;
   startPodOnNode(pod);
   return true;
 }
@@ -248,7 +250,8 @@ void Cluster::startPodOnNode(Pod& pod) {
     if (p.phase() != PodPhase::kPending) return;
     p.setPhase(PodPhase::kRunning);
     p.setStartTime(sim_.now());
-    recordEvent("PodStarted", k, "on node " + p.nodeName());
+    LIDC_LOG(kDebug, "k8s") << name_ << " PodStarted " << k
+                            << " on node " << p.nodeName();
 
     // If this pod belongs to a job, run the application now.
     if (Job* owner = ownerJob(p);
@@ -293,7 +296,8 @@ Result<Service*> Cluster::createService(const std::string& ns,
   Service* raw = svc.get();
   services_.emplace(k, std::move(svc));
   dns_.addRecord(raw->dnsName(), k);
-  recordEvent("ServiceCreated", k, "dns=" + raw->dnsName());
+  LIDC_LOG(kDebug, "k8s") << name_ << " ServiceCreated " << k
+                          << " dns=" << raw->dnsName();
   return raw;
 }
 
@@ -338,7 +342,8 @@ Result<PersistentVolumeClaim*> Cluster::createPvc(const std::string& pvcName,
   auto claim = std::make_unique<PersistentVolumeClaim>(pvcName, capacity);
   PersistentVolumeClaim* raw = claim.get();
   pvcs_.emplace(pvcName, std::move(claim));
-  recordEvent("PvcCreated", pvcName, "capacity=" + capacity.toString());
+  LIDC_LOG(kDebug, "k8s") << name_ << " PvcCreated " << pvcName
+                          << " capacity=" << capacity.toString();
   return raw;
 }
 
@@ -385,9 +390,9 @@ Status Cluster::resizePod(const std::string& ns, const std::string& podName,
   }
   host->allocate(k, newRequests);
   target->setRequests(newRequests);
-  recordEvent("PodResized", k,
-              "cpu=" + newRequests.cpu.toString() +
-                  " mem=" + newRequests.memory.toString());
+  LIDC_LOG(kDebug, "k8s") << name_ << " PodResized " << k
+                          << " cpu=" << newRequests.cpu.toString()
+                          << " mem=" << newRequests.memory.toString();
   retryUnschedulable();  // shrinking may free room for queued pods
   return Status::Ok();
 }
@@ -410,7 +415,7 @@ Result<Job*> Cluster::createJob(const std::string& ns, const std::string& jobNam
     jobs_.erase(k);
     return pod.status();
   }
-  recordEvent("JobCreated", k, "app=" + spec.app);
+  LIDC_LOG(kDebug, "k8s") << name_ << " JobCreated " << k << " app=" << spec.app;
   return raw;
 }
 
@@ -515,14 +520,14 @@ void Cluster::finishJob(Job& job, Pod& pod, const AppResult& result) {
   if (result.status.ok()) {
     pod.setPhase(PodPhase::kSucceeded);
     status.state = JobState::kCompleted;
-    recordEvent("JobCompleted", key(job.namespaceName(), job.name()),
-                "output=" + std::to_string(result.outputBytes) + "B");
+    LIDC_LOG(kDebug, "k8s") << name_ << " JobCompleted " << job.namespaceName() << '/'
+                            << job.name() << " output=" << result.outputBytes << 'B';
   } else {
     pod.setPhase(PodPhase::kFailed);
     if (status.attempts <= job.spec().backoffLimit) {
       // Retry with a fresh pod, as the Job controller does.
-      recordEvent("JobRetry", key(job.namespaceName(), job.name()),
-                  "attempt " + std::to_string(status.attempts));
+      LIDC_LOG(kDebug, "k8s") << name_ << " JobRetry " << job.namespaceName() << '/'
+                              << job.name() << " attempt " << status.attempts;
       releasePod(pod);
       status.state = JobState::kPending;
       if (createJobPod(job).ok()) {
@@ -533,19 +538,13 @@ void Cluster::finishJob(Job& job, Pod& pod, const AppResult& result) {
     }
     status.state = JobState::kFailed;
     status.message = result.status.toString();
-    recordEvent("JobFailed", key(job.namespaceName(), job.name()), status.message);
+    LIDC_LOG(kDebug, "k8s") << name_ << " JobFailed " << job.namespaceName() << '/'
+                            << job.name() << ' ' << status.message;
   }
 
   releasePod(pod);
   retryUnschedulable();
   for (const auto& watcher : job_watchers_) watcher(job);
-}
-
-void Cluster::recordEvent(std::string kind, std::string object, std::string message) {
-  LIDC_LOG(kDebug, "k8s") << name_ << " " << kind << " " << object << " " << message;
-  events_.push_back(Event{sim_.now(), std::move(kind), std::move(object),
-                          std::move(message)});
-  while (events_.size() > kMaxEvents) events_.pop_front();
 }
 
 }  // namespace lidc::k8s

@@ -28,14 +28,6 @@
 
 namespace lidc::k8s {
 
-/// One control-plane event (for observability and tests).
-struct Event {
-  sim::Time time;
-  std::string kind;     // "PodScheduled", "JobCompleted", ...
-  std::string object;   // "ns/name"
-  std::string message;
-};
-
 class Cluster {
  public:
   Cluster(std::string name, sim::Simulator& sim, std::uint64_t seed = 7);
@@ -124,7 +116,7 @@ class Cluster {
                                const std::string& jobName) const;
   [[nodiscard]] std::vector<Job*> jobsInNamespace(const std::string& ns);
   /// Deletes a Job and the Pod of each attempt, as the TTL-after-finished
-  /// controller does. Records no event and fires no watcher.
+  /// controller does. Fires no watcher.
   Status deleteJob(const std::string& ns, const std::string& jobName);
   /// Fires when any job reaches Completed or Failed.
   void onJobFinished(std::function<void(const Job&)> callback) {
@@ -140,9 +132,6 @@ class Cluster {
   }
   [[nodiscard]] std::size_t runningJobCount() const noexcept { return running_jobs_; }
 
-  // --- events ---
-  [[nodiscard]] const std::deque<Event>& events() const noexcept { return events_; }
-
   [[nodiscard]] Scheduler& scheduler() noexcept { return scheduler_; }
 
  private:
@@ -150,7 +139,6 @@ class Cluster {
     return ns + "/" + name;
   }
 
-  void recordEvent(std::string kind, std::string object, std::string message);
   /// Attempts to bind the pod to a node; on success drives its lifecycle.
   bool trySchedulePod(Pod& pod);
   /// Called when resources free up: retries unschedulable pods in order.
@@ -182,7 +170,6 @@ class Cluster {
   std::deque<std::string> unschedulable_;  // pod keys awaiting capacity
   std::vector<std::function<void(const Job&)>> job_watchers_;
   std::vector<std::function<void(const Job&, const AppResult&)>> exec_watchers_;
-  std::deque<Event> events_;
   std::uint16_t next_node_port_ = 30000;
   std::uint32_t next_pod_ip_ = 1;
   std::size_t running_jobs_ = 0;

@@ -1,10 +1,8 @@
 #include "migrate/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/hash.hpp"
-#include "common/logging.hpp"
 
 namespace lidc::migrate {
 
@@ -30,7 +28,8 @@ CheckpointManager::CheckpointManager(k8s::Cluster& cluster,
       store_(store),
       options_(options),
       catalog_(catalog),
-      policy_(policy) {
+      policy_(policy),
+      log_(cluster.simulator(), "ckpt/" + cluster.name()) {
   cluster_.onJobExecuted([this](const k8s::Job& job,
                                 const k8s::AppResult& result) {
     onExecuted(job, result);
@@ -86,16 +85,13 @@ void CheckpointManager::writeEpoch(const std::shared_ptr<PlanState>& state) {
   auto payload = state->plan(progress);
   const sim::Duration cost = writeCost(payload.size());
   const sim::Duration remaining = (state->start + state->runtime) - now;
-  char line[160];
   if (remaining < cost) {
     // Endgame: re-running the tail is cheaper than writing it out. All
     // later writes would be even deeper in the endgame — stop here.
     ++counters_.skippedEndgame;
     state->stopped = true;
-    std::snprintf(line, sizeof(line), "t=%.6fs skip-endgame job=%s epoch=%llu",
-                  now.toSeconds(), state->jobId.c_str(),
-                  static_cast<unsigned long long>(state->epoch + 1));
-    trace(line);
+    log_.record(log::Level::kDebug, "skip-endgame job=" + state->jobId +
+                                        " epoch=" + std::to_string(state->epoch + 1));
     return;
   }
 
@@ -104,9 +100,9 @@ void CheckpointManager::writeEpoch(const std::shared_ptr<PlanState>& state) {
   const std::uint64_t digest = fnv1a(payload);
   const ndn::Name name = core::makeCkptName(state->jobId, epoch);
   if (Status put = store_.put(name, std::move(payload)); !put.ok()) {
-    LIDC_FR_EVENT(recorder_, kWarn, "ckpt",
-                  cluster_.name() + " ckpt-write-failed " + state->jobId + "/" +
-                      std::to_string(epoch) + ": " + put.toString());
+    log_.record(log::Level::kWarn, "ckpt-write-failed job=" + state->jobId +
+                                       " epoch=" + std::to_string(epoch) + " (" +
+                                       put.toString() + ")");
     return;
   }
   core::CkptManifest manifest;
@@ -136,20 +132,9 @@ void CheckpointManager::writeEpoch(const std::shared_ptr<PlanState>& state) {
     if (catalog_ != nullptr) catalog_->erase(old);
   }
 
-  std::snprintf(line, sizeof(line), "t=%.6fs ckpt job=%s epoch=%llu bytes=%llu",
-                now.toSeconds(), state->jobId.c_str(),
-                static_cast<unsigned long long>(epoch),
-                static_cast<unsigned long long>(bytes));
-  trace(line);
-  LIDC_FR_EVENT(recorder_, kInfo, "ckpt",
-                cluster_.name() + " ckpt " + state->jobId + "/" +
-                    std::to_string(epoch) + " bytes=" + std::to_string(bytes));
-}
-
-void CheckpointManager::trace(const std::string& line) {
-  log_ += line;
-  log_ += '\n';
-  LIDC_LOG(kDebug, "ckpt") << line;
+  log_.record(log::Level::kInfo, "ckpt job=" + state->jobId + " epoch=" +
+                                     std::to_string(epoch) +
+                                     " bytes=" + std::to_string(bytes));
 }
 
 void CheckpointManager::attachTelemetry(telemetry::MetricsRegistry& registry) {

@@ -69,16 +69,18 @@ class CheckpointManager {
   [[nodiscard]] sim::Duration totalOverhead() const noexcept {
     return overhead_;
   }
-  /// Deterministic "t=..s ckpt|skip-endgame ..." trace, byte-identical
-  /// across same-seed runs.
-  [[nodiscard]] const std::string& epochLog() const noexcept { return log_; }
+  /// Deterministic "t=..s ckpt|ckpt-write-failed|skip-endgame ..."
+  /// trace, byte-identical across same-seed runs.
+  [[nodiscard]] const std::string& epochLog() const noexcept { return log_.text(); }
 
   /// Binds lidc_ckpt_written_total / lidc_ckpt_bytes_total /
   /// lidc_ckpt_skipped_endgame_total (labeled by cluster) into
   /// `registry`, read at snapshot time.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
+  /// Writes and failed writes reach the recorder as "ckpt/<cluster>"
+  /// events with their epochLog() text.
   void setFlightRecorder(telemetry::FlightRecorder* recorder) noexcept {
-    recorder_ = recorder;
+    log_.setRecorder(recorder);
   }
 
  private:
@@ -98,17 +100,15 @@ class CheckpointManager {
   void scheduleNext(std::shared_ptr<PlanState> state);
   void writeEpoch(const std::shared_ptr<PlanState>& state);
   [[nodiscard]] sim::Duration writeCost(std::size_t bytes) const;
-  void trace(const std::string& line);
 
   k8s::Cluster& cluster_;
   datalake::ObjectStore& store_;
   CheckpointOptions options_;
   replica::ReplicaCatalog* catalog_;
   replica::PlacementPolicy* policy_;
-  telemetry::FlightRecorder* recorder_ = nullptr;
   CheckpointCounters counters_;
   sim::Duration overhead_;
-  std::string log_;
+  telemetry::EventLog log_;
 };
 
 }  // namespace lidc::migrate

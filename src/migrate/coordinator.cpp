@@ -1,10 +1,8 @@
 #include "migrate/coordinator.hpp"
 
-#include <cstdio>
 #include <limits>
 
 #include "common/hash.hpp"
-#include "common/logging.hpp"
 #include "k8s/job.hpp"
 
 namespace lidc::migrate {
@@ -21,18 +19,15 @@ constexpr double kHealthFloor = 0.3;
 /// Per-job migration budget (flapping guard).
 constexpr int kMaxMigrationsPerJob = 2;
 
-std::string fmtTime(sim::Time t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "t=%.6fs", t.toSeconds());
-  return buf;
-}
-
 }  // namespace
 
 MigrationCoordinator::MigrationCoordinator(core::LidcClient& client,
                                            core::AdaptivePlacement* placement,
                                            replica::ReplicaDirectory* directory)
-    : client_(client), placement_(placement), directory_(directory) {}
+    : client_(client),
+      placement_(placement),
+      directory_(directory),
+      log_(client.simulator(), "migrate") {}
 
 void MigrationCoordinator::addScheduler(const std::string& cluster,
                                         replica::TransferScheduler* scheduler) {
@@ -52,8 +47,8 @@ void MigrationCoordinator::track(const core::SubmitResult& ack,
   request.requestId.clear();
   job->request = std::move(request);
   jobs_[job->originalJobId] = job;
-  trace(fmtTime(client_.simulator().now()) + " track job=" + job->jobId +
-        " cluster=" + job->cluster);
+  log_.record(log::Level::kDebug,
+              "track job=" + job->jobId + " cluster=" + job->cluster);
   armProbe();
 }
 
@@ -88,8 +83,8 @@ void MigrationCoordinator::probeAll() {
         job->statusName, [this, job](Result<core::JobStatusSnapshot> status) {
           if (!job->active || job->migrating) return;
           if (!status) {
-            trace(fmtTime(client_.simulator().now()) + " probe-fail job=" +
-                  job->jobId + " err=" + status.status().toString());
+            log_.record(log::Level::kDebug, "probe-fail job=" + job->jobId +
+                                                " err=" + status.status().toString());
             if (++job->consecutiveFailures >= kProbeFailureThreshold) {
               migrate(job, "status-dark");
             }
@@ -98,8 +93,7 @@ void MigrationCoordinator::probeAll() {
           job->consecutiveFailures = 0;
           if (status->state == k8s::JobState::kCompleted) {
             job->active = false;
-            trace(fmtTime(client_.simulator().now()) +
-                  " done job=" + job->jobId);
+            log_.record(log::Level::kDebug, "done job=" + job->jobId);
           } else if (status->state == k8s::JobState::kFailed) {
             migrate(job, "job-failed");
           }
@@ -109,8 +103,7 @@ void MigrationCoordinator::probeAll() {
 }
 
 void MigrationCoordinator::drainCluster(const std::string& cluster) {
-  trace(fmtTime(client_.simulator().now()) + " drain cluster=" + cluster);
-  LIDC_FR_EVENT(recorder_, kInfo, "migrate", "drain " + cluster);
+  log_.record(log::Level::kInfo, "drain cluster=" + cluster);
   breaker_open_[cluster] = true;
   if (placement_ != nullptr) {
     // Administrative breaker: new submits (including our own resubmits)
@@ -154,20 +147,15 @@ void MigrationCoordinator::migrate(const std::shared_ptr<TrackedJob>& job,
   if (job->migrations >= kMaxMigrationsPerJob) {
     ++counters_.failed;
     job->active = false;
-    trace(fmtTime(client_.simulator().now()) + " fail job=" + job->jobId +
-          " reason=migration-budget");
-    LIDC_FR_EVENT(recorder_, kWarn, "migrate",
-                  "migration budget exhausted for " + job->jobId);
+    log_.record(log::Level::kWarn,
+                "fail job=" + job->jobId + " reason=migration-budget");
     return;
   }
   job->migrating = true;
   job->planStart = client_.simulator().now();
   ++counters_.planned;
-  trace(fmtTime(job->planStart) + " plan job=" + job->jobId +
-        " reason=" + reason + " from=" + job->cluster);
-  LIDC_FR_EVENT(recorder_, kInfo, "migrate",
-                "plan " + job->jobId + " reason=" + reason + " from=" +
-                    job->cluster);
+  log_.record(log::Level::kInfo, "plan job=" + job->jobId + " reason=" + reason +
+                                     " from=" + job->cluster);
   resolveEpoch(job, reason);
 }
 
@@ -231,18 +219,11 @@ void MigrationCoordinator::prestageAndResubmit(
     ++counters_.failed;
     job->migrating = false;
     job->active = false;
-    trace(fmtTime(client_.simulator().now()) + " fail job=" + job->jobId +
-          " reason=no-target");
-    LIDC_FR_EVENT(recorder_, kWarn, "migrate",
-                  "no migration target for " + job->jobId);
+    log_.record(log::Level::kWarn, "fail job=" + job->jobId + " reason=no-target");
     return;
   }
-  char line[192];
-  std::snprintf(line, sizeof(line), "%s resume job=%s epoch=%llu target=%s",
-                fmtTime(client_.simulator().now()).c_str(),
-                job->jobId.c_str(), static_cast<unsigned long long>(epoch),
-                target.c_str());
-  trace(line);
+  log_.record(log::Level::kDebug, "resume job=" + job->jobId + " epoch=" +
+                                      std::to_string(epoch) + " target=" + target);
   replica::TransferScheduler* scheduler = schedulers_[target];
   replica::TransferRequest staging;
   staging.priority = replica::kMigrationPriority;
@@ -277,10 +258,7 @@ void MigrationCoordinator::resubmit(const std::shared_ptr<TrackedJob>& job,
 void MigrationCoordinator::resubmitCold(const std::shared_ptr<TrackedJob>& job,
                                         const std::string& reason) {
   ++counters_.coldFallbacks;
-  trace(fmtTime(client_.simulator().now()) + " cold job=" + job->jobId +
-        " reason=" + reason);
-  LIDC_FR_EVENT(recorder_, kWarn, "migrate",
-                "cold fallback for " + job->jobId + " (" + reason + ")");
+  log_.record(log::Level::kWarn, "cold job=" + job->jobId + " reason=" + reason);
   client_.submit(job->request,
                  [this, job, reason](Result<core::SubmitResult> ack) {
                    settleResubmit(job, reason, /*restored=*/false,
@@ -295,11 +273,8 @@ void MigrationCoordinator::settleResubmit(
   if (!ack) {
     ++counters_.failed;
     job->active = false;
-    trace(fmtTime(client_.simulator().now()) + " fail job=" + job->jobId +
-          " reason=resubmit: " + ack.status().toString());
-    LIDC_FR_EVENT(recorder_, kWarn, "migrate",
-                  "resubmit failed for " + job->jobId + ": " +
-                      ack.status().toString());
+    log_.record(log::Level::kWarn, "fail job=" + job->jobId +
+                                       " reason=resubmit: " + ack.status().toString());
     return;
   }
   const std::string oldCluster = job->cluster;
@@ -310,13 +285,9 @@ void MigrationCoordinator::settleResubmit(
   job->consecutiveFailures = 0;
   ++job->migrations;
   ++counters_.completed;
-  trace(fmtTime(client_.simulator().now()) + " migrate job=" + oldJobId +
-        " from=" + oldCluster + " to=" + job->cluster +
-        " newjob=" + job->jobId + (restored ? "" : " cold"));
-  LIDC_FR_EVENT(recorder_, kInfo, "migrate",
-                "migrated " + oldJobId + " " + oldCluster + " -> " +
-                    job->cluster + " as " + job->jobId +
-                    (restored ? "" : " (cold)"));
+  log_.record(log::Level::kInfo, "migrate job=" + oldJobId + " from=" + oldCluster +
+                                     " to=" + job->cluster + " newjob=" + job->jobId +
+                                     (restored ? "" : " cold"));
   if (restored && routeInstaller) {
     // The target gateway registered the 5-component status alias on its
     // own forwarder; propagate the route overlay-wide so remote pollers
@@ -361,12 +332,6 @@ std::string MigrationCoordinator::pickTarget(const std::string& exclude) const {
     }
   }
   return best;
-}
-
-void MigrationCoordinator::trace(const std::string& line) {
-  log_ += line;
-  log_ += '\n';
-  LIDC_LOG(kDebug, "migrate") << line;
 }
 
 void MigrationCoordinator::attachTelemetry(telemetry::MetricsRegistry& registry,

@@ -88,7 +88,7 @@ class MigrationCoordinator {
   [[nodiscard]] std::size_t activeJobs() const;
   /// Deterministic decision log ("t=..s plan|migrate|cold|fail ..."),
   /// byte-identical across same-seed runs.
-  [[nodiscard]] const std::string& decisionLog() const noexcept { return log_; }
+  [[nodiscard]] const std::string& decisionLog() const noexcept { return log_.text(); }
   /// Current status name of a tracked job by its *original* job id
   /// (follows migrations); empty Name when unknown.
   [[nodiscard]] ndn::Name currentStatusName(const std::string& originalJobId) const;
@@ -108,8 +108,10 @@ class MigrationCoordinator {
   /// plan to resumed ack.
   void attachTelemetry(telemetry::MetricsRegistry& registry,
                        telemetry::Tracer* tracer = nullptr);
+  /// Drains, plans, migrations, cold fallbacks and failures reach the
+  /// recorder as "migrate" events with their decisionLog() text.
   void setFlightRecorder(telemetry::FlightRecorder* recorder) noexcept {
-    recorder_ = recorder;
+    log_.setRecorder(recorder);
   }
 
  private:
@@ -151,7 +153,6 @@ class MigrationCoordinator {
   /// Healthy, breaker-closed candidate with the lowest extra route
   /// cost, excluding `exclude`; ties break by name. Empty when none.
   [[nodiscard]] std::string pickTarget(const std::string& exclude) const;
-  void trace(const std::string& line);
 
   core::LidcClient& client_;
   core::AdaptivePlacement* placement_;
@@ -161,11 +162,10 @@ class MigrationCoordinator {
   std::map<std::string, std::shared_ptr<TrackedJob>> jobs_;
   std::map<std::string, double> observed_health_;
   std::map<std::string, bool> breaker_open_;
-  telemetry::FlightRecorder* recorder_ = nullptr;
   telemetry::Tracer* tracer_ = nullptr;
   MigrationCounters counters_;
   bool probe_pending_ = false;
-  std::string log_;
+  telemetry::EventLog log_;
 };
 
 /// AlertEngine value source over a coordinator (pair with a rule like

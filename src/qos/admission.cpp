@@ -1,7 +1,6 @@
 #include "qos/admission.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 namespace lidc::qos {
@@ -39,7 +38,8 @@ AdmissionController::AdmissionController(sim::Simulator& sim,
     : sim_(sim),
       tenants_(tenants),
       cluster_(std::move(cluster)),
-      options_(options) {}
+      options_(options),
+      log_(sim, "qos") {}
 
 AdmissionController::TenantState& AdmissionController::stateFor(
     const TenantSpec& spec) {
@@ -59,31 +59,14 @@ const AdmissionController::TenantState* AdmissionController::stateOf(
   return it == states_.end() ? nullptr : &it->second;
 }
 
-void AdmissionController::appendLog(std::string_view verb,
-                                    const std::string& tenant,
-                                    const std::string& detail) {
-  char stamp[40];
-  std::snprintf(stamp, sizeof(stamp), "t=%.6fs ", sim_.now().toSeconds());
-  log_ += stamp;
-  log_ += verb;
-  log_ += " tenant=";
-  log_ += tenant;
-  if (!detail.empty()) {
-    log_ += ' ';
-    log_ += detail;
-  }
-  log_ += '\n';
-}
-
 void AdmissionController::reject(TenantState& st, const std::string& id,
                                  const std::string& reason,
                                  const std::string& tag) {
   const auto [it, first] = st.rejects.try_emplace(reason);
   ++it->second;
   if (first && registry_ != nullptr) bindReject(id, reason, it->second);
-  appendLog("reject", id, "reason=" + reason + " tag=" + tag);
-  LIDC_FR_EVENT(recorder_, kWarn, "qos",
-                "reject tenant=" + id + " reason=" + reason + " tag=" + tag);
+  log_.record(log::Level::kWarn,
+              "reject tenant=" + id + " reason=" + reason + " tag=" + tag);
 }
 
 AdmitDecision AdmissionController::offer(AdmissionJob job) {
@@ -93,10 +76,8 @@ AdmitDecision AdmissionController::offer(AdmissionJob job) {
     ++rejected_unknown_;
     // Attacker-controlled ids get no per-tenant state and a bounded log
     // line: an unknown-tenant flood must not grow memory per name.
-    std::string shown = job.tenant.substr(0, 48);
-    appendLog("reject", shown, "reason=unknown-tenant");
-    LIDC_FR_EVENT(recorder_, kWarn, "qos",
-                  "reject tenant=" + shown + " reason=unknown-tenant");
+    log_.record(log::Level::kWarn, "reject tenant=" + job.tenant.substr(0, 48) +
+                                       " reason=unknown-tenant");
     return AdmitDecision::kRejectedUnknownTenant;
   }
 
@@ -130,7 +111,7 @@ AdmitDecision AdmissionController::offer(AdmissionJob job) {
 
   st.queuedCpu += job.cpuMillicores;
   st.queuedMem += job.memoryBytes;
-  appendLog("enqueue", spec->id, "tag=" + job.tag);
+  log_.record(log::Level::kDebug, "enqueue tenant=" + spec->id + " tag=" + job.tag);
   st.queue.push_back(Pending{std::move(job), now});
   ++queued_total_;
   if (!st.inRing) {
@@ -165,9 +146,7 @@ void AdmissionController::dropExpired(const std::string& id, TenantState& st) {
     st.queuedCpu -= std::min(st.queuedCpu, entry.job.cpuMillicores);
     st.queuedMem -= std::min(st.queuedMem, entry.job.memoryBytes);
     ++st.expired;
-    appendLog("expire", id, "tag=" + entry.job.tag);
-    LIDC_FR_EVENT(recorder_, kWarn, "qos",
-                  "expire tenant=" + id + " tag=" + entry.job.tag);
+    log_.record(log::Level::kWarn, "expire tenant=" + id + " tag=" + entry.job.tag);
     if (entry.job.evict) entry.job.evict("expired");
   }
 }
@@ -191,8 +170,8 @@ void AdmissionController::launchFront(const std::string& id, TenantState& st) {
     }
     st.queueWait->observe(static_cast<double>(waitUs));
   }
-  appendLog("admit", id,
-            "tag=" + entry.job.tag + " wait_us=" + std::to_string(waitUs));
+  log_.record(log::Level::kDebug, "admit tenant=" + id + " tag=" + entry.job.tag +
+                                      " wait_us=" + std::to_string(waitUs));
   if (flow_ != nullptr && entry.job.wireBytes > 0) {
     telemetry::FlowKey key;
     key.group = "submit";
@@ -279,10 +258,8 @@ bool AdmissionController::tryPreemptFor(const TenantSpec& incoming) {
   victim->queuedCpu -= std::min(victim->queuedCpu, entry.job.cpuMillicores);
   victim->queuedMem -= std::min(victim->queuedMem, entry.job.memoryBytes);
   ++victim->preempted;
-  appendLog("preempt", victimId, "by=" + incoming.id + " tag=" + entry.job.tag);
-  LIDC_FR_EVENT(recorder_, kWarn, "qos",
-                "preempt tenant=" + victimId + " by=" + incoming.id + " tag=" +
-                    entry.job.tag);
+  log_.record(log::Level::kWarn, "preempt tenant=" + victimId + " by=" + incoming.id +
+                                     " tag=" + entry.job.tag);
   if (entry.job.evict) entry.job.evict("preempted");
   return true;
 }

@@ -78,8 +78,10 @@ class AdmissionController {
   void setCapacityProbe(std::function<bool(const AdmissionJob&)> probe) {
     capacity_probe_ = std::move(probe);
   }
+  /// Rejects, expiries and preemptions reach the recorder as "qos"
+  /// events with their decisionLog() text; enqueues and admits do not.
   void setFlightRecorder(telemetry::FlightRecorder* recorder) noexcept {
-    recorder_ = recorder;
+    log_.setRecorder(recorder);
   }
   /// Flow attribution: launched jobs report their submit Interest's
   /// wire bytes per tenant into the accountant's transfer ledger
@@ -119,7 +121,7 @@ class AdmissionController {
 
   /// Deterministic decision log ("t=..s enqueue tenant=... tag=..."
   /// lines); byte-identical across same-seed runs.
-  [[nodiscard]] const std::string& decisionLog() const noexcept { return log_; }
+  [[nodiscard]] const std::string& decisionLog() const noexcept { return log_.text(); }
 
   /// Binds admission state into `registry` as per-tenant labeled
   /// families (lidc_qos_admitted_total, lidc_qos_rejected_total{reason},
@@ -175,15 +177,12 @@ class AdmissionController {
   void reject(TenantState& st, const std::string& id, const std::string& reason,
               const std::string& tag);
   void armTimer();
-  void appendLog(std::string_view verb, const std::string& tenant,
-                 const std::string& detail);
 
   sim::Simulator& sim_;
   const TenantRegistry& tenants_;
   std::string cluster_;
   AdmissionOptions options_;
   std::function<bool(const AdmissionJob&)> capacity_probe_;
-  telemetry::FlightRecorder* recorder_ = nullptr;
   telemetry::MetricsRegistry* registry_ = nullptr;
   telemetry::FlowAccountant* flow_ = nullptr;
 
@@ -193,7 +192,7 @@ class AdmissionController {
   std::uint64_t rejected_unknown_ = 0;
   bool draining_ = false;
   bool timer_armed_ = false;
-  std::string log_;
+  telemetry::EventLog log_;
 };
 
 }  // namespace lidc::qos

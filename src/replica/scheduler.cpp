@@ -1,9 +1,6 @@
 #include "replica/scheduler.hpp"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "common/logging.hpp"
 
 namespace lidc::replica {
 
@@ -16,7 +13,8 @@ TransferScheduler::TransferScheduler(ndn::Forwarder& forwarder,
       store_(store),
       cluster_name_(std::move(clusterName)),
       options_(options),
-      catalog_(catalog) {
+      catalog_(catalog),
+      log_(forwarder.simulator(), "replica/" + cluster_name_) {
   face_ = std::make_shared<ndn::AppFace>(
       "app://replica-stager/" + cluster_name_, forwarder_.simulator(),
       std::hash<std::string>{}(cluster_name_) | 1);
@@ -24,20 +22,11 @@ TransferScheduler::TransferScheduler(ndn::Forwarder& forwarder,
   retriever_ = std::make_unique<datalake::Retriever>(*face_);
 }
 
-void TransferScheduler::trace(const std::string& line) {
-  char stamp[32];
-  std::snprintf(stamp, sizeof(stamp), "t=%.6fs ",
-                forwarder_.simulator().now().toSeconds());
-  log_ += stamp;
-  log_ += line;
-  log_ += '\n';
-}
-
 void TransferScheduler::enqueue(const ndn::Name& dataset, Request request,
                                 DoneCallback done) {
   if (store_.contains(dataset)) {
     ++local_hits_;
-    trace("hit " + dataset.toUri());
+    log_.record(log::Level::kDebug, "hit " + dataset.toUri());
     if (done) done(Status::Ok(), 0);
     return;
   }
@@ -48,18 +37,30 @@ void TransferScheduler::enqueue(const ndn::Name& dataset, Request request,
       ++joined_;
       entry->priority = std::max(entry->priority, request.priority);
       if (done) entry->callbacks.push_back(std::move(done));
-      trace("join " + dataset.toUri() +
-            " prio=" + std::to_string(entry->priority));
+      log_.record(log::Level::kDebug, "join " + dataset.toUri() + " prio=" +
+                                          std::to_string(entry->priority));
       return;
     }
   }
   for (auto& entry : inflight_) {
-    if (entry->dataset == dataset && !entry->cancelled) {
-      ++joined_;
-      if (done) entry->callbacks.push_back(std::move(done));
-      trace("join " + dataset.toUri() + " (in flight)");
-      return;
+    if (entry->dataset != dataset) continue;
+    // A cancelled fetch keeps its lane until it lands, so this request
+    // adopts it (under its own tag) rather than queueing a re-fetch
+    // that the next plan would cancel in turn; the superseded plan's
+    // waiters still abort.
+    const bool adopt = entry->cancelled;
+    std::vector<DoneCallback> superseded;
+    if (adopt) {
+      superseded.swap(entry->callbacks);
+      entry->cancelled = false;
+      entry->tag = std::move(request.tag);
     }
+    ++joined_;
+    if (done) entry->callbacks.push_back(std::move(done));
+    log_.record(log::Level::kDebug,
+                "join " + dataset.toUri() + (adopt ? " (adopted)" : " (in flight)"));
+    for (auto& cb : superseded) cb(Status::Aborted("plan superseded"), 0);
+    return;
   }
   auto entry = std::make_shared<Entry>();
   entry->dataset = dataset;
@@ -69,9 +70,10 @@ void TransferScheduler::enqueue(const ndn::Name& dataset, Request request,
   entry->order = next_order_++;
   if (done) entry->callbacks.push_back(std::move(done));
   queue_.push_back(std::move(entry));
-  trace("enqueue " + dataset.toUri() +
-        " prio=" + std::to_string(request.priority) +
-        (queue_.back()->tag.empty() ? "" : " tag=" + queue_.back()->tag));
+  log_.record(log::Level::kDebug,
+              "enqueue " + dataset.toUri() + " prio=" +
+                  std::to_string(request.priority) +
+                  (queue_.back()->tag.empty() ? "" : " tag=" + queue_.back()->tag));
   if (catalog_) catalog_->markStaging(dataset);
   pump();
 }
@@ -82,7 +84,7 @@ bool TransferScheduler::cancel(const ndn::Name& dataset) {
       std::shared_ptr<Entry> entry = *it;
       queue_.erase(it);
       ++cancelled_;
-      trace("cancel " + dataset.toUri());
+      log_.record(log::Level::kDebug, "cancel " + dataset.toUri());
       if (catalog_) catalog_->erase(dataset);
       for (auto& cb : entry->callbacks) {
         cb(Status::Aborted("transfer cancelled"), 0);
@@ -101,7 +103,8 @@ std::size_t TransferScheduler::cancelTag(const std::string& tag) {
       it = queue_.erase(it);
       ++cancelled_;
       ++swept;
-      trace("cancel " + entry->dataset.toUri() + " tag=" + tag);
+      log_.record(log::Level::kDebug,
+                  "cancel " + entry->dataset.toUri() + " tag=" + tag);
       if (catalog_) catalog_->erase(entry->dataset);
       for (auto& cb : entry->callbacks) {
         cb(Status::Aborted("plan superseded"), 0);
@@ -115,7 +118,8 @@ std::size_t TransferScheduler::cancelTag(const std::string& tag) {
       entry->cancelled = true;
       ++cancelled_;
       ++swept;
-      trace("cancel " + entry->dataset.toUri() + " tag=" + tag + " (in flight)");
+      log_.record(log::Level::kDebug,
+                  "cancel " + entry->dataset.toUri() + " tag=" + tag + " (in flight)");
     }
   }
   return swept;
@@ -153,7 +157,7 @@ void TransferScheduler::pump() {
 void TransferScheduler::startTransfer(std::shared_ptr<Entry> entry) {
   ++active_;
   inflight_.push_back(entry);
-  trace("start " + entry->dataset.toUri());
+  log_.record(log::Level::kDebug, "start " + entry->dataset.toUri());
   telemetry::FlowLabel label;
   label.tenant = entry->tenant;
   label.tag = entry->tag;
@@ -173,11 +177,8 @@ void TransferScheduler::startTransfer(std::shared_ptr<Entry> entry) {
         }
         if (!bytes.ok()) {
           ++failures_;
-          trace("fail " + entry->dataset.toUri() + " (" +
-                bytes.status().toString() + ")");
-          LIDC_FR_EVENT(recorder_, kWarn, "replica",
-                        "stage failed " + entry->dataset.toUri() + " -> " +
-                            cluster_name_ + ": " + bytes.status().toString());
+          log_.record(log::Level::kWarn, "fail " + entry->dataset.toUri() + " (" +
+                                             bytes.status().toString() + ")");
           if (catalog_) catalog_->erase(entry->dataset);
           settle(entry, bytes.status(), 0);
           return;
@@ -190,14 +191,11 @@ void TransferScheduler::startTransfer(std::shared_ptr<Entry> entry) {
         if (!stored.ok()) {
           if (stored.code() == StatusCode::kResourceExhausted) {
             ++capacity_rejects_;
-            trace("reject-capacity " + entry->dataset.toUri());
-            LIDC_FR_EVENT(recorder_, kWarn, "replica",
-                          "capacity reject " + entry->dataset.toUri() +
-                              " -> " + cluster_name_);
+            log_.record(log::Level::kWarn, "reject-capacity " + entry->dataset.toUri());
           } else {
             ++failures_;
-            trace("fail " + entry->dataset.toUri() + " (" + stored.toString() +
-                  ")");
+            log_.record(log::Level::kDebug, "fail " + entry->dataset.toUri() + " (" +
+                                                stored.toString() + ")");
           }
           if (catalog_) catalog_->erase(entry->dataset);
           settle(entry, stored, 0);
@@ -219,11 +217,8 @@ void TransferScheduler::startTransfer(std::shared_ptr<Entry> entry) {
               static_cast<double>(options_.bandwidthBytesPerSec));
           gate_ = std::max(gate_, now) + sim::Duration::nanos(holdNs);
         }
-        trace("done " + entry->dataset.toUri() + " bytes=" +
-              std::to_string(size));
-        LIDC_LOG(kInfo, "replica")
-            << entry->dataset.toUri() << " -> " << cluster_name_ << " ("
-            << size << " bytes)";
+        log_.record(log::Level::kDebug, "done " + entry->dataset.toUri() +
+                                            " bytes=" + std::to_string(size));
         if (catalog_) catalog_->markReady(entry->dataset, size);
         settle(entry, Status::Ok(), size);
       },

@@ -13,14 +13,15 @@
 //     B / bandwidthBytesPerSec after it lands).
 //   * cancellable: a superseded plan cancels its tag; queued entries
 //     abort immediately, in-flight ones discard their bytes on
-//     completion.
+//     completion unless a newer request for the dataset adopts them.
 //   * space-aware: puts that the lake rejects for capacity (or quota)
 //     surface ResourceExhausted to the requester and count as rejects
 //     instead of silently growing the lake.
 //
 // Every transition appends a "t=..s <event>" line to eventLog(), which
 // is byte-identical across same-seed runs (the determinism guard pins
-// this).
+// this); fetch failures and capacity rejects also reach the flight
+// recorder as "replica/<cluster>" events with the same text.
 #pragma once
 
 #include <cstdint>
@@ -109,14 +110,14 @@ class TransferScheduler {
 
   /// Deterministic event trace ("t=..s enqueue|join|hit|start|done|
   /// fail|cancel|reject-capacity ..." lines).
-  [[nodiscard]] const std::string& eventLog() const noexcept { return log_; }
+  [[nodiscard]] const std::string& eventLog() const noexcept { return log_.text(); }
 
   /// Binds lidc_replica_staged_total / lidc_replica_bytes_moved_total
   /// / lidc_replica_capacity_rejected_total (labeled by cluster) into
   /// `registry`.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
   void setFlightRecorder(telemetry::FlightRecorder* recorder) noexcept {
-    recorder_ = recorder;
+    log_.setRecorder(recorder);
   }
   /// Routes staged-byte accounting through the cluster's flow plane:
   /// every landed transfer is recorded once under (group="staging",
@@ -142,7 +143,6 @@ class TransferScheduler {
   void startTransfer(std::shared_ptr<Entry> entry);
   void settle(const std::shared_ptr<Entry>& entry, Status status,
               std::uint64_t bytes);
-  void trace(const std::string& line);
 
   ndn::Forwarder& forwarder_;
   datalake::ObjectStore& store_;
@@ -151,7 +151,6 @@ class TransferScheduler {
   ReplicaCatalog* catalog_;
   std::shared_ptr<ndn::AppFace> face_;
   std::unique_ptr<datalake::Retriever> retriever_;
-  telemetry::FlightRecorder* recorder_ = nullptr;
   telemetry::FlowAccountant* flow_ = nullptr;
 
   std::deque<std::shared_ptr<Entry>> queue_;
@@ -169,7 +168,7 @@ class TransferScheduler {
   std::uint64_t cancelled_ = 0;
   std::uint64_t capacity_rejects_ = 0;
   std::uint64_t failures_ = 0;
-  std::string log_;
+  telemetry::EventLog log_;
 };
 
 }  // namespace lidc::replica

@@ -1,10 +1,7 @@
 #include "sim/chaos.hpp"
 
-#include <cstdio>
 #include <memory>
 #include <utility>
-
-#include "common/logging.hpp"
 
 namespace lidc::sim {
 
@@ -46,13 +43,9 @@ void ChaosEngine::schedulePhase(std::size_t fault, Time at, bool inject,
     } else {
       ++record.recoveries;
     }
-    trace_.push_back(
-        ChaosEvent{sim_.now(), record.label, inject ? "inject" : "recover"});
-    LIDC_FR_EVENT(recorder_, kWarn, "chaos",
-                  std::string(inject ? "inject " : "recover ") + record.label +
-                      " (" + std::string(faultKindName(record.kind)) + ")");
-    LIDC_LOG(kInfo, "chaos") << (inject ? "inject " : "recover ") << record.label
-                             << " (" << faultKindName(record.kind) << ")";
+    log_.record(log::Level::kWarn, (inject ? "inject " : "recover ") + record.label +
+                                       " (" + std::string(faultKindName(record.kind)) +
+                                       ")");
     action();
   });
 }
@@ -224,20 +217,6 @@ void ChaosEngine::drain(std::string label, Time at,
 void ChaosEngine::custom(std::string label, Time at, std::function<void()> apply) {
   const std::size_t fault = declare(std::move(label), FaultKind::kCustom);
   schedulePhase(fault, at, /*inject=*/true, std::move(apply));
-}
-
-std::string ChaosEngine::traceString() const {
-  std::string out;
-  char buf[64];
-  for (const auto& event : trace_) {
-    std::snprintf(buf, sizeof(buf), "t=%.6fs ", event.at.toSeconds());
-    out += buf;
-    out += event.phase;
-    out += ' ';
-    out += event.label;
-    out += '\n';
-  }
-  return out;
 }
 
 std::uint64_t ChaosEngine::totalInjections() const noexcept {

@@ -50,17 +50,10 @@ struct FaultRecord {
   std::uint64_t recoveries = 0;
 };
 
-/// One entry of the chaos event trace ("inject" or "recover").
-struct ChaosEvent {
-  Time at;
-  std::string label;
-  std::string phase;
-};
-
 class ChaosEngine {
  public:
   explicit ChaosEngine(Simulator& sim, std::uint64_t seed = 4242)
-      : sim_(sim), rng_(seed) {}
+      : sim_(sim), rng_(seed), log_(sim, "chaos") {}
   ChaosEngine(const ChaosEngine&) = delete;
   ChaosEngine& operator=(const ChaosEngine&) = delete;
 
@@ -149,12 +142,12 @@ class ChaosEngine {
   [[nodiscard]] const std::vector<FaultRecord>& faults() const noexcept {
     return faults_;
   }
-  [[nodiscard]] const std::vector<ChaosEvent>& trace() const noexcept {
-    return trace_;
+  /// The event trace, one "t=10.000000s inject east-crash (cluster-crash)"
+  /// line per injection or recovery — convenient for byte-identical
+  /// determinism assertions.
+  [[nodiscard]] const std::string& traceString() const noexcept {
+    return log_.text();
   }
-  /// The full event trace as one string ("t=10.000000s inject east-crash\n"
-  /// per line) — convenient for byte-identical determinism assertions.
-  [[nodiscard]] std::string traceString() const;
 
   [[nodiscard]] std::uint64_t totalInjections() const noexcept;
   [[nodiscard]] std::uint64_t totalRecoveries() const noexcept;
@@ -164,10 +157,11 @@ class ChaosEngine {
   /// read at snapshot time.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
 
-  /// Records every injection/recovery into `recorder`, so alert
-  /// post-mortems show the fault that caused the symptom.
+  /// Records every injection/recovery into `recorder` (the trace line,
+  /// as a "chaos" event), so alert post-mortems show the fault that
+  /// caused the symptom.
   void setFlightRecorder(telemetry::FlightRecorder* recorder) noexcept {
-    recorder_ = recorder;
+    log_.setRecorder(recorder);
   }
 
  private:
@@ -182,8 +176,7 @@ class ChaosEngine {
   Simulator& sim_;
   Rng rng_;
   std::vector<FaultRecord> faults_;
-  std::vector<ChaosEvent> trace_;
-  telemetry::FlightRecorder* recorder_ = nullptr;
+  telemetry::EventLog log_;
   telemetry::MetricsRegistry* registry_ = nullptr;
 };
 

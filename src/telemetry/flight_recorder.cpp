@@ -103,6 +103,17 @@ std::vector<FlightEvent> FlightRecorder::lastN(std::size_t n) const {
   return events;
 }
 
+void EventLog::record(log::Level level, std::string_view line) {
+  char stamp[40];
+  std::snprintf(stamp, sizeof(stamp), "t=%.6fs ", sim_.now().toSeconds());
+  text_ += stamp;
+  text_ += line;
+  text_ += '\n';
+  if (recorder_ != nullptr && level >= log::Level::kInfo) {
+    recorder_->record(component_, level, line);
+  }
+}
+
 std::string FlightRecorder::render(const std::vector<FlightEvent>& events) {
   std::string out;
   char head[64];

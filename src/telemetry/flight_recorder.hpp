@@ -90,8 +90,33 @@ class FlightRecorder {
   bool capturing_ = false;
 };
 
-/// Event-recording call site that does nothing (message expression
-/// unevaluated) when the recorder is null:
+/// A component's own deterministic decision log, and the one place its
+/// events are recorded: record() appends "t=<sim s>s <line>\n" to
+/// text() and, at kInfo and above, hands the same line to the attached
+/// recorder under the component's name. kDebug lines stay in the log.
+class EventLog {
+ public:
+  EventLog(sim::Simulator& sim, std::string component)
+      : sim_(sim), component_(std::move(component)) {}
+
+  /// Null detaches; the text log is kept either way.
+  void setRecorder(FlightRecorder* recorder) noexcept { recorder_ = recorder; }
+
+  void record(log::Level level, std::string_view line);
+
+  /// Every recorded line, stamped; byte-identical across same-seed runs.
+  [[nodiscard]] const std::string& text() const noexcept { return text_; }
+
+ private:
+  sim::Simulator& sim_;
+  std::string component_;
+  FlightRecorder* recorder_ = nullptr;
+  std::string text_;
+};
+
+/// Event-recording call site for components without a log of their own;
+/// does nothing (message expression unevaluated) when the recorder is
+/// null:
 ///   LIDC_FR_EVENT(recorder_, kWarn, "gateway", "reject job=" + id);
 #define LIDC_FR_EVENT(recorder, severity, component, message_expr)        \
   do {                                                                    \

@@ -235,11 +235,9 @@ TEST_F(ClusterTest, DeleteJobRemovesTheJobAndEveryAttemptPod) {
   ASSERT_EQ(cluster_.job("default", "retried")->status().attempts, 2);
   ASSERT_EQ(cluster_.podsInNamespace("default").size(), 2u);
 
-  const std::size_t events = cluster_.events().size();
   ASSERT_TRUE(cluster_.deleteJob("default", "retried").ok());
   EXPECT_EQ(cluster_.job("default", "retried"), nullptr);
   EXPECT_TRUE(cluster_.podsInNamespace("default").empty());
-  EXPECT_EQ(cluster_.events().size(), events);
   EXPECT_EQ(cluster_.deleteJob("default", "retried").code(),
             StatusCode::kNotFound);
 }
@@ -338,23 +336,6 @@ TEST_F(ClusterTest, NodeNotReadyBlocksScheduling) {
   EXPECT_EQ(cluster_.pendingUnschedulable(), 1u);
   cluster_.setNodeReady("node0", true);
   EXPECT_EQ(cluster_.pendingUnschedulable(), 0u);
-}
-
-TEST_F(ClusterTest, EventsRecorded) {
-  registerNoop();
-  JobSpec spec;
-  spec.app = "noop";
-  spec.requests = Resources{MilliCpu::fromCores(1), ByteSize::fromGiB(1)};
-  ASSERT_TRUE(cluster_.createJob("default", "j", spec).ok());
-  sim_.run();
-  bool sawScheduled = false;
-  bool sawCompleted = false;
-  for (const auto& event : cluster_.events()) {
-    if (event.kind == "PodScheduled") sawScheduled = true;
-    if (event.kind == "JobCompleted") sawCompleted = true;
-  }
-  EXPECT_TRUE(sawScheduled);
-  EXPECT_TRUE(sawCompleted);
 }
 
 }  // namespace

@@ -217,6 +217,32 @@ TEST_F(AdmissionTest, UnknownTenantGetsNoState) {
   EXPECT_EQ(ctl.decisionLog().find(flood), std::string::npos);
 }
 
+TEST_F(AdmissionTest, RejectIsRecordedOnceInTheLogAndOnceInTheRing) {
+  TenantSpec spec = makeSpec("solo");
+  spec.quota.maxJobsInFlight = 1;
+  ASSERT_TRUE(tenants_.registerTenant(spec).ok());
+  auto& ctl = controller();
+  telemetry::FlightRecorder recorder(sim_, 16);
+  ctl.setFlightRecorder(&recorder);
+
+  ASSERT_EQ(ctl.offer(job("solo", "j0")), AdmitDecision::kQueued);
+  ASSERT_EQ(ctl.offer(job("solo", "j1")), AdmitDecision::kRejectedQuota);
+
+  const std::string reject = "reject tenant=solo reason=quota tag=j1";
+  const std::string& log = ctl.decisionLog();
+  const auto at = log.find(reject);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(log.find(reject, at + 1), std::string::npos);
+  EXPECT_NE(log.find("admit tenant=solo tag=j0"), std::string::npos);
+
+  // Only the reject reaches the ring, under "qos", with the log's text.
+  const auto events = recorder.lastN(16);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].component, "qos");
+  EXPECT_EQ(events[0].severity, log::Level::kWarn);
+  EXPECT_EQ(events[0].message, reject);
+}
+
 TEST_F(AdmissionTest, TelemetryMirrorsCounters) {
   ASSERT_TRUE(tenants_.registerTenant(makeSpec("alpha")).ok());
   auto& ctl = controller();

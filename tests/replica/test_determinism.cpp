@@ -4,7 +4,8 @@
 // scheduler event trace when repeated with the same seed, and a
 // different trace under a different seed. This pins the property the
 // bench and the failure-recovery experiments lean on: same-seed
-// simulations replay exactly.
+// simulations replay exactly. The same world, without chaos, also pins
+// that a repair longer than one pass period lands while the loop runs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -35,80 +36,93 @@ struct Site {
   std::unique_ptr<TransferScheduler> scheduler;
 };
 
+/// The replica world: an ops host scraping three cluster sites. East's
+/// lake is seeded with `datasets`, each `bytes` long and hot, so the
+/// policy wants a replica on every cluster and the repair loop stages
+/// them onto west and south over the direct inter-cluster links.
+struct ReplicaWorld {
+  ReplicaWorld(ByteSize lakeCapacity, const std::vector<std::string>& datasets,
+               std::size_t bytes) {
+    topology.addNode("ops");
+    for (const std::string& name : {std::string("east"), std::string("west"),
+                                    std::string("south")}) {
+      ndn::Forwarder& node = topology.addNode(name);
+      // Ops links are slow, so staging traffic prefers the direct
+      // inter-cluster links below.
+      topology.connect("ops", name, net::LinkParams{sim::Duration::millis(50)});
+      Site& site = sites[name];
+      site.pvc = std::make_unique<k8s::PersistentVolumeClaim>(name + "-lake",
+                                                              lakeCapacity);
+      site.store = std::make_unique<datalake::ObjectStore>(*site.pvc);
+      site.server = std::make_unique<datalake::FileServer>(node, *site.store,
+                                                           kDataPrefix);
+      site.catalog = std::make_unique<ReplicaCatalog>(node, name);
+      ndn::Name prefix = kReplicaPrefix;
+      prefix.append(name);
+      topology.installRoutesTo(prefix, name);
+    }
+    topology.connect("east", "west", net::LinkParams{sim::Duration::millis(15)});
+    topology.connect("east", "south", net::LinkParams{sim::Duration::millis(25)});
+    topology.installRoutesTo(kDataPrefix, "east");
+
+    for (const std::string& name : datasets) {
+      (void)sites["east"].store->put(ndn::Name(name),
+                                     std::vector<std::uint8_t>(bytes, 0x5a));
+    }
+    sites["east"].catalog->syncFromStore(*sites["east"].store, kDataPrefix);
+    for (const std::string& name : {std::string("west"), std::string("south")}) {
+      sites[name].scheduler = std::make_unique<TransferScheduler>(
+          *topology.node(name), *sites[name].store, name, TransferOptions{},
+          sites[name].catalog.get());
+    }
+
+    directory = std::make_unique<ReplicaDirectory>(*topology.node("ops"));
+    for (const auto& [name, site] : sites) directory->watchCluster(name);
+    for (const std::string& name : datasets) {
+      for (int i = 0; i < 3; ++i) policy.recordAccess(ndn::Name(name));
+    }
+    repair = std::make_unique<RepairLoop>(sim, *directory, policy);
+    repair->addScheduler("west", sites["west"].scheduler.get());
+    repair->addScheduler("south", sites["south"].scheduler.get());
+  }
+
+  sim::Simulator sim;
+  net::Topology topology{sim};
+  std::map<std::string, Site> sites;
+  std::unique_ptr<ReplicaDirectory> directory;
+  PlacementPolicy policy{/*hotReplicas=*/3};
+  std::unique_ptr<RepairLoop> repair;
+};
+
 /// Runs the full replica loop (scrape -> plan -> repair transfers)
 /// under seeded link flaps and returns the combined deterministic
 /// signature: planLog plus every scheduler's event trace.
 std::string runScenario(std::uint64_t seed) {
-  sim::Simulator sim;
-  net::Topology topology(sim);
-  topology.addNode("ops");
-  std::map<std::string, Site> sites;
-  for (const std::string& name : {std::string("east"), std::string("west"),
-                                  std::string("south")}) {
-    ndn::Forwarder& node = topology.addNode(name);
-    // Ops links are slow, so staging traffic prefers the direct
-    // inter-cluster links below (the ones chaos flaps).
-    topology.connect("ops", name, net::LinkParams{sim::Duration::millis(50)});
-    Site& site = sites[name];
-    site.pvc = std::make_unique<k8s::PersistentVolumeClaim>(
-        name + "-lake", ByteSize::fromMiB(32));
-    site.store = std::make_unique<datalake::ObjectStore>(*site.pvc);
-    site.server = std::make_unique<datalake::FileServer>(node, *site.store,
-                                                         kDataPrefix);
-    site.catalog = std::make_unique<ReplicaCatalog>(node, name);
-    ndn::Name prefix = kReplicaPrefix;
-    prefix.append(name);
-    topology.installRoutesTo(prefix, name);
-  }
-  // The staging path crosses the inter-cluster links.
-  topology.connect("east", "west", net::LinkParams{sim::Duration::millis(15)});
-  topology.connect("east", "south", net::LinkParams{sim::Duration::millis(25)});
-  topology.installRoutesTo(kDataPrefix, "east");
-
-  // East is the seeded lake holding both datasets. They are big enough
-  // (512 segments each, ~2 s of windowed retrieval per transfer) that
-  // staging spans several flap periods of the schedule below.
-  for (const char* name : {"/ndn/k8s/data/ref", "/ndn/k8s/data/reads"}) {
-    (void)sites["east"].store->put(ndn::Name(name),
-                                   std::vector<std::uint8_t>(4 * 1024 * 1024, 0x5a));
-  }
-  sites["east"].catalog->syncFromStore(*sites["east"].store, kDataPrefix);
-  for (const std::string& name : {std::string("west"), std::string("south")}) {
-    sites[name].scheduler = std::make_unique<TransferScheduler>(
-        *topology.node(name), *sites[name].store, name, TransferOptions{},
-        sites[name].catalog.get());
-  }
-
-  ReplicaDirectory directory(*topology.node("ops"));
-  for (const auto& [name, site] : sites) directory.watchCluster(name);
-  // Hot datasets want a replica on every cluster, so both west's and
-  // south's schedulers stage (and west's path is the flapped one).
-  PlacementPolicy policy(/*hotReplicas=*/3);
-  for (const char* name : {"/ndn/k8s/data/ref", "/ndn/k8s/data/reads"}) {
-    for (int i = 0; i < 3; ++i) policy.recordAccess(ndn::Name(name));
-  }
-  RepairLoop repair(sim, directory, policy);
-  repair.addScheduler("west", sites["west"].scheduler.get());
-  repair.addScheduler("south", sites["south"].scheduler.get());
+  // Both datasets are big enough (512 segments each, ~2 s of windowed
+  // retrieval per transfer) that staging spans several flap periods of
+  // the schedule below; west's path is the flapped one.
+  ReplicaWorld world(ByteSize::fromMiB(32),
+                     {"/ndn/k8s/data/ref", "/ndn/k8s/data/reads"}, 4 * 1024 * 1024);
+  sim::Simulator& sim = world.sim;
 
   // Seeded flaps on the east-west staging path while repairs run.
   sim::ChaosEngine chaos(sim, seed);
-  chaos.linkFlaps("east-west-flaps", *topology.linkBetween("east", "west"),
+  chaos.linkFlaps("east-west-flaps", *world.topology.linkBetween("east", "west"),
                   sim::Time() + sim::Duration::millis(500),
                   sim::Time() + sim::Duration::seconds(30),
                   /*meanUp=*/sim::Duration::millis(700),
                   /*meanDown=*/sim::Duration::millis(700));
 
-  directory.start();
-  repair.start();
+  world.directory->start();
+  world.repair->start();
   sim.runUntil(sim::Time() + sim::Duration::seconds(40));
-  directory.stop();
-  repair.stop();
+  world.directory->stop();
+  world.repair->stop();
   sim.run();
 
-  std::string signature = "== planLog ==\n" + policy.planLog();
+  std::string signature = "== planLog ==\n" + world.policy.planLog();
   for (const std::string& name : {std::string("south"), std::string("west")}) {
-    signature += "== " + name + " ==\n" + sites[name].scheduler->eventLog();
+    signature += "== " + name + " ==\n" + world.sites[name].scheduler->eventLog();
   }
   return signature;
 }
@@ -124,6 +138,24 @@ TEST(ReplicaDeterminismTest, SameSeedReplaysByteIdentically) {
 
 TEST(ReplicaDeterminismTest, DifferentSeedDivergesTheTrace) {
   EXPECT_NE(runScenario(42), runScenario(1042));
+}
+
+// A repair whose fetch outlasts the 2 s pass period still lands while
+// the loop runs: each pass cancels the previous pass's tag, and its own
+// request adopts the cancelled in-flight fetch instead of queueing a
+// re-fetch behind it (which the next pass would cancel in turn).
+TEST(ReplicaRepairTest, RepairLongerThanOnePassLandsWhileTheLoopRuns) {
+  const ndn::Name big("/ndn/k8s/data/big");
+  ReplicaWorld world(ByteSize::fromMiB(64), {big.toUri()}, 48 * 1024 * 1024);
+  world.directory->start();
+  world.repair->start();
+  world.sim.runUntil(sim::Time() + sim::Duration::seconds(180));
+  EXPECT_TRUE(world.sites["west"].store->contains(big));
+  EXPECT_TRUE(world.sites["south"].store->contains(big));
+  EXPECT_EQ(world.repair->underReplicated(), 0u);
+  world.directory->stop();
+  world.repair->stop();
+  world.sim.run();
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Flight recorder: sim-clock stamped ring of structured events —
 // ordering, wraparound, deterministic truncation, log capture via the
 // global sink, and the exact render format alert post-mortems embed.
+// EventLog: a component's stamped text log that feeds the ring once per
+// event at kInfo and above.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -106,6 +108,67 @@ TEST(FlightRecorderTest, EventMacroIsNullSafe) {
   FlightRecorder real(sim, 4);
   LIDC_FR_EVENT(&real, kError, "y", std::string("built once"));
   EXPECT_EQ(real.recorded(), 1u);
+}
+
+TEST(EventLogTest, StampsEachLineWithTheSimClock) {
+  sim::Simulator sim;
+  EventLog owner(sim, "comp");
+  owner.record(log::Level::kDebug, "first");
+  sim.scheduleAt(sim::Time::fromNanos(0) + sim::Duration::millis(1500),
+                 [&owner] { owner.record(log::Level::kWarn, "second k=v"); });
+  sim.run();
+  EXPECT_EQ(owner.text(), "t=0.000000s first\nt=1.500000s second k=v\n");
+}
+
+TEST(EventLogTest, DebugLinesStayInTheOwnerLog) {
+  sim::Simulator sim;
+  FlightRecorder recorder(sim, 8);
+  EventLog owner(sim, "comp");
+  owner.setRecorder(&recorder);
+  owner.record(log::Level::kDebug, "enqueue a");
+  EXPECT_EQ(owner.text(), "t=0.000000s enqueue a\n");
+  EXPECT_EQ(recorder.recorded(), 0u);
+}
+
+TEST(EventLogTest, InfoAndWarnLinesReachTheRingWithTheSameText) {
+  sim::Simulator sim;
+  FlightRecorder recorder(sim, 8);
+  EventLog owner(sim, "replica/west");
+  owner.setRecorder(&recorder);
+  owner.record(log::Level::kInfo, "ckpt job=j epoch=1");
+  owner.record(log::Level::kDebug, "start /a");
+  owner.record(log::Level::kWarn, "fail /a (UNAVAILABLE: gone)");
+
+  const auto events = recorder.lastN(8);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].component, "replica/west");
+  EXPECT_EQ(events[0].severity, log::Level::kInfo);
+  EXPECT_EQ(events[0].message, "ckpt job=j epoch=1");
+  EXPECT_EQ(events[1].component, "replica/west");
+  EXPECT_EQ(events[1].severity, log::Level::kWarn);
+  EXPECT_EQ(events[1].message, "fail /a (UNAVAILABLE: gone)");
+  EXPECT_EQ(owner.text(),
+            "t=0.000000s ckpt job=j epoch=1\n"
+            "t=0.000000s start /a\n"
+            "t=0.000000s fail /a (UNAVAILABLE: gone)\n");
+}
+
+TEST(EventLogTest, NullRecorderKeepsOnlyTheText) {
+  sim::Simulator sim;
+  FlightRecorder recorder(sim, 8);
+  EventLog owner(sim, "comp");
+  owner.record(log::Level::kWarn, "before attach");
+  owner.setRecorder(&recorder);
+  owner.record(log::Level::kWarn, "attached");
+  owner.setRecorder(nullptr);
+  owner.record(log::Level::kError, "after detach");
+
+  EXPECT_EQ(recorder.recorded(), 1u);
+  EXPECT_EQ(recorder.lastN(1)[0].message, "attached");
+  EXPECT_EQ(owner.text(),
+            "t=0.000000s before attach\n"
+            "t=0.000000s attached\n"
+            "t=0.000000s after detach\n");
 }
 
 }  // namespace
