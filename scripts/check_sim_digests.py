@@ -36,9 +36,9 @@ EXPECTED = {
 }
 METRIC = "alloc.count_per_op"
 CEILINGS = {
-    "control_storm": 354,  # measured 321.4
-    "lake_fetch": 150,  # measured 136.1
-    "dag_observed": 529,  # measured 480.4
+    "control_storm": 198,  # measured 179.6
+    "lake_fetch": 88,  # measured 79.6
+    "dag_observed": 447,  # measured 406.1
 }
 
 

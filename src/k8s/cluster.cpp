@@ -173,7 +173,7 @@ Result<Pod*> Cluster::createPod(const std::string& ns, const std::string& podNam
 }
 
 Pod* Cluster::pod(const std::string& ns, const std::string& podName) {
-  auto it = pods_.find(key(ns, podName));
+  auto it = pods_.find(lookupKey(ns, podName));
   return it == pods_.end() ? nullptr : it->second.get();
 }
 
@@ -265,7 +265,7 @@ Job* Cluster::ownerJob(const Pod& pod) {
   // Only the job's current attempt counts as backed by it.
   const auto label = pod.spec().labels.find("job-name");
   if (label == pod.spec().labels.end()) return nullptr;
-  const auto it = jobs_.find(key(pod.namespaceName(), label->second));
+  const auto it = jobs_.find(lookupKey(pod.namespaceName(), label->second));
   if (it == jobs_.end() || it->second->podName() != pod.name()) return nullptr;
   return it->second.get();
 }
@@ -302,7 +302,7 @@ Result<Service*> Cluster::createService(const std::string& ns,
 }
 
 Service* Cluster::service(const std::string& ns, const std::string& svcName) {
-  auto it = services_.find(key(ns, svcName));
+  auto it = services_.find(lookupKey(ns, svcName));
   return it == services_.end() ? nullptr : it->second.get();
 }
 
@@ -431,12 +431,12 @@ Result<Pod*> Cluster::createJobPod(Job& job) {
 }
 
 Job* Cluster::job(const std::string& ns, const std::string& jobName) {
-  auto it = jobs_.find(key(ns, jobName));
+  auto it = jobs_.find(lookupKey(ns, jobName));
   return it == jobs_.end() ? nullptr : it->second.get();
 }
 
 const Job* Cluster::job(const std::string& ns, const std::string& jobName) const {
-  auto it = jobs_.find(key(ns, jobName));
+  auto it = jobs_.find(lookupKey(ns, jobName));
   return it == jobs_.end() ? nullptr : it->second.get();
 }
 
@@ -498,7 +498,7 @@ void Cluster::executeJobPod(Job& job, Pod& pod) {
   const std::string jobName = job.name();
   const std::string podKey = key(pod.namespaceName(), pod.name());
   sim_.scheduleAfter(result.runtime, [this, ns, jobName, podKey, result] {
-    auto jobIt = jobs_.find(key(ns, jobName));
+    auto jobIt = jobs_.find(lookupKey(ns, jobName));
     auto podIt = pods_.find(podKey);
     if (jobIt == jobs_.end() || podIt == pods_.end()) return;
     // The pod may have been killed in the meantime (node failure); only

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -137,6 +138,14 @@ class Cluster {
  private:
   static std::string key(const std::string& ns, const std::string& name) {
     return ns + "/" + name;
+  }
+  /// key(ns, name) for a read-only find, built in one buffer that every
+  /// such lookup reuses, so once it has grown none allocates. Valid until
+  /// the next call.
+  static const std::string& lookupKey(std::string_view ns, std::string_view name) {
+    thread_local std::string buffer;
+    buffer.assign(ns).append("/").append(name);
+    return buffer;
   }
 
   /// Attempts to bind the pod to a node; on success drives its lifecycle.

@@ -4,25 +4,43 @@
 
 namespace lidc::ndn {
 
+namespace {
+/// Copy-assigned into a freed slot: drops the Interest's parameters and
+/// keeps its name buffer.
+const Interest kFreed;
+}  // namespace
+
+template <typename Fire>
+void AppFace::complete(Pending* record, Fire&& fire) {
+  unindex(record);
+  record->timeoutEvent.cancel();  // does nothing when the timeout is what fires
+  Callbacks callbacks = std::move(record->callbacks);
+  fire(callbacks, record->interest);
+  record->interest = kFreed;
+  pool_.release(record);
+}
+
 void AppFace::expressInterest(Interest interest, DataCallback onData,
                               NackCallback onNack, TimeoutCallback onTimeout) {
   if (interest.nonce() == 0) {
     interest.setNonce(static_cast<std::uint32_t>(nonce_rng_() & 0xFFFFFFFFu) | 1u);
   }
 
-  pending_.push_back(Pending{interest, std::move(onData), std::move(onNack),
-                             std::move(onTimeout), sim::EventHandle{}});
-  auto it = std::prev(pending_.end());
+  Pending* record = pool_.acquire();
+  record->interest = std::move(interest);
+  record->callbacks = {std::move(onData), std::move(onNack), std::move(onTimeout)};
+  record->seq = next_seq_++;
+  index(record);
 
   // App-level timeout mirrors the Interest lifetime.
-  it->timeoutEvent = sim_.scheduleAfter(interest.lifetime(), [this, it] {
-    Pending pending = std::move(*it);
-    pending_.erase(it);
-    if (pending.onTimeout) pending.onTimeout(pending.interest);
+  record->timeoutEvent = sim_.scheduleAfter(record->interest.lifetime(), [this, record] {
+    complete(record, [](Callbacks& callbacks, const Interest& interest) {
+      if (callbacks.onTimeout) callbacks.onTimeout(interest);
+    });
   });
 
   // Into the forwarder.
-  receiveInterest(it->interest);
+  receiveInterest(record->interest);
 }
 
 void AppFace::putData(Data data) {
@@ -39,52 +57,127 @@ void AppFace::sendInterest(const Interest& interest) {
   if (interest_handler_) interest_handler_(interest);
 }
 
-AppFace::PendingList::iterator AppFace::findPendingForData(const Data& data) {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    const bool match = it->interest.canBePrefix()
-                           ? it->interest.name().isPrefixOf(data.name())
-                           : it->interest.name() == data.name();
-    if (!match) continue;
-    // An Interest excluding this payload's digest is not satisfied by
-    // it — otherwise an integrity re-fetch issued from inside a Data
-    // callback would be consumed by the very poison it is escaping.
-    if (it->interest.excludeDigest().has_value() &&
-        *it->interest.excludeDigest() == data.contentDigest()) {
-      continue;
-    }
-    return it;
-  }
-  return pending_.end();
-}
-
-AppFace::PendingList::iterator AppFace::findPendingForInterest(const Name& name) {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->interest.name() == name) return it;
-  }
-  return pending_.end();
-}
-
 void AppFace::sendData(const Data& data) {
   countOutData(data);
-  // All pending Interests this Data satisfies fire (typically one).
-  while (true) {
-    auto it = findPendingForData(data);
-    if (it == pending_.end()) return;
-    Pending pending = std::move(*it);
-    pending_.erase(it);
-    pending.timeoutEvent.cancel();
-    if (pending.onData) pending.onData(pending.interest, data);
+  // All pending Interests this Data satisfies fire (typically one), one
+  // at a time. Each pass looks again, so a record that a callback adds
+  // can still be satisfied by the same Data.
+  while (Pending* record = matchForData(data)) {
+    complete(record, [&data](Callbacks& callbacks, const Interest& interest) {
+      if (callbacks.onData) callbacks.onData(interest, data);
+    });
   }
 }
 
 void AppFace::sendNack(const Nack& nack) {
   countOutNack();
-  auto it = findPendingForInterest(nack.interest().name());
-  if (it == pending_.end()) return;
-  Pending pending = std::move(*it);
-  pending_.erase(it);
-  pending.timeoutEvent.cancel();
-  if (pending.onNack) pending.onNack(pending.interest, nack);
+  if (table_.empty()) return;
+  // The earliest-expressed record with exactly the nacked name.
+  Pending* record = table_[cellOf(nack.interest().name())].oldest;
+  if (record == nullptr) return;
+  complete(record, [&nack](Callbacks& callbacks, const Interest& interest) {
+    if (callbacks.onNack) callbacks.onNack(interest, nack);
+  });
+}
+
+AppFace::Pending* AppFace::matchForData(const Data& data) const {
+  // An Interest excluding this payload's digest is not satisfied by
+  // it — otherwise an integrity re-fetch expressed from inside a Data
+  // callback would be consumed by the very poison it is escaping.
+  const auto excluded = [&data](const Interest& interest) {
+    return interest.excludeDigest().has_value() &&
+           *interest.excludeDigest() == data.contentDigest();
+  };
+  // Every record under the exact name is satisfied; the chain is in
+  // the order expressed.
+  Pending* match = nullptr;
+  if (!table_.empty()) {
+    for (Pending* record = table_[cellOf(data.name())].oldest; record != nullptr;
+         record = record->newer) {
+      if (!excluded(record->interest)) {
+        match = record;
+        break;
+      }
+    }
+  }
+  // A CanBePrefix record expressed earlier may cover the name from above.
+  for (Pending* record : prefix_records_) {
+    if (match != nullptr && record->seq >= match->seq) break;
+    if (record->interest.name().isPrefixOf(data.name()) && !excluded(record->interest)) {
+      return record;
+    }
+  }
+  return match;
+}
+
+std::size_t AppFace::cellOf(const Name& name) const noexcept {
+  const std::size_t mask = table_.size() - 1;
+  const std::size_t hash = name.hash();
+  for (std::size_t cell = hash & mask;; cell = (cell + 1) & mask) {
+    const Pending* oldest = table_[cell].oldest;
+    if (oldest == nullptr) return cell;
+    const Name& stored = oldest->interest.name();
+    if (stored.hash() == hash && stored == name) return cell;
+  }
+}
+
+void AppFace::index(Pending* record) {
+  if ((names_ + 1) * 2 > table_.size()) grow();
+  Chain& chain = table_[cellOf(record->interest.name())];
+  record->older = chain.newest;
+  record->newer = nullptr;
+  if (chain.newest != nullptr) {
+    chain.newest->newer = record;
+  } else {
+    chain.oldest = record;
+    ++names_;
+  }
+  chain.newest = record;
+  if (record->interest.canBePrefix()) prefix_records_.push_back(record);
+  ++pending_count_;
+}
+
+void AppFace::unindex(Pending* record) {
+  --pending_count_;
+  if (record->interest.canBePrefix()) {
+    prefix_records_.erase(
+        std::find(prefix_records_.begin(), prefix_records_.end(), record));
+  }
+  const std::size_t cell = cellOf(record->interest.name());
+  Chain& chain = table_[cell];
+  (record->older != nullptr ? record->older->newer : chain.oldest) = record->newer;
+  (record->newer != nullptr ? record->newer->older : chain.newest) = record->older;
+  if (chain.oldest == nullptr) {
+    --names_;
+    eraseCell(cell);
+  }
+}
+
+void AppFace::grow() {
+  std::vector<Chain> old(std::max<std::size_t>(16, table_.size() * 2));
+  old.swap(table_);
+  const std::size_t mask = table_.size() - 1;
+  for (const Chain& chain : old) {
+    if (chain.oldest == nullptr) continue;
+    std::size_t cell = chain.oldest->interest.name().hash() & mask;
+    while (table_[cell].oldest != nullptr) cell = (cell + 1) & mask;
+    table_[cell] = chain;
+  }
+}
+
+void AppFace::eraseCell(std::size_t hole) noexcept {
+  const std::size_t mask = table_.size() - 1;
+  // Backward-shift deletion: pull later cells of the probe run into the
+  // hole when it lies between their home cell and where they sit.
+  for (std::size_t next = (hole + 1) & mask; table_[next].oldest != nullptr;
+       next = (next + 1) & mask) {
+    const std::size_t home = table_[next].oldest->interest.name().hash() & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      table_[hole] = table_[next];
+      hole = next;
+    }
+  }
+  table_[hole] = Chain{};
 }
 
 }  // namespace lidc::ndn

@@ -4,11 +4,12 @@
 // lake file servers all sit on AppFaces.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <list>
-#include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/slot_pool.hpp"
 #include "ndn/face.hpp"
 #include "sim/simulator.hpp"
 
@@ -42,7 +43,7 @@ class AppFace : public Face {
   void putNack(const Interest& interest, NackReason reason);
 
   [[nodiscard]] std::size_t pendingInterestCount() const noexcept {
-    return pending_.size();
+    return pending_count_;
   }
 
   // --- Face overrides: forwarder -> application delivery ---
@@ -51,22 +52,60 @@ class AppFace : public Face {
   void sendNack(const Nack& nack) override;
 
  private:
-  struct Pending {
-    Interest interest;
+  struct Callbacks {
     DataCallback onData;
     NackCallback onNack;
     TimeoutCallback onTimeout;
-    sim::EventHandle timeoutEvent;
   };
-  using PendingList = std::list<Pending>;
+  /// One expressed Interest awaiting its Data, Nack or timeout. Records
+  /// live in pooled slots that never move, so a callback may express more
+  /// Interests while its own record's Interest is still being read.
+  struct Pending {
+    Interest interest;
+    Callbacks callbacks;
+    sim::EventHandle timeoutEvent;
+    /// Expression order: matching fires the earliest-expressed record first.
+    std::uint64_t seq = 0;
+    /// Neighbours among the records pending under the same name.
+    Pending* older = nullptr;
+    Pending* newer = nullptr;
+  };
+  /// The records pending under one exact name, in the order expressed.
+  struct Chain {
+    Pending* oldest = nullptr;
+    Pending* newest = nullptr;
+  };
 
-  /// Matches a Data/Nack against pending Interests; returns end() if none.
-  PendingList::iterator findPendingForData(const Data& data);
-  PendingList::iterator findPendingForInterest(const Name& name);
+  /// The earliest-expressed record this Data satisfies now, or null.
+  [[nodiscard]] Pending* matchForData(const Data& data) const;
+  /// The cell of the chain for `name`, or the empty cell that ends its
+  /// probe run. The table must not be empty.
+  [[nodiscard]] std::size_t cellOf(const Name& name) const noexcept;
+  /// Appends a record to its name's chain (and to the prefix list).
+  void index(Pending* record);
+  /// Takes a record out of its chain and the prefix list.
+  void unindex(Pending* record);
+  /// Doubles the table (16 cells at first) and re-places every chain.
+  void grow();
+  /// Empties a cell by backward-shift deletion.
+  void eraseCell(std::size_t hole) noexcept;
+  /// Unindexes a record, cancels its timeout and runs `fire` on its
+  /// callbacks, moved to a local that is destroyed only after `fire`
+  /// returns and the slot is back in the pool.
+  template <typename Fire>
+  void complete(Pending* record, Fire&& fire);
 
   sim::Simulator& sim_;
   Rng nonce_rng_;
-  PendingList pending_;
+  SlotPool<Pending, 8> pool_;
+  /// Open addressing with linear probing over Name::hash(): one chain per
+  /// distinct pending name. At most half full.
+  std::vector<Chain> table_;
+  std::size_t names_ = 0;
+  std::size_t pending_count_ = 0;
+  std::uint64_t next_seq_ = 0;
+  /// CanBePrefix records (also in their name's chain), in the order expressed.
+  std::vector<Pending*> prefix_records_;
   InterestHandler interest_handler_;
 };
 

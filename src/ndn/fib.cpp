@@ -29,6 +29,7 @@ bool FibEntry::hasNextHop(FaceId face) const noexcept {
 
 FibEntry& Fib::insert(const Name& prefix, FaceId face, std::uint64_t cost) {
   auto [it, inserted] = entries_.try_emplace(prefix, FibEntry(prefix));
+  if (inserted) count(prefix, +1);
   it->second.addOrUpdateNextHop(face, cost);
   return it->second;
 }
@@ -37,13 +38,17 @@ void Fib::removeNextHop(const Name& prefix, FaceId face) {
   auto it = entries_.find(prefix);
   if (it == entries_.end()) return;
   it->second.removeNextHop(face);
-  if (it->second.empty()) entries_.erase(it);
+  if (it->second.empty()) {
+    count(prefix, -1);
+    entries_.erase(it);
+  }
 }
 
 void Fib::removeFaceFromAll(FaceId face) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     it->second.removeNextHop(face);
     if (it->second.empty()) {
+      count(it->first, -1);
       it = entries_.erase(it);
     } else {
       ++it;
@@ -51,13 +56,24 @@ void Fib::removeFaceFromAll(FaceId face) {
   }
 }
 
+void Fib::count(const Name& prefix, int delta) {
+  if (lengths_.size() <= prefix.size()) lengths_.resize(prefix.size() + 1);
+  lengths_[prefix.size()] += static_cast<std::uint32_t>(delta);
+  while (!lengths_.empty() && lengths_.back() == 0) lengths_.pop_back();
+}
+
 const FibEntry* Fib::longestPrefixMatch(const Name& name) const {
   // Prefixes come shortest first, so the last match is the longest.
+  // lengths_ ends at the longest length held, so hashing stops there.
   const FibEntry* longest = nullptr;
-  name.forEachPrefix([&](const NamePrefix& prefix) {
-    auto it = entries_.find(prefix);
-    if (it != entries_.end() && !it->second.empty()) longest = &it->second;
-  });
+  if (lengths_.empty()) return longest;
+  name.forEachPrefix(
+      [&](const NamePrefix& prefix) {
+        if (lengths_[prefix.size()] == 0) return;
+        auto it = entries_.find(prefix);
+        if (it != entries_.end() && !it->second.empty()) longest = &it->second;
+      },
+      lengths_.size() - 1);
   return longest;
 }
 

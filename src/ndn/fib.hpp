@@ -51,7 +51,8 @@ class Fib {
   void removeFaceFromAll(FaceId face);
 
   /// Longest-prefix-match lookup. nullptr when nothing matches. Probes
-  /// every prefix by view and hash; no prefix is copied.
+  /// by view and hash only the prefix lengths that hold an entry, and
+  /// hashes no component past the longest of them; no prefix is copied.
   [[nodiscard]] const FibEntry* longestPrefixMatch(const Name& name) const;
 
   /// Exact-prefix lookup.
@@ -60,7 +61,12 @@ class Fib {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
+  /// Keeps the per-length counts when an entry is added or dropped.
+  void count(const Name& prefix, int delta);
+
   std::unordered_map<Name, FibEntry, NameHash, NameEqual> entries_;
+  /// Entries by prefix length (index = number of components).
+  std::vector<std::uint32_t> lengths_;
 };
 
 }  // namespace lidc::ndn

@@ -173,6 +173,7 @@ void Forwarder::installHandlers(Face& face) {
 }
 
 void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
+  const Pit::Hold hold(pit_);
   ++counters_.nInInterests;
   LIDC_LOG(kTrace, "forwarder") << name_ << " <- Interest " << interest.name().toUri()
                                 << " via face " << inFace.id();
@@ -211,15 +212,15 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
   entry->insertInRecord(inFace.id(), interest.nonce(), expiry);
 
   if (isNew) {
-    // Unsatisfy timer.
-    std::weak_ptr<PitEntry> weak = entry;
-    entry->expiryTimer =
-        sim_.scheduleAfter(interest.lifetime(), [this, weak] { onInterestExpiry(weak); });
-    findStrategy(interest.name()).afterReceiveInterest(interest, inFace, entry);
+    // Unsatisfy timer. Erasing the entry cancels it, so the entry it
+    // names is still in the table when it fires.
+    entry->expiryTimer = sim_.scheduleAfter(
+        interest.lifetime(), [this, entry = entry] { onInterestExpiry(*entry); });
+    findStrategy(interest.name()).afterReceiveInterest(interest, inFace, *entry);
   } else if (!entry->hasOutRecords()) {
     // Entry exists but was never forwarded (e.g. all upstreams were down);
     // give the strategy another chance.
-    findStrategy(interest.name()).afterReceiveInterest(interest, inFace, entry);
+    findStrategy(interest.name()).afterReceiveInterest(interest, inFace, *entry);
   } else {
     // Aggregated onto the in-flight Interest (no re-forwarding).
     hopInstant(interest, "pit-aggregate");
@@ -233,6 +234,7 @@ void Forwarder::nackDuplicate(Face& inFace, const Interest& interest) {
 }
 
 void Forwarder::onIncomingData(Face& inFace, const Data& data) {
+  const Pit::Hold hold(pit_);
   ++counters_.nInData;
   LIDC_LOG(kTrace, "forwarder") << name_ << " <- Data " << data.name().toUri()
                                 << " via face " << inFace.id();
@@ -249,7 +251,7 @@ void Forwarder::onIncomingData(Face& inFace, const Data& data) {
     return;
   }
 
-  auto matches = pit_.findMatches(data);
+  const Pit::Matches matches = pit_.findMatches(data);
   if (matches.empty()) {
     ++counters_.nUnsolicitedData;
     return;  // unsolicited Data is dropped, as in NFD's default policy
@@ -257,9 +259,13 @@ void Forwarder::onIncomingData(Face& inFace, const Data& data) {
 
   cs_.insert(data, sim_.now());
 
-  for (const auto& entry : matches) {
+  // A nested pipeline may erase a matched entry (a local producer that
+  // answers at once, a consumer that re-expresses from onData); the hold
+  // keeps it readable, and erase() then removes whatever entry holds its
+  // key by now, if any.
+  for (PitEntry* entry : matches) {
     entry->expiryTimer.cancel();
-    findStrategy(entry->name()).beforeSatisfyInterest(entry, inFace, data);
+    findStrategy(entry->name()).beforeSatisfyInterest(*entry, inFace, data);
     for (const auto& in : entry->inRecords()) {
       if (in.face == inFace.id()) continue;
       if (auto* downstream = face(in.face); downstream != nullptr) {
@@ -285,33 +291,33 @@ void Forwarder::recordDeadNonces(const PitEntry& entry) {
 }
 
 void Forwarder::onIncomingNack(Face& inFace, const Nack& nack) {
-  auto entry = pit_.find(nack.interest());
-  if (!entry) return;
+  const Pit::Hold hold(pit_);
+  PitEntry* entry = pit_.find(nack.interest());
+  if (entry == nullptr) return;
   // Only meaningful if we actually sent on that face.
   if (entry->findOutRecord(inFace.id()) == nullptr) return;
-  findStrategy(entry->name()).afterReceiveNack(nack, inFace, entry);
+  findStrategy(entry->name()).afterReceiveNack(nack, inFace, *entry);
 }
 
-void Forwarder::onInterestExpiry(std::weak_ptr<PitEntry> weakEntry) {
-  auto entry = weakEntry.lock();
-  if (!entry) return;
+void Forwarder::onInterestExpiry(PitEntry& entry) {
+  const Pit::Hold hold(pit_);
   ++counters_.nUnsatisfied;
   LIDC_FR_EVENT(recorder_, kWarn, "forwarder",
-                name_ + " unsatisfied " + entry->interest().name().toUri());
-  hopInstant(entry->interest(), "expire");
-  findStrategy(entry->name()).onInterestTimeout(entry);
-  recordDeadNonces(*entry);
-  pit_.erase(entry);
+                name_ + " unsatisfied " + entry.interest().name().toUri());
+  hopInstant(entry.interest(), "expire");
+  findStrategy(entry.name()).onInterestTimeout(entry);
+  recordDeadNonces(entry);
+  pit_.erase(&entry);
 }
 
-void Forwarder::sendInterest(const std::shared_ptr<PitEntry>& entry, FaceId upstream) {
+void Forwarder::sendInterest(PitEntry& entry, FaceId upstream) {
   auto* outFace = face(upstream);
   if (outFace == nullptr || !outFace->isUp()) return;
 
   // The face gets the PIT entry's own Interest: the hop limit is
   // decremented on the wire, in the copy a link face puts in flight.
-  const Interest& interest = entry->interest();
-  entry->insertOutRecord(upstream, interest.nonce(), sim_.now());
+  const Interest& interest = entry.interest();
+  entry.insertOutRecord(upstream, interest.nonce(), sim_.now());
   ++counters_.nOutInterests;
   if (tracing()) hopInstant(interest, "forward", {{"face", std::to_string(upstream)}});
   LIDC_LOG(kTrace, "forwarder") << name_ << " -> Interest " << interest.name().toUri()
@@ -319,23 +325,21 @@ void Forwarder::sendInterest(const std::shared_ptr<PitEntry>& entry, FaceId upst
   outFace->sendInterest(interest);
 }
 
-void Forwarder::sendNackDownstream(const std::shared_ptr<PitEntry>& entry,
-                                   NackReason reason) {
+void Forwarder::sendNackDownstream(PitEntry& entry, NackReason reason) {
   ++counters_.nNoRoute;
   LIDC_FR_EVENT(recorder_, kWarn, "forwarder",
                 name_ + " nack " + std::string(nackReasonName(reason)) + " " +
-                    entry->interest().name().toUri());
+                    entry.interest().name().toUri());
   if (tracing()) {
-    hopInstant(entry->interest(), "nack",
+    hopInstant(entry.interest(), "nack",
                {{"reason", std::string(nackReasonName(reason))}});
   }
-  for (const auto& in : entry->inRecords()) {
+  for (const auto& in : entry.inRecords()) {
     if (auto* downstream = face(in.face); downstream != nullptr) {
-      downstream->sendNack(Nack(entry->interest(), reason));
+      downstream->sendNack(Nack(entry.interest(), reason));
     }
   }
-  entry->expiryTimer.cancel();
-  pit_.erase(entry);
+  pit_.erase(&entry);
 }
 
 }  // namespace lidc::ndn

@@ -114,15 +114,17 @@ class Forwarder {
   }
 
   // --- actions used by strategies ---
-  void sendInterest(const std::shared_ptr<PitEntry>& entry, FaceId upstream);
-  void sendNackDownstream(const std::shared_ptr<PitEntry>& entry, NackReason reason);
+  void sendInterest(PitEntry& entry, FaceId upstream);
+  void sendNackDownstream(PitEntry& entry, NackReason reason);
 
  private:
-  // Pipelines (called via face receive handlers).
+  // Pipelines (called via face receive handlers and the expiry timer).
+  // Each takes a Pit::Hold, so an entry erased by a nested pipeline stays
+  // readable until the outermost one returns.
   void onIncomingInterest(Face& inFace, const Interest& interest);
   void onIncomingData(Face& inFace, const Data& data);
   void onIncomingNack(Face& inFace, const Nack& nack);
-  void onInterestExpiry(std::weak_ptr<PitEntry> weakEntry);
+  void onInterestExpiry(PitEntry& entry);
   /// Counts a looping (duplicate-nonce) Interest and nacks it back.
   void nackDuplicate(Face& inFace, const Interest& interest);
   /// Records the entry's nonces in the Dead Nonce List before removal.

@@ -11,6 +11,7 @@
 // copies of each prefix.
 #pragma once
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <cstring>
@@ -221,11 +222,13 @@ class Name {
   /// append() builds.
   static Result<Name> fromWire(std::span<const std::uint8_t> value);
 
-  /// Calls visit(NamePrefix) for prefix(0) .. prefix(size()), shortest
-  /// first, in one pass over the buffer: each prefix's hash equals
-  /// prefix(k).hash(), and nothing is copied.
+  /// Calls visit(NamePrefix) for prefix(0) .. prefix(min(size(), maxSize)),
+  /// shortest first, in one pass over the buffer: each prefix's hash
+  /// equals prefix(k).hash(), and nothing is copied or hashed past the
+  /// last prefix visited.
   template <typename Visit>
-  void forEachPrefix(Visit&& visit) const;
+  void forEachPrefix(Visit&& visit,
+                     std::size_t maxSize = static_cast<std::size_t>(-1)) const;
 
  private:
   /// Size of a component TLV's header (type + length) and of its value.
@@ -302,12 +305,13 @@ class NamePrefix {
 };
 
 template <typename Visit>
-void Name::forEachPrefix(Visit&& visit) const {
+void Name::forEachPrefix(Visit&& visit, std::size_t maxSize) const {
   const std::uint8_t* const base = wire_.data();
+  const std::size_t last = std::min(size_, maxSize);
   std::uint64_t h = kFnvOffset;
   std::size_t offset = 0;
   visit(NamePrefix({base, offset}, 0, static_cast<std::size_t>(h)));
-  for (std::size_t k = 1; k <= size_; ++k) {
+  for (std::size_t k = 1; k <= last; ++k) {
     const Header header = readHeader(base + offset);
     h = mixComponent(h, base + offset + header.size, header.valueSize);
     offset += header.size + header.valueSize;

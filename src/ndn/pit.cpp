@@ -54,44 +54,155 @@ bool PitEntry::allUpstreamsNacked() const noexcept {
                      [](const OutRecord& r) { return r.nacked; });
 }
 
+namespace {
+/// Copy-assigned into a freed slot: drops the Interest's parameters
+/// (up to 512 KiB for a publish) and keeps its name buffer.
+const Interest kFreed;
+}  // namespace
+
+Pit::~Pit() {
+  for (PitEntry* entry : table_) {
+    if (entry != nullptr) entry->expiryTimer.cancel();
+  }
+}
+
 Pit::InsertResult Pit::insert(const Interest& interest) {
-  auto it = entries_.find(makeKey(interest));
-  if (it != entries_.end()) return {it->second, false};
-  auto entry = std::make_shared<PitEntry>(interest);
-  entries_.emplace(makeKey(entry->interest()), entry);
+  const NamePrefix name(interest.name());
+  const bool canBePrefix = interest.canBePrefix();
+  const bool mustBeFresh = interest.mustBeFresh();
+  if ((size_ + 1) * 2 > table_.size()) grow();
+  PitEntry*& cell = table_[cellOf(name, canBePrefix, mustBeFresh)];
+  if (cell != nullptr) return {cell, false};
+
+  // Copy-assigning into a recycled slot reuses its name buffer.
+  PitEntry* entry = pool_.acquire();
+  entry->interest_ = interest;
+  entry->in_records_.clear();
+  entry->out_records_.clear();
+  entry->retxCount = 0;
+  entry->expiryTimer = sim::EventHandle();
+  cell = entry;
+  ++size_;
+  if (canBePrefix) {
+    if (prefix_entries_.size() <= name.size()) prefix_entries_.resize(name.size() + 1);
+    ++prefix_entries_[name.size()];
+    ++prefix_total_;
+  }
   return {entry, true};
 }
 
-std::shared_ptr<PitEntry> Pit::find(const Interest& interest) const {
-  auto it = entries_.find(makeKey(interest));
-  return it == entries_.end() ? nullptr : it->second;
+PitEntry* Pit::find(const Interest& interest) const {
+  return lookup(NamePrefix(interest.name()), interest.canBePrefix(),
+                interest.mustBeFresh());
 }
 
 Pit::Matches Pit::findMatches(const Data& data) const {
   Matches matches;
-  // Exact-name entries (CanBePrefix false or true), then every proper
-  // prefix with CanBePrefix set. Probing prefixes keeps this O(name length)
-  // rather than O(table size), and probing by view copies no prefix.
-  const std::size_t exactSize = data.name().size();
-  data.name().forEachPrefix([&](const NamePrefix& probe) {
-    const bool exact = probe.size() == exactSize;
-    for (const bool mustBeFresh : {false, true}) {
-      if (exact) {
-        auto it = entries_.find(Key{probe, false, mustBeFresh});
-        if (it != entries_.end()) matches.push_back(it->second);
-      }
-      auto it = entries_.find(Key{probe, true, mustBeFresh});
-      if (it != entries_.end()) matches.push_back(it->second);
+  if (size_ == 0) return matches;
+  const auto probe = [&](const NamePrefix& name, bool canBePrefix, bool mustBeFresh) {
+    if (PitEntry* entry = table_[cellOf(name, canBePrefix, mustBeFresh)]) {
+      matches.push_back(entry);
     }
-  });
+  };
+  const Name& name = data.name();
+  // Proper prefixes, shortest first, probed only at the lengths that hold
+  // a CanBePrefix entry; hashing stops at the longest such length.
+  if (prefix_total_ > 0) {
+    std::size_t limit = std::min(name.size(), prefix_entries_.size());
+    while (limit > 0 && prefix_entries_[limit - 1] == 0) --limit;
+    if (limit > 0) {
+      name.forEachPrefix(
+          [&](const NamePrefix& prefix) {
+            if (prefix_entries_[prefix.size()] > 0) {
+              probe(prefix, true, false);
+              probe(prefix, true, true);
+            }
+          },
+          limit - 1);
+    }
+  }
+  // The exact name, by its memoized hash.
+  const NamePrefix exact(name);
+  const bool exactPrefixEntries =
+      name.size() < prefix_entries_.size() && prefix_entries_[name.size()] > 0;
+  for (const bool mustBeFresh : {false, true}) {
+    probe(exact, false, mustBeFresh);
+    if (exactPrefixEntries) probe(exact, true, mustBeFresh);
+  }
   return matches;
 }
 
-void Pit::erase(const std::shared_ptr<PitEntry>& entry) {
-  if (!entry) return;
-  // Erase by iterator: the stored key views the entry the node owns.
-  auto it = entries_.find(makeKey(entry->interest()));
-  if (it != entries_.end()) entries_.erase(it);
+void Pit::erase(PitEntry* entry) {
+  if (entry == nullptr || size_ == 0) return;
+  const Interest& key = entry->interest_;
+  const std::size_t cell =
+      cellOf(NamePrefix(key.name()), key.canBePrefix(), key.mustBeFresh());
+  PitEntry* indexed = table_[cell];
+  if (indexed == nullptr) return;
+  indexed->expiryTimer.cancel();
+  if (indexed->interest_.canBePrefix()) {
+    --prefix_entries_[indexed->name().size()];
+    --prefix_total_;
+  }
+  unindexAt(cell);
+  --size_;
+  if (holds_ > 0) {
+    parked_.push_back(indexed);
+  } else {
+    release(indexed);
+  }
+}
+
+std::size_t Pit::cellOf(const NamePrefix& name, bool canBePrefix,
+                        bool mustBeFresh) const noexcept {
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t cell = keyHash(name.hash(), canBePrefix, mustBeFresh) & mask;;
+       cell = (cell + 1) & mask) {
+    const PitEntry* entry = table_[cell];
+    if (entry == nullptr) return cell;
+    const Interest& stored = entry->interest_;
+    if (stored.canBePrefix() == canBePrefix && stored.mustBeFresh() == mustBeFresh &&
+        stored.name().hash() == name.hash() && name.sameAs(stored.name().wire())) {
+      return cell;
+    }
+  }
+}
+
+void Pit::grow() {
+  std::vector<PitEntry*> old(std::max<std::size_t>(16, table_.size() * 2), nullptr);
+  old.swap(table_);
+  const std::size_t mask = table_.size() - 1;
+  for (PitEntry* entry : old) {
+    if (entry == nullptr) continue;
+    std::size_t cell = keyHash(*entry) & mask;
+    while (table_[cell] != nullptr) cell = (cell + 1) & mask;
+    table_[cell] = entry;
+  }
+}
+
+void Pit::unindexAt(std::size_t hole) noexcept {
+  const std::size_t mask = table_.size() - 1;
+  // Backward-shift deletion: pull later cells of the probe run into the
+  // hole when it lies between their home cell and where they sit.
+  for (std::size_t next = (hole + 1) & mask; table_[next] != nullptr;
+       next = (next + 1) & mask) {
+    const std::size_t home = keyHash(*table_[next]) & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      table_[hole] = table_[next];
+      hole = next;
+    }
+  }
+  table_[hole] = nullptr;
+}
+
+void Pit::release(PitEntry* entry) {
+  entry->interest_ = kFreed;
+  pool_.release(entry);
+}
+
+void Pit::reclaimParked() {
+  for (PitEntry* entry : parked_) release(entry);
+  parked_.clear();
 }
 
 }  // namespace lidc::ndn

@@ -5,9 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <vector>
 
+#include "common/slot_pool.hpp"
 #include "common/small_vector.hpp"
 #include "ndn/face.hpp"
 #include "ndn/packet.hpp"
@@ -36,8 +36,9 @@ class PitEntry {
   using InRecords = SmallVector<InRecord, 2>;
   using OutRecords = SmallVector<OutRecord, 2>;
 
-  /// The Interest never changes after construction: the PIT's key for
-  /// this entry is a view into its name.
+  PitEntry() = default;
+  /// The Interest never changes while the entry is in a Pit: the table's
+  /// key for this entry is its name and selectors.
   explicit PitEntry(Interest interest) : interest_(std::move(interest)) {}
 
   [[nodiscard]] const Interest& interest() const noexcept { return interest_; }
@@ -69,26 +70,54 @@ class PitEntry {
   int retxCount = 0;
 
  private:
+  friend class Pit;
+
   Interest interest_;
   InRecords in_records_;
   OutRecords out_records_;
 };
 
-/// The table itself, keyed by (name, canBePrefix, mustBeFresh).
+/// The table itself, keyed by (name, canBePrefix, mustBeFresh). Entries
+/// live in pooled slots that never move, indexed by open addressing on
+/// the memoized Name::hash().
 class Pit {
  public:
   struct InsertResult {
-    std::shared_ptr<PitEntry> entry;
+    PitEntry* entry = nullptr;
     bool isNew = false;
   };
   /// The entries one Data satisfies; rarely more than one.
-  using Matches = SmallVector<std::shared_ptr<PitEntry>, 4>;
+  using Matches = SmallVector<PitEntry*, 4>;
+
+  /// While any Hold on a Pit is alive, erase() unindexes an entry at once
+  /// but keeps its storage intact until the last Hold ends. A caller that
+  /// holds a PitEntry& across code that may erase it (a pipeline whose
+  /// Data reaches an app that answers or re-expresses synchronously)
+  /// takes one. Without a Hold, erase() frees the entry at once.
+  class Hold {
+   public:
+    explicit Hold(Pit& pit) noexcept : pit_(pit) { ++pit_.holds_; }
+    ~Hold() {
+      if (--pit_.holds_ == 0) pit_.reclaimParked();
+    }
+    Hold(const Hold&) = delete;
+    Hold& operator=(const Hold&) = delete;
+
+   private:
+    Pit& pit_;
+  };
+
+  Pit() = default;
+  /// Cancels the expiry timers of the entries still indexed.
+  ~Pit();
+  Pit(const Pit&) = delete;
+  Pit& operator=(const Pit&) = delete;
 
   /// Finds or creates the entry for this Interest.
   InsertResult insert(const Interest& interest);
 
   /// Finds the entry for this exact Interest (nullptr if absent).
-  [[nodiscard]] std::shared_ptr<PitEntry> find(const Interest& interest) const;
+  [[nodiscard]] PitEntry* find(const Interest& interest) const;
 
   /// All entries that `data` satisfies (exact name, or prefix when the
   /// Interest allows it): shorter prefixes first; within one prefix,
@@ -96,33 +125,52 @@ class Pit {
   /// CanBePrefix-false entry before the CanBePrefix one.
   [[nodiscard]] Matches findMatches(const Data& data) const;
 
-  void erase(const std::shared_ptr<PitEntry>& entry);
+  /// Erases the entry indexed under `entry`'s key and cancels its expiry
+  /// timer. That is `entry` itself, unless `entry` was already erased and
+  /// an entry with the same key was inserted since; with none indexed (or
+  /// a null `entry`) nothing happens.
+  void erase(PitEntry* entry);
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
-  /// (name, canBePrefix, mustBeFresh), with the name held as a view:
-  /// a stored key points into its own entry's Interest name, which the
-  /// entry keeps alive and never changes; a probe points into the packet
-  /// being matched.
-  struct Key {
-    NamePrefix name;
-    bool canBePrefix;
-    bool mustBeFresh;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return k.name.hash() ^ (k.canBePrefix ? 0x9e3779b9U : 0U) ^
-             (k.mustBeFresh ? 0x85ebca6bU : 0U);
-    }
-  };
-  static Key makeKey(const Interest& interest) {
-    return Key{NamePrefix(interest.name()), interest.canBePrefix(),
-               interest.mustBeFresh()};
+  /// The key hash: the name's hash with one constant per selector.
+  static std::size_t keyHash(std::size_t nameHash, bool canBePrefix,
+                             bool mustBeFresh) noexcept {
+    return nameHash ^ (canBePrefix ? 0x9e3779b9U : 0U) ^ (mustBeFresh ? 0x85ebca6bU : 0U);
   }
+  static std::size_t keyHash(const PitEntry& entry) noexcept {
+    return keyHash(entry.name().hash(), entry.interest_.canBePrefix(),
+                   entry.interest_.mustBeFresh());
+  }
+  /// The cell of the entry with this key, or the empty cell that ends
+  /// its probe run. The table must not be empty.
+  [[nodiscard]] std::size_t cellOf(const NamePrefix& name, bool canBePrefix,
+                                   bool mustBeFresh) const noexcept;
+  [[nodiscard]] PitEntry* lookup(const NamePrefix& name, bool canBePrefix,
+                                 bool mustBeFresh) const noexcept {
+    return table_.empty() ? nullptr : table_[cellOf(name, canBePrefix, mustBeFresh)];
+  }
+  /// Doubles the table (16 cells at first) and re-places every entry.
+  void grow();
+  /// Empties a cell by backward-shift deletion.
+  void unindexAt(std::size_t cell) noexcept;
+  /// Returns an unindexed entry's slot to the pool.
+  void release(PitEntry* entry);
+  void reclaimParked();
 
-  std::unordered_map<Key, std::shared_ptr<PitEntry>, KeyHash> entries_;
+  SlotPool<PitEntry, 8> pool_;
+  /// Open addressing with linear probing: each cell holds an entry or
+  /// null. At most half full.
+  std::vector<PitEntry*> table_;
+  std::size_t size_ = 0;
+  /// CanBePrefix entries by name length, so findMatches probes a proper
+  /// prefix only at the lengths where one can match.
+  std::vector<std::uint32_t> prefix_entries_;
+  std::size_t prefix_total_ = 0;
+  unsigned holds_ = 0;
+  /// Erased during a Hold: unindexed, storage kept until the Hold ends.
+  std::vector<PitEntry*> parked_;
 };
 
 }  // namespace lidc::ndn

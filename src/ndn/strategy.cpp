@@ -19,41 +19,41 @@ std::optional<sim::Duration> RttMeasurements::srtt(FaceId face) const {
   return sim::Duration::seconds(it->second);
 }
 
-void Strategy::beforeSatisfyInterest(const std::shared_ptr<PitEntry>& entry,
+void Strategy::beforeSatisfyInterest(PitEntry& entry,
                                      Face& inFace, const Data& /*data*/) {
-  if (auto* out = entry->findOutRecord(inFace.id())) {
+  if (auto* out = entry.findOutRecord(inFace.id())) {
     measurements().addSample(inFace.id(),
                              forwarder_.simulator().now() - out->lastSent);
   }
 }
 
 void Strategy::afterReceiveNack(const Nack& nack, Face& inFace,
-                                const std::shared_ptr<PitEntry>& entry) {
-  if (auto* out = entry->findOutRecord(inFace.id())) {
+                                PitEntry& entry) {
+  if (auto* out = entry.findOutRecord(inFace.id())) {
     out->nacked = true;
     out->nackReason = nack.reason();
   }
-  if (entry->allUpstreamsNacked()) {
+  if (entry.allUpstreamsNacked()) {
     sendNackDownstream(entry, leastSevereNackReason(entry, NackReason::kNoRoute));
   }
 }
 
-void Strategy::onInterestTimeout(const std::shared_ptr<PitEntry>& /*entry*/) {}
+void Strategy::onInterestTimeout(PitEntry& /*entry*/) {}
 
-void Strategy::sendInterestTo(const std::shared_ptr<PitEntry>& entry,
+void Strategy::sendInterestTo(PitEntry& entry,
                               FaceId upstream) {
   forwarder_.sendInterest(entry, upstream);
 }
 
-void Strategy::sendNackDownstream(const std::shared_ptr<PitEntry>& entry,
+void Strategy::sendNackDownstream(PitEntry& entry,
                                   NackReason reason) {
   forwarder_.sendNackDownstream(entry, reason);
 }
 
-NackReason Strategy::leastSevereNackReason(const std::shared_ptr<PitEntry>& entry,
+NackReason Strategy::leastSevereNackReason(const PitEntry& entry,
                                            NackReason fallback) {
   NackReason least = NackReason::kNone;
-  for (const auto& out : entry->outRecords()) {
+  for (const auto& out : entry.outRecords()) {
     if (!out.nacked || out.nackReason == NackReason::kNone) continue;
     if (least == NackReason::kNone ||
         static_cast<std::uint32_t>(out.nackReason) < static_cast<std::uint32_t>(least)) {
@@ -85,7 +85,7 @@ SmallVector<NextHop, 8> Strategy::viableNextHops(const FibEntry* fibEntry,
 }
 
 void BestRouteStrategy::afterReceiveInterest(const Interest& interest, Face& inFace,
-                                             const std::shared_ptr<PitEntry>& entry) {
+                                             PitEntry& entry) {
   const auto* fibEntry = lookupFib(interest);
   auto hops = viableNextHops(fibEntry, inFace.id());
   if (hops.empty()) {
@@ -94,7 +94,7 @@ void BestRouteStrategy::afterReceiveInterest(const Interest& interest, Face& inF
   }
   // Prefer the cheapest upstream not already tried (no out-record yet).
   for (const auto& hop : hops) {
-    if (entry->findOutRecord(hop.face) == nullptr) {
+    if (entry.findOutRecord(hop.face) == nullptr) {
       sendInterestTo(entry, hop.face);
       return;
     }
@@ -104,17 +104,17 @@ void BestRouteStrategy::afterReceiveInterest(const Interest& interest, Face& inF
 }
 
 void BestRouteStrategy::afterReceiveNack(const Nack& nack, Face& inFace,
-                                         const std::shared_ptr<PitEntry>& entry) {
-  if (auto* out = entry->findOutRecord(inFace.id())) {
+                                         PitEntry& entry) {
+  if (auto* out = entry.findOutRecord(inFace.id())) {
     out->nacked = true;
     out->nackReason = nack.reason();
   }
 
   // Failover: try the cheapest upstream that has not been tried or nacked.
-  const auto* fibEntry = lookupFib(entry->interest());
+  const auto* fibEntry = lookupFib(entry.interest());
   auto hops = viableNextHops(fibEntry, kInvalidFaceId);
   for (const auto& hop : hops) {
-    const auto* out = entry->findOutRecord(hop.face);
+    const auto* out = entry.findOutRecord(hop.face);
     if (out == nullptr || !out->nacked) {
       if (out == nullptr) {
         sendInterestTo(entry, hop.face);
@@ -123,13 +123,13 @@ void BestRouteStrategy::afterReceiveNack(const Nack& nack, Face& inFace,
       continue;  // already in flight on this face
     }
   }
-  if (entry->allUpstreamsNacked()) {
+  if (entry.allUpstreamsNacked()) {
     sendNackDownstream(entry, leastSevereNackReason(entry, nack.reason()));
   }
 }
 
 void MulticastStrategy::afterReceiveInterest(const Interest& interest, Face& inFace,
-                                             const std::shared_ptr<PitEntry>& entry) {
+                                             PitEntry& entry) {
   const auto* fibEntry = lookupFib(interest);
   auto hops = viableNextHops(fibEntry, inFace.id());
   if (hops.empty()) {
@@ -137,12 +137,12 @@ void MulticastStrategy::afterReceiveInterest(const Interest& interest, Face& inF
     return;
   }
   for (const auto& hop : hops) {
-    if (entry->findOutRecord(hop.face) == nullptr) sendInterestTo(entry, hop.face);
+    if (entry.findOutRecord(hop.face) == nullptr) sendInterestTo(entry, hop.face);
   }
 }
 
 void LoadBalanceStrategy::afterReceiveInterest(const Interest& interest, Face& inFace,
-                                               const std::shared_ptr<PitEntry>& entry) {
+                                               PitEntry& entry) {
   const auto* fibEntry = lookupFib(interest);
   auto hops = viableNextHops(fibEntry, inFace.id());
   if (hops.empty()) {
@@ -186,26 +186,26 @@ void LoadBalanceStrategy::afterReceiveInterest(const Interest& interest, Face& i
 }
 
 void LoadBalanceStrategy::afterReceiveNack(const Nack& nack, Face& inFace,
-                                           const std::shared_ptr<PitEntry>& entry) {
-  if (auto* out = entry->findOutRecord(inFace.id())) {
+                                           PitEntry& entry) {
+  if (auto* out = entry.findOutRecord(inFace.id())) {
     out->nacked = true;
     out->nackReason = nack.reason();
   }
-  const auto* fibEntry = lookupFib(entry->interest());
+  const auto* fibEntry = lookupFib(entry.interest());
   auto hops = viableNextHops(fibEntry, kInvalidFaceId);
   for (const auto& hop : hops) {
-    if (entry->findOutRecord(hop.face) == nullptr) {
+    if (entry.findOutRecord(hop.face) == nullptr) {
       sendInterestTo(entry, hop.face);
       return;
     }
   }
-  if (entry->allUpstreamsNacked()) {
+  if (entry.allUpstreamsNacked()) {
     sendNackDownstream(entry, leastSevereNackReason(entry, nack.reason()));
   }
 }
 
 void AsfStrategy::afterReceiveInterest(const Interest& interest, Face& inFace,
-                                       const std::shared_ptr<PitEntry>& entry) {
+                                       PitEntry& entry) {
   const auto* fibEntry = lookupFib(interest);
   auto hops = viableNextHops(fibEntry, inFace.id());
   if (hops.empty()) {
@@ -247,33 +247,33 @@ void AsfStrategy::afterReceiveInterest(const Interest& interest, Face& inFace,
       const auto& candidate = hops[rng_.uniform(hops.size())];
       if (candidate.face != primary->face) probe = &candidate;
     }
-    if (probe != nullptr && entry->findOutRecord(probe->face) == nullptr) {
+    if (probe != nullptr && entry.findOutRecord(probe->face) == nullptr) {
       sendInterestTo(entry, probe->face);
     }
   }
 }
 
 void AsfStrategy::afterReceiveNack(const Nack& nack, Face& inFace,
-                                   const std::shared_ptr<PitEntry>& entry) {
-  if (auto* out = entry->findOutRecord(inFace.id())) {
+                                   PitEntry& entry) {
+  if (auto* out = entry.findOutRecord(inFace.id())) {
     out->nacked = true;
     out->nackReason = nack.reason();
   }
-  const auto* fibEntry = lookupFib(entry->interest());
+  const auto* fibEntry = lookupFib(entry.interest());
   auto hops = viableNextHops(fibEntry, kInvalidFaceId);
   for (const auto& hop : hops) {
-    if (entry->findOutRecord(hop.face) == nullptr) {
+    if (entry.findOutRecord(hop.face) == nullptr) {
       sendInterestTo(entry, hop.face);
       return;
     }
   }
-  if (entry->allUpstreamsNacked()) {
+  if (entry.allUpstreamsNacked()) {
     sendNackDownstream(entry, leastSevereNackReason(entry, nack.reason()));
   }
 }
 
 void RoundRobinStrategy::afterReceiveInterest(const Interest& interest, Face& inFace,
-                                              const std::shared_ptr<PitEntry>& entry) {
+                                              PitEntry& entry) {
   const auto* fibEntry = lookupFib(interest);
   auto hops = viableNextHops(fibEntry, inFace.id());
   if (hops.empty()) {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -47,29 +46,29 @@ class Strategy {
   /// Called for each Interest that needs forwarding (CS miss, new or
   /// retransmitted PIT entry).
   virtual void afterReceiveInterest(const Interest& interest, Face& inFace,
-                                    const std::shared_ptr<PitEntry>& entry) = 0;
+                                    PitEntry& entry) = 0;
 
   /// Called just before Data satisfies a PIT entry (RTT bookkeeping).
-  virtual void beforeSatisfyInterest(const std::shared_ptr<PitEntry>& entry,
+  virtual void beforeSatisfyInterest(PitEntry& entry,
                                      Face& inFace, const Data& data);
 
   /// Called when an upstream nacks; default gives up and nacks downstream.
   virtual void afterReceiveNack(const Nack& nack, Face& inFace,
-                                const std::shared_ptr<PitEntry>& entry);
+                                PitEntry& entry);
 
   /// Called when the PIT entry expires unsatisfied.
-  virtual void onInterestTimeout(const std::shared_ptr<PitEntry>& entry);
+  virtual void onInterestTimeout(PitEntry& entry);
 
  protected:
   // Actions available to strategies (implemented via the forwarder).
-  void sendInterestTo(const std::shared_ptr<PitEntry>& entry, FaceId upstream);
-  void sendNackDownstream(const std::shared_ptr<PitEntry>& entry, NackReason reason);
+  void sendInterestTo(PitEntry& entry, FaceId upstream);
+  void sendNackDownstream(PitEntry& entry, NackReason reason);
   /// The least severe reason among the entry's nacked upstreams (NFD
   /// semantics: reason codes order by severity, so a Congestion from one
   /// path outranks a Duplicate from a looped one). `fallback` when no
   /// upstream recorded a reason.
   [[nodiscard]] static NackReason leastSevereNackReason(
-      const std::shared_ptr<PitEntry>& entry, NackReason fallback);
+      const PitEntry& entry, NackReason fallback);
   [[nodiscard]] const FibEntry* lookupFib(const Interest& interest) const;
   /// Next hops that are up and not the ingress face, cheapest first.
   [[nodiscard]] SmallVector<NextHop, 8> viableNextHops(const FibEntry* fibEntry,
@@ -90,9 +89,9 @@ class BestRouteStrategy : public Strategy {
     return "best-route";
   }
   void afterReceiveInterest(const Interest& interest, Face& inFace,
-                            const std::shared_ptr<PitEntry>& entry) override;
+                            PitEntry& entry) override;
   void afterReceiveNack(const Nack& nack, Face& inFace,
-                        const std::shared_ptr<PitEntry>& entry) override;
+                        PitEntry& entry) override;
 };
 
 /// Forwards every Interest to all next hops (except the ingress face).
@@ -103,7 +102,7 @@ class MulticastStrategy : public Strategy {
     return "multicast";
   }
   void afterReceiveInterest(const Interest& interest, Face& inFace,
-                            const std::shared_ptr<PitEntry>& entry) override;
+                            PitEntry& entry) override;
 };
 
 /// Weighted-random next hop selection, weight = 1 / SRTT (unmeasured faces
@@ -116,9 +115,9 @@ class LoadBalanceStrategy : public Strategy {
     return "load-balance";
   }
   void afterReceiveInterest(const Interest& interest, Face& inFace,
-                            const std::shared_ptr<PitEntry>& entry) override;
+                            PitEntry& entry) override;
   void afterReceiveNack(const Nack& nack, Face& inFace,
-                        const std::shared_ptr<PitEntry>& entry) override;
+                        PitEntry& entry) override;
 
  private:
   Rng rng_;
@@ -135,9 +134,9 @@ class AsfStrategy : public Strategy {
       : Strategy(forwarder), rng_(seed), probe_interval_(probeInterval) {}
   [[nodiscard]] std::string_view name() const noexcept override { return "asf"; }
   void afterReceiveInterest(const Interest& interest, Face& inFace,
-                            const std::shared_ptr<PitEntry>& entry) override;
+                            PitEntry& entry) override;
   void afterReceiveNack(const Nack& nack, Face& inFace,
-                        const std::shared_ptr<PitEntry>& entry) override;
+                        PitEntry& entry) override;
 
  private:
   Rng rng_;
@@ -153,7 +152,7 @@ class RoundRobinStrategy : public Strategy {
     return "round-robin";
   }
   void afterReceiveInterest(const Interest& interest, Face& inFace,
-                            const std::shared_ptr<PitEntry>& entry) override;
+                            PitEntry& entry) override;
 
  private:
   std::unordered_map<Name, std::size_t, NameHash> cursor_;

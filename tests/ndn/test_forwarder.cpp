@@ -303,6 +303,50 @@ TEST_F(ForwarderTest, StrategyChoiceByLongestPrefix) {
   EXPECT_EQ(consumerNode_.findStrategy(Name("/other")).name(), "best-route");
 }
 
+TEST_F(ForwarderTest, NestedSatisfactionInsideDataDelivery) {
+  // A producer on the consumer's own node answers from its Interest
+  // handler, so the Data arrives inside the pipeline that forwarded the
+  // Interest; the consumer's onData then expresses a second Interest,
+  // whose Data is satisfied inside the outer onIncomingData.
+  auto local = std::make_shared<AppFace>("app://local", sim_, 3);
+  consumerNode_.addFace(local);
+  consumerNode_.registerPrefix(Name("/local"), local->id());
+  local->setInterestHandler([&local](const Interest& interest) {
+    Data data(interest.name());
+    data.setContent("now");
+    local->putData(std::move(data));
+  });
+
+  int first = 0;
+  int second = 0;
+  consumerApp_->expressInterest(
+      makeInterest("/local/one"),
+      [&](const Interest& interest, const Data& data) {
+        ++first;
+        EXPECT_EQ(interest.name(), Name("/local/one"));
+        EXPECT_EQ(data.name(), Name("/local/one"));
+        consumerApp_->expressInterest(
+            makeInterest("/local/two"),
+            [&](const Interest& inner, const Data& innerData) {
+              ++second;
+              EXPECT_EQ(inner.name(), Name("/local/two"));
+              EXPECT_EQ(innerData.name(), Name("/local/two"));
+            },
+            [](const Interest&, const Nack&) { FAIL(); },
+            [](const Interest&) { FAIL(); });
+        EXPECT_EQ(second, 1);  // answered before the inner express returned
+      },
+      [](const Interest&, const Nack&) { FAIL(); }, [](const Interest&) { FAIL(); });
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(consumerNode_.pit().size(), 0u);
+  sim_.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(consumerNode_.pit().size(), 0u);
+  EXPECT_EQ(consumerApp_->pendingInterestCount(), 0u);
+  EXPECT_EQ(consumerNode_.counters().nSatisfied, 2u);
+}
+
 TEST_F(ForwarderTest, SatisfiedInterestsLeaveNoTimersQueued) {
   // One Interest per ms with a 4 s lifetime, each answered in 10 ms. A
   // satisfied Interest cancels its two PIT timers and its AppFace timeout;

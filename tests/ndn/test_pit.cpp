@@ -105,6 +105,42 @@ TEST(PitTest, EraseRemovesEntry) {
   pit.erase(nullptr);  // harmless
 }
 
+TEST(PitTest, EraseWhileHeldKeepsTheEntryReadableUntilReleased) {
+  Pit pit;
+  {
+    const Pit::Hold hold(pit);
+    PitEntry* entry = pit.insert(makeInterest("/a/b", 7)).entry;
+    entry->insertInRecord(1, 7, sim::Time());
+    pit.erase(entry);
+    EXPECT_EQ(pit.size(), 0u);
+    EXPECT_EQ(pit.find(makeInterest("/a/b")), nullptr);
+    // Unindexed, but its Interest and records are intact.
+    EXPECT_EQ(entry->name(), Name("/a/b"));
+    EXPECT_EQ(entry->interest().nonce(), 7u);
+    EXPECT_EQ(entry->inRecords().size(), 1u);
+
+    // The same Interest again makes a new entry in another slot.
+    auto [again, isNew] = pit.insert(makeInterest("/a/b", 7));
+    EXPECT_TRUE(isNew);
+    EXPECT_NE(again, entry);
+    EXPECT_EQ(pit.size(), 1u);
+    // Erasing through the stale entry removes the one now under its key.
+    pit.erase(entry);
+    EXPECT_EQ(pit.size(), 0u);
+    EXPECT_EQ(entry->name(), Name("/a/b"));
+  }
+  EXPECT_EQ(pit.size(), 0u);
+
+  // Without a hold the slot is free at once: the next insert reuses it.
+  PitEntry* first = pit.insert(makeInterest("/c")).entry;
+  pit.erase(first);
+  EXPECT_EQ(pit.size(), 0u);
+  PitEntry* next = pit.insert(makeInterest("/d")).entry;
+  EXPECT_EQ(next, first);
+  EXPECT_EQ(next->name(), Name("/d"));
+  EXPECT_TRUE(next->inRecords().empty());
+}
+
 TEST(PitTest, DeleteInRecord) {
   PitEntry entry(makeInterest("/a"));
   entry.insertInRecord(1, 1, sim::Time());

@@ -1,8 +1,9 @@
 // Copy-free table lookups agree with brute force. The FIB and the PIT
-// probe every prefix of a name by view and hash; these seeded sweeps
-// check the answers against linear scans with isPrefixOf, including the
-// order of Pit::findMatches, which decides the order Data is sent
-// downstream and so the simulated event sequence. The Content Store and
+// probe prefixes by view and hash, only at the lengths that hold an
+// entry; these seeded sweeps check the answers against linear scans with
+// isPrefixOf, as entries come and go, including the order of
+// Pit::findMatches, which decides the order Data is sent downstream and
+// so the simulated event sequence. The Content Store and
 // the Dead Nonce List are checked against plain reference models: every
 // answer and every counter must agree.
 #include <gtest/gtest.h>
@@ -36,6 +37,58 @@ Name randomName(Rng& rng, std::size_t maxComponents) {
 
 class LookupProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// The longest registered prefix of `name` by a scan, or null.
+const Name* bruteForceLongest(const std::map<Name, std::vector<FaceId>>& registered,
+                              const Name& name) {
+  const Name* longest = nullptr;
+  for (const auto& [prefix, faces] : registered) {
+    if (prefix.isPrefixOf(name) && (longest == nullptr || prefix.size() > longest->size())) {
+      longest = &prefix;
+    }
+  }
+  return longest;
+}
+
+void expectLongestPrefixMatches(const Fib& fib,
+                                const std::map<Name, std::vector<FaceId>>& registered,
+                                Rng& rng) {
+  for (int trial = 0; trial < 200; ++trial) {
+    const Name name = randomName(rng, 6);
+    const Name* longest = bruteForceLongest(registered, name);
+    const FibEntry* match = fib.longestPrefixMatch(name);
+    if (longest == nullptr) {
+      EXPECT_EQ(match, nullptr) << name;
+    } else {
+      ASSERT_NE(match, nullptr) << name;
+      EXPECT_EQ(match->prefix(), *longest) << name;
+    }
+  }
+}
+
+/// findMatches returns every pending Interest the Data satisfies, ordered
+/// by prefix length, then MustBeFresh, then CanBePrefix.
+void expectMatchesBruteForce(const Pit& pit, const std::vector<Interest>& pending,
+                             const Data& data) {
+  std::vector<const Interest*> expected;
+  for (const Interest& interest : pending) {
+    const bool satisfies = interest.canBePrefix() ? interest.name().isPrefixOf(data.name())
+                                                  : interest.name() == data.name();
+    if (satisfies) expected.push_back(&interest);
+  }
+  std::sort(expected.begin(), expected.end(), [](const Interest* a, const Interest* b) {
+    return std::tuple(a->name().size(), a->mustBeFresh(), a->canBePrefix()) <
+           std::tuple(b->name().size(), b->mustBeFresh(), b->canBePrefix());
+  });
+  const auto matches = pit.findMatches(data);
+  ASSERT_EQ(matches.size(), expected.size()) << data.name();
+  for (std::size_t i = 0; i < matches.size(); ++i) {
+    const Interest& got = matches[i]->interest();
+    EXPECT_EQ(got.name(), expected[i]->name()) << data.name() << " #" << i;
+    EXPECT_EQ(got.canBePrefix(), expected[i]->canBePrefix()) << data.name() << " #" << i;
+    EXPECT_EQ(got.mustBeFresh(), expected[i]->mustBeFresh()) << data.name() << " #" << i;
+  }
+}
+
 TEST_P(LookupProperty, FibLongestPrefixMatchIsTheLongestRegisteredPrefix) {
   Rng rng(GetParam());
   Fib fib;
@@ -54,22 +107,52 @@ TEST_P(LookupProperty, FibLongestPrefixMatchIsTheLongestRegisteredPrefix) {
     it->second.pop_back();
     if (it->second.empty()) registered.erase(it);
   }
-  for (int trial = 0; trial < 300; ++trial) {
-    const Name name = randomName(rng, 6);
-    const Name* longest = nullptr;
-    for (const auto& [prefix, faces] : registered) {
-      if (prefix.isPrefixOf(name) && (longest == nullptr || prefix.size() > longest->size())) {
-        longest = &prefix;
-      }
+  expectLongestPrefixMatches(fib, registered, rng);
+}
+
+TEST_P(LookupProperty, FibLongestPrefixMatchHoldsAsFacesGoAway) {
+  Rng rng(GetParam() ^ 0xf1b);
+  Fib fib;
+  std::map<Name, std::vector<FaceId>> registered;
+  const auto withdraw = [&registered](const Name& prefix, FaceId face) {
+    auto it = registered.find(prefix);
+    if (it == registered.end()) return;
+    std::erase(it->second, face);
+    if (it->second.empty()) registered.erase(it);
+  };
+  for (int round = 0; round < 6; ++round) {
+    // Few faces, so taking one away empties many entries and lengths.
+    for (int i = 0; i < 30; ++i) {
+      const Name prefix = randomName(rng, 5);
+      const auto face = static_cast<FaceId>(1 + rng.uniform(5));
+      fib.insert(prefix, face, rng.uniform(100));
+      auto& faces = registered[prefix];
+      if (std::find(faces.begin(), faces.end(), face) == faces.end()) faces.push_back(face);
     }
-    const FibEntry* match = fib.longestPrefixMatch(name);
-    if (longest == nullptr) {
-      EXPECT_EQ(match, nullptr) << name;
-    } else {
-      ASSERT_NE(match, nullptr) << name;
-      EXPECT_EQ(match->prefix(), *longest) << name;
+    expectLongestPrefixMatches(fib, registered, rng);
+    for (int i = 0; i < 10 && !registered.empty(); ++i) {
+      auto it = std::next(registered.begin(),
+                          static_cast<long>(rng.uniform(registered.size())));
+      const Name prefix = it->first;
+      const FaceId face = it->second[rng.uniform(it->second.size())];
+      fib.removeNextHop(prefix, face);
+      withdraw(prefix, face);
     }
+    expectLongestPrefixMatches(fib, registered, rng);
+    const auto face = static_cast<FaceId>(1 + rng.uniform(5));
+    fib.removeFaceFromAll(face);
+    for (auto it = registered.begin(); it != registered.end();) {
+      std::erase(it->second, face);
+      it = it->second.empty() ? registered.erase(it) : std::next(it);
+    }
+    ASSERT_EQ(fib.size(), registered.size());
+    expectLongestPrefixMatches(fib, registered, rng);
   }
+  // With every face gone, nothing matches at any length.
+  for (FaceId face = 1; face <= 5; ++face) fib.removeFaceFromAll(face);
+  registered.clear();
+  EXPECT_EQ(fib.size(), 0u);
+  expectLongestPrefixMatches(fib, registered, rng);
 }
 
 TEST_P(LookupProperty, PitFindMatchesIsTheBruteForceSetInOrder) {
@@ -97,28 +180,64 @@ TEST_P(LookupProperty, PitFindMatchesIsTheBruteForceSetInOrder) {
     }
 
     for (int trial = 0; trial < 30; ++trial) {
-      const Data data(randomName(rng, 5));
-      // Brute force: every pending Interest the Data satisfies, ordered
-      // by prefix length, then MustBeFresh, then CanBePrefix.
-      std::vector<const Interest*> expected;
-      for (const Interest& interest : pending) {
-        const bool satisfies = interest.canBePrefix()
-                                   ? interest.name().isPrefixOf(data.name())
-                                   : interest.name() == data.name();
-        if (satisfies) expected.push_back(&interest);
-      }
-      std::sort(expected.begin(), expected.end(), [](const Interest* a, const Interest* b) {
-        return std::tuple(a->name().size(), a->mustBeFresh(), a->canBePrefix()) <
-               std::tuple(b->name().size(), b->mustBeFresh(), b->canBePrefix());
-      });
-      const auto matches = pit.findMatches(data);
-      ASSERT_EQ(matches.size(), expected.size()) << data.name();
-      for (std::size_t i = 0; i < matches.size(); ++i) {
-        const Interest& got = matches[i]->interest();
-        EXPECT_EQ(got.name(), expected[i]->name()) << data.name() << " #" << i;
-        EXPECT_EQ(got.canBePrefix(), expected[i]->canBePrefix()) << data.name() << " #" << i;
-        EXPECT_EQ(got.mustBeFresh(), expected[i]->mustBeFresh()) << data.name() << " #" << i;
-      }
+      expectMatchesBruteForce(pit, pending, Data(randomName(rng, 5)));
+    }
+  }
+}
+
+TEST_P(LookupProperty, PitFindMatchesWithoutCanBePrefixEntries) {
+  // What every workload does: no entry sets CanBePrefix, so only the
+  // exact name is probed.
+  Rng rng(GetParam() ^ 0xe4ac7);
+  Pit pit;
+  std::vector<Interest> pending;
+  for (int op = 0; op < 600; ++op) {
+    if (pending.empty() || rng.uniform(3) != 0) {
+      Interest interest(randomName(rng, 4));
+      interest.setMustBeFresh(rng.bernoulli(0.5));
+      if (pit.insert(interest).isNew) pending.push_back(interest);
+    } else {
+      const std::size_t victim = rng.uniform(pending.size());
+      pit.erase(pit.find(pending[victim]));
+      pending.erase(pending.begin() + static_cast<long>(victim));
+    }
+    ASSERT_EQ(pit.size(), pending.size());
+    expectMatchesBruteForce(pit, pending, Data(randomName(rng, 5)));
+  }
+}
+
+TEST_P(LookupProperty, PitFindMatchesAsCanBePrefixEntriesComeAndGo) {
+  Rng rng(GetParam() ^ 0xcb9);
+  Pit pit;
+  std::vector<Interest> pending;
+  const auto eraseWhere = [&](auto&& pick) {
+    for (std::size_t i = pending.size(); i-- > 0;) {
+      if (!pick(pending[i])) continue;
+      pit.erase(pit.find(pending[i]));
+      pending.erase(pending.begin() + static_cast<long>(i));
+    }
+  };
+  for (int phase = 0; phase < 8; ++phase) {
+    // Each phase puts CanBePrefix entries at a few lengths...
+    for (int i = 0; i < 25; ++i) {
+      Interest interest(randomName(rng, 4));
+      interest.setCanBePrefix(rng.bernoulli(0.5)).setMustBeFresh(rng.bernoulli(0.5));
+      if (pit.insert(interest).isNew) pending.push_back(interest);
+    }
+    for (int trial = 0; trial < 30; ++trial) {
+      expectMatchesBruteForce(pit, pending, Data(randomName(rng, 5)));
+    }
+    // ...then takes some away at random, and every other phase all of
+    // them, so the per-length counts fall back to zero.
+    eraseWhere([&rng](const Interest& interest) {
+      return interest.canBePrefix() && rng.bernoulli(0.5);
+    });
+    if (phase % 2 == 1) {
+      eraseWhere([](const Interest& interest) { return interest.canBePrefix(); });
+    }
+    ASSERT_EQ(pit.size(), pending.size());
+    for (int trial = 0; trial < 30; ++trial) {
+      expectMatchesBruteForce(pit, pending, Data(randomName(rng, 5)));
     }
   }
 }
