@@ -71,11 +71,10 @@ void AppFace::sendData(const Data& data) {
 
 void AppFace::sendNack(const Nack& nack) {
   countOutNack();
-  if (table_.empty()) return;
   // The earliest-expressed record with exactly the nacked name.
-  Pending* record = table_[cellOf(nack.interest().name())].oldest;
-  if (record == nullptr) return;
-  complete(record, [&nack](Callbacks& callbacks, const Interest& interest) {
+  Chain* chain = chainOf(nack.interest().name());
+  if (chain == nullptr) return;
+  complete(chain->oldest, [&nack](Callbacks& callbacks, const Interest& interest) {
     if (callbacks.onNack) callbacks.onNack(interest, nack);
   });
 }
@@ -91,9 +90,8 @@ AppFace::Pending* AppFace::matchForData(const Data& data) const {
   // Every record under the exact name is satisfied; the chain is in
   // the order expressed.
   Pending* match = nullptr;
-  if (!table_.empty()) {
-    for (Pending* record = table_[cellOf(data.name())].oldest; record != nullptr;
-         record = record->newer) {
+  if (const Chain* chain = chainOf(data.name())) {
+    for (Pending* record = chain->oldest; record != nullptr; record = record->newer) {
       if (!excluded(record->interest)) {
         match = record;
         break;
@@ -110,29 +108,27 @@ AppFace::Pending* AppFace::matchForData(const Data& data) const {
   return match;
 }
 
-std::size_t AppFace::cellOf(const Name& name) const noexcept {
-  const std::size_t mask = table_.size() - 1;
-  const std::size_t hash = name.hash();
-  for (std::size_t cell = hash & mask;; cell = (cell + 1) & mask) {
-    const Pending* oldest = table_[cell].oldest;
-    if (oldest == nullptr) return cell;
-    const Name& stored = oldest->interest.name();
-    if (stored.hash() == hash && stored == name) return cell;
-  }
+AppFace::Chain* AppFace::chainOf(const Name& name) const {
+  return index_.find(name.hash(), [&name](const Chain& chain) {
+    const Name& stored = chain.oldest->interest.name();
+    return stored.hash() == name.hash() && stored == name;
+  });
 }
 
 void AppFace::index(Pending* record) {
-  if ((names_ + 1) * 2 > table_.size()) grow();
-  Chain& chain = table_[cellOf(record->interest.name())];
-  record->older = chain.newest;
-  record->newer = nullptr;
-  if (chain.newest != nullptr) {
-    chain.newest->newer = record;
+  Chain* chain = chainOf(record->interest.name());
+  if (chain == nullptr) {
+    chain = chains_.acquire();
+    *chain = Chain{record, record};
+    index_.insert(chain);
+    record->older = nullptr;
   } else {
-    chain.oldest = record;
-    ++names_;
+    chain->newest->newer = record;
+    record->older = chain->newest;
+    chain->newest = record;
   }
-  chain.newest = record;
+  record->newer = nullptr;
+  record->chain = chain;
   if (record->interest.canBePrefix()) prefix_records_.push_back(record);
   ++pending_count_;
 }
@@ -143,41 +139,14 @@ void AppFace::unindex(Pending* record) {
     prefix_records_.erase(
         std::find(prefix_records_.begin(), prefix_records_.end(), record));
   }
-  const std::size_t cell = cellOf(record->interest.name());
-  Chain& chain = table_[cell];
-  (record->older != nullptr ? record->older->newer : chain.oldest) = record->newer;
-  (record->newer != nullptr ? record->newer->older : chain.newest) = record->older;
-  if (chain.oldest == nullptr) {
-    --names_;
-    eraseCell(cell);
+  Chain* chain = record->chain;
+  (record->older != nullptr ? record->older->newer : chain->oldest) = record->newer;
+  (record->newer != nullptr ? record->newer->older : chain->newest) = record->older;
+  if (chain->oldest == nullptr) {
+    index_.remove(record->interest.name().hash(),
+                  [chain](const Chain& stored) { return &stored == chain; });
+    chains_.release(chain);
   }
-}
-
-void AppFace::grow() {
-  std::vector<Chain> old(std::max<std::size_t>(16, table_.size() * 2));
-  old.swap(table_);
-  const std::size_t mask = table_.size() - 1;
-  for (const Chain& chain : old) {
-    if (chain.oldest == nullptr) continue;
-    std::size_t cell = chain.oldest->interest.name().hash() & mask;
-    while (table_[cell].oldest != nullptr) cell = (cell + 1) & mask;
-    table_[cell] = chain;
-  }
-}
-
-void AppFace::eraseCell(std::size_t hole) noexcept {
-  const std::size_t mask = table_.size() - 1;
-  // Backward-shift deletion: pull later cells of the probe run into the
-  // hole when it lies between their home cell and where they sit.
-  for (std::size_t next = (hole + 1) & mask; table_[next].oldest != nullptr;
-       next = (next + 1) & mask) {
-    const std::size_t home = table_[next].oldest->interest.name().hash() & mask;
-    if (((next - home) & mask) >= ((next - hole) & mask)) {
-      table_[hole] = table_[next];
-      hole = next;
-    }
-  }
-  table_[hole] = Chain{};
 }
 
 }  // namespace lidc::ndn

@@ -8,6 +8,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/open_index.hpp"
 #include "common/rng.hpp"
 #include "common/slot_pool.hpp"
 #include "ndn/face.hpp"
@@ -57,6 +58,7 @@ class AppFace : public Face {
     NackCallback onNack;
     TimeoutCallback onTimeout;
   };
+  struct Chain;
   /// One expressed Interest awaiting its Data, Nack or timeout. Records
   /// live in pooled slots that never move, so a callback may express more
   /// Interests while its own record's Interest is still being read.
@@ -66,7 +68,8 @@ class AppFace : public Face {
     sim::EventHandle timeoutEvent;
     /// Expression order: matching fires the earliest-expressed record first.
     std::uint64_t seq = 0;
-    /// Neighbours among the records pending under the same name.
+    /// The records pending under the same name, and the neighbours in it.
+    Chain* chain = nullptr;
     Pending* older = nullptr;
     Pending* newer = nullptr;
   };
@@ -75,20 +78,20 @@ class AppFace : public Face {
     Pending* oldest = nullptr;
     Pending* newest = nullptr;
   };
+  struct ChainHash {
+    std::size_t operator()(const Chain& chain) const noexcept {
+      return chain.oldest->interest.name().hash();
+    }
+  };
 
+  /// The chain of records pending under exactly `name`, or null.
+  [[nodiscard]] Chain* chainOf(const Name& name) const;
   /// The earliest-expressed record this Data satisfies now, or null.
   [[nodiscard]] Pending* matchForData(const Data& data) const;
-  /// The cell of the chain for `name`, or the empty cell that ends its
-  /// probe run. The table must not be empty.
-  [[nodiscard]] std::size_t cellOf(const Name& name) const noexcept;
   /// Appends a record to its name's chain (and to the prefix list).
   void index(Pending* record);
   /// Takes a record out of its chain and the prefix list.
   void unindex(Pending* record);
-  /// Doubles the table (16 cells at first) and re-places every chain.
-  void grow();
-  /// Empties a cell by backward-shift deletion.
-  void eraseCell(std::size_t hole) noexcept;
   /// Unindexes a record, cancels its timeout and runs `fire` on its
   /// callbacks, moved to a local that is destroyed only after `fire`
   /// returns and the slot is back in the pool.
@@ -98,10 +101,9 @@ class AppFace : public Face {
   sim::Simulator& sim_;
   Rng nonce_rng_;
   SlotPool<Pending, 8> pool_;
-  /// Open addressing with linear probing over Name::hash(): one chain per
-  /// distinct pending name. At most half full.
-  std::vector<Chain> table_;
-  std::size_t names_ = 0;
+  SlotPool<Chain, 8> chains_;
+  /// One chain per distinct pending name.
+  OpenIndex<Chain, ChainHash> index_;
   std::size_t pending_count_ = 0;
   std::uint64_t next_seq_ = 0;
   /// CanBePrefix records (also in their name's chain), in the order expressed.

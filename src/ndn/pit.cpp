@@ -58,21 +58,23 @@ namespace {
 /// Copy-assigned into a freed slot: drops the Interest's parameters
 /// (up to 512 KiB for a publish) and keeps its name buffer.
 const Interest kFreed;
+
+/// Accepts the entry whose key is (name, canBePrefix, mustBeFresh).
+auto sameKey(const NamePrefix& name, bool canBePrefix, bool mustBeFresh) {
+  return [&name, canBePrefix, mustBeFresh](const PitEntry& entry) {
+    const Interest& stored = entry.interest();
+    return stored.canBePrefix() == canBePrefix && stored.mustBeFresh() == mustBeFresh &&
+           stored.name().hash() == name.hash() && name.sameAs(stored.name().wire());
+  };
+}
 }  // namespace
 
 Pit::~Pit() {
-  for (PitEntry* entry : table_) {
-    if (entry != nullptr) entry->expiryTimer.cancel();
-  }
+  index_.forEach([](PitEntry& entry) { entry.expiryTimer.cancel(); });
 }
 
 Pit::InsertResult Pit::insert(const Interest& interest) {
-  const NamePrefix name(interest.name());
-  const bool canBePrefix = interest.canBePrefix();
-  const bool mustBeFresh = interest.mustBeFresh();
-  if ((size_ + 1) * 2 > table_.size()) grow();
-  PitEntry*& cell = table_[cellOf(name, canBePrefix, mustBeFresh)];
-  if (cell != nullptr) return {cell, false};
+  if (PitEntry* entry = find(interest)) return {entry, false};
 
   // Copy-assigning into a recycled slot reuses its name buffer.
   PitEntry* entry = pool_.acquire();
@@ -81,13 +83,8 @@ Pit::InsertResult Pit::insert(const Interest& interest) {
   entry->out_records_.clear();
   entry->retxCount = 0;
   entry->expiryTimer = sim::EventHandle();
-  cell = entry;
-  ++size_;
-  if (canBePrefix) {
-    if (prefix_entries_.size() <= name.size()) prefix_entries_.resize(name.size() + 1);
-    ++prefix_entries_[name.size()];
-    ++prefix_total_;
-  }
+  index_.insert(entry);
+  if (interest.canBePrefix()) ++prefix_entries_;
   return {entry, true};
 }
 
@@ -96,103 +93,52 @@ PitEntry* Pit::find(const Interest& interest) const {
                 interest.mustBeFresh());
 }
 
+PitEntry* Pit::lookup(const NamePrefix& name, bool canBePrefix, bool mustBeFresh) const {
+  return index_.find(keyHash(name.hash(), canBePrefix, mustBeFresh),
+                     sameKey(name, canBePrefix, mustBeFresh));
+}
+
 Pit::Matches Pit::findMatches(const Data& data) const {
   Matches matches;
-  if (size_ == 0) return matches;
   const auto probe = [&](const NamePrefix& name, bool canBePrefix, bool mustBeFresh) {
-    if (PitEntry* entry = table_[cellOf(name, canBePrefix, mustBeFresh)]) {
-      matches.push_back(entry);
-    }
+    if (PitEntry* entry = lookup(name, canBePrefix, mustBeFresh)) matches.push_back(entry);
   };
-  const Name& name = data.name();
-  // Proper prefixes, shortest first, probed only at the lengths that hold
-  // a CanBePrefix entry; hashing stops at the longest such length.
-  if (prefix_total_ > 0) {
-    std::size_t limit = std::min(name.size(), prefix_entries_.size());
-    while (limit > 0 && prefix_entries_[limit - 1] == 0) --limit;
-    if (limit > 0) {
-      name.forEachPrefix(
-          [&](const NamePrefix& prefix) {
-            if (prefix_entries_[prefix.size()] > 0) {
-              probe(prefix, true, false);
-              probe(prefix, true, true);
-            }
-          },
-          limit - 1);
+  if (prefix_entries_ == 0) {
+    // Only an entry for the exact name can match, and its memoized hash
+    // is the probe's.
+    const NamePrefix exact(data.name());
+    probe(exact, false, false);
+    probe(exact, false, true);
+    return matches;
+  }
+  // Every prefix, shortest first, for CanBePrefix entries, and the exact
+  // name for the others too. Probing prefixes keeps this O(name length)
+  // rather than O(table size), and probing by view copies no prefix.
+  const std::size_t exactSize = data.name().size();
+  data.name().forEachPrefix([&](const NamePrefix& prefix) {
+    for (const bool mustBeFresh : {false, true}) {
+      if (prefix.size() == exactSize) probe(prefix, false, mustBeFresh);
+      probe(prefix, true, mustBeFresh);
     }
-  }
-  // The exact name, by its memoized hash.
-  const NamePrefix exact(name);
-  const bool exactPrefixEntries =
-      name.size() < prefix_entries_.size() && prefix_entries_[name.size()] > 0;
-  for (const bool mustBeFresh : {false, true}) {
-    probe(exact, false, mustBeFresh);
-    if (exactPrefixEntries) probe(exact, true, mustBeFresh);
-  }
+  });
   return matches;
 }
 
 void Pit::erase(PitEntry* entry) {
-  if (entry == nullptr || size_ == 0) return;
+  if (entry == nullptr) return;
   const Interest& key = entry->interest_;
-  const std::size_t cell =
-      cellOf(NamePrefix(key.name()), key.canBePrefix(), key.mustBeFresh());
-  PitEntry* indexed = table_[cell];
-  if (indexed == nullptr) return;
-  indexed->expiryTimer.cancel();
-  if (indexed->interest_.canBePrefix()) {
-    --prefix_entries_[indexed->name().size()];
-    --prefix_total_;
-  }
-  unindexAt(cell);
-  --size_;
+  const NamePrefix name(key.name());
+  PitEntry* erased =
+      index_.remove(keyHash(name.hash(), key.canBePrefix(), key.mustBeFresh()),
+                    sameKey(name, key.canBePrefix(), key.mustBeFresh()));
+  if (erased == nullptr) return;
+  erased->expiryTimer.cancel();
+  if (erased->interest_.canBePrefix()) --prefix_entries_;
   if (holds_ > 0) {
-    parked_.push_back(indexed);
+    parked_.push_back(erased);
   } else {
-    release(indexed);
+    release(erased);
   }
-}
-
-std::size_t Pit::cellOf(const NamePrefix& name, bool canBePrefix,
-                        bool mustBeFresh) const noexcept {
-  const std::size_t mask = table_.size() - 1;
-  for (std::size_t cell = keyHash(name.hash(), canBePrefix, mustBeFresh) & mask;;
-       cell = (cell + 1) & mask) {
-    const PitEntry* entry = table_[cell];
-    if (entry == nullptr) return cell;
-    const Interest& stored = entry->interest_;
-    if (stored.canBePrefix() == canBePrefix && stored.mustBeFresh() == mustBeFresh &&
-        stored.name().hash() == name.hash() && name.sameAs(stored.name().wire())) {
-      return cell;
-    }
-  }
-}
-
-void Pit::grow() {
-  std::vector<PitEntry*> old(std::max<std::size_t>(16, table_.size() * 2), nullptr);
-  old.swap(table_);
-  const std::size_t mask = table_.size() - 1;
-  for (PitEntry* entry : old) {
-    if (entry == nullptr) continue;
-    std::size_t cell = keyHash(*entry) & mask;
-    while (table_[cell] != nullptr) cell = (cell + 1) & mask;
-    table_[cell] = entry;
-  }
-}
-
-void Pit::unindexAt(std::size_t hole) noexcept {
-  const std::size_t mask = table_.size() - 1;
-  // Backward-shift deletion: pull later cells of the probe run into the
-  // hole when it lies between their home cell and where they sit.
-  for (std::size_t next = (hole + 1) & mask; table_[next] != nullptr;
-       next = (next + 1) & mask) {
-    const std::size_t home = keyHash(*table_[next]) & mask;
-    if (((next - home) & mask) >= ((next - hole) & mask)) {
-      table_[hole] = table_[next];
-      hole = next;
-    }
-  }
-  table_[hole] = nullptr;
 }
 
 void Pit::release(PitEntry* entry) {

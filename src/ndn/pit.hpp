@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/open_index.hpp"
 #include "common/slot_pool.hpp"
 #include "common/small_vector.hpp"
 #include "ndn/face.hpp"
@@ -78,8 +79,8 @@ class PitEntry {
 };
 
 /// The table itself, keyed by (name, canBePrefix, mustBeFresh). Entries
-/// live in pooled slots that never move, indexed by open addressing on
-/// the memoized Name::hash().
+/// live in pooled slots that never move, in an OpenIndex on the memoized
+/// Name::hash().
 class Pit {
  public:
   struct InsertResult {
@@ -131,7 +132,7 @@ class Pit {
   /// a null `entry`) nothing happens.
   void erase(PitEntry* entry);
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
 
  private:
   /// The key hash: the name's hash with one constant per selector.
@@ -139,35 +140,23 @@ class Pit {
                              bool mustBeFresh) noexcept {
     return nameHash ^ (canBePrefix ? 0x9e3779b9U : 0U) ^ (mustBeFresh ? 0x85ebca6bU : 0U);
   }
-  static std::size_t keyHash(const PitEntry& entry) noexcept {
-    return keyHash(entry.name().hash(), entry.interest_.canBePrefix(),
-                   entry.interest_.mustBeFresh());
-  }
-  /// The cell of the entry with this key, or the empty cell that ends
-  /// its probe run. The table must not be empty.
-  [[nodiscard]] std::size_t cellOf(const NamePrefix& name, bool canBePrefix,
-                                   bool mustBeFresh) const noexcept;
+  struct KeyHash {
+    std::size_t operator()(const PitEntry& entry) const noexcept {
+      const Interest& interest = entry.interest_;
+      return keyHash(interest.name().hash(), interest.canBePrefix(), interest.mustBeFresh());
+    }
+  };
   [[nodiscard]] PitEntry* lookup(const NamePrefix& name, bool canBePrefix,
-                                 bool mustBeFresh) const noexcept {
-    return table_.empty() ? nullptr : table_[cellOf(name, canBePrefix, mustBeFresh)];
-  }
-  /// Doubles the table (16 cells at first) and re-places every entry.
-  void grow();
-  /// Empties a cell by backward-shift deletion.
-  void unindexAt(std::size_t cell) noexcept;
+                                 bool mustBeFresh) const;
   /// Returns an unindexed entry's slot to the pool.
   void release(PitEntry* entry);
   void reclaimParked();
 
   SlotPool<PitEntry, 8> pool_;
-  /// Open addressing with linear probing: each cell holds an entry or
-  /// null. At most half full.
-  std::vector<PitEntry*> table_;
-  std::size_t size_ = 0;
-  /// CanBePrefix entries by name length, so findMatches probes a proper
-  /// prefix only at the lengths where one can match.
-  std::vector<std::uint32_t> prefix_entries_;
-  std::size_t prefix_total_ = 0;
+  OpenIndex<PitEntry, KeyHash> index_;
+  /// Indexed entries with CanBePrefix set. While there are none,
+  /// findMatches probes only the exact name.
+  std::size_t prefix_entries_ = 0;
   unsigned holds_ = 0;
   /// Erased during a Hold: unindexed, storage kept until the Hold ends.
   std::vector<PitEntry*> parked_;

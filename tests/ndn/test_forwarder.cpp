@@ -347,6 +347,70 @@ TEST_F(ForwarderTest, NestedSatisfactionInsideDataDelivery) {
   EXPECT_EQ(consumerNode_.counters().nSatisfied, 2u);
 }
 
+TEST_F(ForwarderTest, MatchedEntryErasedByANestedPipelineIsStillServed) {
+  // One Data for /local/x matches two entries: MustBeFresh false (from
+  // the consumer), then true (from a second app). Delivering the first
+  // runs the consumer's onData, which has the producer put /local/x again
+  // and then expresses /local/y. That nested Data erases both entries,
+  // the second of which the outer pipeline has yet to serve, and the new
+  // Interest makes an entry. The outer pipeline must still read the
+  // second entry as it was (its app gets the Data twice), and must leave
+  // the /local/y entry alone, so that its Data is not unsolicited.
+  auto producer = std::make_shared<AppFace>("app://local", sim_, 3);
+  auto other = std::make_shared<AppFace>("app://other", sim_, 4);
+  consumerNode_.addFace(producer);
+  consumerNode_.addFace(other);
+  consumerNode_.registerPrefix(Name("/local"), producer->id());
+  const auto put = [&producer](const char* uri) {
+    Data data((Name(uri)));
+    data.setContent("v");
+    producer->putData(std::move(data));
+  };
+  producer->setInterestHandler([&](const Interest& interest) {
+    if (interest.name() == Name("/local/y")) {
+      sim_.scheduleAfter(sim::Duration::millis(1), [&put] { put("/local/y"); });
+    }
+  });
+  const auto noNack = [](const Interest&, const Nack&) { FAIL(); };
+  const auto noTimeout = [](const Interest&) { FAIL(); };
+
+  int x = 0;
+  int y = 0;
+  int otherX = 0;
+  consumerApp_->expressInterest(
+      makeInterest("/local/x"),
+      [&](const Interest&, const Data&) {
+        ++x;
+        put("/local/x");
+        consumerApp_->expressInterest(
+            makeInterest("/local/y"), [&](const Interest&, const Data&) { ++y; }, noNack,
+            noTimeout);
+      },
+      noNack, noTimeout);
+  Interest fresh = makeInterest("/local/x");
+  fresh.setMustBeFresh(true);
+  other->expressInterest(fresh, [&](const Interest&, const Data&) { ++otherX; }, noNack,
+                         noTimeout);
+  ASSERT_EQ(consumerNode_.pit().size(), 2u);
+  sim_.scheduleAfter(sim::Duration::millis(1), [&put] { put("/local/x"); });
+  sim_.run();
+
+  EXPECT_EQ(x, 1);
+  EXPECT_EQ(otherX, 1);
+  EXPECT_EQ(y, 1);
+  // The consumer's face: /local/x from both pipelines, then /local/y.
+  EXPECT_EQ(consumerApp_->counters().nOutData, 3u);
+  // The second app's face: /local/x from the nested pipeline, then again
+  // from the outer one, after its record was consumed.
+  EXPECT_EQ(other->counters().nOutData, 2u);
+  EXPECT_EQ(producer->counters().nOutInterests, 3u);
+  EXPECT_EQ(consumerNode_.counters().nSatisfied, 5u);
+  EXPECT_EQ(consumerNode_.counters().nUnsolicitedData, 0u);
+  EXPECT_EQ(consumerNode_.pit().size(), 0u);
+  EXPECT_EQ(consumerApp_->pendingInterestCount(), 0u);
+  EXPECT_EQ(other->pendingInterestCount(), 0u);
+}
+
 TEST_F(ForwarderTest, SatisfiedInterestsLeaveNoTimersQueued) {
   // One Interest per ms with a 4 s lifetime, each answered in 10 ms. A
   // satisfied Interest cancels its two PIT timers and its AppFace timeout;

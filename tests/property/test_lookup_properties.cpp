@@ -1,7 +1,8 @@
-// Copy-free table lookups agree with brute force. The FIB and the PIT
-// probe prefixes by view and hash, only at the lengths that hold an
-// entry; these seeded sweeps check the answers against linear scans with
-// isPrefixOf, as entries come and go, including the order of
+// Copy-free table lookups agree with brute force. The FIB probes prefixes
+// by view and hash only at the lengths that hold an entry, and the PIT
+// probes them only while it holds a CanBePrefix entry; these seeded
+// sweeps check the answers against linear scans with isPrefixOf, as
+// entries come and go, including the order of
 // Pit::findMatches, which decides the order Data is sent downstream and
 // so the simulated event sequence. The Content Store and
 // the Dead Nonce List are checked against plain reference models: every
@@ -49,10 +50,11 @@ const Name* bruteForceLongest(const std::map<Name, std::vector<FaceId>>& registe
   return longest;
 }
 
+/// Checks `trials` random names against the scan.
 void expectLongestPrefixMatches(const Fib& fib,
                                 const std::map<Name, std::vector<FaceId>>& registered,
-                                Rng& rng) {
-  for (int trial = 0; trial < 200; ++trial) {
+                                Rng& rng, int trials) {
+  for (int trial = 0; trial < trials; ++trial) {
     const Name name = randomName(rng, 6);
     const Name* longest = bruteForceLongest(registered, name);
     const FibEntry* match = fib.longestPrefixMatch(name);
@@ -107,7 +109,7 @@ TEST_P(LookupProperty, FibLongestPrefixMatchIsTheLongestRegisteredPrefix) {
     it->second.pop_back();
     if (it->second.empty()) registered.erase(it);
   }
-  expectLongestPrefixMatches(fib, registered, rng);
+  expectLongestPrefixMatches(fib, registered, rng, 300);
 }
 
 TEST_P(LookupProperty, FibLongestPrefixMatchHoldsAsFacesGoAway) {
@@ -129,7 +131,7 @@ TEST_P(LookupProperty, FibLongestPrefixMatchHoldsAsFacesGoAway) {
       auto& faces = registered[prefix];
       if (std::find(faces.begin(), faces.end(), face) == faces.end()) faces.push_back(face);
     }
-    expectLongestPrefixMatches(fib, registered, rng);
+    expectLongestPrefixMatches(fib, registered, rng, 200);
     for (int i = 0; i < 10 && !registered.empty(); ++i) {
       auto it = std::next(registered.begin(),
                           static_cast<long>(rng.uniform(registered.size())));
@@ -138,7 +140,7 @@ TEST_P(LookupProperty, FibLongestPrefixMatchHoldsAsFacesGoAway) {
       fib.removeNextHop(prefix, face);
       withdraw(prefix, face);
     }
-    expectLongestPrefixMatches(fib, registered, rng);
+    expectLongestPrefixMatches(fib, registered, rng, 200);
     const auto face = static_cast<FaceId>(1 + rng.uniform(5));
     fib.removeFaceFromAll(face);
     for (auto it = registered.begin(); it != registered.end();) {
@@ -146,13 +148,13 @@ TEST_P(LookupProperty, FibLongestPrefixMatchHoldsAsFacesGoAway) {
       it = it->second.empty() ? registered.erase(it) : std::next(it);
     }
     ASSERT_EQ(fib.size(), registered.size());
-    expectLongestPrefixMatches(fib, registered, rng);
+    expectLongestPrefixMatches(fib, registered, rng, 200);
   }
   // With every face gone, nothing matches at any length.
   for (FaceId face = 1; face <= 5; ++face) fib.removeFaceFromAll(face);
   registered.clear();
   EXPECT_EQ(fib.size(), 0u);
-  expectLongestPrefixMatches(fib, registered, rng);
+  expectLongestPrefixMatches(fib, registered, rng, 200);
 }
 
 TEST_P(LookupProperty, PitFindMatchesIsTheBruteForceSetInOrder) {
@@ -228,7 +230,7 @@ TEST_P(LookupProperty, PitFindMatchesAsCanBePrefixEntriesComeAndGo) {
       expectMatchesBruteForce(pit, pending, Data(randomName(rng, 5)));
     }
     // ...then takes some away at random, and every other phase all of
-    // them, so the per-length counts fall back to zero.
+    // them, so the count of CanBePrefix entries falls back to zero.
     eraseWhere([&rng](const Interest& interest) {
       return interest.canBePrefix() && rng.bernoulli(0.5);
     });
